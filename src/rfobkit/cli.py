@@ -74,7 +74,10 @@ def _load_config(path: str) -> ConfigDocument:
 def _design_case(doc: ConfigDocument, env: EnvImpedance) -> EnvClass:
     case = doc.get("design", "case")
     if case == "auto":
-        return classify_environment(env)
+        try:
+            return classify_environment(env)
+        except ValueError as exc:
+            raise ConfigError(f"[environment] {exc}") from None
     return EnvClass(case)
 
 
@@ -92,6 +95,8 @@ def _run_design(doc: ConfigDocument, env: EnvImpedance) -> DesignResult:
 
 def _design_report(doc: ConfigDocument, result: DesignResult) -> dict:
     alpha = doc.get("design", "alpha")
+    if not alpha > 0.0:
+        raise ConfigError(f"[design] alpha must be > 0, got {alpha}")
     g_dob, g_rfob = split_alpha_g(result, alpha)
     env = cfgmod.build_env(doc)
     case_env = {
@@ -203,6 +208,10 @@ def cmd_analyze(args) -> int:
     rfob = cfgmod.build_rfob(doc)
     env = cfgmod.build_env(doc)
     c_f = doc.get("scenario", "C_f")
+    if not c_f > 0.0:
+        raise ConfigError(f"[scenario] C_f must be > 0, got {c_f}")
+    if env.D_env == 0.0 and env.K_env == 0.0:
+        raise ConfigError("[environment] neither damping nor stiffness: no force loop to analyze")
     ratios = RatioReport.from_configs(pp, dob, rfob)
     phi = PhiPoly.from_params(pp, rfob, env)
     rhp = rhp_zero_check(phi)
@@ -247,22 +256,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) -> None:
-    """Fixed column order, >= 10 significant digits, deterministic text."""
-    lines = [",".join(columns)]
-    n = res.n_steps
-    cols = []
-    for name in columns:
-        arr = res.ts[name]
-        if name == "contact_mode":
-            cols.append([CONTACT_MODE_NAMES[int(v)] for v in arr])
-        elif name == "ctrl_mode":
-            cols.append([CTRL_MODE_NAMES[int(v)] for v in arr])
-        else:
-            cols.append([_fmt(float(v)) for v in arr])
-    for i in range(n):
-        lines.append(",".join(col[i] for col in cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Fixed column order, >= 10 significant digits, deterministic text.
+
+    Rows are formatted with one `%.10g` template (the same text as
+    `f"{v:.10g}"` per cell) and written CSV_CHUNK_ROWS at a time, so memory
+    stays bounded by one chunk of strings.
+    """
+    mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
+    row = ",".join("%s" if name in mode_names else "%.10g" for name in columns) + "\n"
+    arrays = [res.ts[name] for name in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for i in range(0, res.n_steps, CSV_CHUNK_ROWS):
+            j = min(i + CSV_CHUNK_ROWS, res.n_steps)
+            cols = [
+                [mode_names[name][v] for v in arr[i:j].tolist()] if name in mode_names else arr[i:j].tolist()
+                for name, arr in zip(columns, arrays)
+            ]
+            fh.write("".join([row % cells for cells in zip(*cols)]))
 
 
 def _write_summary(res: SimResult, out_path: str) -> None:
@@ -358,9 +373,6 @@ def main(argv=None) -> int:
     except InfeasibleDesignError as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

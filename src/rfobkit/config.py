@@ -9,6 +9,7 @@ equal document.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC
@@ -278,6 +279,22 @@ def serialize_config(doc: ConfigDocument) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+def _rejects_as_config_error(section: str | None = None):
+    """A value the built object rejects (ValueError) becomes a ConfigError naming the section."""
+    prefix = f"[{section}] " if section else ""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def wrapper(doc: ConfigDocument):
+            try:
+                return build(doc)
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{exc}") from None
+        return wrapper
+    return decorate
+
+
+@_rejects_as_config_error("plant")
 def build_plant(doc: ConfigDocument) -> PlantParams:
     return PlantParams(
         M_m=doc.get("plant", "M_m_kg"),
@@ -286,6 +303,7 @@ def build_plant(doc: ConfigDocument) -> PlantParams:
     )
 
 
+@_rejects_as_config_error("friction")
 def build_friction(doc: ConfigDocument) -> FrictionParams:
     return FrictionParams(
         k_vsc=doc.get("friction", "k_vsc_Ns_per_m"),
@@ -294,6 +312,7 @@ def build_friction(doc: ConfigDocument) -> FrictionParams:
     )
 
 
+@_rejects_as_config_error("environment")
 def build_env(doc: ConfigDocument) -> EnvImpedance:
     return EnvImpedance(
         D_env=doc.get("environment", "D_env_Ns_per_m"),
@@ -303,6 +322,7 @@ def build_env(doc: ConfigDocument) -> EnvImpedance:
     )
 
 
+@_rejects_as_config_error("dob")
 def build_dob(doc: ConfigDocument) -> DobConfig:
     return DobConfig(
         M_mn=doc.get("dob", "M_mn_kg"),
@@ -312,6 +332,7 @@ def build_dob(doc: ConfigDocument) -> DobConfig:
     )
 
 
+@_rejects_as_config_error("rfob")
 def build_rfob(doc: ConfigDocument) -> RfobConfig:
     return RfobConfig(
         M_hat=doc.get("rfob", "M_hat_kg"),
@@ -326,6 +347,7 @@ def build_rfob(doc: ConfigDocument) -> RfobConfig:
     )
 
 
+@_rejects_as_config_error("design")
 def build_design_specs(doc: ConfigDocument) -> tuple[DesignSpecA, DesignSpecB, DesignSpecC]:
     return (
         DesignSpecA(xi=doc.get("design", "xi_damping"), gamma=doc.get("design", "gamma")),
@@ -370,6 +392,7 @@ def _build_reference(p: dict[str, object]) -> Reference:
     )
 
 
+@_rejects_as_config_error()
 def build_scenario(doc: ConfigDocument) -> Scenario:
     if "scenario" not in doc.sections:
         raise ConfigError("missing required section [scenario]")
@@ -414,29 +437,26 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         spec_b=spec_b,
         spec_c=spec_c,
     )
-    try:
-        return Scenario(
-            plant=build_plant(doc),
-            friction=build_friction(doc),
-            env=build_env(doc),
-            dob=build_dob(doc),
-            rfob=build_rfob(doc),
-            phases=tuple(phases),
-            dt=doc.get("scenario", "dt_s"),
-            C_f=doc.get("scenario", "C_f"),
-            K_P=doc.get("scenario", "K_P"),
-            K_V=doc.get("scenario", "K_V"),
-            always_in_contact=doc.get("environment", "contact") == "bilateral",
-            velocity_filter_on=doc.get("scenario", "velocity_filter") == "on",
-            noise_std=doc.get("scenario", "noise_std_m_per_s"),
-            seed=doc.get("scenario", "seed"),
-            adaptation=adaptation,
-            ident=ident,
-            x0=doc.get("scenario", "x0_m"),
-            v0=doc.get("scenario", "v0_m_per_s"),
-            x_limit=doc.get("scenario", "x_limit_m"),
-            v_limit=doc.get("scenario", "v_limit_m_per_s"),
-            dist_limit=doc.get("scenario", "dist_limit_N"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Scenario(
+        plant=build_plant(doc),
+        friction=build_friction(doc),
+        env=build_env(doc),
+        dob=build_dob(doc),
+        rfob=build_rfob(doc),
+        phases=tuple(phases),
+        dt=doc.get("scenario", "dt_s"),
+        C_f=doc.get("scenario", "C_f"),
+        K_P=doc.get("scenario", "K_P"),
+        K_V=doc.get("scenario", "K_V"),
+        always_in_contact=doc.get("environment", "contact") == "bilateral",
+        velocity_filter_on=doc.get("scenario", "velocity_filter") == "on",
+        noise_std=doc.get("scenario", "noise_std_m_per_s"),
+        seed=doc.get("scenario", "seed"),
+        adaptation=adaptation,
+        ident=ident,
+        x0=doc.get("scenario", "x0_m"),
+        v0=doc.get("scenario", "v0_m_per_s"),
+        x_limit=doc.get("scenario", "x_limit_m"),
+        v_limit=doc.get("scenario", "v_limit_m_per_s"),
+        dist_limit=doc.get("scenario", "dist_limit_N"),
+    )

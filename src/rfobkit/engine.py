@@ -159,6 +159,24 @@ class IdentConfig:
     g_filter_nc: float | None = None  # defaults to the velocity-filter cutoff
     apply_to_rfob: bool = True
 
+    def __post_init__(self) -> None:
+        for name, n in (("delta0_nc", 4), ("bounds_nc_min", 4), ("bounds_nc_max", 4),
+                        ("delta0_c", 3), ("bounds_c_min", 3), ("bounds_c_max", 3)):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} needs {n} values, got {len(getattr(self, name))}")
+        if self.g_filter_nc is not None and not self.g_filter_nc > 0.0:
+            raise ValueError(f"g_filter_nc must be > 0, got {self.g_filter_nc}")
+        # the detector and the enabled estimators check the rest of their settings
+        ContactDetector(self.threshold_on, self.threshold_off, self.dwell)
+        if self.enable_plant:
+            RlmsEstimator(self.delta0_nc, self.bounds_nc_min, self.bounds_nc_max, self.gamma0_nc, self.mu_nc)
+        if self.enable_env:
+            RlmsEstimator(self.delta0_c, self.bounds_c_min, self.bounds_c_max, self.gamma0_c, self.mu_c)
+
+    def g_nc(self, g_v: float) -> float:
+        """Cutoff of the non-contact regressor filters."""
+        return self.g_filter_nc if self.g_filter_nc is not None else g_v
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -198,6 +216,9 @@ class Scenario:
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
+        g_nc = self.ident.g_nc(self.dob.g_v)
+        if self.ident.enable_plant and g_nc * self.dt >= 1.0:
+            raise ValueError(f"dt*g_filter_nc = {g_nc * self.dt:g} >= 1")
 
     @property
     def duration(self) -> float:
@@ -353,19 +374,19 @@ class Simulator:
 
         if ident.enable_plant:
             self.est_nc = RlmsEstimator(
-                delta0=np.array(ident.delta0_nc),
-                bounds_min=np.array(ident.bounds_nc_min),
-                bounds_max=np.array(ident.bounds_nc_max),
+                delta0=ident.delta0_nc,
+                bounds_min=ident.bounds_nc_min,
+                bounds_max=ident.bounds_nc_max,
                 gamma0=ident.gamma0_nc,
                 mu=ident.mu_nc,
             )
-            g_f = ident.g_filter_nc if ident.g_filter_nc is not None else scenario.dob.g_v
-            self.bank_nc = NonContactRegressorBank(g_f, self.dt, scenario.dob.M_mn, scenario.friction.eps)
+            self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
+                                                   scenario.friction.eps)
         if ident.enable_env:
             self.est_c = RlmsEstimator(
-                delta0=np.array(ident.delta0_c),
-                bounds_min=np.array(ident.bounds_c_min),
-                bounds_max=np.array(ident.bounds_c_max),
+                delta0=ident.delta0_c,
+                bounds_min=ident.bounds_c_min,
+                bounds_max=ident.bounds_c_max,
                 gamma0=ident.gamma0_c,
                 mu=ident.mu_c,
             )
@@ -417,15 +438,15 @@ class Simulator:
             and self.est_nc is not None
         ):
             # fold the identified plant model into the reaction force observer
-            d = self.est_nc.delta
+            d = self.est_nc.values
             old = self.rfob.cfg
             new_cfg = RfobConfig(
-                M_hat=max(float(d[0]), 1e-6),
+                M_hat=max(d[0], 1e-6),
                 K_F_hat=old.K_F_hat,
                 g_rfob=old.g_rfob,
-                friction=FrictionParams(k_vsc=max(float(d[1]), 0.0), k_clmb=max(float(d[2]), 0.0),
+                friction=FrictionParams(k_vsc=max(d[1], 0.0), k_clmb=max(d[2], 0.0),
                                         eps=old.friction.eps),
-                F_d_hat=float(d[3]),
+                F_d_hat=d[3],
             )
             self.rfob.cfg = new_cfg
 
@@ -439,7 +460,8 @@ class Simulator:
             or abs(k_env - k0) > band * max(abs(k0), 1e-2)
         )
 
-    def _apply_design(self, t: float, env: EnvImpedance, m_design: float) -> None:
+    def _apply_design(self, t: float, env: EnvImpedance, m_design: float) -> bool:
+        """Design for `env` and retune the loop; returns whether the design was applied."""
         ad = self.sc.adaptation
         try:
             result = design_for_env(m_design, env, self.sc.dob.g_v, ad.spec_a, ad.spec_b, ad.spec_c)
@@ -453,7 +475,7 @@ class Simulator:
             self.design_events.append(
                 DesignEvent(t=t, applied=False, alpha_g=float("nan"), C_f=self.C_f, g=float("nan"), note=str(exc))
             )
-            return
+            return False
         # bumpless retune: filter states shift so the estimates stay continuous
         self.C_f = result.C_f
         self.g_dob = g
@@ -465,6 +487,7 @@ class Simulator:
         self.design_events.append(
             DesignEvent(t=t, applied=True, alpha_g=result.alpha_g, C_f=result.C_f, g=g)
         )
+        return True
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
@@ -537,11 +560,12 @@ class Simulator:
                     sc.adaptation.mode is AdaptationMode.ONLINE
                     and (k + 1) % sc.adaptation.period_steps == 0
                 ):
-                    d = self.est_c.delta
-                    d_env, k_env = max(float(d[0]), 0.0), max(float(d[1]), 0.0)
-                    if self._outside_deadband(d_env, k_env):
-                        self._apply_design(t, EnvImpedance(D_env=d_env, K_env=k_env),
-                                           self.rfob.cfg.M_hat)
+                    d = self.est_c.values
+                    d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
+                    # a rejected design leaves the anchor alone, so the next period retries
+                    if self._outside_deadband(d_env, k_env) and self._apply_design(
+                        t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.cfg.M_hat
+                    ):
                         self._last_design_env = (d_env, k_env)
         if mode is ContactMode.NON_CONTACT and self.est_nc is not None and not self.diverged:
             if self._bank_nc_last_k != k - 1:
@@ -567,14 +591,14 @@ class Simulator:
         ts["alpha_g_radps"][k] = self.alpha_true * self.g_dob
         ts["C_f"][k] = self.C_f
         if self.est_nc is not None:
-            d = self.est_nc.delta
+            d = self.est_nc.values
             ts["delta_M_m_kg"][k] = d[0]
             ts["delta_k_vsc_Nspm"][k] = d[1]
             ts["delta_k_clmb_N"][k] = d[2]
             ts["delta_F_d_N"][k] = d[3]
             ts["innov_nc_N"][k] = innov_nc
         if self.est_c is not None:
-            d = self.est_c.delta
+            d = self.est_c.values
             ts["delta_D_env_Nspm"][k] = d[0]
             ts["delta_K_env_Npm"][k] = d[1]
             ts["delta_c_offset_N"][k] = d[2]
@@ -599,8 +623,8 @@ class Simulator:
             diverged_step=self.diverged_step,
             phase_summaries=phase_summaries,
             design_events=self.design_events,
-            final_delta_nc=None if self.est_nc is None else self.est_nc.delta.copy(),
-            final_delta_c=None if self.est_c is None else self.est_c.delta.copy(),
+            final_delta_nc=None if self.est_nc is None else self.est_nc.delta,
+            final_delta_c=None if self.est_c is None else self.est_c.delta,
             unidentifiable_nc=unident_nc,
             unidentifiable_c=unident_c,
         )

@@ -9,6 +9,7 @@ box-projected so it cannot leave its configured convex set.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 
 import numpy as np
@@ -25,14 +26,21 @@ class ContactMode(Enum):
 class RlmsEstimator:
     """Recursive least-squares with forgetting factor and box projection.
 
-    One update:
-        K     = Gamma @ rho / (mu + rho' Gamma rho)
-        delta = clip(delta + K * (u - rho' delta), bounds)
-        Gamma = (I - K rho') Gamma / mu
+    One update, with r = Gamma rho and k = r / (mu + rho' r):
+        delta    = clip(delta + k (u - rho' delta), bounds)
+        Gamma_ij = ((Gamma_ij - k_i r_j)/mu + (Gamma_ji - k_j r_i)/mu) / 2
 
-    The covariance is re-symmetrized each step; if it loses positive
-    definiteness to rounding (checked periodically by Cholesky) it is reset to
-    the configured initial diagonal so the estimator stays alive.
+    The estimate has 3 or 4 components in the simulator, where numpy's
+    per-call overhead would outweigh the arithmetic, so the state is plain
+    Python floats and every inner product is summed left to right.  The
+    averaged form keeps Gamma exactly symmetric.  Every `pd_check_period`
+    steps a Cholesky factorisation checks that Gamma is still positive
+    definite; if rounding has broken that, Gamma is reset to the configured
+    initial diagonal and `reset_count` is incremented, so the estimator stays
+    alive.
+
+    `delta` and `Gamma` read as new numpy arrays: writing into them leaves
+    the estimator unchanged.  `values` is the estimate as a tuple of floats.
     """
 
     def __init__(
@@ -44,67 +52,106 @@ class RlmsEstimator:
         mu: float = 0.999,
         pd_check_period: int = 50,
     ):
-        self.delta = np.array(delta0, dtype=float)
-        self.n = self.delta.size
-        self.bounds_min = np.array(bounds_min, dtype=float)
-        self.bounds_max = np.array(bounds_max, dtype=float)
-        if self.bounds_min.shape != self.delta.shape or self.bounds_max.shape != self.delta.shape:
+        delta = np.array(delta0, dtype=float)
+        lo = np.array(bounds_min, dtype=float)
+        hi = np.array(bounds_max, dtype=float)
+        if delta.ndim != 1:
+            raise ValueError("the initial estimate must be a vector")
+        if lo.shape != delta.shape or hi.shape != delta.shape:
             raise ValueError("bounds must match the estimate dimension")
-        if np.any(self.bounds_min > self.bounds_max):
+        if np.any(lo > hi):
             raise ValueError("bounds_min must be <= bounds_max componentwise")
-        if np.any(self.delta < self.bounds_min) or np.any(self.delta > self.bounds_max):
+        if np.any(delta < lo) or np.any(delta > hi):
             raise ValueError("initial estimate lies outside the projection box")
         if not (0.0 < mu <= 1.0):
             raise ValueError(f"forgetting factor mu must be in (0, 1], got {mu}")
-        self.mu = mu
-        if np.isscalar(gamma0):
-            self._gamma0_diag = np.full(self.n, float(gamma0))
-        else:
-            self._gamma0_diag = np.array(gamma0, dtype=float)
-        if np.any(self._gamma0_diag <= 0.0):
+        self.n = delta.size
+        self.mu = float(mu)
+        gamma0_diag = np.broadcast_to(np.asarray(gamma0, dtype=float), delta.shape)
+        if np.any(gamma0_diag <= 0.0):
             raise ValueError("gamma0 must be positive")
-        self.Gamma = np.diag(self._gamma0_diag.copy())
+        self._delta = delta.tolist()
+        self._lo = lo.tolist()
+        self._hi = hi.tolist()
+        self._gamma0_diag = gamma0_diag.tolist()
+        self._G = self._initial_gamma()
         self._pd_check_period = max(1, pd_check_period)
         self._steps = 0
         self.reset_count = 0
 
-    def update(self, rho: np.ndarray, u: float) -> float:
+    def _initial_gamma(self) -> list[list[float]]:
+        n = self.n
+        return [[g if i == j else 0.0 for j in range(n)] for i, g in enumerate(self._gamma0_diag)]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._delta)
+
+    @property
+    def delta(self) -> np.ndarray:
+        return np.array(self._delta)
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        return np.array(self._G)
+
+    def update(self, rho: Sequence[float] | np.ndarray, u: float) -> float:
         """One recursion step; returns the prediction error u - rho' delta."""
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != self.delta.shape:
-            raise ValueError(f"regressor dimension {rho.shape} != estimate dimension {self.delta.shape}")
-        if not (math.isfinite(u) and np.all(np.isfinite(rho))):
+        n = self.n
+        if isinstance(rho, np.ndarray):
+            if rho.shape != (n,):
+                raise ValueError(f"regressor shape {rho.shape} != estimate dimension ({n},)")
+            rho = rho.tolist()
+        elif len(rho) != n:
+            raise ValueError(f"regressor length {len(rho)} != estimate dimension {n}")
+        u = float(u)
+        if not (math.isfinite(u) and all(map(math.isfinite, rho))):
             raise ValueError("non-finite regressor or measurement")
-        g_rho = self.Gamma @ rho
-        denom = self.mu + float(rho @ g_rho)
-        innovation = u - float(rho @ self.delta)
-        gain = g_rho / denom
-        np.clip(self.delta + gain * innovation, self.bounds_min, self.bounds_max, out=self.delta)
-        self.Gamma -= np.outer(gain, g_rho)
-        self.Gamma /= self.mu
-        self.Gamma += self.Gamma.T
-        self.Gamma *= 0.5
+        G = self._G
+        mu = self.mu
+        r = [_dot(row, rho) for row in G]
+        denom = mu + _dot(rho, r)
+        innovation = u - _dot(rho, self._delta)
+        k = [ri / denom for ri in r]
+        delta = []
+        for d, ki, lo, hi in zip(self._delta, k, self._lo, self._hi):
+            v = d + ki * innovation
+            delta.append(lo if v < lo else hi if v > hi else v)
+        self._delta = delta
+        new = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            Gi, ki, ri, new_i = G[i], k[i], r[i], new[i]
+            for j in range(i, n):
+                new_i[j] = new[j][i] = ((Gi[j] - ki * r[j]) / mu + (G[j][i] - k[j] * ri) / mu) * 0.5
+        self._G = new
         self._steps += 1
         if self._steps % self._pd_check_period == 0:
             self._guard_positive_definite()
         return innovation
 
     def _guard_positive_definite(self) -> None:
-        ok = np.all(np.isfinite(self.Gamma)) and np.all(np.diag(self.Gamma) > 0.0)
-        if ok:
+        G = self.Gamma
+        if np.all(np.isfinite(G)) and np.all(np.diag(G) > 0.0):
             try:
-                np.linalg.cholesky(self.Gamma)
+                np.linalg.cholesky(G)
                 return
             except np.linalg.LinAlgError:
-                ok = False
-        if not ok:
-            self.Gamma = np.diag(self._gamma0_diag.copy())
-            self.reset_count += 1
+                pass
+        self._G = self._initial_gamma()
+        self.reset_count += 1
 
     def covariance_contraction(self) -> np.ndarray:
         """Eigenvalues of Gamma divided by the initial diagonal scale (identifiability probe)."""
         eig = np.linalg.eigvalsh(self.Gamma)
-        return eig / float(np.max(self._gamma0_diag))
+        return eig / max(self._gamma0_diag)
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Inner product summed left to right."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
 
 
 def rlms_update(est: RlmsEstimator, rho: np.ndarray, u: float) -> tuple[RlmsEstimator, float]:
@@ -159,24 +206,24 @@ class NonContactRegressorBank:
         self.dt = dt
         self.M_mn = M_mn
         self.eps = eps
-        self._f = np.zeros(4)      # filtered [u, xdot, zeta, 1]
+        self._f = (0.0, 0.0, 0.0, 0.0)  # filtered [u, xdot, zeta, 1]
         self._warm = 0
 
-    def step(self, xddot_des: float, F_dis_hat: float, xdot: float) -> tuple[float, np.ndarray] | None:
+    def step(self, xddot_des: float, F_dis_hat: float, xdot: float) -> tuple[float, tuple[float, ...]] | None:
+        c = self._c
+        b = 1.0 - c
+        f_u, f_v, f_z, f_1 = self._f
         u_raw = self.M_mn * xddot_des + F_dis_hat
-        raw = np.array([u_raw, xdot, smooth_sign(xdot, self.eps), 1.0])
-        new = self._c * self._f + (1.0 - self._c) * raw
+        new_v = c * f_v + b * xdot
         out = None
         if self._warm >= 2:
-            xddot_f = (new[1] - self._f[1]) / self.dt
-            rho = np.array([xddot_f, self._f[1], self._f[2], self._f[3]])
-            out = (float(self._f[0]), rho)
-        self._f = new
+            out = (f_u, ((new_v - f_v) / self.dt, f_v, f_z, f_1))
+        self._f = (c * f_u + b * u_raw, new_v, c * f_z + b * smooth_sign(xdot, self.eps), c * f_1 + b)
         self._warm += 1
         return out
 
     def reset(self) -> None:
-        self._f = np.zeros(4)
+        self._f = (0.0, 0.0, 0.0, 0.0)
         self._warm = 0
 
 
@@ -195,12 +242,14 @@ class ContactRegressorBank:
             raise ValueError(f"g_filter*dt = {g_filter * dt:g} >= 1")
         self.dt = dt
         self._c = math.exp(-g_filter * dt)
-        self._f = np.zeros(3)
+        self._f = (0.0, 0.0, 0.0)  # filtered [xdot, x, 1]
 
-    def step(self, F_load_hat: float, xdot: float, x: float) -> tuple[float, np.ndarray]:
-        raw = np.array([xdot, x, 1.0])
-        self._f = self._c * self._f + (1.0 - self._c) * raw
-        return F_load_hat, self._f.copy()
+    def step(self, F_load_hat: float, xdot: float, x: float) -> tuple[float, tuple[float, float, float]]:
+        c = self._c
+        b = 1.0 - c
+        f_v, f_x, f_1 = self._f
+        self._f = (c * f_v + b * xdot, c * f_x + b * x, c * f_1 + b)
+        return F_load_hat, self._f
 
     def retune(self, g_filter: float) -> None:
         """Track an observer cutoff change; the filter state carries over."""
@@ -209,7 +258,7 @@ class ContactRegressorBank:
         self._c = math.exp(-g_filter * self.dt)
 
     def reset(self) -> None:
-        self._f = np.zeros(3)
+        self._f = (0.0, 0.0, 0.0)
 
 
 class ContactDetector:

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, main
+import rfobkit.cli as cli
+from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
 from rfobkit.config import ConfigError, build_scenario, parse_config, serialize_config
+from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -261,3 +263,111 @@ def test_cmd_identify_no_excitation_flags_unidentifiable(tmp_path, capsys):
     code = main(["identify", "--config", str(cfg)])
     assert code == EXIT_OK
     assert "unidentifiable directions: True" in capsys.readouterr().out
+
+
+ANALYZE_CFG = (
+    "[plant]\nM_m_kg = 3.02\nK_F_N_per_A = 0.5\n"
+    "[environment]\nD_env_Ns_per_m = 2.0\nK_env_N_per_m = 6500.0\n"
+    "[dob]\nM_mn_kg = 6.04\nK_Fn_N_per_A = 0.5\ng_dob_rad_per_s = 250.0\ng_v_rad_per_s = 1000.0\n"
+    "[rfob]\nM_hat_kg = 3.02\nK_F_hat_N_per_A = 0.5\ng_rfob_rad_per_s = 250.0\n"
+    "[scenario]\ndt_s = 1e-4\nC_f = 1.25\n"
+)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("M_m_kg = 3.02", "M_m_kg = -3.02", "[plant]"),
+    ("g_dob_rad_per_s = 250.0", "g_dob_rad_per_s = 0.0", "[dob]"),
+    ("K_env_N_per_m = 6500.0", "K_env_N_per_m = -1.0", "[environment]"),
+    ("C_f = 1.25", "C_f = 0.0", "[scenario]"),
+])
+def test_cmd_analyze_invalid_value_is_config_error(tmp_path, capsys, old, new, where):
+    cfg = tmp_path / "analyze.cfg"
+    assert old in ANALYZE_CFG
+    cfg.write_text(ANALYZE_CFG.replace(old, new))
+    assert main(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and where in err
+
+
+def test_cmd_design_nonpositive_alpha_is_config_error(tmp_path):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text(DESIGN_CFG.replace("alpha = 1.0", "alpha = 0.0"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra", [
+    "delta0_c = 0.5, 3000.0, 500.0",        # outside the projection box
+    "delta0_c = 0.5, 3000.0",               # wrong dimension
+    "mu_c = 0.0",
+    "dwell_steps = 0",
+])
+def test_cmd_identify_invalid_estimator_setting_is_config_error(tmp_path, extra):
+    cfg = tmp_path / "env.cfg"
+    text = (CONFIGS / "identify_env.cfg").read_text()
+    key = extra.split(" =")[0]
+    text = "\n".join(line for line in text.splitlines() if not line.startswith(key + " "))
+    cfg.write_text(text.replace("[identify]", "[identify]\n" + extra))
+    assert main(["identify", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
+    def broken(scenario):
+        raise ValueError("non-finite regressor or measurement")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg")])
+    assert "configuration error" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+def per_cell_csv(res: SimResult, columns) -> str:
+    """The per-cell writer that the row-template writer replaced."""
+    lines = [",".join(columns)]
+    cols = []
+    for name in columns:
+        arr = res.ts[name]
+        if name == "contact_mode":
+            cols.append([CONTACT_MODE_NAMES[int(v)] for v in arr])
+        elif name == "ctrl_mode":
+            cols.append([CTRL_MODE_NAMES[int(v)] for v in arr])
+        else:
+            cols.append([f"{float(v):.10g}" for v in arr])
+    for i in range(res.n_steps):
+        lines.append(",".join(col[i] for col in cols))
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_result(n: int) -> SimResult:
+    """Cells cycle through awkward floats; the mode columns are int8 codes."""
+    rng = np.random.default_rng(3)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324,
+                        1.0, -2.0, 3e15, 1e16, 123456789012.0, 0.1, 1.0 / 3.0, 2.5e-7])
+    ts = {}
+    for j, name in enumerate(TIMESERIES_COLUMNS):
+        if name == "contact_mode":
+            ts[name] = (np.arange(n) % 3).astype(np.int8)
+        elif name == "ctrl_mode":
+            ts[name] = (np.arange(n) % 2).astype(np.int8)
+        else:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+            pick = rng.random(n) < 0.4
+            col[pick] = special[(np.arange(n)[pick] + j) % special.size]
+            ts[name] = col
+    return SimResult(ts=ts, n_steps=n, diverged=False, diverged_step=None, phase_summaries=[],
+                     design_events=[], final_delta_nc=None, final_delta_c=None,
+                     unidentifiable_nc=False, unidentifiable_c=False)
+
+
+@pytest.mark.parametrize("columns", [TIMESERIES_COLUMNS, TRACE_COLUMNS], ids=["timeseries", "trace"])
+@pytest.mark.parametrize("n", [0, 1, cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 7])
+def test_csv_writer_matches_per_cell_reference(tmp_path, columns, n):
+    res = synthetic_result(n)
+    out = tmp_path / "out.csv"
+    write_timeseries_csv(res, str(out), columns=columns)
+    assert out.read_bytes() == per_cell_csv(res, columns).encode("utf-8")
+    if n == 0:
+        assert out.read_text() == ",".join(columns) + "\n"

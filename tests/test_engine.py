@@ -275,6 +275,28 @@ def test_online_adaptation_converges_to_truth_design():
     assert abs(res.final_delta_c[2]) < 0.2
 
 
+def test_rejected_redesign_retries_next_period():
+    """A rejected design leaves no deadband anchor, so every later period tries again."""
+    sc, _ = linear_scenario(duration=0.1)
+    period = 100
+    sc = rk.Scenario(**{**sc.__dict__,
+                        # g = alpha_g / design_alpha is far too fast for dt: g*dt >= 0.5.  The
+                        # deadband puts every estimate near the anchor, had one been set.
+                        "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=period,
+                                                          design_alpha=1e-4, deadband=1e9),
+                        "ident": rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e5,
+                                                delta0_c=(0.5, 3000.0, 0.0))})
+    res = rk.run_scenario(sc)
+    assert not res.diverged
+    events = res.design_events
+    assert len(events) == res.n_steps // period
+    for i, e in enumerate(events):
+        assert not e.applied
+        assert e.t == pytest.approx(((i + 1) * period - 1) * sc.dt, abs=1e-12)
+    assert "too fast" in events[0].note
+    assert np.all(res.ts["C_f"] == sc.C_f)
+
+
 def test_offline_adaptation_applies_design_at_start():
     sc, des = linear_scenario(duration=0.1, C_f=1.0, g=500.0)
     sc = rk.Scenario(**{**sc.__dict__,
