@@ -262,22 +262,38 @@ CSV_CHUNK_ROWS = 4096
 def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) -> None:
     """Fixed column order, >= 10 significant digits, deterministic text.
 
-    Rows are formatted with one `%.10g` template (the same text as
-    `f"{v:.10g}"` per cell) and written CSV_CHUNK_ROWS at a time, so memory
-    stays bounded by one chunk of strings.
+    Cells read as `f"{v:.10g}"` would print them.  Rows are written
+    CSV_CHUNK_ROWS at a time, so memory stays bounded by one chunk of
+    strings.  Within a chunk, a column whose cells are all bitwise equal is
+    formatted once and folded into the chunk's row template; only the
+    varying columns are formatted per row, by one `%.10g`/`%s` template.
+    Bitwise equality keeps NaN columns foldable and 0.0 apart from -0.0.
     """
     mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
-    row = ",".join("%s" if name in mode_names else "%.10g" for name in columns) + "\n"
     arrays = [res.ts[name] for name in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(0, res.n_steps, CSV_CHUNK_ROWS):
             j = min(i + CSV_CHUNK_ROWS, res.n_steps)
-            cols = [
-                [mode_names[name][v] for v in arr[i:j].tolist()] if name in mode_names else arr[i:j].tolist()
-                for name, arr in zip(columns, arrays)
-            ]
-            fh.write("".join([row % cells for cells in zip(*cols)]))
+            fields, varying = [], []
+            for name, arr in zip(columns, arrays):
+                a = arr[i:j]
+                bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
+                names = mode_names.get(name)
+                if (bits == bits[0]).all():
+                    cell = names[a[0]] if names else "%.10g" % a[0]
+                    fields.append(cell.replace("%", "%%"))
+                elif names:
+                    fields.append("%s")
+                    varying.append([names[v] for v in a.tolist()])
+                else:
+                    fields.append("%.10g")
+                    varying.append(a.tolist())
+            row = ",".join(fields) + "\n"
+            if varying:
+                fh.write("".join([row % cells for cells in zip(*varying)]))
+            else:
+                fh.write((row % ()) * (j - i))
 
 
 def _write_summary(res: SimResult, out_path: str) -> None:
@@ -327,21 +343,25 @@ def cmd_identify(args) -> int:
         truth = [scenario.plant.M_m, scenario.friction.k_vsc, scenario.friction.k_clmb,
                  scenario.plant.F_d]
         names = ["M_m_kg", "k_vsc_Ns_per_m", "k_clmb_N", "F_d_N"]
-        print("plant estimates (value, truth, relative error):")
-        for name, got, want in zip(names, res.final_delta_nc, truth):
-            rel = abs(got - want) / max(abs(want), 1e-12)
-            print(f"  {name:16s} {_fmt(got):>14s} {_fmt(want):>12s} {rel:.3%}")
+        _print_estimates("plant", names, res.final_delta_nc, truth)
         print(f"  unidentifiable directions: {res.unidentifiable_nc}")
     if res.final_delta_c is not None:
         env = scenario.env
         truth = [env.D_env, env.K_env, -(env.D_env * env.xdot_env + env.K_env * env.x_env)]
         names = ["D_env_Ns_per_m", "K_env_N_per_m", "offset_N"]
-        print("environment estimates (value, truth, relative error):")
-        for name, got, want in zip(names, res.final_delta_c, truth):
-            rel = abs(got - want) / max(abs(want), 1e-12)
-            print(f"  {name:16s} {_fmt(got):>14s} {_fmt(want):>12s} {rel:.3%}")
+        _print_estimates("environment", names, res.final_delta_c, truth)
         print(f"  unidentifiable directions: {res.unidentifiable_c}")
     return EXIT_DIVERGED if res.diverged else EXIT_OK
+
+
+def _print_estimates(what: str, names, values, truth) -> None:
+    """One line per estimate: value, truth, and the relative error (absolute where the truth is 0)."""
+    print(f"{what} estimates (value, truth, relative error):")
+    for name, got, want in zip(names, values, truth):
+        if want == 0.0:
+            print(f"  {name:16s} {_fmt(got):>14s} {'0':>12s} {_fmt(abs(got))} absolute")
+        else:
+            print(f"  {name:16s} {_fmt(got):>14s} {_fmt(want):>12s} {abs(got - want) / abs(want):.3%}")
 
 
 def main(argv=None) -> int:

@@ -388,7 +388,6 @@ def _build_reference(p: dict[str, object]) -> Reference:
         phase=p["phase_rad"],
         start=p["start"],
         end=p["end"],
-        duration=p["duration_s"],
     )
 
 

@@ -9,7 +9,7 @@ deterministic for a fixed scenario and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -65,7 +65,8 @@ class Reference:
 
     kind 'const': value.  kind 'sine': offset + amp*sin(2*pi*freq_hz*t + phase).
     kind 'multisine': offset + sum of components (amp, freq_hz, phase).
-    kind 'ramp': linear from start to end over the phase duration.
+    kind 'ramp': linear from start to end over `duration`; the simulator
+    sets `duration` to that of the phase the reference drives.
     """
 
     kind: str = "const"
@@ -106,8 +107,8 @@ class Phase:
     F_d_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration < 0.0:
-            raise ValueError(f"phase duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"phase duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,11 @@ class Scenario:
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
+        for i, p in enumerate(self.phases, 1):
+            steps = p.duration / self.dt
+            if abs(steps - round(steps)) > 1e-6:
+                raise ValueError(f"phase {i} ({p.mode.value}): duration {p.duration:g} s is {steps:.6g} steps "
+                                 f"of dt = {self.dt:g} s; it must be a whole number of steps")
         g_nc = self.ident.g_nc(self.dob.g_v)
         if self.ident.enable_plant and g_nc * self.dt >= 1.0:
             raise ValueError(f"dt*g_filter_nc = {g_nc * self.dt:g} >= 1")
@@ -247,7 +253,6 @@ class DesignEvent:
     note: str = ""
 
 
-_MODE_CODE = {ContactMode.NON_CONTACT: 0, ContactMode.TRANSITION: 1, ContactMode.CONTACT: 2}
 _CTRL_CODE = {ControlMode.FORCE: 0, ControlMode.POSITION: 1}
 CONTACT_MODE_NAMES = ("non_contact", "transition", "contact")
 CTRL_MODE_NAMES = ("force", "position")
@@ -401,6 +406,7 @@ class Simulator:
             bounds.append(int(round(acc / self.dt)))
         self._phase_bounds = bounds
         self._phase_idx = 0
+        self._next_bound = 0  # the first step enters the schedule
         self._bank_nc_last_k = -10
         self._last_design_env: tuple[float, float] | None = None
 
@@ -422,12 +428,24 @@ class Simulator:
         if self.est_c is None:
             for name in ("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N"):
                 self.ts[name].fill(np.nan)
+        # step() records through these views: a memoryview store costs about
+        # half as much as a numpy scalar store
+        self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
 
-    def _phase_at(self, k: int) -> int:
-        while self._phase_idx + 1 < len(self._phase_bounds) - 1 and k >= self._phase_bounds[self._phase_idx + 1]:
+    def _enter_phase(self, k: int) -> None:
+        """Advance the schedule to step k and cache what step() reads of the current phase."""
+        bounds = self._phase_bounds
+        while self._phase_idx + 1 < len(bounds) - 1 and k >= bounds[self._phase_idx + 1]:
             self._phase_idx += 1
             self._on_phase_start(self._phase_idx)
-        return self._phase_idx
+        i = self._phase_idx
+        phase = self.sc.phases[i]
+        self._phase = phase
+        self._phase_t0 = bounds[i] * self.dt
+        self._next_bound = bounds[i + 1] if i + 2 < len(bounds) else math.inf
+        ref = phase.reference
+        self._reference = replace(ref, duration=phase.duration) if ref.kind == "ramp" else ref
+        self._ctrl_code = _CTRL_CODE[phase.mode]
 
     def _on_phase_start(self, idx: int) -> None:
         prev = self.sc.phases[idx - 1] if idx > 0 else None
@@ -496,34 +514,37 @@ class Simulator:
         if k >= self.n_steps or self.diverged:
             return False
         sc = self.sc
-        t = k * self.dt
-        pidx = self._phase_at(k)
-        phase = sc.phases[pidx]
-        t_local = t - self._phase_bounds[pidx] * self.dt
+        dt = self.dt
+        state = self.state
+        t = k * dt
+        if k >= self._next_bound:
+            self._enter_phase(k)
+        phase = self._phase
+        t_local = t - self._phase_t0
 
-        x = self.state.x_m
+        x = state.x_m
         xdot_meas = self._xdot_meas  # measurement taken at t_k
         xdot_f = self._xdot_f
 
         F_ref = math.nan
         x_ref = math.nan
         if phase.mode is ControlMode.FORCE:
-            F_ref = phase.reference(t_local)
+            F_ref = self._reference(t_local)
             xddot_des = force_controller(F_ref, self.rfob.F_load_hat, self.C_f)
         else:
-            x_ref = phase.reference(t_local)
+            x_ref = self._reference(t_local)
             xddot_des = pd_position_controller(x_ref, x, xdot_f, sc.K_P, sc.K_V)
 
         F_dis_used = self.dob.F_dis_hat
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
 
-        a = plant_accel(i_m, self.state, sc.plant, sc.friction, sc.env,
+        a = plant_accel(i_m, state, sc.plant, sc.friction, sc.env,
                         sc.always_in_contact, phase.F_d_override)
-        self.state.xdot_m = self.state.xdot_m + a * self.dt
-        self.state.x_m = x + self.state.xdot_m * self.dt
+        xdot_new = state.xdot_m = state.xdot_m + a * dt
+        x_new = state.x_m = x + xdot_new * dt
 
         # fresh measurement at t_{k+1}: observers integrate the interval just applied
-        xdot_meas_new = self.state.xdot_m + (
+        xdot_meas_new = xdot_new + (
             self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
         )
         xdot_f_new = self.vel_filter.step(xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
@@ -533,76 +554,75 @@ class Simulator:
         self._xdot_f = xdot_f_new
 
         if (
-            not self.state.is_finite()
-            or abs(self.state.x_m) > sc.x_limit
-            or abs(self.state.xdot_m) > sc.v_limit
+            not state.is_finite()
+            or abs(x_new) > sc.x_limit
+            or abs(xdot_new) > sc.v_limit
             or abs(F_hat_load) > sc.dist_limit
         ):
             self.diverged = True
             self.diverged_step = k
 
-        if phase.contact_hint is ContactHint.AUTO:
+        # contact mode code: 0 non-contact, 1 transition, 2 contact (CONTACT_MODE_NAMES)
+        hint = phase.contact_hint
+        if hint is ContactHint.AUTO:
             mode = self.detector.update(F_hat_load)
-        elif phase.contact_hint is ContactHint.FREE:
-            mode = ContactMode.NON_CONTACT
+            mode_code = 2 if mode is ContactMode.CONTACT else 0 if mode is ContactMode.NON_CONTACT else 1
         else:
-            mode = ContactMode.CONTACT
+            mode_code = 0 if hint is ContactHint.FREE else 2
 
         innov_nc = math.nan
         innov_c = math.nan
-        if self.est_c is not None and not self.diverged:
+        est_nc = self.est_nc
+        est_c = self.est_c
+        if est_c is not None and not self.diverged:
             # the bank filter tracks the observer filter every step; only the
             # estimator update is gated by the contact mode
             u_c, rho_c = self.bank_c.step(F_hat_load, xdot_meas, x)
-            if mode is ContactMode.CONTACT:
-                innov_c = self.est_c.update(rho_c, u_c)
+            if mode_code == 2:
+                innov_c = est_c.update(rho_c, u_c)
                 if (
                     sc.adaptation.mode is AdaptationMode.ONLINE
                     and (k + 1) % sc.adaptation.period_steps == 0
                 ):
-                    d = self.est_c.values
+                    d = est_c.values
                     d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
                     # a rejected design leaves the anchor alone, so the next period retries
                     if self._outside_deadband(d_env, k_env) and self._apply_design(
                         t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.cfg.M_hat
                     ):
                         self._last_design_env = (d_env, k_env)
-        if mode is ContactMode.NON_CONTACT and self.est_nc is not None and not self.diverged:
+        if mode_code == 0 and est_nc is not None and not self.diverged:
             if self._bank_nc_last_k != k - 1:
                 self.bank_nc.reset()  # gap in the fed samples: restart the filter history
             self._bank_nc_last_k = k
             emitted = self.bank_nc.step(xddot_des, F_dis_used, xdot_meas)
             if emitted is not None:
-                innov_nc = self.est_nc.update(emitted[1], emitted[0])
+                innov_nc = est_nc.update(emitted[1], emitted[0])
 
-        ts = self.ts
-        ts["t_s"][k] = t + self.dt
-        ts["x_m_m"][k] = self.state.x_m
-        ts["xdot_m_mps"][k] = self.state.xdot_m
-        ts["xddot_des_mps2"][k] = xddot_des
-        ts["i_m_A"][k] = i_m
-        ts["F_ref_N"][k] = F_ref
-        ts["x_ref_m"][k] = x_ref
-        ts["F_load_N"][k] = contact_force(self.state, sc.env, sc.always_in_contact)
-        ts["F_hat_load_N"][k] = F_hat_load
-        ts["F_hat_dis_N"][k] = F_hat_dis
-        ts["ctrl_mode"][k] = _CTRL_CODE[phase.mode]
-        ts["contact_mode"][k] = _MODE_CODE[mode]
-        ts["alpha_g_radps"][k] = self.alpha_true * self.g_dob
-        ts["C_f"][k] = self.C_f
-        if self.est_nc is not None:
-            d = self.est_nc.values
-            ts["delta_M_m_kg"][k] = d[0]
-            ts["delta_k_vsc_Nspm"][k] = d[1]
-            ts["delta_k_clmb_N"][k] = d[2]
-            ts["delta_F_d_N"][k] = d[3]
-            ts["innov_nc_N"][k] = innov_nc
-        if self.est_c is not None:
-            d = self.est_c.values
-            ts["delta_D_env_Nspm"][k] = d[0]
-            ts["delta_K_env_Npm"][k] = d[1]
-            ts["delta_c_offset_N"][k] = d[2]
-            ts["innov_c_N"][k] = innov_c
+        (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
+         c_ctrl, c_contact, c_alpha_g, c_C_f, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
+         c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
+        c_t[k] = t + dt
+        c_x[k] = x_new
+        c_xdot[k] = xdot_new
+        c_xddot[k] = xddot_des
+        c_i[k] = i_m
+        c_F_ref[k] = F_ref
+        c_x_ref[k] = x_ref
+        c_F_load[k] = contact_force(state, sc.env, sc.always_in_contact)
+        c_F_hat_load[k] = F_hat_load
+        c_F_hat_dis[k] = F_hat_dis
+        c_ctrl[k] = self._ctrl_code
+        c_contact[k] = mode_code
+        c_alpha_g[k] = self.alpha_true * self.g_dob
+        c_C_f[k] = self.C_f
+        # update() replaces the estimate list, so reading it needs no copy
+        if est_nc is not None:
+            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
+            c_innov_nc[k] = innov_nc
+        if est_c is not None:
+            c_D_env[k], c_K_env[k], c_offset[k] = est_c._delta
+            c_innov_c[k] = innov_c
 
         self._k = k + 1
         return not self.diverged and self._k < self.n_steps

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -243,6 +244,36 @@ def test_cmd_identify_env(tmp_path, capsys):
     assert "delta_K_env_Npm" in header and "innov_c_N" in header
 
 
+def test_cmd_identify_zero_truth_reports_absolute_error(tmp_path, capsys):
+    # the environment offset's truth is -(D*xdot_env + K*x_env) = -0.0
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text((CONFIGS / "identify_env.cfg").read_text()
+                   .replace("duration_s = 6.0", "duration_s = 0.2"))
+    assert main(["identify", "--config", str(cfg)]) == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.strip().startswith("offset_N"))
+    name, got, truth, err, unit = line.split()
+    assert truth == "0" and unit == "absolute"
+    assert err == got.lstrip("-")
+    assert "%" not in line
+
+
+def test_cmd_simulate_rejects_fractional_step_phase(tmp_path, capsys):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text(SIM_CFG.replace("duration_s = 1.0", "duration_s = 0.01005"))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "phase 1" in err and "100.5 steps" in err
+
+
+def test_cmd_simulate_accepts_whole_step_phases(tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    force = SIM_CFG[SIM_CFG.index("[phase]"):]
+    cfg.write_text(SIM_CFG.replace("duration_s = 1.0", "duration_s = 0.3")
+                   + "\n" + force.replace("duration_s = 1.0", "duration_s = 0.7"))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+    assert "steps: 10000" in capsys.readouterr().out
+
+
 def test_cmd_identify_requires_estimator(tmp_path):
     cfg = tmp_path / "noident.cfg"
     cfg.write_text(SIM_CFG)
@@ -371,3 +402,56 @@ def test_csv_writer_matches_per_cell_reference(tmp_path, columns, n):
     assert out.read_bytes() == per_cell_csv(res, columns).encode("utf-8")
     if n == 0:
         assert out.read_text() == ",".join(columns) + "\n"
+
+
+def constant_columns_result(n: int) -> SimResult:
+    """Columns built to hit every folding case of the chunked writer."""
+    res = synthetic_result(n)
+    ts = res.ts
+    c = cli.CSV_CHUNK_ROWS
+    first = np.arange(n) < c
+    ts["F_ref_N"] = np.full(n, np.nan)                       # all NaN
+    ts["x_ref_m"] = np.full(n, -0.0)                         # only -0.0
+    ts["innov_nc_N"] = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)  # 0.0 and -0.0 mixed
+    ts["delta_M_m_kg"] = np.where(first, 1.5, ts["delta_M_m_kg"])  # constant in chunk 1 only
+    ts["delta_k_vsc_Nspm"] = np.full(n, np.inf)
+    ts["delta_k_clmb_N"] = np.full(n, -np.inf)
+    ts["delta_F_d_N"] = np.full(n, 100.0)
+    ts["contact_mode"] = np.where(first, 2, ts["contact_mode"]).astype(np.int8)
+    # the last chunk holds every column constant, the mode columns included
+    last = np.arange(n) >= 2 * c
+    for name in ts:
+        ts[name][last] = ts[name][2 * c] if n > 2 * c else 0
+    return res
+
+
+@pytest.mark.parametrize("columns", [TIMESERIES_COLUMNS, TRACE_COLUMNS], ids=["timeseries", "trace"])
+@pytest.mark.parametrize("n", [0, 1, cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 7])
+def test_csv_writer_folds_constant_columns_exactly(tmp_path, columns, n):
+    res = constant_columns_result(n)
+    out = tmp_path / "out.csv"
+    write_timeseries_csv(res, str(out), columns=columns)
+    text = out.read_text()
+    assert out.read_bytes() == per_cell_csv(res, columns).encode("utf-8")
+    if n > 2 * cli.CSV_CHUNK_ROWS:
+        # a mixed 0.0/-0.0 column must not fold into either sign
+        innov = [row.split(",")[columns.index("innov_nc_N")] for row in text.splitlines()[1:5]]
+        assert innov == ["0", "-0", "0", "-0"]
+        tail = text.splitlines()[-7:]
+        assert len(set(tail)) == 1
+
+
+def test_csv_writer_matches_per_cell_reference_on_a_run(tmp_path):
+    from rfobkit.engine import run_scenario
+
+    res = run_scenario(build_scenario(parse_config(SIM_CFG)))
+    out = tmp_path / "out.csv"
+    write_timeseries_csv(res, str(out))
+    assert out.read_bytes() == per_cell_csv(res, TIMESERIES_COLUMNS).encode("utf-8")
+
+
+def test_simulate_csv_hash_is_pinned(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "98f68eaf3840c2604af0e5acaab760fd68a0f7d43639583a1d1edf45cba50a3a"

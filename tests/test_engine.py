@@ -345,3 +345,64 @@ def test_reference_kinds():
     assert r(5.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         rk.Reference(kind="wiggle")(0.0)
+
+
+def test_phase_duration_must_be_whole_steps():
+    sc, _ = linear_scenario()
+    with pytest.raises(ValueError, match=r"phase 2 \(force\).*1\.5 steps"):
+        rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.1, 1.0), force_phase(1.5e-4, 1.0))})
+    for bad in (math.inf, math.nan, -1e-4):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            force_phase(bad, 1.0)
+    # rounding-level misfits and zero durations are whole numbers of steps
+    sc = rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.3, 1.0), force_phase(0.0, 1.0),
+                                                  force_phase(0.7, 1.0))})
+    assert rk.Simulator(sc)._phase_bounds == [0, 3000, 3000, 10000]
+
+
+def test_ramp_spans_its_phase():
+    sc, _ = linear_scenario()
+    ramp = rk.Reference(kind="ramp", start=0.5, end=2.5)  # no duration given
+    sc = rk.Scenario(**{**sc.__dict__, "phases": (
+        rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5, reference=ramp, contact_hint=rk.ContactHint.CONTACT),
+        force_phase(0.1, 1.0, hint=rk.ContactHint.CONTACT))})
+    F_ref = rk.run_scenario(sc).ts["F_ref_N"]
+    # the reference is sampled at the start of each step, so the phase's last
+    # sample (k = 4999, t = 0.4999 s) is one step's increment short of `end`
+    assert F_ref[0] == 0.5
+    assert F_ref[2500] == pytest.approx(1.5, rel=1e-12)
+    assert F_ref[4999] == pytest.approx(2.5 - 2.0 * 1e-4 / 0.5, rel=1e-12)
+    assert F_ref[5000] == 1.0
+
+
+def _switching_scenario(**ident):
+    sc, _ = linear_scenario()
+    phases = (rk.Phase(mode=rk.ControlMode.POSITION, duration=0.3,
+                       reference=rk.Reference(kind="const", value=1e-4), contact_hint=rk.ContactHint.AUTO),
+              force_phase(0.7, 1.0))
+    return rk.Scenario(**{**sc.__dict__, "phases": phases, "always_in_contact": False,
+                          "ident": rk.IdentConfig(**ident)})
+
+
+@pytest.mark.parametrize("ident", [{}, {"enable_env": True}], ids=["no_ident", "env_ident"])
+def test_stepped_simulator_records_as_run_scenario(ident):
+    sc = _switching_scenario(**ident)
+    sim = rk.Simulator(sc)
+    while sim.step():
+        pass
+    assert sim._k == sim.n_steps == 10000
+    stepped = {name: arr[:sim._k] for name, arr in sim.ts.items()}
+    ran = rk.run_scenario(sc).ts
+    assert set(stepped) == set(ran) == set(TIMESERIES_COLUMNS)
+    for name, arr in ran.items():
+        assert arr.dtype == stepped[name].dtype == (np.int8 if name in ("ctrl_mode", "contact_mode") else np.float64)
+        np.testing.assert_array_equal(stepped[name], arr, err_msg=name)  # NaN-aware
+
+
+def test_position_to_force_switch_lands_on_the_boundary_step():
+    ts = rk.run_scenario(_switching_scenario()).ts
+    k = 3000
+    assert np.all(ts["ctrl_mode"][:k] == 1) and np.all(ts["ctrl_mode"][k:] == 0)
+    assert np.all(ts["x_ref_m"][:k] == 1e-4) and np.all(np.isnan(ts["x_ref_m"][k:]))
+    assert np.all(np.isnan(ts["F_ref_N"][:k])) and np.all(ts["F_ref_N"][k:] == 1.0)
+    assert ts["t_s"][k] == pytest.approx(0.3001, rel=1e-12)
