@@ -45,9 +45,6 @@ from .identify import (
     ContactRegressorBank,
     NonContactRegressorBank,
     RlmsEstimator,
-    build_regressor_c,
-    build_regressor_nc,
-    rlms_update,
 )
 from .loop_model import (
     PhiPoly,
@@ -69,9 +66,7 @@ from .observers import (
     DobConfig,
     FirstOrderLpf,
     RatioReport,
-    ReactionForceObserver,
     RfobConfig,
-    VelocityFilter,
     robustness_bound_check,
     sensitivity_response,
     sensitivity_second_order_params,

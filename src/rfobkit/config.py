@@ -408,25 +408,8 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
                 F_d_override=p["F_d_override_N"],
             )
         )
-    ident = IdentConfig(
-        enable_plant=doc.get("identify", "enable_plant"),
-        enable_env=doc.get("identify", "enable_env"),
-        mu_nc=doc.get("identify", "mu_nc"),
-        mu_c=doc.get("identify", "mu_c"),
-        gamma0_nc=doc.get("identify", "gamma0_nc"),
-        gamma0_c=doc.get("identify", "gamma0_c"),
-        delta0_nc=doc.get("identify", "delta0_nc"),
-        delta0_c=doc.get("identify", "delta0_c"),
-        bounds_nc_min=doc.get("identify", "bounds_nc_min"),
-        bounds_nc_max=doc.get("identify", "bounds_nc_max"),
-        bounds_c_min=doc.get("identify", "bounds_c_min"),
-        bounds_c_max=doc.get("identify", "bounds_c_max"),
-        threshold_on=doc.get("identify", "threshold_on_N"),
-        threshold_off=doc.get("identify", "threshold_off_N"),
-        dwell=doc.get("identify", "dwell_steps"),
-        g_filter_nc=doc.get("identify", "g_filter_nc_rad_per_s"),
-        apply_to_rfob=doc.get("identify", "apply_to_rfob"),
-    )
+    # IdentConfig declares its fields in [identify] key order
+    ident = IdentConfig(*(doc.get("identify", key) for key in SCHEMA["identify"]))
     spec_a, spec_b, spec_c = build_design_specs(doc)
     adaptation = AdaptationConfig(
         mode=AdaptationMode(doc.get("scenario", "adaptation")),

@@ -32,13 +32,7 @@ from .identify import (
     NonContactRegressorBank,
     RlmsEstimator,
 )
-from .observers import (
-    DisturbanceObserver,
-    DobConfig,
-    ReactionForceObserver,
-    RfobConfig,
-    VelocityFilter,
-)
+from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RfobConfig
 from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, contact_force, plant_accel
 
 
@@ -350,12 +344,11 @@ class Simulator:
         self.sc = scenario
         self.dt = scenario.dt
         self.state = PlantState(x_m=scenario.x0, xdot_m=scenario.v0)
-        self.dob = DisturbanceObserver(scenario.dob, self.dt)
-        self.rfob = ReactionForceObserver(scenario.rfob, self.dt)
-        self.vel_filter = VelocityFilter(scenario.dob.g_v, self.dt) if scenario.velocity_filter_on else None
+        dob, rfob = scenario.dob, scenario.rfob
+        self.dob = DisturbanceObserver(dob.M_mn, dob.K_Fn, dob.g_dob, self.dt)
+        self.rfob = DisturbanceObserver(rfob.M_hat, rfob.K_F_hat, rfob.g_rfob, self.dt, rfob.friction, rfob.F_d_hat)
+        self.vel_filter = FirstOrderLpf(dob.g_v, self.dt) if scenario.velocity_filter_on else None
         self.C_f = scenario.C_f
-        self.g_dob = scenario.dob.g_dob
-        self.g_rfob = scenario.rfob.g_rfob
         self.alpha_true = scenario.dob.M_mn * scenario.plant.K_F / (scenario.plant.M_m * scenario.dob.K_Fn)
         self._mn_over_kfn = scenario.dob.M_mn / scenario.dob.K_Fn
         self.rng = np.random.default_rng(scenario.seed)
@@ -395,7 +388,8 @@ class Simulator:
                 gamma0=ident.gamma0_c,
                 mu=ident.mu_c,
             )
-            self.bank_c = ContactRegressorBank(self.g_rfob, self.dt)
+            # the live cutoff: an offline design above may already have retuned the RFOB
+            self.bank_c = ContactRegressorBank(self.rfob.lpf.g, self.dt)
 
         # phase schedule in steps
         self.n_steps = int(round(scenario.duration / self.dt))
@@ -457,16 +451,10 @@ class Simulator:
         ):
             # fold the identified plant model into the reaction force observer
             d = self.est_nc.values
-            old = self.rfob.cfg
-            new_cfg = RfobConfig(
-                M_hat=max(d[0], 1e-6),
-                K_F_hat=old.K_F_hat,
-                g_rfob=old.g_rfob,
-                friction=FrictionParams(k_vsc=max(d[1], 0.0), k_clmb=max(d[2], 0.0),
-                                        eps=old.friction.eps),
-                F_d_hat=d[3],
-            )
-            self.rfob.cfg = new_cfg
+            rfob = self.rfob
+            rfob.M = max(d[0], 1e-6)
+            rfob.friction = FrictionParams(k_vsc=max(d[1], 0.0), k_clmb=max(d[2], 0.0), eps=rfob.friction.eps)
+            rfob.F_d = d[3]
 
     def _outside_deadband(self, d_env: float, k_env: float) -> bool:
         if self._last_design_env is None:
@@ -496,8 +484,6 @@ class Simulator:
             return False
         # bumpless retune: filter states shift so the estimates stay continuous
         self.C_f = result.C_f
-        self.g_dob = g
-        self.g_rfob = g
         self.dob.retune(g, self._xdot_f)
         self.rfob.retune(g, self._xdot_f)
         if self.bank_c is not None:
@@ -530,12 +516,12 @@ class Simulator:
         x_ref = math.nan
         if phase.mode is ControlMode.FORCE:
             F_ref = self._reference(t_local)
-            xddot_des = force_controller(F_ref, self.rfob.F_load_hat, self.C_f)
+            xddot_des = force_controller(F_ref, self.rfob.F_hat, self.C_f)
         else:
             x_ref = self._reference(t_local)
             xddot_des = pd_position_controller(x_ref, x, xdot_f, sc.K_P, sc.K_V)
 
-        F_dis_used = self.dob.F_dis_hat
+        F_dis_used = self.dob.F_hat
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
 
         a = plant_accel(i_m, state, sc.plant, sc.friction, sc.env,
@@ -588,7 +574,7 @@ class Simulator:
                     d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
                     # a rejected design leaves the anchor alone, so the next period retries
                     if self._outside_deadband(d_env, k_env) and self._apply_design(
-                        t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.cfg.M_hat
+                        t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.M
                     ):
                         self._last_design_env = (d_env, k_env)
         if mode_code == 0 and est_nc is not None and not self.diverged:
@@ -614,7 +600,7 @@ class Simulator:
         c_F_hat_dis[k] = F_hat_dis
         c_ctrl[k] = self._ctrl_code
         c_contact[k] = mode_code
-        c_alpha_g[k] = self.alpha_true * self.g_dob
+        c_alpha_g[k] = self.alpha_true * self.dob.lpf.g
         c_C_f[k] = self.C_f
         # update() replaces the estimate list, so reading it needs no copy
         if est_nc is not None:

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .observers import lpf_pole
 from .plant import smooth_sign
 
 
@@ -154,41 +155,12 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return s
 
 
-def rlms_update(est: RlmsEstimator, rho: np.ndarray, u: float) -> tuple[RlmsEstimator, float]:
-    """Functional wrapper around RlmsEstimator.update (mutates and returns the estimator)."""
-    innovation = est.update(rho, u)
-    return est, innovation
-
-
-def build_regressor_nc(
-    xddot_des: float,
-    F_dis_hat: float,
-    xdot: float,
-    xddot: float,
-    M_mn: float,
-    eps: float,
-) -> tuple[float, np.ndarray]:
-    """Non-contact regression: u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, zeta(xdot), 1].
-
-    With delta = [M_m, k_vsc, k_clmb, F_d] this reproduces the motor force
-    balance when no external load acts.
-    """
-    u = M_mn * xddot_des + F_dis_hat
-    rho = np.array([xddot, xdot, smooth_sign(xdot, eps), 1.0])
-    return u, rho
-
-
-def build_regressor_c(F_load_hat: float, xdot: float, x: float) -> tuple[float, np.ndarray]:
-    """Contact regression: u = F_load_hat against [xdot, x, 1].
-
-    With delta = [D_env, K_env, offset] the constant column absorbs
-    -(D_env*xdot_env + K_env*x_env).
-    """
-    return F_load_hat, np.array([xdot, x, 1.0])
-
-
 class NonContactRegressorBank:
     """Produces filtered, time-aligned non-contact regressors from raw loop signals.
+
+    The regression is u = M_mn*xddot_des + F_dis_hat against
+    [xddot, xdot, zeta(xdot), 1]: with delta = [M_m, k_vsc, k_clmb, F_d] it
+    is the motor force balance when no external load acts.
 
     Every channel (measurement and regressor columns) passes through the same
     first-order low-pass so the regression equality is preserved exactly; the
@@ -198,11 +170,7 @@ class NonContactRegressorBank:
     """
 
     def __init__(self, g_filter: float, dt: float, M_mn: float, eps: float):
-        if g_filter <= 0.0 or dt <= 0.0:
-            raise ValueError("g_filter and dt must be > 0")
-        if g_filter * dt >= 1.0:
-            raise ValueError(f"g_filter*dt = {g_filter * dt:g} >= 1")
-        self._c = math.exp(-g_filter * dt)
+        self._c = lpf_pole(g_filter, dt)
         self.dt = dt
         self.M_mn = M_mn
         self.eps = eps
@@ -230,18 +198,16 @@ class NonContactRegressorBank:
 class ContactRegressorBank:
     """Filters the contact regressor columns with the observer's own low-pass.
 
-    The measured load estimate is already a low-passed version of the true
-    contact force, so running [xdot, x, 1] through the matching filter keeps
-    the regression consistent.
+    The regression is u = F_load_hat against [xdot, x, 1]; with
+    delta = [D_env, K_env, offset] the constant column absorbs
+    -(D_env*xdot_env + K_env*x_env).  The measured load estimate is already a
+    low-passed version of the true contact force, so running the columns
+    through the matching filter keeps the regression consistent.
     """
 
     def __init__(self, g_filter: float, dt: float):
-        if g_filter <= 0.0 or dt <= 0.0:
-            raise ValueError("g_filter and dt must be > 0")
-        if g_filter * dt >= 1.0:
-            raise ValueError(f"g_filter*dt = {g_filter * dt:g} >= 1")
+        self._c = lpf_pole(g_filter, dt)
         self.dt = dt
-        self._c = math.exp(-g_filter * dt)
         self._f = (0.0, 0.0, 0.0)  # filtered [xdot, x, 1]
 
     def step(self, F_load_hat: float, xdot: float, x: float) -> tuple[float, tuple[float, float, float]]:
@@ -253,12 +219,7 @@ class ContactRegressorBank:
 
     def retune(self, g_filter: float) -> None:
         """Track an observer cutoff change; the filter state carries over."""
-        if g_filter <= 0.0 or g_filter * self.dt >= 1.0:
-            raise ValueError(f"invalid cutoff g = {g_filter} for dt = {self.dt}")
-        self._c = math.exp(-g_filter * self.dt)
-
-    def reset(self) -> None:
-        self._f = (0.0, 0.0, 0.0)
+        self._c = lpf_pole(g_filter, self.dt)
 
 
 class ContactDetector:
@@ -310,8 +271,3 @@ class ContactDetector:
             else:
                 self._release = 0
         return self.mode
-
-    def reset(self) -> None:
-        self.mode = ContactMode.NON_CONTACT
-        self._count = 0
-        self._release = 0

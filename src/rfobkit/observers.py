@@ -1,15 +1,16 @@
-"""Discrete-time disturbance and reaction-force observers plus the bandwidth-bound calculus.
+"""Discrete-time disturbance observer (DOB and RFOB) plus the bandwidth-bound calculus.
 
 All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
-(exact zero-order-hold), output sampled at the end of each interval:
+(exact zero-order-hold, `lpf_pole`), output sampled at the end of each interval:
 
     y[k] = c * y[k-1] + (1 - c) * u[k],   c = exp(-g * dt)
 
-so a constant input is reproduced with zero steady-state error.
+so a constant input is reproduced with zero steady-state error.  One observer
+class serves both loops: the DOB is `DisturbanceObserver` with the nominal
+plant and no model terms, the RFOB the same class with the identified model.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -58,32 +59,32 @@ class RfobConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
+def lpf_pole(g: float, dt: float) -> float:
+    """Pole exp(-g*dt) of the discretized g/(s+g); rejects g, dt <= 0 and g*dt >= 1."""
+    if g <= 0.0 or dt <= 0.0:
+        raise ValueError(f"g and dt must be > 0, got g={g}, dt={dt}")
+    if g * dt >= 1.0:
+        raise ValueError(f"g*dt = {g * dt:g} >= 1: cutoff too fast for this sample time")
+    return math.exp(-g * dt)
+
+
 class FirstOrderLpf:
     """First-order low-pass g/(s+g), discretized with pole exp(-g*dt)."""
 
     def __init__(self, g: float, dt: float, y0: float = 0.0):
-        if g <= 0.0 or dt <= 0.0:
-            raise ValueError(f"g and dt must be > 0, got g={g}, dt={dt}")
-        if g * dt >= 1.0:
-            raise ValueError(f"g*dt = {g * dt:g} >= 1: cutoff too fast for this sample time")
+        self._c = lpf_pole(g, dt)
         self.g = g
         self.dt = dt
-        self._c = math.exp(-g * dt)
         self.y = y0
 
     def step(self, u: float) -> float:
         self.y = self._c * self.y + (1.0 - self._c) * u
         return self.y
 
-    def reset(self, y0: float = 0.0) -> None:
-        self.y = y0
-
     def retune(self, g: float) -> None:
         """Change the cutoff without disturbing the filter state."""
-        if g <= 0.0 or g * self.dt >= 1.0:
-            raise ValueError(f"invalid cutoff g = {g} for dt = {self.dt}")
+        self._c = lpf_pole(g, self.dt)
         self.g = g
-        self._c = math.exp(-g * self.dt)
 
     def freq_response(self, omega: np.ndarray) -> np.ndarray:
         """Discrete frequency response at angular frequencies omega (rad/s)."""
@@ -91,80 +92,43 @@ class FirstOrderLpf:
         return (1.0 - self._c) * z / (z - self._c)
 
 
-class VelocityFilter(FirstOrderLpf):
-    """Low-pass on the measured velocity (noise suppression path)."""
-
-    def __init__(self, g_v: float, dt: float):
-        super().__init__(g_v, dt)
-
-
 class DisturbanceObserver:
-    """Velocity-form disturbance observer.
+    """Velocity-form observer: F_hat = LPF(K_F*i_m + g*M*xdot - F_fric(xdot) - F_d) - g*M*xdot.
 
-    F_dis_hat = LPF(K_Fn*i_m + g*M_mn*xdot) - g*M_mn*xdot, estimating the
-    lumped disturbance (external forces plus parameter-mismatch forces).
-    The compensation current is F_dis_hat / K_Fn.
+    As the DOB (nominal M_mn, K_Fn, friction=None, F_d = 0) F_hat is the lumped
+    disturbance and the compensation current is F_hat / K_Fn.  As the RFOB
+    (identified M_hat, K_F_hat, friction and F_d_hat) F_hat is the load force.
+    The cutoff g is read from the filter, `lpf.g`.
     """
 
-    def __init__(self, cfg: DobConfig, dt: float):
-        self.cfg = cfg
-        self.lpf = FirstOrderLpf(cfg.g_dob, dt)
-        self.F_dis_hat = 0.0
+    def __init__(self, M: float, K_F: float, g: float, dt: float,
+                 friction: FrictionParams | None = None, F_d: float = 0.0):
+        self.lpf = FirstOrderLpf(g, dt)
+        self.M = M
+        self.K_F = K_F
+        self.friction = friction
+        self.F_d = F_d
+        self.F_hat = 0.0
 
     def step(self, i_m_total: float, xdot: float) -> float:
-        gm = self.cfg.g_dob * self.cfg.M_mn
-        z = self.lpf.step(self.cfg.K_Fn * i_m_total + gm * xdot)
-        self.F_dis_hat = z - gm * xdot
-        return self.F_dis_hat
+        lpf = self.lpf
+        gm = lpf.g * self.M
+        u = self.K_F * i_m_total + gm * xdot
+        if self.friction is not None:
+            u -= friction_force(xdot, self.friction)
+        self.F_hat = lpf.step(u - self.F_d) - gm * xdot
+        return self.F_hat
 
-    def retune(self, g_dob: float, xdot: float = 0.0) -> None:
+    def retune(self, g: float, xdot: float = 0.0) -> None:
         """Change the observer cutoff in place with a bumpless output.
 
-        The output is lpf_state - g*M_mn*xdot, so the state is shifted by
-        (g_new - g_old)*M_mn*xdot to keep the estimate continuous across the
+        The output is lpf_state - g*M*xdot, so the state is shifted by
+        (g_new - g_old)*M*xdot to keep the estimate continuous across the
         cutoff change.
         """
-        self.lpf.y += (g_dob - self.cfg.g_dob) * self.cfg.M_mn * xdot
-        self.cfg = dataclasses.replace(self.cfg, g_dob=g_dob)
-        self.lpf.retune(g_dob)
-
-    def reset(self) -> None:
-        self.lpf.reset()
-        self.F_dis_hat = 0.0
-
-
-class ReactionForceObserver:
-    """Reaction force observer: disturbance observer with identified model terms removed.
-
-    F_load_hat = LPF(K_F_hat*i_m + g*M_hat*xdot - F_fric_hat(xdot) - F_d_hat) - g*M_hat*xdot
-    """
-
-    def __init__(self, cfg: RfobConfig, dt: float):
-        self.cfg = cfg
-        self.lpf = FirstOrderLpf(cfg.g_rfob, dt)
-        self.F_load_hat = 0.0
-
-    def step(self, i_m_total: float, xdot: float) -> float:
-        c = self.cfg
-        gm = c.g_rfob * c.M_hat
-        u = c.K_F_hat * i_m_total + gm * xdot - friction_force(xdot, c.friction) - c.F_d_hat
-        z = self.lpf.step(u)
-        self.F_load_hat = z - gm * xdot
-        return self.F_load_hat
-
-    def retune(self, g_rfob: float, xdot: float = 0.0) -> None:
-        """Change the observer cutoff in place with a bumpless output.
-
-        The state is shifted by (g_new - g_old)*M_hat*xdot so the load
-        estimate does not jump when the cutoff changes.
-        """
-        self.lpf.y += (g_rfob - self.cfg.g_rfob) * self.cfg.M_hat * xdot
-        self.cfg = dataclasses.replace(self.cfg, g_rfob=g_rfob)
-        self.lpf.retune(g_rfob)
-
-    def reset(self) -> None:
-        self.lpf.reset()
-        self.F_load_hat = 0.0
+        g_old = self.lpf.g
+        self.lpf.retune(g)
+        self.lpf.y += (g - g_old) * self.M * xdot
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
-from rfobkit.config import ConfigError, build_scenario, parse_config, serialize_config
-from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult
+from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config, serialize_config
+from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, IdentConfig, SimResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,6 +76,23 @@ def test_build_scenario_from_fixture():
     assert sc.always_in_contact
     assert not sc.velocity_filter_on
     assert sc.dt == 1e-4
+
+
+def test_ident_config_fields_follow_identify_schema():
+    # build_scenario passes the [identify] values to IdentConfig by position
+    fields = [f.name for f in dataclasses.fields(IdentConfig)]
+    keys = list(SCHEMA["identify"])
+    assert len(fields) == len(keys)
+    for name, key in zip(fields, keys):
+        assert key == name or key.startswith(name + "_"), (name, key)
+
+
+def test_build_scenario_passes_identify_values():
+    text = SIM_CFG + ("\n[identify]\nthreshold_on_N = 0.9\nthreshold_off_N = 0.3\ndwell_steps = 7\n"
+                      "g_filter_nc_rad_per_s = 600.0\napply_to_rfob = false\nmu_c = 0.98\n")
+    ident = build_scenario(parse_config(text)).ident
+    assert (ident.threshold_on, ident.threshold_off, ident.dwell) == (0.9, 0.3, 7)
+    assert (ident.g_filter_nc, ident.apply_to_rfob, ident.mu_c, ident.mu_nc) == (600.0, False, 0.98, 0.999)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +247,8 @@ def test_cmd_identify_plant(tmp_path, capsys):
     assert "plant estimates" in text
     header = out.read_text().splitlines()[0].split(",")
     assert "delta_M_m_kg" in header and "innov_nc_N" in header
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ea4b637f124d0009a640ed7dad4b2643efcb4dbfef3231fbbb1e6dfbae2124c0"
 
 
 def test_cmd_identify_env(tmp_path, capsys):
@@ -242,6 +262,8 @@ def test_cmd_identify_env(tmp_path, capsys):
     assert "environment estimates" in text and "K_env_N_per_m" in text
     header = out.read_text().splitlines()[0].split(",")
     assert "delta_K_env_Npm" in header and "innov_c_N" in header
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "663e00bfdb501d7c598f918ac399e2c5f588f95ad04e4ba28555543e273961e4"
 
 
 def test_cmd_identify_zero_truth_reports_absolute_error(tmp_path, capsys):

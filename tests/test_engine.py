@@ -311,6 +311,18 @@ def test_offline_adaptation_applies_design_at_start():
     assert np.all(res.ts["alpha_g_radps"] == pytest.approx(des.alpha_g))
 
 
+def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
+    # g_rfob = 500 rad/s differs from the designed cutoff the offline design retunes the RFOB to
+    sc, des = linear_scenario(duration=0.01, C_f=1.0, g=500.0)
+    sc = rk.Scenario(**{**sc.__dict__, "ident": rk.IdentConfig(enable_env=True),
+                        "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
+                                                          design_alpha=1.0)})
+    sim = rk.Simulator(sc)
+    assert sim.rfob.lpf.g == pytest.approx(rk.split_alpha_g(des, 1.0)[0], rel=1e-9)
+    assert sim.rfob.lpf.g != 500.0
+    assert sim.bank_c._c == sim.rfob.lpf._c
+
+
 def test_phase_disturbance_override():
     sc, _ = linear_scenario(duration=0.5)
     phases = (rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5,

@@ -10,9 +10,6 @@ from rfobkit.identify import (
     ContactRegressorBank,
     NonContactRegressorBank,
     RlmsEstimator,
-    build_regressor_c,
-    build_regressor_nc,
-    rlms_update,
 )
 from rfobkit.plant import smooth_sign
 
@@ -141,13 +138,6 @@ def test_rlms_rejects_bad_inputs():
         RlmsEstimator(np.array([0.0]), np.array([-1.0]), np.array([1.0]), mu=0.0)
 
 
-def test_rlms_update_functional_wrapper():
-    est = scalar_estimator()
-    est2, innov = rlms_update(est, np.array([1.0]), 3.0)
-    assert est2 is est
-    assert innov == pytest.approx(3.0)
-
-
 def test_rlms_converges_vector_case():
     rng = np.random.default_rng(0)
     truth = np.array([2.0, -1.0, 0.5])
@@ -254,29 +244,49 @@ def test_rlms_estimate_reads_as_array_and_floats():
 
 
 # ---------------------------------------------------------------------------
-# regressor builders
+# regressor banks
 # ---------------------------------------------------------------------------
 
-def test_build_regressor_nc_reproduces_balance():
-    # u = M_mn xddot_des + F_dis_hat must equal rho' delta for the true parameters
+def test_noncontact_bank_reproduces_balance_split_across_dob():
+    # the loop forms K_Fn i = M_mn xddot_des + F_dis_hat; with M_mn != 1 and half
+    # of the force carried by the DOB estimate, u must still equal rho' delta
+    dt, M_mn = 1e-4, 2.0
     M_m, k_vsc, k_clmb, F_d, eps = 1.7, 3.0, 1.2, 4.0, 1e-3
-    xdot, xddot = 0.3, -2.0
     truth = np.array([M_m, k_vsc, k_clmb, F_d])
-    # realized force: K_Fn i = M xddot + fric + F_d (non-contact balance)
-    u_from_balance = M_m * xddot + k_vsc * xdot + k_clmb * smooth_sign(xdot, eps) + F_d
-    # controller side quantities satisfying M_mn xddot_des + F_dis_hat = K_Fn i
-    u, rho = build_regressor_nc(xddot_des=u_from_balance / 2.0, F_dis_hat=u_from_balance / 2.0,
-                                xdot=xdot, xddot=xddot, M_mn=1.0, eps=eps)
-    assert u == pytest.approx(float(rho @ truth), rel=1e-12)
+    bank = NonContactRegressorBank(g_filter=1000.0, dt=dt, M_mn=M_mn, eps=eps)
+    v = 0.0  # at rest, so the zero filter state is consistent from the first sample
+    worst = 0.0
+    for k in range(3000):
+        a = -2.0 + 5.0 * math.sin(2.0 * math.pi * 3.0 * k * dt)
+        u_force = M_m * a + k_vsc * v + k_clmb * smooth_sign(v, eps) + F_d
+        emitted = bank.step(xddot_des=u_force / (2.0 * M_mn), F_dis_hat=u_force / 2.0, xdot=v)
+        if emitted is not None:
+            u, rho = emitted
+            worst = max(worst, abs(u - float(np.dot(rho, truth))))
+        v += a * dt
+    assert worst < 1e-10
 
 
-def test_build_regressor_c_offset_absorbs_equilibrium():
-    D, K, x_env, xdot_env = 2.0, 6500.0, 0.01, 0.0
-    x, xdot = 0.013, 0.05
-    F = D * (xdot - xdot_env) + K * (x - x_env)
-    u, rho = build_regressor_c(F, xdot, x)
+def test_contact_bank_offset_absorbs_equilibrium():
+    # nonzero x_env and xdot_env: the filtered constant column carries
+    # -(D xdot_env + K x_env) and the regression stays exact while the contact moves
+    dt, g = 1e-4, 400.0
+    D, K, x_env, xdot_env = 2.0, 6500.0, 0.01, 0.002
+    bank = ContactRegressorBank(g_filter=g, dt=dt)
     delta = np.array([D, K, -(D * xdot_env + K * x_env)])
-    assert u == pytest.approx(float(rho @ delta), rel=1e-12)
+    c = math.exp(-g * dt)
+    f_meas = 0.0
+    worst = 0.0
+    for k in range(2000):
+        x = 0.013 + 1e-3 * math.sin(2.0 * math.pi * 5.0 * k * dt)
+        xdot = 1e-3 * 2.0 * math.pi * 5.0 * math.cos(2.0 * math.pi * 5.0 * k * dt)
+        F = D * (xdot - xdot_env) + K * (x - x_env)
+        # the load estimate carries the same low-pass as the regressor columns
+        f_meas = c * f_meas + (1.0 - c) * F
+        u, rho = bank.step(f_meas, xdot, x)
+        worst = max(worst, abs(u - float(np.dot(rho, delta))))
+    assert rho[2] == pytest.approx(1.0, rel=1e-12)
+    assert worst < 1e-9 * abs(delta[2])
 
 
 def test_noncontact_bank_exact_on_simulated_sequence():

@@ -9,9 +9,8 @@ from rfobkit.observers import (
     DobConfig,
     FirstOrderLpf,
     RatioReport,
-    ReactionForceObserver,
     RfobConfig,
-    VelocityFilter,
+    lpf_pole,
     robustness_bound_check,
     sensitivity_response,
     sensitivity_second_order_params,
@@ -39,12 +38,23 @@ def test_lpf_one_time_constant():
 
 
 def test_velocity_filter_table_values_accepted():
-    VelocityFilter(g_v=1000.0, dt=1e-4)
+    FirstOrderLpf(g=1000.0, dt=1e-4)  # the engine's velocity filter at g_v = 1000 rad/s
 
 
 def test_lpf_rejects_fast_cutoff():
     with pytest.raises(ValueError):
         FirstOrderLpf(g=1000.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("g, dt", [(0.0, 1e-4), (-5.0, 1e-4), (100.0, 0.0), (100.0, -1e-4), (1e4, 1e-4)])
+def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
+    with pytest.raises(ValueError):
+        lpf_pole(g, dt)
+    f = FirstOrderLpf(100.0, 1e-4)
+    if dt > 0.0:
+        with pytest.raises(ValueError):
+            f.retune(g)  # a rejected retune leaves the filter as it was
+    assert f.g == 100.0 and f.step(1.0) == FirstOrderLpf(100.0, 1e-4).step(1.0)
 
 
 def test_lpf_freq_response_first_order_convergence():
@@ -60,8 +70,7 @@ def test_lpf_freq_response_first_order_convergence():
 
 def test_dob_estimates_constant_disturbance():
     # plant held at rest by an external agent, constant disturbance enters the balance
-    cfg = DobConfig(M_mn=1.0, K_Fn=0.5, g_dob=300.0, g_v=1000.0)
-    dob = DisturbanceObserver(cfg, dt=1e-4)
+    dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
     # zero velocity, current exactly cancels a 2 N disturbance: F_dis = K_Fn*i = 2
     f = 0.0
     for _ in range(3000):
@@ -70,8 +79,7 @@ def test_dob_estimates_constant_disturbance():
 
 
 def test_dob_zero_state_zero_output():
-    cfg = DobConfig(M_mn=1.0, K_Fn=0.5, g_dob=300.0, g_v=1000.0)
-    dob = DisturbanceObserver(cfg, dt=1e-4)
+    dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
     assert dob.step(0.0, 0.0) == 0.0
 
 
@@ -85,8 +93,7 @@ def test_rfob_steady_state_with_friction_error():
     K_F = 0.5
     # current balancing friction + load at constant velocity
     i = (F_load + friction_force(v, fric_true)) / K_F
-    cfg = RfobConfig(M_hat=1.3, K_F_hat=K_F, g_rfob=400.0, friction=fric_hat)
-    rfob = ReactionForceObserver(cfg, dt=1e-4)
+    rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric_hat)
     f = 0.0
     for _ in range(3000):
         f = rfob.step(i, v)
@@ -100,12 +107,64 @@ def test_rfob_perfect_model_recovers_load():
     F_load = 2.5
     K_F = 0.5
     i = (F_load + friction_force(v, fric)) / K_F
-    cfg = RfobConfig(M_hat=1.3, K_F_hat=K_F, g_rfob=400.0, friction=fric)
-    rfob = ReactionForceObserver(cfg, dt=1e-4)
+    rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric)
     f = 0.0
     for _ in range(3000):
         f = rfob.step(i, v)
     assert f == pytest.approx(F_load, rel=1e-9)
+
+
+_MODEL = {
+    "dob": {},
+    "rfob": {"friction": FrictionParams(k_vsc=3.0, k_clmb=1.2, eps=1e-3), "F_d": -4.0},
+}
+_inputs = st.tuples(st.floats(-20.0, 20.0), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("model", ["dob", "rfob"])
+@given(
+    M=st.floats(0.1, 10.0),
+    K_F=st.floats(0.1, 2.0),
+    g=st.floats(10.0, 2000.0),
+    g_new=st.floats(10.0, 2000.0),
+    dt=st.sampled_from([2e-5, 5e-5, 1e-4]),
+    history=st.lists(_inputs, min_size=1, max_size=50),
+)
+def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
+    obs = DisturbanceObserver(M, K_F, g, dt, **_MODEL[model])
+    for i, xdot in history:
+        obs.step(i, xdot)
+    xdot = history[-1][1]
+    before = obs.F_hat
+    obs.retune(g_new, xdot)
+    after = obs.lpf.y - obs.lpf.g * obs.M * xdot  # the output re-evaluated at the same xdot
+    scale = abs(obs.lpf.y) + (g + g_new) * M * abs(xdot)
+    assert obs.lpf.g == g_new
+    assert after == pytest.approx(before, abs=1e-13 * scale + 1e-300)
+    with pytest.raises(ValueError):
+        obs.retune(2.0 / dt, xdot)  # rejected before the state is touched
+    assert obs.lpf.g == g_new and obs.lpf.y - g_new * M * xdot == after
+
+
+@pytest.mark.parametrize("model", ["dob", "rfob"])
+@given(
+    M=st.floats(0.1, 10.0),
+    K_F=st.floats(0.1, 2.0),
+    g=st.floats(100.0, 2000.0),
+    dt=st.sampled_from([2e-5, 5e-5, 1e-4]),
+    inputs=_inputs,
+)
+def test_observer_converges_to_exact_equilibrium(model, M, K_F, g, dt, inputs):
+    i, xdot = inputs
+    terms = _MODEL[model]
+    obs = DisturbanceObserver(M, K_F, g, dt, **terms)
+    n = math.ceil(30.0 / (g * dt))  # exp(-g dt n) < 1e-13
+    for _ in range(n):
+        out = obs.step(i, xdot)
+    fric = friction_force(xdot, terms["friction"]) if "friction" in terms else 0.0
+    equilibrium = K_F * i - fric - terms.get("F_d", 0.0)
+    scale = abs(K_F * i) + g * M * abs(xdot) + abs(fric) + abs(terms.get("F_d", 0.0))
+    assert out == pytest.approx(equilibrium, abs=1e-11 * scale + 1e-300)
 
 
 def test_sensitivity_second_order_params_examples():
@@ -170,16 +229,16 @@ def test_inner_loop_accel_transfer_matches_first_order_model():
 
     def simulate_gain(alpha, g_dob, omega, dt, T):
         M_m, K_F = 2.0, 0.5
-        cfg = DobConfig(M_mn=alpha * M_m, K_Fn=K_F, g_dob=g_dob, g_v=1000.0)
-        dob = DisturbanceObserver(cfg, dt)
-        mn_over_kfn = cfg.M_mn / cfg.K_Fn
+        M_mn = alpha * M_m
+        dob = DisturbanceObserver(M_mn, K_F, g_dob, dt)
+        mn_over_kfn = M_mn / K_F
         v = 0.0
         n = int(round(T / dt))
         ts, acc = np.empty(n), np.empty(n)
         for k in range(n):
             t = k * dt
             xddot_des = math.sin(omega * t)
-            i = mn_over_kfn * xddot_des + dob.F_dis_hat / K_F
+            i = mn_over_kfn * xddot_des + dob.F_hat / K_F
             dob.step(i, v)
             a = K_F * i / M_m
             v += a * dt
