@@ -17,15 +17,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigDocument, ConfigError, parse_config
-from .design import (
-    DesignResult,
-    EnvClass,
-    InfeasibleDesignError,
-    classify_environment,
-    design_for_env,
-    split_alpha_g,
-)
-from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult, run_scenario
+from .design import DesignResult, EnvClass, InfeasibleDesignError, classify_environment, design_for_env, split_alpha_g
+from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, Scenario, SimResult, run_scenario
 from .loop_model import PhiPoly, asymptote_angles, closed_loop_char_poly, open_loop_general, poles, rhp_zero_check
 from .observers import RatioReport, robustness_bound_check
 from .plant import EnvImpedance
@@ -71,41 +64,35 @@ def _load_config(path: str) -> ConfigDocument:
     return parse_config(text)
 
 
-def _design_case(doc: ConfigDocument, env: EnvImpedance) -> EnvClass:
+def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
+    """Design for the configured case; also returns the environment projected onto that case."""
+    env = cfgmod.build_env(doc)
     case = doc.get("design", "case")
-    if case == "auto":
+    if case != "auto":
+        case = EnvClass(case)
+    else:
         try:
-            return classify_environment(env)
+            case = classify_environment(env)
         except ValueError as exc:
             raise ConfigError(f"[environment] {exc}") from None
-    return EnvClass(case)
-
-
-def _run_design(doc: ConfigDocument, env: EnvImpedance) -> DesignResult:
-    case = _design_case(doc, env)
-    spec_a, spec_b, spec_c = cfgmod.build_design_specs(doc)
-    m = doc.get("plant", "M_m_kg")
-    g_v = doc.get("dob", "g_v_rad_per_s")
+    if (case is not EnvClass.PURE_STIFFNESS and env.D_env == 0.0
+            or case is not EnvClass.PURE_DAMPING and env.K_env == 0.0):
+        raise ConfigError(f"[design] case = {case.value} needs a nonzero value of each impedance term it "
+                          f"designs for, got D_env = {env.D_env:g}, K_env = {env.K_env:g}")
     if case is EnvClass.PURE_DAMPING:
-        return design_for_env(m, EnvImpedance(D_env=env.D_env), g_v, spec_a=spec_a)
-    if case is EnvClass.PURE_STIFFNESS:
-        return design_for_env(m, EnvImpedance(K_env=env.K_env), g_v, spec_b=spec_b)
-    return design_for_env(m, env, g_v, spec_c=spec_c)
+        env = EnvImpedance(D_env=env.D_env)
+    elif case is EnvClass.PURE_STIFFNESS:
+        env = EnvImpedance(K_env=env.K_env)
+    m, g_v = doc.get("plant", "M_m_kg"), doc.get("dob", "g_v_rad_per_s")
+    return design_for_env(m, env, g_v, *cfgmod.build_design_specs(doc)), env
 
 
-def _design_report(doc: ConfigDocument, result: DesignResult) -> dict:
+def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance) -> dict:
     alpha = doc.get("design", "alpha")
     if not alpha > 0.0:
         raise ConfigError(f"[design] alpha must be > 0, got {alpha}")
     g_dob, g_rfob = split_alpha_g(result, alpha)
-    env = cfgmod.build_env(doc)
-    case_env = {
-        EnvClass.PURE_DAMPING: EnvImpedance(D_env=env.D_env),
-        EnvClass.PURE_STIFFNESS: EnvImpedance(K_env=env.K_env),
-        EnvClass.DAMPING_STIFFNESS: env,
-    }[result.case]
-    achieved = closed_loop_char_poly(result.case, doc.get("plant", "M_m_kg"),
-                                     result.alpha_g, result.C_f, case_env)
+    achieved = closed_loop_char_poly(result.case, doc.get("plant", "M_m_kg"), result.alpha_g, result.C_f, env)
     if result.case is EnvClass.PURE_DAMPING:
         target = (1.0, 2.0 * result.xi * result.w_n, result.w_n ** 2)
     else:
@@ -172,7 +159,6 @@ def _parse_sweep(spec: str) -> tuple[str, str, np.ndarray]:
 
 def cmd_design(args) -> int:
     doc = _load_config(args.config)
-    env = cfgmod.build_env(doc)
     if args.sweep:
         section, key, values = _parse_sweep(args.sweep)
         if section not in cfgmod.SCHEMA or key not in cfgmod.SCHEMA[section]:
@@ -186,7 +172,7 @@ def cmd_design(args) -> int:
         rows = []
         for v in values:
             doc.sections[section][key] = float(v)
-            rep = _design_report(doc, _run_design(doc, cfgmod.build_env(doc)))
+            rep = _design_report(doc, *_run_design(doc))
             rep["sweep_value"] = float(v)
             rows.append(_sanitize(rep))
             print(f"{key} = {_fmt(v)}: alpha_g = {_fmt(rep['alpha_g'])}, C_f = {_fmt(rep['C_f'])}, "
@@ -194,7 +180,7 @@ def cmd_design(args) -> int:
         if args.out:
             Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8")
         return EXIT_OK
-    rep = _design_report(doc, _run_design(doc, env))
+    rep = _design_report(doc, *_run_design(doc))
     _print_design_report(rep)
     if args.out:
         Path(args.out).write_text(json.dumps(_sanitize(rep), indent=2, sort_keys=True), encoding="utf-8")
@@ -218,7 +204,7 @@ def cmd_analyze(args) -> int:
     loop = open_loop_general(pp, dob, rfob, env, c_f)
     angles = asymptote_angles(loop)
     bound = robustness_bound_check(ratios.alpha, dob.g_dob, dob.g_v)
-    char = loop.den.add(loop.num)
+    char = loop.closed_loop().den
     cl_poles: list[complex] | None = None
     if char.degree <= 3:
         cl_poles = poles(char)
@@ -296,23 +282,27 @@ def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) 
                 fh.write((row % ()) * (j - i))
 
 
-def _write_summary(res: SimResult, out_path: str) -> None:
-    summary = _sanitize(res.summary_dict())
-    summary["csv_schema"] = CSV_SCHEMA_VERSION
-    Path(out_path).write_text(json.dumps(summary, indent=2, sort_keys=True),
-                              encoding="utf-8")
+def _load_scenario(args) -> Scenario:
+    """Load the config, apply --seed and build the scenario."""
+    doc = _load_config(args.config)
+    if args.seed is not None and "scenario" in doc.sections:
+        doc.sections["scenario"]["seed"] = args.seed
+    return cfgmod.build_scenario(doc)
+
+
+def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
+    """Run the scenario; with `out`, write the CSV of `columns` and the JSON summary next to it."""
+    res = run_scenario(scenario)
+    if out:
+        write_timeseries_csv(res, out, columns)
+        summary = _sanitize(res.summary_dict())
+        summary["csv_schema"] = CSV_SCHEMA_VERSION
+        Path(out + ".summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
+    return res
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc.sections.setdefault("scenario", {})
-        doc.sections["scenario"]["seed"] = args.seed
-    scenario = cfgmod.build_scenario(doc)
-    res = run_scenario(scenario)
-    if args.out:
-        write_timeseries_csv(res, args.out)
-        _write_summary(res, args.out + ".summary.json")
+    res = _run_and_write(_load_scenario(args), args.out, TIMESERIES_COLUMNS)
     print(f"steps: {res.n_steps}   diverged: {res.diverged}"
           + (f" at step {res.diverged_step}" if res.diverged else ""))
     for p in res.phase_summaries:
@@ -327,17 +317,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc.sections.setdefault("scenario", {})
-        doc.sections["scenario"]["seed"] = args.seed
-    scenario = cfgmod.build_scenario(doc)
+    scenario = _load_scenario(args)
     if not (scenario.ident.enable_plant or scenario.ident.enable_env):
         raise ConfigError("[identify] enable_plant or enable_env must be on for the identify command")
-    res = run_scenario(scenario)
-    if args.out:
-        write_timeseries_csv(res, args.out, columns=TRACE_COLUMNS)
-        _write_summary(res, args.out + ".summary.json")
+    res = _run_and_write(scenario, args.out, TRACE_COLUMNS)
     print(f"steps: {res.n_steps}   diverged: {res.diverged}")
     if res.final_delta_nc is not None:
         truth = [scenario.plant.M_m, scenario.friction.k_vsc, scenario.friction.k_clmb,

@@ -233,28 +233,21 @@ def parse_config(text: str) -> ConfigDocument:
             raise ConfigError(f"[{current_name}] duplicate key {key!r}")
         current[key] = value
 
-    doc = ConfigDocument()
-    for name, raw in raw_sections.items():
-        out: dict[str, object] = {}
-        for key, spec in SCHEMA[name].items():
-            if key in raw:
-                out[key] = _convert(name, key, spec, raw[key])
-            elif spec.required:
-                raise ConfigError(f"[{name}] missing required key {key!r}")
-            else:
-                out[key] = spec.default
-        doc.sections[name] = out
-    for raw in raw_phases:
-        out = {}
-        for key, spec in SCHEMA["phase"].items():
-            if key in raw:
-                out[key] = _convert("phase", key, spec, raw[key])
-            elif spec.required:
-                raise ConfigError(f"[phase] missing required key {key!r}")
-            else:
-                out[key] = spec.default
-        doc.phases.append(out)
-    return doc
+    return ConfigDocument({name: _typed(name, raw) for name, raw in raw_sections.items()},
+                          [_typed("phase", raw) for raw in raw_phases])
+
+
+def _typed(name: str, raw: dict[str, str]) -> dict[str, object]:
+    """Convert one section's raw values in SCHEMA key order, filling in the defaults."""
+    out: dict[str, object] = {}
+    for key, spec in SCHEMA[name].items():
+        if key in raw:
+            out[key] = _convert(name, key, spec, raw[key])
+        elif spec.required:
+            raise ConfigError(f"[{name}] missing required key {key!r}")
+        else:
+            out[key] = spec.default
+    return out
 
 
 def serialize_config(doc: ConfigDocument) -> str:
@@ -294,70 +287,45 @@ def _rejects_as_config_error(section: str | None = None):
     return decorate
 
 
+def _values(doc: ConfigDocument, section: str) -> list:
+    """The section's values in SCHEMA key order.
+
+    The builders below construct by position from these lists, so each dataclass declares
+    its fields in the key order of its section.
+    """
+    return [doc.get(section, key) for key in SCHEMA[section]]
+
+
 @_rejects_as_config_error("plant")
 def build_plant(doc: ConfigDocument) -> PlantParams:
-    return PlantParams(
-        M_m=doc.get("plant", "M_m_kg"),
-        K_F=doc.get("plant", "K_F_N_per_A"),
-        F_d=doc.get("plant", "F_d_N"),
-    )
+    return PlantParams(*_values(doc, "plant"))
 
 
 @_rejects_as_config_error("friction")
 def build_friction(doc: ConfigDocument) -> FrictionParams:
-    return FrictionParams(
-        k_vsc=doc.get("friction", "k_vsc_Ns_per_m"),
-        k_clmb=doc.get("friction", "k_clmb_N"),
-        eps=doc.get("friction", "eps_m_per_s"),
-    )
+    return FrictionParams(*_values(doc, "friction"))
 
 
 @_rejects_as_config_error("environment")
 def build_env(doc: ConfigDocument) -> EnvImpedance:
-    return EnvImpedance(
-        D_env=doc.get("environment", "D_env_Ns_per_m"),
-        K_env=doc.get("environment", "K_env_N_per_m"),
-        x_env=doc.get("environment", "x_env_m"),
-        xdot_env=doc.get("environment", "xdot_env_m_per_s"),
-    )
+    return EnvImpedance(*_values(doc, "environment")[:4])  # `contact` is a Scenario setting
 
 
 @_rejects_as_config_error("dob")
 def build_dob(doc: ConfigDocument) -> DobConfig:
-    return DobConfig(
-        M_mn=doc.get("dob", "M_mn_kg"),
-        K_Fn=doc.get("dob", "K_Fn_N_per_A"),
-        g_dob=doc.get("dob", "g_dob_rad_per_s"),
-        g_v=doc.get("dob", "g_v_rad_per_s"),
-    )
+    return DobConfig(*_values(doc, "dob"))
 
 
 @_rejects_as_config_error("rfob")
 def build_rfob(doc: ConfigDocument) -> RfobConfig:
-    return RfobConfig(
-        M_hat=doc.get("rfob", "M_hat_kg"),
-        K_F_hat=doc.get("rfob", "K_F_hat_N_per_A"),
-        g_rfob=doc.get("rfob", "g_rfob_rad_per_s"),
-        friction=FrictionParams(
-            k_vsc=doc.get("rfob", "k_vsc_hat_Ns_per_m"),
-            k_clmb=doc.get("rfob", "k_clmb_hat_N"),
-            eps=doc.get("rfob", "eps_hat_m_per_s"),
-        ),
-        F_d_hat=doc.get("rfob", "F_d_hat_N"),
-    )
+    M_hat, K_F_hat, g_rfob, *friction, F_d_hat = _values(doc, "rfob")
+    return RfobConfig(M_hat, K_F_hat, g_rfob, FrictionParams(*friction), F_d_hat)
 
 
 @_rejects_as_config_error("design")
 def build_design_specs(doc: ConfigDocument) -> tuple[DesignSpecA, DesignSpecB, DesignSpecC]:
-    return (
-        DesignSpecA(xi=doc.get("design", "xi_damping"), gamma=doc.get("design", "gamma")),
-        DesignSpecB(xi=doc.get("design", "xi_stiffness"), eta=doc.get("design", "eta")),
-        DesignSpecC(
-            xi=doc.get("design", "xi_combined"),
-            eta_star=doc.get("design", "eta_star"),
-            k_hint=doc.get("design", "k_hint"),
-        ),
-    )
+    _, xi_a, gamma, xi_b, eta, *spec_c, _ = _values(doc, "design")  # case and alpha are read elsewhere
+    return DesignSpecA(xi_a, gamma), DesignSpecB(xi_b, eta), DesignSpecC(*spec_c)
 
 
 def _build_reference(p: dict[str, object]) -> Reference:
@@ -408,8 +376,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
                 F_d_override=p["F_d_override_N"],
             )
         )
-    # IdentConfig declares its fields in [identify] key order
-    ident = IdentConfig(*(doc.get("identify", key) for key in SCHEMA["identify"]))
+    ident = IdentConfig(*_values(doc, "identify"))
     spec_a, spec_b, spec_c = build_design_specs(doc)
     adaptation = AdaptationConfig(
         mode=AdaptationMode(doc.get("scenario", "adaptation")),

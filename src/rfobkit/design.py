@@ -270,22 +270,9 @@ class DesignResult:
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "w_n": self.w_n,
-            "xi": self.xi,
-            "p": self.p,
-            "alpha_g": self.alpha_g,
-            "C_f": self.C_f,
-            "g_v": self.g_v,
-            "k": self.k,
-            "eta": self.eta,
-            "psi": self.psi,
-            "feasible": self.feasible,
-            "degenerate": self.degenerate,
-            "report": dict(self.report),
-            "notes": list(self.notes),
-        }
+        # the fields in declaration order; `asdict` would deep-copy them at several times
+        # the cost of the design itself, once per point of a sweep
+        return {**vars(self), "case": self.case.value, "report": dict(self.report), "notes": list(self.notes)}
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +446,21 @@ def _eta_from_k(k: float, xi: float, psi: float) -> float:
     return (1.0 - k * k) / (2.0 * xi * xi * (1.0 - psi * k) * k * k)
 
 
-def _stability_region_ok(k: float, psi: float) -> bool:
+def _check_xi_window(xi: float, xi_minus: float, xi_plus: float) -> None:
+    if not (xi_minus < xi <= xi_plus):
+        raise InfeasibleDesignError(
+            "xi outside the admissible window (xi_minus, xi_plus]",
+            f"xi = {xi:.6g}, window = ({xi_minus:.6g}, {xi_plus:.6g}]",
+        )
+
+
+def _check_stability_region(k: float, psi: float) -> None:
     inv = 1.0 / psi if psi > 0.0 else math.inf
-    return (k < 1.0 and k < inv) or (k > 1.0 and k > inv)
+    if not ((k < 1.0 and k < inv) or (k > 1.0 and k > inv)):
+        raise InfeasibleDesignError(
+            "unstable k region: need (k < 1 and k < 1/psi) or (k > 1 and k > 1/psi)",
+            f"k = {k:.6g}, 1/psi = {1.0 / psi:.6g}",
+        )
 
 
 def design_damping_stiffness(
@@ -519,11 +518,7 @@ def design_damping_stiffness(
             )
         pos.sort(key=lambda r: (abs(r - 1.0), r))
         k = pos[0]
-        if not _stability_region_ok(k, psi):
-            raise InfeasibleDesignError(
-                "unstable k region: need (k < 1 and k < 1/psi) or (k > 1 and k > 1/psi)",
-                f"k = {k:.6g}, 1/psi = {1.0 / psi:.6g}",
-            )
+        _check_stability_region(k, psi)
         alpha_g = (2.0 + eta_star) * xi * k * sq_km - dm
         if alpha_g <= 0.0 or alpha_g > 0.5 * g_v:
             return None
@@ -536,11 +531,7 @@ def design_damping_stiffness(
                                         f"eta_star = {spec.eta_star}")
         if spec.xi is not None:
             xi = spec.xi
-            if not (xi_minus < xi <= xi_plus):
-                raise InfeasibleDesignError(
-                    "xi outside the admissible window (xi_minus, xi_plus]",
-                    f"xi = {xi:.6g}, window = ({xi_minus:.6g}, {xi_plus:.6g}]",
-                )
+            _check_xi_window(xi, xi_minus, xi_plus)
             solved = solve_with_xi(xi, spec.eta_star)
             if solved is None:
                 raise InfeasibleDesignError(
@@ -579,11 +570,7 @@ def design_damping_stiffness(
     else:
         # wide window: xi defaults to 1, k searched directly against the bound
         xi = 1.0 if spec.xi is None else spec.xi
-        if not (xi_minus < xi <= xi_plus):
-            raise InfeasibleDesignError(
-                "xi outside the admissible window (xi_minus, xi_plus]",
-                f"xi = {xi:.6g}, window = ({xi_minus:.6g}, {xi_plus:.6g}]",
-            )
+        _check_xi_window(xi, xi_minus, xi_plus)
         psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))
         k_max = min(1.0, 1.0 / psi) * (1.0 - 1e-9)
 
@@ -607,14 +594,9 @@ def design_damping_stiffness(
                 )
             k = min(candidates, key=lambda kk: (abs(kk - k), kk))
             notes.append(f"k moved from {spec.k_hint:.6g} to {k:.6g} to satisfy the bandwidth bound")
-        ag = alpha_g_of(k)
-        if not _stability_region_ok(k, psi):
-            raise InfeasibleDesignError(
-                "unstable k region: need (k < 1 and k < 1/psi) or (k > 1 and k > 1/psi)",
-                f"k = {k:.6g}, 1/psi = {1.0 / psi:.6g}",
-            )
+        alpha_g = alpha_g_of(k)
+        _check_stability_region(k, psi)
         eta = _eta_from_k(k, xi, psi)
-        alpha_g = ag
         branch = "wide"
 
     psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))

@@ -9,22 +9,12 @@ deterministic for a fixed scenario and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .design import (
-    DesignResult,
-    DesignSpecA,
-    DesignSpecB,
-    DesignSpecC,
-    EnvClass,
-    InfeasibleDesignError,
-    classify_environment,
-    design_for_env,
-    split_alpha_g,
-)
+from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
 from .identify import (
     ContactDetector,
     ContactMode,
@@ -126,9 +116,9 @@ class AdaptationConfig:
     def __post_init__(self) -> None:
         if self.period_steps < 1:
             raise ValueError("period_steps must be >= 1")
-        if self.design_alpha <= 0.0:
+        if not self.design_alpha > 0.0:
             raise ValueError("design_alpha must be > 0")
-        if self.deadband < 0.0:
+        if not self.deadband >= 0.0:
             raise ValueError("deadband must be >= 0")
 
 
@@ -161,12 +151,17 @@ class IdentConfig:
                 raise ValueError(f"{name} needs {n} values, got {len(getattr(self, name))}")
         if self.g_filter_nc is not None and not self.g_filter_nc > 0.0:
             raise ValueError(f"g_filter_nc must be > 0, got {self.g_filter_nc}")
-        # the detector and the enabled estimators check the rest of their settings
-        ContactDetector(self.threshold_on, self.threshold_off, self.dwell)
-        if self.enable_plant:
+        self.build_estimators()  # the detector and the estimators check the rest of the settings
+
+    def build_estimators(self) -> tuple[ContactDetector, RlmsEstimator | None, RlmsEstimator | None]:
+        """The contact detector and the enabled non-contact and contact estimators (None if off)."""
+        return (
+            ContactDetector(self.threshold_on, self.threshold_off, self.dwell),
             RlmsEstimator(self.delta0_nc, self.bounds_nc_min, self.bounds_nc_max, self.gamma0_nc, self.mu_nc)
-        if self.enable_env:
+            if self.enable_plant else None,
             RlmsEstimator(self.delta0_c, self.bounds_c_min, self.bounds_c_max, self.gamma0_c, self.mu_c)
+            if self.enable_env else None,
+        )
 
     def g_nc(self, g_v: float) -> float:
         """Cutoff of the non-contact regressor filters."""
@@ -200,16 +195,16 @@ class Scenario:
     dist_limit: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be > 0")
         cutoffs = [self.dob.g_dob, self.rfob.g_rfob]
         if self.velocity_filter_on:
             cutoffs.append(self.dob.g_v)
-        if max(cutoffs) * self.dt >= 0.5:
+        if not max(cutoffs) * self.dt < 0.5:
             raise ValueError(f"dt*max(filter cutoff) = {max(cutoffs) * self.dt:g} >= 0.5")
-        if self.C_f <= 0.0 and any(p.mode is ControlMode.FORCE for p in self.phases):
+        if not self.C_f > 0.0 and any(p.mode is ControlMode.FORCE for p in self.phases):
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be >= 0")
         for i, p in enumerate(self.phases, 1):
             steps = p.duration / self.dt
@@ -308,28 +303,8 @@ class SimResult:
             "n_steps": self.n_steps,
             "diverged": self.diverged,
             "diverged_step": self.diverged_step,
-            "phases": [
-                {
-                    "mode": p.mode,
-                    "t_start": p.t_start,
-                    "t_end": p.t_end,
-                    "ss_error": p.ss_error,
-                    "settling_time": p.settling_time,
-                    "max_rfob_error": p.max_rfob_error,
-                }
-                for p in self.phase_summaries
-            ],
-            "design_events": [
-                {
-                    "t": e.t,
-                    "applied": e.applied,
-                    "alpha_g": e.alpha_g,
-                    "C_f": e.C_f,
-                    "g": e.g,
-                    "note": e.note,
-                }
-                for e in self.design_events
-            ],
+            "phases": [asdict(p) for p in self.phase_summaries],
+            "design_events": [asdict(e) for e in self.design_events],
             "final_delta_nc": None if self.final_delta_nc is None else [float(v) for v in self.final_delta_nc],
             "final_delta_c": None if self.final_delta_c is None else [float(v) for v in self.final_delta_c],
             "unidentifiable_nc": self.unidentifiable_nc,
@@ -355,10 +330,8 @@ class Simulator:
         self.design_events: list[DesignEvent] = []
 
         ident = scenario.ident
-        self.detector = ContactDetector(ident.threshold_on, ident.threshold_off, ident.dwell)
-        self.est_nc: RlmsEstimator | None = None
+        self.detector, self.est_nc, self.est_c = ident.build_estimators()
         self.bank_nc: NonContactRegressorBank | None = None
-        self.est_c: RlmsEstimator | None = None
         self.bank_c: ContactRegressorBank | None = None
 
         # measurement available at t_0
@@ -371,23 +344,9 @@ class Simulator:
             self._apply_design(0.0, scenario.env, scenario.rfob.M_hat)
 
         if ident.enable_plant:
-            self.est_nc = RlmsEstimator(
-                delta0=ident.delta0_nc,
-                bounds_min=ident.bounds_nc_min,
-                bounds_max=ident.bounds_nc_max,
-                gamma0=ident.gamma0_nc,
-                mu=ident.mu_nc,
-            )
             self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
                                                    scenario.friction.eps)
         if ident.enable_env:
-            self.est_c = RlmsEstimator(
-                delta0=ident.delta0_c,
-                bounds_min=ident.bounds_c_min,
-                bounds_max=ident.bounds_c_max,
-                gamma0=ident.gamma0_c,
-                mu=ident.mu_c,
-            )
             # the live cutoff: an offline design above may already have retuned the RFOB
             self.bank_c = ContactRegressorBank(self.rfob.lpf.g, self.dt)
 

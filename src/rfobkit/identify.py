@@ -60,16 +60,16 @@ class RlmsEstimator:
             raise ValueError("the initial estimate must be a vector")
         if lo.shape != delta.shape or hi.shape != delta.shape:
             raise ValueError("bounds must match the estimate dimension")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("bounds_min must be <= bounds_max componentwise")
-        if np.any(delta < lo) or np.any(delta > hi):
+        if not (np.all(lo <= delta) and np.all(delta <= hi)):
             raise ValueError("initial estimate lies outside the projection box")
         if not (0.0 < mu <= 1.0):
             raise ValueError(f"forgetting factor mu must be in (0, 1], got {mu}")
         self.n = delta.size
         self.mu = float(mu)
         gamma0_diag = np.broadcast_to(np.asarray(gamma0, dtype=float), delta.shape)
-        if np.any(gamma0_diag <= 0.0):
+        if not np.all(gamma0_diag > 0.0):
             raise ValueError("gamma0 must be positive")
         self._delta = delta.tolist()
         self._lo = lo.tolist()
@@ -243,31 +243,22 @@ class ContactDetector:
         self._release = 0
 
     def update(self, F_load_hat: float) -> ContactMode:
+        # _release is 0 whenever the mode is NON_CONTACT; _count is read only in TRANSITION
         f = abs(F_load_hat)
-        if self.mode is ContactMode.NON_CONTACT:
+        mode = self.mode
+        if mode is ContactMode.NON_CONTACT:
             if f > self.threshold_on:
                 self.mode = ContactMode.TRANSITION
                 self._count = 1
+        elif f < self.threshold_off:  # TRANSITION or CONTACT: count towards release
+            self._release += 1
+            if self._release >= self.dwell:
+                self.mode = ContactMode.NON_CONTACT
                 self._release = 0
-        elif self.mode is ContactMode.TRANSITION:
-            if f < self.threshold_off:
-                self._release += 1
-                if self._release >= self.dwell:
-                    self.mode = ContactMode.NON_CONTACT
-                    self._release = 0
-                    self._count = 0
-            else:
-                self._release = 0
+        else:
+            self._release = 0
+            if mode is ContactMode.TRANSITION:
                 self._count += 1
                 if self._count >= self.dwell:
                     self.mode = ContactMode.CONTACT
-                    self._count = 0
-        else:  # CONTACT
-            if f < self.threshold_off:
-                self._release += 1
-                if self._release >= self.dwell:
-                    self.mode = ContactMode.NON_CONTACT
-                    self._release = 0
-            else:
-                self._release = 0
         return self.mode

@@ -340,6 +340,5 @@ def gain_root_locus(
     out = []
     for c_f in np.asarray(gains, dtype=float):
         loop = open_loop_general(pp, dob, rfob, env, float(c_f))
-        char = loop.den.add(loop.num)
-        out.append((float(c_f), poles(char)))
+        out.append((float(c_f), poles(loop.closed_loop().den)))
     return out

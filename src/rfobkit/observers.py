@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import FrictionParams, PlantParams, friction_force
+from .plant import FrictionParams, PlantParams, check_sign, friction_force
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class DobConfig:
     g_v: float
 
     def __post_init__(self) -> None:
-        for name in ("M_mn", "K_Fn", "g_dob", "g_v"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_sign(self, ">", "M_mn", "K_Fn", "g_dob", "g_v")
 
 
 @dataclass(frozen=True)
@@ -54,16 +52,14 @@ class RfobConfig:
     F_d_hat: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("M_hat", "K_F_hat", "g_rfob"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_sign(self, ">", "M_hat", "K_F_hat", "g_rfob")
 
 
 def lpf_pole(g: float, dt: float) -> float:
-    """Pole exp(-g*dt) of the discretized g/(s+g); rejects g, dt <= 0 and g*dt >= 1."""
-    if g <= 0.0 or dt <= 0.0:
+    """Pole exp(-g*dt) of the discretized g/(s+g); rejects g, dt <= 0 or NaN and g*dt >= 1."""
+    if not (g > 0.0 and dt > 0.0):
         raise ValueError(f"g and dt must be > 0, got g={g}, dt={dt}")
-    if g * dt >= 1.0:
+    if not g * dt < 1.0:
         raise ValueError(f"g*dt = {g * dt:g} >= 1: cutoff too fast for this sample time")
     return math.exp(-g * dt)
 

@@ -5,6 +5,17 @@ import math
 from dataclasses import dataclass
 
 
+def check_sign(obj, bound: str, *names: str) -> None:
+    """Raise ValueError unless each named field of obj is > 0 (bound ">") or >= 0 (bound ">=").
+
+    Written as `not v > 0.0` so that NaN fails both bounds.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if not (v > 0.0 if bound == ">" else v >= 0.0):
+            raise ValueError(f"{name} must be {bound} 0, got {v}")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """True motor parameters (unknown to the controller in a real system).
@@ -19,10 +30,7 @@ class PlantParams:
     F_d: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.M_m <= 0.0:
-            raise ValueError(f"M_m must be > 0, got {self.M_m}")
-        if self.K_F <= 0.0:
-            raise ValueError(f"K_F must be > 0, got {self.K_F}")
+        check_sign(self, ">", "M_m", "K_F")
 
 
 @dataclass(frozen=True)
@@ -39,12 +47,8 @@ class FrictionParams:
     eps: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.k_vsc < 0.0:
-            raise ValueError(f"k_vsc must be >= 0, got {self.k_vsc}")
-        if self.k_clmb < 0.0:
-            raise ValueError(f"k_clmb must be >= 0, got {self.k_clmb}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        check_sign(self, ">=", "k_vsc", "k_clmb")
+        check_sign(self, ">", "eps")
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,7 @@ class EnvImpedance:
     xdot_env: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.D_env < 0.0:
-            raise ValueError(f"D_env must be >= 0, got {self.D_env}")
-        if self.K_env < 0.0:
-            raise ValueError(f"K_env must be >= 0, got {self.K_env}")
+        check_sign(self, ">=", "D_env", "K_env")
 
 
 @dataclass

@@ -9,12 +9,16 @@ import pytest
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config, serialize_config
-from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, IdentConfig, SimResult
+from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SIM_CFG = (CONFIGS / "sim_force_step.cfg").read_text()
 DESIGN_CFG = (CONFIGS / "design_combined.cfg").read_text()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +82,48 @@ def test_build_scenario_from_fixture():
     assert sc.dt == 1e-4
 
 
-def test_ident_config_fields_follow_identify_schema():
-    # build_scenario passes the [identify] values to IdentConfig by position
-    fields = [f.name for f in dataclasses.fields(IdentConfig)]
-    keys = list(SCHEMA["identify"])
-    assert len(fields) == len(keys)
-    for name, key in zip(fields, keys):
-        assert key == name or key.startswith(name + "_"), (name, key)
+POSITIONAL_CFG = (
+    "[plant]\nM_m_kg = 2.5\nK_F_N_per_A = 0.7\nF_d_N = 0.3\n"
+    "[friction]\nk_vsc_Ns_per_m = 1.5\nk_clmb_N = 0.25\neps_m_per_s = 0.002\n"
+    "[environment]\nD_env_Ns_per_m = 3.0\nK_env_N_per_m = 4000.0\nx_env_m = 0.01\nxdot_env_m_per_s = 0.02\n"
+    "[dob]\nM_mn_kg = 1.1\nK_Fn_N_per_A = 0.6\ng_dob_rad_per_s = 300.0\ng_v_rad_per_s = 900.0\n"
+    "[rfob]\nM_hat_kg = 1.2\nK_F_hat_N_per_A = 0.55\ng_rfob_rad_per_s = 400.0\nk_vsc_hat_Ns_per_m = 0.8\n"
+    "k_clmb_hat_N = 0.35\neps_hat_m_per_s = 0.003\nF_d_hat_N = 0.15\n"
+    "[design]\nxi_damping = 0.8\ngamma = 0.9\nxi_stiffness = 0.95\neta = 2.5\nxi_combined = 0.6\n"
+    "eta_star = 0.2\nk_hint = 0.4\n"
+    "[identify]\nmu_nc = 0.998\nmu_c = 0.997\ngamma0_nc = 2e4\ngamma0_c = 3e4\nthreshold_on_N = 0.9\n"
+    "threshold_off_N = 0.3\ndwell_steps = 7\ng_filter_nc_rad_per_s = 600.0\n"
+    "[scenario]\ndt_s = 1e-4\n[phase]\nmode = force\nduration_s = 0.1\n"
+)
+
+
+def test_positional_builds_follow_schema():
+    # the config builders pass each section's values to their dataclass by position
+    doc = parse_config(POSITIONAL_CFG)
+    sc = build_scenario(doc)
+    ad = sc.adaptation
+    rfob = list(SCHEMA["rfob"])
+    design = list(SCHEMA["design"])
+    builds = [
+        (sc.plant, "plant", list(SCHEMA["plant"])),
+        (sc.friction, "friction", list(SCHEMA["friction"])),
+        (sc.env, "environment", list(SCHEMA["environment"])[:4]),
+        (sc.dob, "dob", list(SCHEMA["dob"])),
+        (sc.rfob, "rfob", rfob[:3] + [None] + rfob[6:]),  # None: the nested friction model
+        (sc.rfob.friction, "rfob", rfob[3:6]),
+        (ad.spec_a, "design", design[1:3]),
+        (ad.spec_b, "design", design[3:5]),
+        (ad.spec_c, "design", design[5:8]),
+        (sc.ident, "identify", list(SCHEMA["identify"])),
+    ]
+    for obj, section, keys in builds:
+        fields = [f.name for f in dataclasses.fields(obj)]
+        assert len(fields) == len(keys), (type(obj).__name__, fields, keys)
+        for name, key in zip(fields, keys):
+            if key is None:
+                continue
+            assert key == name or key.startswith(name + "_"), (type(obj).__name__, name, key)
+            assert getattr(obj, name) == doc.get(section, key), (type(obj).__name__, name, key)
 
 
 def test_build_scenario_passes_identify_values():
@@ -110,6 +149,7 @@ def test_cmd_design(tmp_path, capsys):
     assert rep["char_poly_max_rel_dev"] < 1e-9
     text = capsys.readouterr().out
     assert "alpha_g" in text and "xi_minus" in text and "psi" in text
+    assert _sha256(out) == "8459c1667c20a9be2d98205a73df46e4e89d4d2d3dd9a8e72cac6e5609e4490c"
 
 
 def test_cmd_design_empty_environment_is_config_error(tmp_path):
@@ -117,6 +157,22 @@ def test_cmd_design_empty_environment_is_config_error(tmp_path):
     cfg.write_text("[plant]\nM_m_kg = 3.02\n[environment]\n[dob]\n[design]\n")
     code = main(["design", "--config", str(cfg)])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case, d_env, k_env", [
+    ("damping", 0.0, 6500.0),
+    ("stiffness", 2.0, 0.0),
+    ("damping_stiffness", 2.0, 0.0),
+])
+def test_cmd_design_forced_case_needs_its_terms(tmp_path, capsys, case, d_env, k_env):
+    cfg = tmp_path / "forced.cfg"
+    cfg.write_text(DESIGN_CFG.replace("case = auto", f"case = {case}")
+                   .replace("D_env_Ns_per_m = 2.0", f"D_env_Ns_per_m = {d_env}")
+                   .replace("K_env_N_per_m = 6500.0", f"K_env_N_per_m = {k_env}"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: [design] case = {case} needs")
+    assert "design case" not in captured.out
 
 
 def test_cmd_design_infeasible_exit_code(tmp_path, capsys):
@@ -143,6 +199,7 @@ def test_cmd_design_sweep(tmp_path, capsys):
     for row in rows:
         assert row["feasible"]
         assert row["alpha_g"] <= 500.0 + 1e-9
+    assert _sha256(out) == "3a2a0ea9711eb6339f69753c6f9cb810f0fe96220e126e41f40130fb6dc04d38"
 
 
 def test_cmd_analyze_warns_on_beta_below_alpha(tmp_path, capsys):
@@ -182,6 +239,7 @@ def test_cmd_analyze_perfect_identification(tmp_path, capsys):
     assert rep["asymptote_angles_deg"] == [-90.0, 90.0]
     assert rep["closed_loop_poles"] is not None
     assert "WARNING" not in capsys.readouterr().out
+    assert _sha256(out) == "10a7188b615c7b866dde12ea1ec2a7425b6b737ae181a2e474bda2db7305aae7"
 
 
 def test_cmd_simulate_writes_csv_and_summary(tmp_path):
@@ -196,6 +254,8 @@ def test_cmd_simulate_writes_csv_and_summary(tmp_path):
     summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
     assert summary["diverged"] is False
     assert summary["phases"][0]["ss_error"] < 1e-6
+    assert _sha256(tmp_path / "run.csv.summary.json") == (
+        "1909d7e322f52b2b784b507fe4a99629420ce26a5b1cfc51ef580774bacd8774")
 
 
 def test_cmd_simulate_deterministic_csv(tmp_path):
@@ -235,6 +295,20 @@ def test_cmd_simulate_divergence_exit_code(tmp_path, capsys):
     assert len(out.read_text().splitlines()) > 1
 
 
+def test_cmd_simulate_nan_cutoff_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SIM_CFG.replace("g_dob_rad_per_s = 80.65025541797718", "g_dob_rad_per_s = nan"))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "[dob] g_dob must be > 0, got nan" in capsys.readouterr().err
+
+
+def test_cmd_simulate_seed_without_scenario_section_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "noscenario.cfg"
+    cfg.write_text("[plant]\nM_m_kg = 1.0\n[phase]\nmode = force\nduration_s = 0.1\n")
+    assert main(["simulate", "--config", str(cfg), "--seed", "3"]) == EXIT_CONFIG
+    assert "missing required section [scenario]" in capsys.readouterr().err
+
+
 def test_cmd_simulate_missing_config_file():
     assert main(["simulate", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
 
@@ -264,6 +338,8 @@ def test_cmd_identify_env(tmp_path, capsys):
     assert "delta_K_env_Npm" in header and "innov_c_N" in header
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "663e00bfdb501d7c598f918ac399e2c5f588f95ad04e4ba28555543e273961e4"
+    assert _sha256(tmp_path / "trace.csv.summary.json") == (
+        "fbfb6d4396fa38d2b530c992872715c0d2a1f5595257f488b67d2974eeee88ea")
 
 
 def test_cmd_identify_zero_truth_reports_absolute_error(tmp_path, capsys):

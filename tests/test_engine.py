@@ -359,6 +359,17 @@ def test_reference_kinds():
         rk.Reference(kind="wiggle")(0.0)
 
 
+def test_scenario_rejects_nan_settings():
+    sc, _ = linear_scenario()
+    for field, message in (("dt", "dt must be > 0"), ("C_f", "C_f must be > 0"),
+                           ("noise_std", "noise_std must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            rk.Scenario(**{**sc.__dict__, field: math.nan})
+    for field in ("design_alpha", "deadband"):
+        with pytest.raises(ValueError, match=field):
+            rk.AdaptationConfig(**{field: math.nan})
+
+
 def test_phase_duration_must_be_whole_steps():
     sc, _ = linear_scenario()
     with pytest.raises(ValueError, match=r"phase 2 \(force\).*1\.5 steps"):

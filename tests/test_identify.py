@@ -118,6 +118,17 @@ def test_rlms_zero_innovation_keeps_estimate_contracts_covariance():
     assert est.Gamma[0, 0] < g_before
 
 
+@pytest.mark.parametrize("delta0, lo, hi, gamma0", [
+    (0.0, -1.0, 1.0, math.nan),
+    (math.nan, -1.0, 1.0, 1e4),
+    (0.0, math.nan, 1.0, 1e4),
+    (0.0, -1.0, math.nan, 1e4),
+])
+def test_rlms_rejects_nan_settings(delta0, lo, hi, gamma0):
+    with pytest.raises(ValueError):
+        RlmsEstimator(np.array([delta0]), np.array([lo]), np.array([hi]), gamma0)
+
+
 def test_rlms_projection_clamps():
     est = scalar_estimator(lo=-1.0, hi=1.0)
     est.update(np.array([1.0]), 50.0)

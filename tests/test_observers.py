@@ -46,7 +46,8 @@ def test_lpf_rejects_fast_cutoff():
         FirstOrderLpf(g=1000.0, dt=1e-3)
 
 
-@pytest.mark.parametrize("g, dt", [(0.0, 1e-4), (-5.0, 1e-4), (100.0, 0.0), (100.0, -1e-4), (1e4, 1e-4)])
+@pytest.mark.parametrize("g, dt", [(0.0, 1e-4), (-5.0, 1e-4), (100.0, 0.0), (100.0, -1e-4), (1e4, 1e-4),
+                                   (math.nan, 1e-4), (100.0, math.nan)])
 def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
     with pytest.raises(ValueError):
         lpf_pole(g, dt)
@@ -55,6 +56,15 @@ def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
         with pytest.raises(ValueError):
             f.retune(g)  # a rejected retune leaves the filter as it was
     assert f.g == 100.0 and f.step(1.0) == FirstOrderLpf(100.0, 1e-4).step(1.0)
+
+
+@pytest.mark.parametrize("name", ["M_mn", "K_Fn", "g_dob", "g_v", "M_hat", "K_F_hat", "g_rfob"])
+def test_observer_configs_reject_nan(name):
+    dob = dict(M_mn=1.0, K_Fn=0.5, g_dob=500.0, g_v=1000.0)
+    rfob = dict(M_hat=1.0, K_F_hat=0.5, g_rfob=500.0)
+    cls, kwargs = (DobConfig, dob) if name in dob else (RfobConfig, rfob)
+    with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
+        cls(**{**kwargs, name: math.nan})
 
 
 def test_lpf_freq_response_first_order_convergence():

@@ -122,3 +122,18 @@ def test_param_validation():
         FrictionParams(eps=0.0)
     with pytest.raises(ValueError):
         EnvImpedance(D_env=-0.1)
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (PlantParams, dict(M_m=math.nan, K_F=0.5), "M_m must be > 0, got nan"),
+    (PlantParams, dict(M_m=1.0, K_F=math.nan), "K_F must be > 0, got nan"),
+    (FrictionParams, dict(k_vsc=math.nan), "k_vsc must be >= 0, got nan"),
+    (FrictionParams, dict(k_clmb=math.nan), "k_clmb must be >= 0, got nan"),
+    (FrictionParams, dict(eps=math.nan), "eps must be > 0, got nan"),
+    (EnvImpedance, dict(D_env=math.nan), "D_env must be >= 0, got nan"),
+    (EnvImpedance, dict(K_env=math.nan), "K_env must be >= 0, got nan"),
+])
+def test_param_validation_rejects_nan(cls, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**kwargs)
+
