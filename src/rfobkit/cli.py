@@ -88,9 +88,7 @@ def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
 
 
 def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance) -> dict:
-    alpha = doc.get("design", "alpha")
-    if not alpha > 0.0:
-        raise ConfigError(f"[design] alpha must be > 0, got {alpha}")
+    alpha = cfgmod.build_design_alpha(doc)
     g_dob, g_rfob = split_alpha_g(result, alpha)
     achieved = closed_loop_char_poly(result.case, doc.get("plant", "M_m_kg"), result.alpha_g, result.C_f, env)
     if result.case is EnvClass.PURE_DAMPING:
@@ -161,8 +159,11 @@ def cmd_design(args) -> int:
     doc = _load_config(args.config)
     if args.sweep:
         section, key, values = _parse_sweep(args.sweep)
-        if section not in cfgmod.SCHEMA or key not in cfgmod.SCHEMA[section]:
+        spec = cfgmod.SCHEMA.get(section, {}).get(key)
+        if spec is None:
             raise ConfigError(f"--sweep target [{section}] {key} is not a known key")
+        if spec.typ not in ("float", "opt_float"):
+            raise ConfigError(f"--sweep target [{section}] {key} is a {spec.typ} key; only float keys sweep")
         if section not in doc.sections:
             missing = [k for k, s in cfgmod.SCHEMA[section].items() if s.required and k != key]
             if missing:

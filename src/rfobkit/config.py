@@ -328,6 +328,34 @@ def build_design_specs(doc: ConfigDocument) -> tuple[DesignSpecA, DesignSpecB, D
     return DesignSpecA(xi_a, gamma), DesignSpecB(xi_b, eta), DesignSpecC(*spec_c)
 
 
+@_rejects_as_config_error("design")
+def build_design_alpha(doc: ConfigDocument) -> float:
+    """The inertia ratio alpha that splits a designed alpha_g between the two observers."""
+    alpha = doc.get("design", "alpha")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    return alpha
+
+
+@_rejects_as_config_error("identify")
+def build_ident(doc: ConfigDocument) -> IdentConfig:
+    return IdentConfig(*_values(doc, "identify"))
+
+
+@_rejects_as_config_error("scenario")
+def build_adaptation(doc: ConfigDocument) -> AdaptationConfig:
+    """The redesign policy: mode and period from [scenario], alpha and the specs from [design]."""
+    spec_a, spec_b, spec_c = build_design_specs(doc)
+    return AdaptationConfig(
+        mode=AdaptationMode(doc.get("scenario", "adaptation")),
+        period_steps=doc.get("scenario", "redesign_period_steps"),
+        design_alpha=build_design_alpha(doc),
+        spec_a=spec_a,
+        spec_b=spec_b,
+        spec_c=spec_c,
+    )
+
+
 def _build_reference(p: dict[str, object]) -> Reference:
     kind = p["ref"]
     if kind == "multisine":
@@ -376,16 +404,6 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
                 F_d_override=p["F_d_override_N"],
             )
         )
-    ident = IdentConfig(*_values(doc, "identify"))
-    spec_a, spec_b, spec_c = build_design_specs(doc)
-    adaptation = AdaptationConfig(
-        mode=AdaptationMode(doc.get("scenario", "adaptation")),
-        period_steps=doc.get("scenario", "redesign_period_steps"),
-        design_alpha=doc.get("design", "alpha"),
-        spec_a=spec_a,
-        spec_b=spec_b,
-        spec_c=spec_c,
-    )
     return Scenario(
         plant=build_plant(doc),
         friction=build_friction(doc),
@@ -401,8 +419,8 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         velocity_filter_on=doc.get("scenario", "velocity_filter") == "on",
         noise_std=doc.get("scenario", "noise_std_m_per_s"),
         seed=doc.get("scenario", "seed"),
-        adaptation=adaptation,
-        ident=ident,
+        adaptation=build_adaptation(doc),
+        ident=build_ident(doc),
         x0=doc.get("scenario", "x0_m"),
         v0=doc.get("scenario", "v0_m_per_s"),
         x_limit=doc.get("scenario", "x_limit_m"),

@@ -8,6 +8,7 @@ box-projected so it cannot leave its configured convex set.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from enum import Enum
@@ -33,8 +34,18 @@ class RlmsEstimator:
 
     The estimate has 3 or 4 components in the simulator, where numpy's
     per-call overhead would outweigh the arithmetic, so the state is plain
-    Python floats and every inner product is summed left to right.  The
-    averaged form keeps Gamma exactly symmetric.  Every `pd_check_period`
+    Python floats.  Written as loops, the update would spend most of its time
+    in the interpreter rather than in the arithmetic, so it runs as one
+    straight-line function per estimate dimension n, generated and compiled
+    on the first update of that n (see `_rlms_kernel`).  The generated code
+    must keep the operations and their order: every inner product is summed
+    left to right from 0.0 (never with `sum()`, which compensates its float
+    sums from Python 3.12 on), the terms of Gamma_ij are formed as written
+    above, reading Gamma_ji from the lower triangle, and the clip reads
+    `lo if v < lo else hi if v > hi else v`.  The loop form it replaced is
+    kept in the tests as a bit-for-bit reference.
+
+    The averaged form keeps Gamma exactly symmetric.  Every `pd_check_period`
     steps a Cholesky factorisation checks that Gamma is still positive
     definite; if rounding has broken that, Gamma is reset to the configured
     initial diagonal and `reset_count` is incremented, so the estimator stays
@@ -56,8 +67,8 @@ class RlmsEstimator:
         delta = np.array(delta0, dtype=float)
         lo = np.array(bounds_min, dtype=float)
         hi = np.array(bounds_max, dtype=float)
-        if delta.ndim != 1:
-            raise ValueError("the initial estimate must be a vector")
+        if delta.ndim != 1 or delta.size == 0:
+            raise ValueError("the initial estimate must be a non-empty vector")
         if lo.shape != delta.shape or hi.shape != delta.shape:
             raise ValueError("bounds must match the estimate dimension")
         if not np.all(lo <= hi):
@@ -108,23 +119,8 @@ class RlmsEstimator:
         u = float(u)
         if not (math.isfinite(u) and all(map(math.isfinite, rho))):
             raise ValueError("non-finite regressor or measurement")
-        G = self._G
-        mu = self.mu
-        r = [_dot(row, rho) for row in G]
-        denom = mu + _dot(rho, r)
-        innovation = u - _dot(rho, self._delta)
-        k = [ri / denom for ri in r]
-        delta = []
-        for d, ki, lo, hi in zip(self._delta, k, self._lo, self._hi):
-            v = d + ki * innovation
-            delta.append(lo if v < lo else hi if v > hi else v)
-        self._delta = delta
-        new = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            Gi, ki, ri, new_i = G[i], k[i], r[i], new[i]
-            for j in range(i, n):
-                new_i[j] = new[j][i] = ((Gi[j] - ki * r[j]) / mu + (G[j][i] - k[j] * ri) / mu) * 0.5
-        self._G = new
+        self._G, self._delta, innovation = _rlms_kernel(n)(
+            self._G, rho, self._delta, self._lo, self._hi, u, self.mu)
         self._steps += 1
         if self._steps % self._pd_check_period == 0:
             self._guard_positive_definite()
@@ -147,12 +143,37 @@ class RlmsEstimator:
         return eig / max(self._gamma0_diag)
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """Inner product summed left to right."""
-    s = 0.0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
+@functools.cache
+def _rlms_kernel(n: int):
+    """The straight-line RLS update for estimate dimension n >= 1, compiled on first use.
+
+    `kernel(G, rho, d, lo, hi, u, mu)` returns the new Gamma rows, the new
+    estimate and the innovation; RlmsEstimator states the operations it keeps.
+    """
+    ix = range(n)
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in ix)
+
+    def dot(a: str, b: str) -> str:  # summed left to right from 0.0
+        return " + ".join(["0.0"] + [f"{a}{j} * {b}{j}" for j in ix])
+
+    lines = ["".join(f"({names(f'G{i}_')}), " for i in ix) + "= G"]
+    lines += [f"{names(v)}= {v}" for v in ("rho", "d", "lo", "hi")]
+    lines += [f"r{i} = {dot(f'G{i}_', 'rho')}" for i in ix]
+    lines += [f"denom = mu + ({dot('rho', 'r')})", f"innovation = u - ({dot('rho', 'd')})"]
+    for i in ix:
+        lines += [f"k{i} = r{i} / denom",
+                  f"v{i} = d{i} + k{i} * innovation",
+                  f"d{i} = lo{i} if v{i} < lo{i} else hi{i} if v{i} > hi{i} else v{i}"]
+    lines += [f"g{i}_{j} = ((G{i}_{j} - k{i} * r{j}) / mu + (G{j}_{i} - k{j} * r{i}) / mu) * 0.5"
+              for i in ix for j in ix if j >= i]
+    rows = ", ".join("[" + ", ".join(f"g{min(i, j)}_{max(i, j)}" for j in ix) + "]" for i in ix)
+    lines.append(f"return [{rows}], [{names('d')}], innovation")
+    namespace: dict = {}
+    source = "def kernel(G, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
+    exec(compile(source, f"<rlms update n={n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class NonContactRegressorBank:

@@ -342,6 +342,22 @@ def test_cmd_identify_env(tmp_path, capsys):
         "fbfb6d4396fa38d2b530c992872715c0d2a1f5595257f488b67d2974eeee88ea")
 
 
+def test_cmd_identify_env_online_adaptation_is_pinned(tmp_path, capsys):
+    """The 1 s identify_env twin with online redesign: RLS and observer retune together, 24 redesigns."""
+    cfg = tmp_path / "online.cfg"
+    cfg.write_text((CONFIGS / "identify_env.cfg").read_text()
+                   .replace("duration_s = 6.0", "duration_s = 1.0")
+                   .replace("velocity_filter = off", "velocity_filter = off\nadaptation = online\n"
+                            "redesign_period_steps = 200"))
+    out = tmp_path / "trace.csv"
+    assert main(["identify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
+    assert sum(e["applied"] for e in summary["design_events"]) == 24
+    assert _sha256(out) == "3e16f8c1cd94e4a1eff66ec4e5ddd98c42803789f39bbfb6c41571dcac25c0c0"
+    assert _sha256(tmp_path / "trace.csv.summary.json") == (
+        "4d2f5b39f8da7138bd7cb6f15f00c54b86a99d7d627ab30fd573216393f9a757")
+
+
 def test_cmd_identify_zero_truth_reports_absolute_error(tmp_path, capsys):
     # the environment offset's truth is -(D*xdot_env + K*x_env) = -0.0
     cfg = tmp_path / "env.cfg"
@@ -422,6 +438,24 @@ def test_cmd_design_nonpositive_alpha_is_config_error(tmp_path):
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text(DESIGN_CFG.replace("alpha = 1.0", "alpha = 0.0"))
     assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):
+    code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", "design.case=0:1:2"])
+    assert code == EXIT_CONFIG
+    assert "configuration error: --sweep target [design] case is a str key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("gamma0_c = 1e6", "gamma0_c = nan", "configuration error: [identify] gamma0 must be positive"),
+    ("velocity_filter = off", "velocity_filter = off\nadaptation = online\n[design]\nalpha = nan",
+     "configuration error: [design] alpha must be > 0, got nan"),
+])
+def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text((CONFIGS / "identify_env.cfg").read_text().replace(old, new))
+    assert main(["identify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

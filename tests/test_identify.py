@@ -53,6 +53,57 @@ class NumpyRlmsReference:
         return innovation
 
 
+class LoopRlmsReference(RlmsEstimator):
+    """The loop-form scalar RLS update the generated straight-line kernel replaced, kept verbatim."""
+
+    def update(self, rho, u):
+        """One recursion step; returns the prediction error u - rho' delta."""
+        n = self.n
+        if isinstance(rho, np.ndarray):
+            if rho.shape != (n,):
+                raise ValueError(f"regressor shape {rho.shape} != estimate dimension ({n},)")
+            rho = rho.tolist()
+        elif len(rho) != n:
+            raise ValueError(f"regressor length {len(rho)} != estimate dimension {n}")
+        u = float(u)
+        if not (math.isfinite(u) and all(map(math.isfinite, rho))):
+            raise ValueError("non-finite regressor or measurement")
+        G = self._G
+        mu = self.mu
+        r = [_dot(row, rho) for row in G]
+        denom = mu + _dot(rho, r)
+        innovation = u - _dot(rho, self._delta)
+        k = [ri / denom for ri in r]
+        delta = []
+        for d, ki, lo, hi in zip(self._delta, k, self._lo, self._hi):
+            v = d + ki * innovation
+            delta.append(lo if v < lo else hi if v > hi else v)
+        self._delta = delta
+        new = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            Gi, ki, ri, new_i = G[i], k[i], r[i], new[i]
+            for j in range(i, n):
+                new_i[j] = new[j][i] = ((Gi[j] - ki * r[j]) / mu + (G[j][i] - k[j] * ri) / mu) * 0.5
+        self._G = new
+        self._steps += 1
+        if self._steps % self._pd_check_period == 0:
+            self._guard_positive_definite()
+        return innovation
+
+
+def _dot(a, b):
+    """Inner product summed left to right."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _bits(est):
+    """The estimate and Gamma as exact hex strings, so 0.0 and -0.0 or two NaNs compare bitwise."""
+    return list(map(float.hex, est._delta)), [list(map(float.hex, row)) for row in est._G]
+
+
 class NumpyNonContactBankReference:
     """The numpy non-contact bank step the tuple version replaced."""
 
@@ -147,6 +198,8 @@ def test_rlms_rejects_bad_inputs():
         RlmsEstimator(np.array([0.0]), np.array([1.0]), np.array([2.0]))  # delta0 outside box
     with pytest.raises(ValueError):
         RlmsEstimator(np.array([0.0]), np.array([-1.0]), np.array([1.0]), mu=0.0)
+    with pytest.raises(ValueError):
+        RlmsEstimator(np.array([]), np.array([]), np.array([]))  # no kernel for an empty estimate
 
 
 def test_rlms_converges_vector_case():
@@ -241,6 +294,46 @@ def test_rlms_guard_resets_indefinite_covariance():
     assert est.reset_count == ref.reset_count == 1
     assert np.array_equal(est.Gamma, np.diag([1e3, 1e3, 1e3]))
     np.testing.assert_allclose(est.delta, ref.delta, rtol=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.98])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_rlms_matches_loop_reference_bitwise(n, mu):
+    """5 000 random updates with active clamping: the generated update equals the loop form bit for bit."""
+    rng = np.random.default_rng(200 + 10 * n + int(mu == 1.0))
+    lo = np.full(n, -2.0)
+    hi = np.full(n, 2.0)
+    args = dict(delta0=np.zeros(n), bounds_min=lo, bounds_max=hi, gamma0=1e4, mu=mu)
+    est = RlmsEstimator(**args)
+    ref = LoopRlmsReference(**args)
+    truth = np.resize([3.0, -1.0, 0.5, 1.5], n)  # the first component lies outside the box
+    clamped = 0
+    for _ in range(5000):
+        rho = rng.standard_normal(n) * 10.0 ** rng.integers(-1, 2)
+        u = float(rho @ truth + rng.standard_normal())
+        rho = tuple(rho.tolist()) if rng.integers(2) else rho  # tuples as the banks emit, arrays as callers pass
+        assert est.update(rho, u).hex() == ref.update(rho, u).hex()
+        assert _bits(est) == _bits(ref)
+        clamped += any(v in (-2.0, 2.0) for v in est._delta)
+    assert clamped > 1000
+    assert est.reset_count == ref.reset_count
+
+
+def test_rlms_matches_loop_reference_through_reset():
+    """From an indefinite Gamma through the step-50 Cholesky reset, the two forms stay bitwise equal."""
+    rng = np.random.default_rng(6)
+    args = dict(delta0=np.zeros(3), bounds_min=np.full(3, -10.0), bounds_max=np.full(3, 10.0),
+                gamma0=1e3, mu=0.99)
+    est = RlmsEstimator(**args)
+    ref = LoopRlmsReference(**args)
+    est._G = [[100.0, 3.0, -2.0], [3.0, -50.0, 1.0], [-2.0, 1.0, 100.0]]
+    ref._G = [row[:] for row in est._G]
+    for _ in range(200):
+        rho = rng.standard_normal(3) * 1e-2
+        u = float(rng.standard_normal())
+        assert est.update(rho, u).hex() == ref.update(rho, u).hex()
+        assert _bits(est) == _bits(ref)
+    assert est.reset_count == ref.reset_count >= 1
 
 
 def test_rlms_estimate_reads_as_array_and_floats():
