@@ -272,9 +272,9 @@ def serialize_config(doc: ConfigDocument) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-def _rejects_as_config_error(section: str | None = None):
+def _rejects_as_config_error(section: str):
     """A value the built object rejects (ValueError) becomes a ConfigError naming the section."""
-    prefix = f"[{section}] " if section else ""
+    prefix = f"[{section}] "
 
     def decorate(build):
         @functools.wraps(build)
@@ -387,30 +387,34 @@ def _build_reference(p: dict[str, object]) -> Reference:
     )
 
 
-@_rejects_as_config_error()
+@_rejects_as_config_error("phase")
+def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
+    if not doc.phases:
+        raise ConfigError("at least one [phase] section is required to simulate")
+    return tuple(
+        Phase(
+            mode=ControlMode(p["mode"]),
+            duration=p["duration_s"],
+            reference=_build_reference(p),
+            contact_hint=ContactHint(p["contact"]),
+            F_d_override=p["F_d_override_N"],
+        )
+        for p in doc.phases
+    )
+
+
+@_rejects_as_config_error("scenario")
 def build_scenario(doc: ConfigDocument) -> Scenario:
     if "scenario" not in doc.sections:
         raise ConfigError("missing required section [scenario]")
-    if not doc.phases:
-        raise ConfigError("at least one [phase] section is required to simulate")
-    phases = []
-    for p in doc.phases:
-        phases.append(
-            Phase(
-                mode=ControlMode(p["mode"]),
-                duration=p["duration_s"],
-                reference=_build_reference(p),
-                contact_hint=ContactHint(p["contact"]),
-                F_d_override=p["F_d_override_N"],
-            )
-        )
+    phases = _build_phases(doc)
     return Scenario(
         plant=build_plant(doc),
         friction=build_friction(doc),
         env=build_env(doc),
         dob=build_dob(doc),
         rfob=build_rfob(doc),
-        phases=tuple(phases),
+        phases=phases,
         dt=doc.get("scenario", "dt_s"),
         C_f=doc.get("scenario", "C_f"),
         K_P=doc.get("scenario", "K_P"),

@@ -8,10 +8,10 @@ angles, and pole computation for degrees up to three.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .design import EnvClass, solve_cubic, solve_quadratic
 from .observers import DobConfig, RfobConfig
@@ -286,8 +286,21 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
     """Unit step response on a uniform time grid.
 
     The transfer function is realized in controllable canonical form and
-    discretized exactly (matrix exponential of the augmented system), so the
-    only approximation is the grid itself.
+    discretized exactly: the matrix exponential of the augmented system gives
+    the zero-order-hold model, so the only approximation is the grid itself.
+    The exponential is a degree-13 Pade approximant with scaling and squaring
+    (`_expm`).
+
+    Before that, time is rescaled by a power of two rho near the root radius
+    max_k |den_k|^(1/k): H(rho*sigma) is realized with den_k / rho^k and
+    num_j * rho^(m-j-n) (m, n the degrees) and stepped on the grid rho*dt,
+    which gives the same samples. The companion coefficients of a stiff loop
+    grow like the roots to the k-th power, so its unscaled matrix has a 1-norm
+    far above its spectral radius. Pade scaling and squaring takes the number
+    of squarings from that norm, and on stiff loops the result then keeps as
+    few as five correct digits. After the rescale the coefficients are of
+    order one. Powers of two scale exactly in floating point, so the rescale
+    itself rounds nothing.
     """
     t = np.asarray(t, dtype=float)
     if t.size < 2:
@@ -301,6 +314,10 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
     lead = tf.den.coeffs[0]
     num = tuple(c / lead for c in tf.num.coeffs)
     n = len(den) - 1
+    m = len(num) - 1
+    _, e = math.frexp(max(abs(c) ** (1.0 / k) for k, c in enumerate(den) if k))  # rho = 2^e
+    den = [math.ldexp(c, -e * k) for k, c in enumerate(den)]
+    num = [math.ldexp(c, e * (m - j - n)) for j, c in enumerate(num)]
     a = np.zeros((n, n))
     a[0, :] = [-c for c in den[1:]]
     for i in range(1, n):
@@ -312,8 +329,8 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = a
     aug[:n, n:] = b
-    m = expm(aug * dt)
-    ad, bd = m[:n, :n], m[:n, n]
+    phi = _expm(aug * math.ldexp(dt, e))
+    ad, bd = phi[:n, :n], phi[:n, n]
     x = np.zeros(n)
     y = np.empty_like(t)
     y[0] = cvec @ x
@@ -321,6 +338,33 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
         x = ad @ x + bd
         y[i] = cvec @ x
     return y
+
+
+# Higham, "The scaling and squaring method for the matrix exponential revisited",
+# SIAM J. Matrix Anal. Appl. 26 (2005): degree-13 Pade coefficients b_0..b_13 and the
+# largest 1-norm theta_13 for which the approximant is accurate to double precision.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: degree-13 Pade approximant with scaling and squaring."""
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def gain_root_locus(

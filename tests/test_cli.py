@@ -458,6 +458,20 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, old, new, message", [
+    ("identify", "identify_env.cfg", "dt_s = 5e-5", "dt_s = 0.0", "configuration error: [scenario] dt must be > 0"),
+    ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = -1.0",
+     "configuration error: [phase] phase duration must be finite and >= 0, got -1.0"),
+], ids=["dt", "phase_duration"])
+def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
+    cfg = tmp_path / config
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [
     "delta0_c = 0.5, 3000.0, 500.0",        # outside the projection box
     "delta0_c = 0.5, 3000.0",               # wrong dimension

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfobkit
 from rfobkit.design import EnvClass
 from rfobkit.loop_model import (
     PhiPoly,
     Polynomial,
     RationalTf,
+    _expm,
     asymptote_angles,
     closed_loop_char_poly,
     closed_loop_force_tf,
@@ -282,6 +288,77 @@ def test_step_response_second_order_analytic():
     got = step_response(tf, t)
     want = 1.0 - (1.0 + w * t) * np.exp(-w * t)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_expm_closed_forms():
+    np.testing.assert_allclose(_expm(np.zeros((3, 3))), np.eye(3), rtol=0.0, atol=1e-15)
+    d = np.array([-3.0, 0.5, 2.0])
+    np.testing.assert_allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0.0)
+    lam = -0.7
+    jordan = lam * np.eye(3) + np.diag([1.0, 1.0], 1)
+    want = math.exp(lam) * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(_expm(jordan), want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("w", [1.0, 100.0])
+def test_expm_rotation(w):
+    want = np.array([[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]])
+    np.testing.assert_allclose(_expm(np.array([[0.0, w], [-w, 0.0]])), want, rtol=0.0, atol=1e-13)
+
+
+def test_expm_squaring_path_non_normal():
+    # 1-norm 240 >> theta_13, so the argument is halved and the result squared 6 times
+    a, b, c = 1.0, 200.0, 40.0
+    m = np.array([[-a, b], [0.0, -c]])
+    want = np.array([[math.exp(-a), b * (math.exp(-a) - math.exp(-c)) / (c - a)], [0.0, math.exp(-c)]])
+    np.testing.assert_allclose(_expm(m), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p, dt", [
+    ((10.0, 1e3, 3e4), 1e-3),
+    ((10.0, 1e3, 1e4, 5e4), 1e-3),
+    ((1.0, 50.0, 2e3, 4e4), 5e-4),
+    ((5.0, 200.0, 5e3, 1e5), 1e-4),
+])
+def test_step_response_stiff_partial_fractions(p, dt):
+    # H = prod(p_i) / prod(s + p_i): y = 1 + sum_i r_i exp(-p_i t),
+    # r_i = prod(p) / (-p_i * prod_{j != i} (p_j - p_i))
+    den = Polynomial.of(1.0)
+    for pi in p:
+        den = den.mul(Polynomial.of(1.0, pi))
+    tf = RationalTf(num=Polynomial.of(math.prod(p)), den=den)
+    t = np.arange(2001) * dt
+    want = np.ones_like(t)
+    for i, pi in enumerate(p):
+        r = math.prod(p) / (-pi * math.prod(pj - pi for j, pj in enumerate(p) if j != i))
+        want += r * np.exp(-pi * t)
+    assert np.max(np.abs(step_response(tf, t) - want)) < 1e-10
+
+
+def _run_python(code: str) -> str:
+    src = str(Path(rfobkit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _run_python("import sys, rfobkit.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+def test_step_response_runs_without_scipy():
+    out = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "import numpy as np\n"
+        "from rfobkit.design import EnvClass\n"
+        "from rfobkit.loop_model import closed_loop_force_tf, step_response\n"
+        "from rfobkit.plant import EnvImpedance\n"
+        "tf = closed_loop_force_tf(EnvClass.DAMPING_STIFFNESS, 3.02, 80.65, 0.03584, EnvImpedance(D_env=2.0, K_env=6500.0))\n"
+        "print(step_response(tf, np.linspace(0.0, 0.6, 601))[-1])\n"
+    )
+    assert float(out) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_gain_root_locus_poles_move():
