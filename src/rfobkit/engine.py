@@ -23,7 +23,7 @@ from .identify import (
     RlmsEstimator,
 )
 from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RfobConfig
-from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, contact_force, plant_accel
+from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign, contact_force, plant_accel
 
 
 class ControlMode(Enum):
@@ -206,6 +206,10 @@ class Scenario:
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a NaN limit would never trip divergence detection, and one <= 0 would trip it at step 0
+        check_sign(self, ">", "x_limit", "v_limit", "dist_limit")
         for i, p in enumerate(self.phases, 1):
             steps = p.duration / self.dt
             if abs(steps - round(steps)) > 1e-6:

@@ -28,28 +28,33 @@ class ContactMode(Enum):
 class RlmsEstimator:
     """Recursive least-squares with forgetting factor and box projection.
 
-    One update, with r = Gamma rho and k = r / (mu + rho' r):
-        delta    = clip(delta + k (u - rho' delta), bounds)
-        Gamma_ij = ((Gamma_ij - k_i r_j)/mu + (Gamma_ji - k_j r_i)/mu) / 2
+    Gamma is kept as U D U' (U unit upper-triangular, D diagonal) and updated
+    by Bierman's factored measurement update (Bierman 1977), with mu as the
+    measurement variance and D divided by mu:
+        f = U' rho;  h = D f;  a = mu
+        for each j:  a_prev = a;  a = a_prev + f_j h_j;  D_j = D_j a_prev / (a mu)
+                     b_j = h_j;  p = -f_j / a_prev
+                     for each i < j, from the old U_ij and b_i:
+                         U_ij = U_ij + b_i p;  b_i = b_i + U_ij h_j
+        delta = clip(delta + b ((u - rho' delta) / a), bounds)
+    On exit b = Gamma rho and a = mu + rho' Gamma rho, so this is the standard
+    update Gamma = (Gamma - b b' / a) / mu in factored form.  Each D_j stays
+    positive since a >= a_prev >= mu > 0: Gamma is positive definite by
+    construction, with no symmetrising and no periodic check.  Forgetting
+    still winds up: with mu < 1, the D_j of a direction the regressors do not
+    excite grows by 1/mu per update, as Gamma would, and nothing bounds it.
 
-    The estimate has 3 or 4 components in the simulator, where numpy's
-    per-call overhead would outweigh the arithmetic, so the state is plain
-    Python floats.  Written as loops, the update would spend most of its time
-    in the interpreter rather than in the arithmetic, so it runs as one
-    straight-line function per estimate dimension n, generated and compiled
-    on the first update of that n (see `_rlms_kernel`).  The generated code
-    must keep the operations and their order: every inner product is summed
-    left to right from 0.0 (never with `sum()`, which compensates its float
-    sums from Python 3.12 on), the terms of Gamma_ij are formed as written
-    above, reading Gamma_ji from the lower triangle, and the clip reads
-    `lo if v < lo else hi if v > hi else v`.  The loop form it replaced is
-    kept in the tests as a bit-for-bit reference.
-
-    The averaged form keeps Gamma exactly symmetric.  Every `pd_check_period`
-    steps a Cholesky factorisation checks that Gamma is still positive
-    definite; if rounding has broken that, Gamma is reset to the configured
-    initial diagonal and `reset_count` is incremented, so the estimator stays
-    alive.
+    The state is one flat float list: D_0 ... D_{n-1}, then the strict upper
+    part of U column by column (U_01, U_02, U_12, U_03, ...); it starts at
+    gamma0 on D and zeros in U.  With 3 or 4 components numpy's per-call
+    overhead would outweigh the arithmetic, and loops would spend the time in
+    the interpreter, so the update is one straight-line function per n,
+    generated and compiled on the first update of that n (`_rlms_kernel`).
+    It must keep the operations and their order: f_j = rho_j + U_0j rho_0 +
+    U_1j rho_1 + ..., the steps above as written, the innovation summed left
+    to right from 0.0 (never `sum()`, which compensates float sums from
+    Python 3.12 on) and the clip as `lo if v < lo else hi if v > hi else v`.
+    The tests keep the loop form as a bit-for-bit reference.
 
     `delta` and `Gamma` read as new numpy arrays: writing into them leaves
     the estimator unchanged.  `values` is the estimate as a tuple of floats.
@@ -62,7 +67,6 @@ class RlmsEstimator:
         bounds_max: np.ndarray,
         gamma0: float | np.ndarray = 1e4,
         mu: float = 0.999,
-        pd_check_period: int = 50,
     ):
         delta = np.array(delta0, dtype=float)
         lo = np.array(bounds_min, dtype=float)
@@ -77,7 +81,7 @@ class RlmsEstimator:
             raise ValueError("initial estimate lies outside the projection box")
         if not (0.0 < mu <= 1.0):
             raise ValueError(f"forgetting factor mu must be in (0, 1], got {mu}")
-        self.n = delta.size
+        n = self.n = delta.size
         self.mu = float(mu)
         gamma0_diag = np.broadcast_to(np.asarray(gamma0, dtype=float), delta.shape)
         if not np.all(gamma0_diag > 0.0):
@@ -85,15 +89,8 @@ class RlmsEstimator:
         self._delta = delta.tolist()
         self._lo = lo.tolist()
         self._hi = hi.tolist()
-        self._gamma0_diag = gamma0_diag.tolist()
-        self._G = self._initial_gamma()
-        self._pd_check_period = max(1, pd_check_period)
-        self._steps = 0
-        self.reset_count = 0
-
-    def _initial_gamma(self) -> list[list[float]]:
-        n = self.n
-        return [[g if i == j else 0.0 for j in range(n)] for i, g in enumerate(self._gamma0_diag)]
+        self._gamma0_max = float(gamma0_diag.max())
+        self._ud = gamma0_diag.tolist() + [0.0] * (n * (n - 1) // 2)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -105,7 +102,12 @@ class RlmsEstimator:
 
     @property
     def Gamma(self) -> np.ndarray:
-        return np.array(self._G)
+        """U D U' as a new, exactly symmetric array."""
+        n = self.n
+        Ut = np.eye(n)
+        Ut[np.tril_indices(n, -1)] = self._ud[n:]  # row by row below the diagonal of U' is U column by column
+        G = (Ut.T * self._ud[:n]) @ Ut
+        return (G + G.T) * 0.5
 
     def update(self, rho: Sequence[float] | np.ndarray, u: float) -> float:
         """One recursion step; returns the prediction error u - rho' delta."""
@@ -116,62 +118,58 @@ class RlmsEstimator:
             rho = rho.tolist()
         elif len(rho) != n:
             raise ValueError(f"regressor length {len(rho)} != estimate dimension {n}")
-        u = float(u)
-        if not (math.isfinite(u) and all(map(math.isfinite, rho))):
-            raise ValueError("non-finite regressor or measurement")
-        self._G, self._delta, innovation = _rlms_kernel(n)(
-            self._G, rho, self._delta, self._lo, self._hi, u, self.mu)
-        self._steps += 1
-        if self._steps % self._pd_check_period == 0:
-            self._guard_positive_definite()
+        self._ud, self._delta, innovation = self._kernel(
+            self._ud, rho, self._delta, self._lo, self._hi, float(u), self.mu)
         return innovation
 
-    def _guard_positive_definite(self) -> None:
-        G = self.Gamma
-        if np.all(np.isfinite(G)) and np.all(np.diag(G) > 0.0):
-            try:
-                np.linalg.cholesky(G)
-                return
-            except np.linalg.LinAlgError:
-                pass
-        self._G = self._initial_gamma()
-        self.reset_count += 1
+    def _kernel(self, *args):
+        # runs on the first update only: the compiled kernel then shadows this method on the instance
+        self._kernel = _rlms_kernel(self.n)
+        return self._kernel(*args)
 
     def covariance_contraction(self) -> np.ndarray:
         """Eigenvalues of Gamma divided by the initial diagonal scale (identifiability probe)."""
-        eig = np.linalg.eigvalsh(self.Gamma)
-        return eig / max(self._gamma0_diag)
+        return np.linalg.eigvalsh(self.Gamma) / self._gamma0_max
 
 
 @functools.cache
 def _rlms_kernel(n: int):
-    """The straight-line RLS update for estimate dimension n >= 1, compiled on first use.
+    """The straight-line UD update for estimate dimension n >= 1, compiled on first use.
 
-    `kernel(G, rho, d, lo, hi, u, mu)` returns the new Gamma rows, the new
-    estimate and the innovation; RlmsEstimator states the operations it keeps.
+    `kernel(ud, rho, d, lo, hi, u, mu)` raises ValueError on a non-finite u
+    or rho_i and otherwise returns the new UD state, the new estimate and the
+    innovation; RlmsEstimator states the operations it keeps.
     """
     ix = range(n)
 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in ix)
 
-    def dot(a: str, b: str) -> str:  # summed left to right from 0.0
-        return " + ".join(["0.0"] + [f"{a}{j} * {b}{j}" for j in ix])
-
-    lines = ["".join(f"({names(f'G{i}_')}), " for i in ix) + "= G"]
-    lines += [f"{names(v)}= {v}" for v in ("rho", "d", "lo", "hi")]
-    lines += [f"r{i} = {dot(f'G{i}_', 'rho')}" for i in ix]
-    lines += [f"denom = mu + ({dot('rho', 'r')})", f"innovation = u - ({dot('rho', 'd')})"]
+    upper = [(i, j) for j in ix for i in range(j)]  # the strict upper part of U, column by column
+    state = names("D") + "".join(f"U{i}_{j}, " for i, j in upper)
+    lines = [f"{names('rho')}= rho",
+             "if not (" + " and ".join(["isfinite(u)"] + [f"isfinite(rho{i})" for i in ix]) + "):",
+             "    raise ValueError('non-finite regressor or measurement')",
+             f"{state}= ud"]
+    lines += [f"{names(v)}= {v}" for v in ("d", "lo", "hi")]
+    lines += [f"f{j} = " + " + ".join([f"rho{j}"] + [f"U{i}_{j} * rho{i}" for i in range(j)]) for j in ix]
+    lines += [f"h{j} = D{j} * f{j}" for j in ix]
+    lines.append("a0 = mu")
+    for j in ix:
+        lines += [f"a{j + 1} = a{j} + f{j} * h{j}",
+                  f"D{j} = D{j} * a{j} / (a{j + 1} * mu)",
+                  f"b{j} = h{j}"]
+        if j:
+            lines.append(f"p = -f{j} / a{j}")
+        lines += [f"U{i}_{j}, b{i} = U{i}_{j} + b{i} * p, b{i} + U{i}_{j} * h{j}" for i in range(j)]
+    lines += ["innovation = u - (" + " + ".join(["0.0"] + [f"rho{j} * d{j}" for j in ix]) + ")",
+              f"g = innovation / a{n}"]
     for i in ix:
-        lines += [f"k{i} = r{i} / denom",
-                  f"v{i} = d{i} + k{i} * innovation",
+        lines += [f"v{i} = d{i} + b{i} * g",
                   f"d{i} = lo{i} if v{i} < lo{i} else hi{i} if v{i} > hi{i} else v{i}"]
-    lines += [f"g{i}_{j} = ((G{i}_{j} - k{i} * r{j}) / mu + (G{j}_{i} - k{j} * r{i}) / mu) * 0.5"
-              for i in ix for j in ix if j >= i]
-    rows = ", ".join("[" + ", ".join(f"g{min(i, j)}_{max(i, j)}" for j in ix) + "]" for i in ix)
-    lines.append(f"return [{rows}], [{names('d')}], innovation")
-    namespace: dict = {}
-    source = "def kernel(G, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
+    lines.append(f"return [{state}], [{names('d')}], innovation")
+    namespace: dict = {"isfinite": math.isfinite}
+    source = "def kernel(ud, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
     exec(compile(source, f"<rlms update n={n}>", "exec"), namespace)
     return namespace["kernel"]
 

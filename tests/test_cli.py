@@ -9,12 +9,15 @@ import pytest
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config, serialize_config
-from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult
+from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SIM_CFG = (CONFIGS / "sim_force_step.cfg").read_text()
 DESIGN_CFG = (CONFIGS / "design_combined.cfg").read_text()
+ENV_1S_CFG = (CONFIGS / "identify_env.cfg").read_text().replace("duration_s = 6.0", "duration_s = 1.0")
+ONLINE_CFG = ENV_1S_CFG.replace("velocity_filter = off", "velocity_filter = off\nadaptation = online\n"
+                                "redesign_period_steps = 200")
 
 
 def _sha256(path: Path) -> str:
@@ -309,6 +312,11 @@ def test_cmd_simulate_seed_without_scenario_section_is_config_error(tmp_path, ca
     assert "missing required section [scenario]" in capsys.readouterr().err
 
 
+def test_cmd_simulate_negative_seed_flag_is_config_error(capsys):
+    assert main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg"), "--seed", "-1"]) == EXIT_CONFIG
+    assert "configuration error: [scenario] seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cmd_simulate_missing_config_file():
     assert main(["simulate", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
 
@@ -322,13 +330,12 @@ def test_cmd_identify_plant(tmp_path, capsys):
     header = out.read_text().splitlines()[0].split(",")
     assert "delta_M_m_kg" in header and "innov_nc_N" in header
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "ea4b637f124d0009a640ed7dad4b2643efcb4dbfef3231fbbb1e6dfbae2124c0"
+    assert digest == "3760338e22ccbbce8499554654074d9a855d2d1622abaa4be24e08fe00934a70"
 
 
 def test_cmd_identify_env(tmp_path, capsys):
     cfg = tmp_path / "env.cfg"
-    cfg.write_text((CONFIGS / "identify_env.cfg").read_text()
-                   .replace("duration_s = 6.0", "duration_s = 1.0"))
+    cfg.write_text(ENV_1S_CFG)
     out = tmp_path / "trace.csv"
     code = main(["identify", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_OK
@@ -337,25 +344,34 @@ def test_cmd_identify_env(tmp_path, capsys):
     header = out.read_text().splitlines()[0].split(",")
     assert "delta_K_env_Npm" in header and "innov_c_N" in header
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "663e00bfdb501d7c598f918ac399e2c5f588f95ad04e4ba28555543e273961e4"
+    assert digest == "a0144ef1b3385b6b49f02d1d882ce948cdbd222b66572ad8caa7da7b953e6428"
     assert _sha256(tmp_path / "trace.csv.summary.json") == (
-        "fbfb6d4396fa38d2b530c992872715c0d2a1f5595257f488b67d2974eeee88ea")
+        "911adb84ecb44c1489dfb9e899833c9447aee34d1d02b39435b8ef088a6b0002")
 
 
 def test_cmd_identify_env_online_adaptation_is_pinned(tmp_path, capsys):
     """The 1 s identify_env twin with online redesign: RLS and observer retune together, 24 redesigns."""
     cfg = tmp_path / "online.cfg"
-    cfg.write_text((CONFIGS / "identify_env.cfg").read_text()
-                   .replace("duration_s = 6.0", "duration_s = 1.0")
-                   .replace("velocity_filter = off", "velocity_filter = off\nadaptation = online\n"
-                            "redesign_period_steps = 200"))
+    cfg.write_text(ONLINE_CFG)
     out = tmp_path / "trace.csv"
     assert main(["identify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
     assert sum(e["applied"] for e in summary["design_events"]) == 24
-    assert _sha256(out) == "3e16f8c1cd94e4a1eff66ec4e5ddd98c42803789f39bbfb6c41571dcac25c0c0"
+    assert _sha256(out) == "d5d63acdcf5b8266d7a37879ee1c6062533d8d4703b97fb1fa5951e39363ea8d"
     assert _sha256(tmp_path / "trace.csv.summary.json") == (
-        "4d2f5b39f8da7138bd7cb6f15f00c54b86a99d7d627ab30fd573216393f9a757")
+        "21bf149d16801309a23e318744bc6f16b81dfb4a96df3ac183c0af3ac46f9439")
+
+
+@pytest.mark.parametrize("text, estimate, pinned", [
+    ((CONFIGS / "identify_plant.cfg").read_text(), "final_delta_nc",
+     [0.8100128080551768, 11.999975407871736, 6.0000014901516625, 7.9499992753816064]),
+    (ENV_1S_CFG, "final_delta_c", [2.072061337504115, 6493.1331371109845, 0.005437037607614979]),
+    (ONLINE_CFG, "final_delta_c", [1.8627244524700999, 6494.1390415741, 0.004493665262087892]),
+], ids=["identify_plant", "identify_env_1s", "online_twin"])
+def test_identify_final_estimates_hold_across_rls_forms(text, estimate, pinned):
+    """The final estimates of the standard-form RLS update the UD form replaced, so a re-pin cannot hide a drift."""
+    res = run_scenario(build_scenario(parse_config(text)))
+    np.testing.assert_allclose(getattr(res, estimate), pinned, rtol=1e-9, atol=0.0)
 
 
 def test_cmd_identify_zero_truth_reports_absolute_error(tmp_path, capsys):
@@ -462,7 +478,17 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("identify", "identify_env.cfg", "dt_s = 5e-5", "dt_s = 0.0", "configuration error: [scenario] dt must be > 0"),
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = -1.0",
      "configuration error: [phase] phase duration must be finite and >= 0, got -1.0"),
-], ids=["dt", "phase_duration"])
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nseed = -1",
+     "configuration error: [scenario] seed must be >= 0, got -1"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nx_limit_m = nan",
+     "configuration error: [scenario] x_limit must be > 0, got nan"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nx_limit_m = -1.0",
+     "configuration error: [scenario] x_limit must be > 0, got -1.0"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nv_limit_m_per_s = 0.0",
+     "configuration error: [scenario] v_limit must be > 0, got 0.0"),
+    ("identify", "identify_env.cfg", "dt_s = 5e-5", "dt_s = 5e-5\ndist_limit_N = nan",
+     "configuration error: [scenario] dist_limit must be > 0, got nan"),
+], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     cfg = tmp_path / config
     text = (CONFIGS / config).read_text()
