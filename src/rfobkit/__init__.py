@@ -48,7 +48,6 @@ from .identify import (
 )
 from .loop_model import (
     PhiPoly,
-    Polynomial,
     RationalTf,
     RhpZeroReport,
     asymptote_angles,

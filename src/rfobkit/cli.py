@@ -101,14 +101,14 @@ def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance)
             result.w_n ** 2 * result.p,
         )
     max_rel = max(
-        abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved.coeffs, target)
+        abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved, target)
     )
     out = result.as_dict()
     out.update({
         "alpha": alpha,
         "g_dob": g_dob,
         "g_rfob": g_rfob,
-        "char_poly_achieved": list(achieved.coeffs),
+        "char_poly_achieved": list(achieved),
         "char_poly_target": list(target),
         "char_poly_max_rel_dev": max_rel,
     })
@@ -207,7 +207,7 @@ def cmd_analyze(args) -> int:
     bound = robustness_bound_check(ratios.alpha, dob.g_dob, dob.g_v)
     char = loop.closed_loop().den
     cl_poles: list[complex] | None = None
-    if char.degree <= 3:
+    if len(char) <= 4:
         cl_poles = poles(char)
     rep = {
         "alpha": ratios.alpha,

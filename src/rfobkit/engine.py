@@ -22,7 +22,7 @@ from .identify import (
     NonContactRegressorBank,
     RlmsEstimator,
 )
-from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RfobConfig
+from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RatioReport, RfobConfig
 from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign, contact_force, plant_accel
 
 
@@ -328,7 +328,7 @@ class Simulator:
         self.rfob = DisturbanceObserver(rfob.M_hat, rfob.K_F_hat, rfob.g_rfob, self.dt, rfob.friction, rfob.F_d_hat)
         self.vel_filter = FirstOrderLpf(dob.g_v, self.dt) if scenario.velocity_filter_on else None
         self.C_f = scenario.C_f
-        self.alpha_true = scenario.dob.M_mn * scenario.plant.K_F / (scenario.plant.M_m * scenario.dob.K_Fn)
+        self.alpha_true = RatioReport.from_configs(scenario.plant, dob, rfob).alpha
         self._mn_over_kfn = scenario.dob.M_mn / scenario.dob.K_Fn
         self.rng = np.random.default_rng(scenario.seed)
         self.design_events: list[DesignEvent] = []

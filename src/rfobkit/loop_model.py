@@ -9,108 +9,39 @@ angles, and pole computation for degrees up to three.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import EnvClass, solve_cubic, solve_quadratic
-from .observers import DobConfig, RfobConfig
+from .design import EnvClass, classify_environment, solve_cubic, solve_quadratic
+from .observers import DobConfig, RatioReport, RfobConfig
 from .plant import EnvImpedance, PlantParams
-
-_TRIM_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial, coefficients in descending degree, leading coefficient nonzero."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("empty coefficient list")
-
-    @classmethod
-    def of(cls, *coeffs: float) -> "Polynomial":
-        return cls._trim(tuple(float(c) for c in coeffs))
-
-    @classmethod
-    def _trim(cls, coeffs: tuple[float, ...]) -> "Polynomial":
-        top = max(abs(c) for c in coeffs) if coeffs else 0.0
-        i = 0
-        while i < len(coeffs) - 1 and abs(coeffs[i]) <= _TRIM_REL * top:
-            i += 1
-        return cls(coeffs=coeffs[i:])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coeffs:
-            acc = acc * s + c
-        return acc
-
-    def monic(self) -> "Polynomial":
-        lead = self.coeffs[0]
-        if lead == 0.0:
-            raise ValueError("cannot normalize: leading coefficient is zero")
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def scaled(self, c: float) -> "Polynomial":
-        if c == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        return Polynomial(tuple(c * x for x in self.coeffs))
-
-    def mul(self, other: "Polynomial") -> "Polynomial":
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = (0.0,) * (n - len(self.coeffs)) + self.coeffs
-        b = (0.0,) * (n - len(other.coeffs)) + other.coeffs
-        return Polynomial._trim(tuple(x + y for x, y in zip(a, b)))
-
-    def trailing_zeros(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            if c == 0.0:
-                n += 1
-            else:
-                break
-        return min(n, len(self.coeffs) - 1)
-
-    def shift_down(self, m: int) -> "Polynomial":
-        """Divide by s^m (requires m trailing zero coefficients)."""
-        if m == 0:
-            return self
-        if self.trailing_zeros() < m:
-            raise ValueError(f"polynomial has no s^{m} factor")
-        return Polynomial(self.coeffs[:-m])
 
 
 @dataclass(frozen=True)
 class RationalTf:
-    """Rational transfer function num(s) / den(s)."""
+    """Rational transfer function num(s) / den(s), coefficient tuples in descending degree."""
 
-    num: Polynomial
-    den: Polynomial
+    num: tuple[float, ...]
+    den: tuple[float, ...]
 
     @property
     def relative_degree(self) -> int:
-        return self.den.degree - self.num.degree
+        return len(self.den) - len(self.num)
 
     def __call__(self, s: complex) -> complex:
-        return self.num(s) / self.den(s)
+        return complex(np.polyval(self.num, s) / np.polyval(self.den, s))
 
     def closed_loop(self) -> "RationalTf":
         """Unity negative feedback: L / (1 + L)."""
-        return RationalTf(num=self.num, den=self.den.add(self.num))
+        pad = (0.0,) * (len(self.den) - len(self.num))
+        return RationalTf(num=self.num, den=tuple(a + b for a, b in zip(self.den, pad + self.num)))
+
+
+def _times_first_order(p: tuple[float, ...], g: float) -> tuple[float, ...]:
+    """p(s) * (s + g)."""
+    return tuple(a + g * b for a, b in zip(p + (0.0,), (0.0,) + p))
 
 
 @dataclass(frozen=True)
@@ -134,8 +65,17 @@ class PhiPoly:
             c0=rfob.K_F_hat * env.K_env,
         )
 
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial.of(self.c2, self.c1, self.c0)
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """(c2, c1, c0) without leading zeros.
+
+        c2 counts as zero below 1e-12 of the largest coefficient: at beta = alpha
+        it cancels only up to rounding.
+        """
+        c = (self.c2, self.c1, self.c0)
+        if abs(self.c2) <= 1e-12 * max(abs(self.c1), abs(self.c0)):
+            c = c[1:]
+        return c[1:] if c[0] == 0.0 else c
 
 
 def open_loop_general(
@@ -158,16 +98,15 @@ def open_loop_general(
         raise ValueError("environment has neither damping nor stiffness: no force loop exists")
     if C_f <= 0.0:
         raise ValueError(f"C_f must be > 0, got {C_f}")
-    alpha = dob.M_mn * pp.K_F / (pp.M_m * dob.K_Fn)
-    inner = Polynomial.of(pp.M_m, pp.M_m * alpha * dob.g_dob + env.D_env, env.K_env)
-    den = Polynomial.of(1.0, 0.0).mul(inner)
-    phi = PhiPoly.from_params(pp, rfob, env).as_polynomial()
-    num = phi.scaled(C_f * rfob.g_rfob * dob.M_mn / dob.K_Fn)
+    alpha = RatioReport.from_configs(pp, dob, rfob).alpha
+    den = (pp.M_m, pp.M_m * alpha * dob.g_dob + env.D_env, env.K_env, 0.0)
+    gain = C_f * rfob.g_rfob * dob.M_mn / dob.K_Fn
+    num = tuple(gain * c for c in PhiPoly.from_params(pp, rfob, env).coeffs)
     if dob.g_dob != rfob.g_rfob:
-        num = num.mul(Polynomial.of(1.0, dob.g_dob))
-        den = den.mul(Polynomial.of(1.0, rfob.g_rfob))
-    m = min(num.trailing_zeros(), den.trailing_zeros())
-    return RationalTf(num=num.shift_down(m), den=den.shift_down(m))
+        num, den = _times_first_order(num, dob.g_dob), _times_first_order(den, rfob.g_rfob)
+    if env.K_env == 0.0:
+        num, den = num[:-1], den[:-1]
+    return RationalTf(num=num, den=den)
 
 
 def closed_loop_char_poly(
@@ -176,20 +115,17 @@ def closed_loop_char_poly(
     alpha_g: float,
     C_f: float,
     env: EnvImpedance,
-) -> Polynomial:
+) -> tuple[float, ...]:
     """Monic closed-loop characteristic polynomial of the force loop.
 
-    damping:            s^2 + (alpha_g + D/M) s + C_f*alpha_g*D
-    stiffness:          s^3 + alpha_g s^2 + (K/M) s + alpha_g*C_f*K
-    damping+stiffness:  s^3 + (alpha_g + D/M) s^2 + (C_f*alpha_g*D + K/M) s + C_f*alpha_g*K
+    s^3 + (alpha_g + D/M) s^2 + (C_f*alpha_g*D + K/M) s + C_f*alpha_g*K,
+    divided by s in the pure-damping case (K = 0).
     """
-    _check_case_env(case, env)
-    d, k = env.D_env, env.K_env
-    if case is EnvClass.PURE_DAMPING:
-        return Polynomial.of(1.0, alpha_g + d / M_m, C_f * alpha_g * d)
-    if case is EnvClass.PURE_STIFFNESS:
-        return Polynomial.of(1.0, alpha_g, k / M_m, alpha_g * C_f * k)
-    return Polynomial.of(1.0, alpha_g + d / M_m, C_f * alpha_g * d + k / M_m, C_f * alpha_g * k)
+    if classify_environment(env) is not case:
+        raise ValueError(f"{case.value} case does not match D_env = {env.D_env:g}, K_env = {env.K_env:g}")
+    c = C_f * alpha_g
+    p = (1.0, alpha_g + env.D_env / M_m, c * env.D_env + env.K_env / M_m, c * env.K_env)
+    return p[:-1] if case is EnvClass.PURE_DAMPING else p
 
 
 def closed_loop_force_tf(
@@ -199,38 +135,31 @@ def closed_loop_force_tf(
     C_f: float,
     env: EnvImpedance,
 ) -> RationalTf:
-    """Closed-loop transfer from force reference to estimated load force (unit DC gain)."""
-    den = closed_loop_char_poly(case, M_m, alpha_g, C_f, env)
-    d, k = env.D_env, env.K_env
+    """Closed-loop transfer from force reference to estimated load force (unit DC gain).
+
+    The numerator is C_f*alpha_g*(D s + K), without the zero term of a pure case.
+    """
+    c = C_f * alpha_g
+    num = (c * env.D_env, c * env.K_env)
     if case is EnvClass.PURE_DAMPING:
-        num = Polynomial.of(C_f * alpha_g * d)
+        num = num[:1]
     elif case is EnvClass.PURE_STIFFNESS:
-        num = Polynomial.of(alpha_g * C_f * k)
-    else:
-        num = Polynomial.of(C_f * alpha_g * d, C_f * alpha_g * k)
-    return RationalTf(num=num, den=den)
+        num = num[1:]
+    return RationalTf(num=num, den=closed_loop_char_poly(case, M_m, alpha_g, C_f, env))
 
 
-def _check_case_env(case: EnvClass, env: EnvImpedance) -> None:
-    if case is EnvClass.PURE_DAMPING and not (env.D_env > 0.0 and env.K_env == 0.0):
-        raise ValueError("pure-damping case requires D_env > 0 and K_env == 0")
-    if case is EnvClass.PURE_STIFFNESS and not (env.K_env > 0.0 and env.D_env == 0.0):
-        raise ValueError("pure-stiffness case requires K_env > 0 and D_env == 0")
-    if case is EnvClass.DAMPING_STIFFNESS and not (env.D_env > 0.0 and env.K_env > 0.0):
-        raise ValueError("combined case requires both D_env > 0 and K_env > 0")
-
-
-def poles(p: Polynomial) -> list[complex]:
-    """Roots of a degree 1..3 polynomial via the analytic formulas."""
-    c = p.coeffs
-    deg = p.degree
-    if deg == 1:
+def poles(coeffs: Sequence[float]) -> list[complex]:
+    """Roots of a degree 0..3 polynomial (descending coefficients) via the analytic formulas."""
+    c = tuple(coeffs)
+    if len(c) == 1:
+        return []
+    if len(c) == 2:
         return [complex(-c[1] / c[0])]
-    if deg == 2:
-        return list(solve_quadratic(c[0], c[1], c[2]))
-    if deg == 3:
-        return list(solve_cubic(c[0], c[1], c[2], c[3]).roots)
-    raise ValueError(f"degree {deg} unsupported: analytic pole computation covers degrees 1..3")
+    if len(c) == 3:
+        return list(solve_quadratic(*c))
+    if len(c) == 4:
+        return list(solve_cubic(*c).roots)
+    raise ValueError(f"degree {len(c) - 1} unsupported: analytic pole computation covers degrees 0..3")
 
 
 def asymptote_angles(tf: RationalTf) -> tuple[float, ...]:
@@ -265,12 +194,7 @@ def rhp_zero_check(phi: PhiPoly) -> RhpZeroReport:
     Roots on the imaginary axis (within tolerance) are reported as marginal,
     not as right-half-plane.
     """
-    if phi.c2 != 0.0 and abs(phi.c2) > _TRIM_REL * max(abs(phi.c1), abs(phi.c0), abs(phi.c2)):
-        roots = solve_quadratic(phi.c2, phi.c1, phi.c0)
-    elif phi.c1 != 0.0:
-        roots = (complex(-phi.c0 / phi.c1),)
-    else:
-        roots = ()
+    roots = poles(phi.coeffs)
     has_rhp = False
     marginal = False
     for r in roots:
@@ -310,9 +234,9 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
         raise ValueError("time grid must be uniform")
     if tf.relative_degree < 1:
         raise ValueError("step response requires a strictly proper transfer function")
-    den = tf.den.monic().coeffs
-    lead = tf.den.coeffs[0]
-    num = tuple(c / lead for c in tf.num.coeffs)
+    lead = tf.den[0]
+    den = tuple(c / lead for c in tf.den)
+    num = tuple(c / lead for c in tf.num)
     n = len(den) - 1
     m = len(num) - 1
     _, e = math.frexp(max(abs(c) ** (1.0 / k) for k, c in enumerate(den) if k))  # rho = 2^e

@@ -41,7 +41,7 @@ def _placement_dev(r: rk.DesignResult, M: float, D: float, K: float) -> float:
         EnvClass.PURE_STIFFNESS: rk.EnvImpedance(K_env=K),
         EnvClass.DAMPING_STIFFNESS: rk.EnvImpedance(D_env=D, K_env=K),
     }[r.case]
-    achieved = closed_loop_char_poly(r.case, M, r.alpha_g, r.C_f, env).coeffs
+    achieved = closed_loop_char_poly(r.case, M, r.alpha_g, r.C_f, env)
     target = _target_coeffs(r)
     return max(abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved, target))
 

@@ -245,6 +245,42 @@ def test_cmd_analyze_perfect_identification(tmp_path, capsys):
     assert _sha256(out) == "10a7188b615c7b866dde12ea1ec2a7425b6b737ae181a2e474bda2db7305aae7"
 
 
+def test_cmd_design_keeps_leading_coefficient_of_stiff_damping_loop(tmp_path):
+    # the achieved polynomial spans 13 decades: s^2 + 5.0e6 s + 1.25e13
+    cfg = tmp_path / "stiff_damping.cfg"
+    cfg.write_text("[plant]\nM_m_kg = 1.0\n[environment]\nD_env_Ns_per_m = 1000.0\n"
+                   "[dob]\ng_v_rad_per_s = 1e7\n[design]\ncase = auto\n")
+    out = tmp_path / "design.json"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert len(rep["char_poly_achieved"]) == 3
+    assert rep["char_poly_max_rel_dev"] <= 1e-9
+
+
+def test_cmd_analyze_lists_every_pole_of_a_stiff_unstable_loop(tmp_path, capsys):
+    m, g, k, c_f, k_f = 3.02, 500.0, 1e8, 50.0, 0.5
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(
+        f"[plant]\nM_m_kg = {m}\nK_F_N_per_A = {k_f}\n[environment]\nK_env_N_per_m = {k}\n"
+        f"[dob]\nM_mn_kg = {m}\nK_Fn_N_per_A = {k_f}\ng_dob_rad_per_s = {g}\ng_v_rad_per_s = 1000.0\n"
+        f"[rfob]\nM_hat_kg = {m}\nK_F_hat_N_per_A = {k_f}\ng_rfob_rad_per_s = {g}\n"
+        f"[scenario]\ndt_s = 1e-4\nC_f = {c_f}\n"
+    )
+    out = tmp_path / "stiff.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    # s (M s^2 + M alpha g s + K) + (C_f g M_mn / K_Fn) phi(s), with phi = K_F_hat K at M_hat = M_m
+    char = np.polyadd(np.polymul([1.0, 0.0], [m, m * g, k]), [c_f * g * m / k_f * k_f * k])
+    want = sorted((complex(z) for z in np.roots(char)), key=lambda z: (z.real, z.imag))
+    got = sorted((complex(re, im) for re, im in rep["closed_loop_poles"]), key=lambda z: (z.real, z.imag))
+    assert len(got) == 3
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-6 * abs(b)
+    assert want[-1].real > 0.0
+    assert rep["closed_loop_stable"] is False
+    assert "closed-loop stable: False" in capsys.readouterr().out
+
+
 def test_cmd_simulate_writes_csv_and_summary(tmp_path):
     out = tmp_path / "run.csv"
     code = main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", str(out)])

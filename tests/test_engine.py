@@ -44,7 +44,7 @@ def test_controllers():
 
 def test_position_gains_stable_on_nominalized_plant():
     # default gains close a stable loop around the nominalized double integrator
-    pls = rk.poles(rk.Polynomial.of(1.0, 90.0, 1200.0))
+    pls = rk.poles((1.0, 90.0, 1200.0))
     assert all(z.real < 0 for z in pls)
 
 

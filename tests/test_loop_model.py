@@ -11,7 +11,6 @@ import rfobkit
 from rfobkit.design import EnvClass
 from rfobkit.loop_model import (
     PhiPoly,
-    Polynomial,
     RationalTf,
     _expm,
     asymptote_angles,
@@ -39,29 +38,17 @@ def rfob(M_hat=3.02, K_hat=0.5, g=500.0):
 
 
 # ---------------------------------------------------------------------------
-# polynomial plumbing
+# poles
 # ---------------------------------------------------------------------------
 
-def test_polynomial_mul_add():
-    p = Polynomial.of(1.0, 2.0).mul(Polynomial.of(1.0, 3.0))
-    assert p.coeffs == (1.0, 5.0, 6.0)
-    q = p.add(Polynomial.of(1.0, 0.0, 0.0))
-    assert q.coeffs == (2.0, 5.0, 6.0)
-
-
-def test_polynomial_eval_and_monic():
-    p = Polynomial.of(2.0, -4.0, 2.0)
-    assert p(1.0) == 0.0
-    assert p.monic().coeffs == (1.0, -2.0, 1.0)
-
-
 def test_poles_simple():
-    assert poles(Polynomial.of(1.0, 2.0, 1.0)) == pytest.approx([-1.0, -1.0])
-    got = sorted(z.real for z in poles(Polynomial.of(1.0, -6.0, 11.0, -6.0)))
+    assert poles((1.0, 2.0, 1.0)) == pytest.approx([-1.0, -1.0])
+    got = sorted(z.real for z in poles((1.0, -6.0, 11.0, -6.0)))
     assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
-    assert poles(Polynomial.of(2.0, 4.0)) == [pytest.approx(-2.0)]
+    assert poles((2.0, 4.0)) == [pytest.approx(-2.0)]
+    assert poles((5.0,)) == []
     with pytest.raises(ValueError):
-        poles(Polynomial.of(1.0, 0.0, 0.0, 0.0, 1.0))
+        poles((1.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def test_poles_random_cubic_vs_companion():
@@ -69,16 +56,16 @@ def test_poles_random_cubic_vs_companion():
     for _ in range(200):
         c = rng.uniform(-2.0, 2.0, size=4)
         c[0] = c[0] if abs(c[0]) > 0.3 else 1.0
-        mine = sorted(poles(Polynomial.of(*c)), key=lambda z: (z.real, z.imag))
+        mine = sorted(poles(c), key=lambda z: (z.real, z.imag))
         ref = sorted((complex(z) for z in np.roots(c)), key=lambda z: (z.real, z.imag))
         for a, b in zip(mine, ref):
             assert abs(a - b) < 1e-8
 
 
 def test_poles_invariant_under_scaling():
-    p = Polynomial.of(1.0, 4.0, 5.0, 6.0)
+    p = (1.0, 4.0, 5.0, 6.0)
     r1 = sorted(poles(p), key=lambda z: (z.real, z.imag))
-    r2 = sorted(poles(p.scaled(37.5)), key=lambda z: (z.real, z.imag))
+    r2 = sorted(poles(tuple(37.5 * c for c in p)), key=lambda z: (z.real, z.imag))
     for a, b in zip(r1, r2):
         assert abs(a - b) < 1e-9
 
@@ -90,9 +77,9 @@ def test_poles_invariant_under_scaling():
 def test_char_poly_damping_reference():
     env = EnvImpedance(D_env=2.0)
     p = closed_loop_char_poly(EnvClass.PURE_DAMPING, 0.81, 500.0, 126.24, env)
-    assert p.coeffs[0] == 1.0
-    assert p.coeffs[1] == pytest.approx(502.469, rel=1e-5)
-    assert p.coeffs[2] == pytest.approx(126240.0, rel=1e-4)
+    assert p[0] == 1.0
+    assert p[1] == pytest.approx(502.469, rel=1e-5)
+    assert p[2] == pytest.approx(126240.0, rel=1e-4)
 
 
 def test_char_poly_stiffness_cf_zero_limit():
@@ -150,7 +137,7 @@ def test_open_loop_single_origin_pole():
     for env in (ENV, EnvImpedance(D_env=2.0), EnvImpedance(K_env=6500.0)):
         for m_hat in (3.02, 4.0):
             L = open_loop_general(PP, dob(), rfob(M_hat=m_hat), env, C_f=1.0)
-            den = L.den.coeffs
+            den = L.den
             assert den[-1] == 0.0 and den[-2] != 0.0  # exactly one integrator
 
 
@@ -175,8 +162,8 @@ def test_closed_loop_from_open_matches_char_poly():
     L = open_loop_general(PP, dob(g=80.0), rfob(g=80.0), ENV, C_f=0.05)
     cl = L.closed_loop()
     char = closed_loop_char_poly(EnvClass.DAMPING_STIFFNESS, 3.02, alpha * 80.0, 0.05, ENV)
-    got = cl.den.monic().coeffs
-    want = char.coeffs
+    got = tuple(c / cl.den[0] for c in cl.den)
+    want = char
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a == pytest.approx(b, rel=1e-9)
@@ -233,20 +220,20 @@ def test_rhp_zero_safe_region_random():
 # ---------------------------------------------------------------------------
 
 def test_asymptote_angles_general():
-    tf1 = RationalTf(num=Polynomial.of(1.0), den=Polynomial.of(1.0, 1.0))
+    tf1 = RationalTf(num=(1.0,), den=(1.0, 1.0))
     assert asymptote_angles(tf1) == (180.0,)
-    tf2 = RationalTf(num=Polynomial.of(1.0), den=Polynomial.of(1.0, 1.0, 1.0))
+    tf2 = RationalTf(num=(1.0,), den=(1.0, 1.0, 1.0))
     assert asymptote_angles(tf2) == (-90.0, 90.0)
-    improper = RationalTf(num=Polynomial.of(1.0, 0.0, 0.0), den=Polynomial.of(1.0, 1.0))
+    improper = RationalTf(num=(1.0, 0.0, 0.0), den=(1.0, 1.0))
     with pytest.raises(ValueError):
         asymptote_angles(improper)
 
 
 def _rk4_step_response(tf: RationalTf, t: np.ndarray, substeps: int = 60) -> np.ndarray:
     """Independent oracle: dense RK4 on the controllable canonical realization."""
-    den = tf.den.monic().coeffs
-    lead = tf.den.coeffs[0]
-    num = tuple(c / lead for c in tf.num.coeffs)
+    lead = tf.den[0]
+    den = tuple(c / lead for c in tf.den)
+    num = tuple(c / lead for c in tf.num)
     n = len(den) - 1
     A = np.zeros((n, n))
     A[0, :] = [-c for c in den[1:]]
@@ -283,7 +270,7 @@ def test_step_response_matches_rk4_oracle():
 def test_step_response_second_order_analytic():
     # critically damped (s + w)^2 with unit DC gain: y = 1 - (1 + w t) e^{-w t}
     w = 30.0
-    tf = RationalTf(num=Polynomial.of(w * w), den=Polynomial.of(1.0, 2.0 * w, w * w))
+    tf = RationalTf(num=(w * w,), den=(1.0, 2.0 * w, w * w))
     t = np.linspace(0.0, 0.5, 256)
     got = step_response(tf, t)
     want = 1.0 - (1.0 + w * t) * np.exp(-w * t)
@@ -323,10 +310,10 @@ def test_expm_squaring_path_non_normal():
 def test_step_response_stiff_partial_fractions(p, dt):
     # H = prod(p_i) / prod(s + p_i): y = 1 + sum_i r_i exp(-p_i t),
     # r_i = prod(p) / (-p_i * prod_{j != i} (p_j - p_i))
-    den = Polynomial.of(1.0)
+    den = (1.0,)
     for pi in p:
-        den = den.mul(Polynomial.of(1.0, pi))
-    tf = RationalTf(num=Polynomial.of(math.prod(p)), den=den)
+        den = tuple(np.polymul(den, (1.0, pi)))
+    tf = RationalTf(num=(math.prod(p),), den=den)
     t = np.arange(2001) * dt
     want = np.ones_like(t)
     for i, pi in enumerate(p):
@@ -369,3 +356,16 @@ def test_gain_root_locus_poles_move():
         assert len(pls) == 3
     with pytest.raises(ValueError):
         gain_root_locus(PP, dob(g=100.0), rfob(g=200.0), ENV, gains)
+
+
+def test_gain_root_locus_keeps_the_leading_coefficient_of_a_stiff_loop():
+    # the loop constant 7.55e12 exceeds 1e12 * M_m; all three poles stay, two of them unstable
+    env = EnvImpedance(K_env=1e8)
+    [(_, pls)] = gain_root_locus(PP, dob(), rfob(), env, np.array([50.0]))
+    char = np.polyadd(np.polymul([1.0, 0.0], [3.02, 3.02 * 500.0, 1e8]), [50.0 * 500.0 * 3.02 / 0.5 * 0.5 * 1e8])
+    want = sorted((complex(z) for z in np.roots(char)), key=lambda z: (z.real, z.imag))
+    got = sorted(pls, key=lambda z: (z.real, z.imag))
+    assert len(got) == 3
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-6 * abs(b)
+    assert sum(z.real > 0.0 for z in got) == 2
