@@ -89,7 +89,7 @@ def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
 
 def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance) -> dict:
     alpha = cfgmod.build_design_alpha(doc)
-    g_dob, g_rfob = split_alpha_g(result, alpha)
+    g = split_alpha_g(result, alpha)
     achieved = closed_loop_char_poly(result.case, doc.get("plant", "M_m_kg"), result.alpha_g, result.C_f, env)
     if result.case is EnvClass.PURE_DAMPING:
         target = (1.0, 2.0 * result.xi * result.w_n, result.w_n ** 2)
@@ -106,8 +106,8 @@ def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance)
     out = result.as_dict()
     out.update({
         "alpha": alpha,
-        "g_dob": g_dob,
-        "g_rfob": g_rfob,
+        "g_dob": g,
+        "g_rfob": g,
         "char_poly_achieved": list(achieved),
         "char_poly_target": list(target),
         "char_poly_max_rel_dev": max_rel,

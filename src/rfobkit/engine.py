@@ -335,8 +335,9 @@ class Simulator:
 
         ident = scenario.ident
         self.detector, self.est_nc, self.est_c = ident.build_estimators()
-        self.bank_nc: NonContactRegressorBank | None = None
-        self.bank_c: ContactRegressorBank | None = None
+        self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
+                                               scenario.friction.eps) if ident.enable_plant else None
+        self.bank_c = ContactRegressorBank(self.rfob.lpf) if ident.enable_env else None
 
         # measurement available at t_0
         self._xdot_meas = scenario.v0 + (
@@ -346,13 +347,6 @@ class Simulator:
 
         if scenario.adaptation.mode is AdaptationMode.OFFLINE:
             self._apply_design(0.0, scenario.env, scenario.rfob.M_hat)
-
-        if ident.enable_plant:
-            self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
-                                                   scenario.friction.eps)
-        if ident.enable_env:
-            # the live cutoff: an offline design above may already have retuned the RFOB
-            self.bank_c = ContactRegressorBank(self.rfob.lpf.g, self.dt)
 
         # phase schedule in steps
         self.n_steps = int(round(scenario.duration / self.dt))
@@ -436,7 +430,7 @@ class Simulator:
             result = design_for_env(m_design, env, self.sc.dob.g_v, ad.spec_a, ad.spec_b, ad.spec_c)
             if not result.feasible:
                 raise InfeasibleDesignError("design degenerate", "; ".join(result.notes))
-            g, _ = split_alpha_g(result, ad.design_alpha)
+            g = split_alpha_g(result, ad.design_alpha)
             if g * self.dt >= 0.5:
                 raise InfeasibleDesignError("designed cutoff too fast for the sample time",
                                             f"g*dt = {g * self.dt:g}")
@@ -449,8 +443,6 @@ class Simulator:
         self.C_f = result.C_f
         self.dob.retune(g, self._xdot_f)
         self.rfob.retune(g, self._xdot_f)
-        if self.bank_c is not None:
-            self.bank_c.retune(g)
         self.design_events.append(
             DesignEvent(t=t, applied=True, alpha_g=result.alpha_g, C_f=result.C_f, g=g)
         )

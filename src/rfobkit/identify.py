@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .observers import lpf_pole
+from .observers import FirstOrderLpf, lpf_pole
 from .plant import smooth_sign
 
 
@@ -215,30 +215,27 @@ class NonContactRegressorBank:
 
 
 class ContactRegressorBank:
-    """Filters the contact regressor columns with the observer's own low-pass.
+    """Filters the contact regressor columns through the observer's own low-pass.
 
     The regression is u = F_load_hat against [xdot, x, 1]; with
     delta = [D_env, K_env, offset] the constant column absorbs
     -(D_env*xdot_env + K_env*x_env).  The measured load estimate is already a
     low-passed version of the true contact force, so running the columns
-    through the matching filter keeps the regression consistent.
+    through the matching filter keeps the regression consistent.  The bank
+    reads the pole of `lpf`, the RFOB's filter, on every step, so a retune of
+    the observer carries over without a second copy of the cutoff.
     """
 
-    def __init__(self, g_filter: float, dt: float):
-        self._c = lpf_pole(g_filter, dt)
-        self.dt = dt
+    def __init__(self, lpf: FirstOrderLpf):
+        self.lpf = lpf
         self._f = (0.0, 0.0, 0.0)  # filtered [xdot, x, 1]
 
     def step(self, F_load_hat: float, xdot: float, x: float) -> tuple[float, tuple[float, float, float]]:
-        c = self._c
+        c = self.lpf.c
         b = 1.0 - c
         f_v, f_x, f_1 = self._f
         self._f = (c * f_v + b * xdot, c * f_x + b * x, c * f_1 + b)
         return F_load_hat, self._f
-
-    def retune(self, g_filter: float) -> None:
-        """Track an observer cutoff change; the filter state carries over."""
-        self._c = lpf_pole(g_filter, self.dt)
 
 
 class ContactDetector:

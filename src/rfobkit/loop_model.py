@@ -59,22 +59,25 @@ class PhiPoly:
 
     @classmethod
     def from_params(cls, pp: PlantParams, rfob: RfobConfig, env: EnvImpedance) -> "PhiPoly":
+        """phi of the given models; c2 is 0 within 1e-12 of its two products.
+
+        At beta = alpha the products M_m*K_F_hat and M_hat*K_F cancel only up to
+        rounding, so their difference is judged against the products, never
+        against c1 or c0: a stiff environment makes c0 large enough to hide a
+        real mismatch.
+        """
+        a, b = pp.M_m * rfob.K_F_hat, rfob.M_hat * pp.K_F
         return cls(
-            c2=pp.M_m * rfob.K_F_hat - rfob.M_hat * pp.K_F,
+            c2=a - b if abs(a - b) > 1e-12 * (abs(a) + abs(b)) else 0.0,
             c1=rfob.K_F_hat * env.D_env,
             c0=rfob.K_F_hat * env.K_env,
         )
 
     @property
     def coeffs(self) -> tuple[float, ...]:
-        """(c2, c1, c0) without leading zeros.
-
-        c2 counts as zero below 1e-12 of the largest coefficient: at beta = alpha
-        it cancels only up to rounding.
-        """
+        """(c2, c1, c0) without leading zeros."""
         c = (self.c2, self.c1, self.c0)
-        if abs(self.c2) <= 1e-12 * max(abs(self.c1), abs(self.c0)):
-            c = c[1:]
+        c = c[1:] if c[0] == 0.0 else c
         return c[1:] if c[0] == 0.0 else c
 
 

@@ -68,24 +68,24 @@ class FirstOrderLpf:
     """First-order low-pass g/(s+g), discretized with pole exp(-g*dt)."""
 
     def __init__(self, g: float, dt: float, y0: float = 0.0):
-        self._c = lpf_pole(g, dt)
+        self.c = lpf_pole(g, dt)
         self.g = g
         self.dt = dt
         self.y = y0
 
     def step(self, u: float) -> float:
-        self.y = self._c * self.y + (1.0 - self._c) * u
+        self.y = self.c * self.y + (1.0 - self.c) * u
         return self.y
 
     def retune(self, g: float) -> None:
         """Change the cutoff without disturbing the filter state."""
-        self._c = lpf_pole(g, self.dt)
+        self.c = lpf_pole(g, self.dt)
         self.g = g
 
     def freq_response(self, omega: np.ndarray) -> np.ndarray:
         """Discrete frequency response at angular frequencies omega (rad/s)."""
         z = np.exp(1j * np.asarray(omega, dtype=float) * self.dt)
-        return (1.0 - self._c) * z / (z - self._c)
+        return (1.0 - self.c) * z / (z - self.c)
 
 
 class DisturbanceObserver:
@@ -166,8 +166,6 @@ class BoundCheck:
 
     passed: bool
     margin: float
-    alpha_g: float
-    limit: float
 
 
 def robustness_bound_check(alpha: float, g_dob: float, g_v: float) -> BoundCheck:
@@ -176,8 +174,7 @@ def robustness_bound_check(alpha: float, g_dob: float, g_v: float) -> BoundCheck
         raise ValueError("alpha, g_dob and g_v must all be > 0")
     alpha_g = alpha * g_dob
     limit = 0.5 * g_v
-    margin = limit - alpha_g
-    return BoundCheck(passed=alpha_g <= limit, margin=margin, alpha_g=alpha_g, limit=limit)
+    return BoundCheck(passed=alpha_g <= limit, margin=limit - alpha_g)
 
 
 @dataclass(frozen=True)

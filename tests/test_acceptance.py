@@ -92,7 +92,7 @@ def test_criterion_2_bandwidth_bound_over_stiffness_sweep():
         rb = rk.design_stiffness(M, float(K), g_v)
         rc = rk.design_damping_stiffness(M, D, float(K), g_v)
         for r in (rb, rc):
-            g = rk.split_alpha_g(r, alpha)[0]
+            g = rk.split_alpha_g(r, alpha)
             check = rk.robustness_bound_check(alpha, g, g_v)
             all_ok = all_ok and r.alpha_g <= 500.0 and check.passed
             worst_margin = min(worst_margin, 500.0 - r.alpha_g)
@@ -152,7 +152,7 @@ def test_criterion_3_cubic_solver_vs_companion_oracle():
 
 def _linear_step_scenario(dt: float, duration: float = 0.5):
     des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
-    g = rk.split_alpha_g(des, 1.0)[0]
+    g = rk.split_alpha_g(des, 1.0)
     sc = rk.Scenario(
         plant=rk.PlantParams(M_m=3.02, K_F=0.5),
         friction=rk.FrictionParams(),

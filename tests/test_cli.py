@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,42 @@ def test_cmd_analyze_lists_every_pole_of_a_stiff_unstable_loop(tmp_path, capsys)
     assert want[-1].real > 0.0
     assert rep["closed_loop_stable"] is False
     assert "closed-loop stable: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("plant_and_env", [
+    "M_m_kg = 6.69\n[environment]\nD_env_Ns_per_m = 788.9",
+    "M_m_kg = 2.0\n[environment]\nK_env_N_per_m = 2e5",
+], ids=["damping", "stiffness"])
+def test_cmd_design_accepts_a_design_on_the_bandwidth_bound(tmp_path, plant_and_env):
+    # both designs put alpha_g on g_v/2 = 500 rad/s, one rounding step above it
+    cfg = tmp_path / "on_bound.cfg"
+    cfg.write_text(f"[plant]\n{plant_and_env}\n[dob]\ng_v_rad_per_s = 1000.0\n[design]\ncase = auto\n")
+    out = tmp_path / "design.json"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["g_dob"] == rep["g_rfob"] == rep["alpha_g"] / rep["alpha"]
+    assert rep["alpha_g"] == pytest.approx(500.0, rel=1e-15)
+
+
+def test_cmd_analyze_reports_the_mismatch_zero_of_a_stiff_environment(tmp_path, capsys):
+    # phi = (M_m K_F_hat - M_hat K_F) s^2 + K_F_hat K = -2.5e-5 s^2 + 5e7: the leading
+    # coefficient is 1e-12 of the constant one but far above the rounding of its products
+    cfg = tmp_path / "stiff_mismatch.cfg"
+    cfg.write_text(
+        "[plant]\nM_m_kg = 3.02\nK_F_N_per_A = 0.5\n[environment]\nK_env_N_per_m = 1e8\n"
+        "[dob]\nM_mn_kg = 3.02\nK_Fn_N_per_A = 0.5\ng_dob_rad_per_s = 500.0\ng_v_rad_per_s = 1000.0\n"
+        "[rfob]\nM_hat_kg = 3.02005\nK_F_hat_N_per_A = 0.5\ng_rfob_rad_per_s = 500.0\n"
+        "[scenario]\ndt_s = 1e-4\nC_f = 50.0\n"
+    )
+    out = tmp_path / "stiff_mismatch.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["rhp_zero"] is True
+    assert rep["relative_degree"] == 1
+    zero = math.sqrt(0.5 * 1e8 / (3.02005 * 0.5 - 3.02 * 0.5))
+    assert max(re for re, _ in rep["phi_roots"]) == pytest.approx(zero, rel=1e-9)
+    assert zero == pytest.approx(1.414e6, rel=1e-3)
+    assert "mismatch zeros: none" not in capsys.readouterr().out
 
 
 def test_cmd_simulate_writes_csv_and_summary(tmp_path):

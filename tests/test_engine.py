@@ -19,7 +19,7 @@ def force_phase(duration, value, hint=rk.ContactHint.AUTO):
 
 def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
     des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
-    g = g if g is not None else rk.split_alpha_g(des, 1.0)[0]
+    g = g if g is not None else rk.split_alpha_g(des, 1.0)
     return rk.Scenario(
         plant=PP,
         friction=rk.FrictionParams(),
@@ -101,7 +101,7 @@ def test_linear_regime_equivalence_and_convergence():
 
 def test_linear_regime_equivalence_damping_case():
     des = rk.design_damping(0.81, 2.0, 1000.0, rk.DesignSpecA(xi=0.7071, gamma=0.15))
-    g = rk.split_alpha_g(des, 1.0)[0]
+    g = rk.split_alpha_g(des, 1.0)
     env = rk.EnvImpedance(D_env=2.0)
     sc = rk.Scenario(
         plant=rk.PlantParams(M_m=0.81, K_F=0.5),
@@ -124,7 +124,7 @@ def test_linear_regime_equivalence_damping_case():
 
 def test_linear_regime_equivalence_stiffness_case():
     des = rk.design_stiffness(3.02, 6500.0, 1000.0, rk.DesignSpecB(xi=1.0, eta=2.0))
-    g = rk.split_alpha_g(des, 1.0)[0]
+    g = rk.split_alpha_g(des, 1.0)
     env = rk.EnvImpedance(K_env=6500.0)
     sc = rk.Scenario(
         plant=PP,
@@ -215,7 +215,7 @@ def test_identification_improves_rfob_between_force_phases():
 def test_transition_rows_freeze_estimates_and_gains():
     # drive through a contact onset with online adaptation and check the gating
     des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
-    g = rk.split_alpha_g(des, 1.0)[0]
+    g = rk.split_alpha_g(des, 1.0)
     sc = rk.Scenario(
         plant=PP, friction=rk.FrictionParams(),
         env=rk.EnvImpedance(D_env=2.0, K_env=6500.0, x_env=0.001),
@@ -247,7 +247,7 @@ def test_transition_rows_freeze_estimates_and_gains():
 def test_online_adaptation_converges_to_truth_design():
     """Identified impedance feeding the re-design reproduces the truth-based gains."""
     des_truth = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
-    g0 = rk.split_alpha_g(des_truth, 1.0)[0]
+    g0 = rk.split_alpha_g(des_truth, 1.0)
     sc = rk.Scenario(
         plant=PP, friction=rk.FrictionParams(), env=ENV,
         dob=rk.DobConfig(M_mn=3.02, K_Fn=0.5, g_dob=g0, g_v=1000.0),
@@ -318,9 +318,31 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
                                                           design_alpha=1.0)})
     sim = rk.Simulator(sc)
-    assert sim.rfob.lpf.g == pytest.approx(rk.split_alpha_g(des, 1.0)[0], rel=1e-9)
+    assert sim.rfob.lpf.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
     assert sim.rfob.lpf.g != 500.0
-    assert sim.bank_c._c == sim.rfob.lpf._c
+    assert sim.bank_c.lpf is sim.rfob.lpf
+
+
+def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
+    # the damping design puts alpha_g one rounding step above g_v/2 = 500 rad/s
+    sc = rk.Scenario(
+        plant=rk.PlantParams(M_m=6.69, K_F=0.5),
+        friction=rk.FrictionParams(),
+        env=rk.EnvImpedance(D_env=788.9),
+        dob=rk.DobConfig(M_mn=6.69, K_Fn=0.5, g_dob=100.0, g_v=1000.0),
+        rfob=rk.RfobConfig(M_hat=6.69, K_F_hat=0.5, g_rfob=100.0),
+        phases=(force_phase(0.01, 1.0, hint=rk.ContactHint.CONTACT),),
+        dt=1e-4,
+        C_f=1.0,
+        always_in_contact=True,
+        adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, design_alpha=1.0),
+    )
+    des = rk.design_damping(6.69, 788.9, 1000.0)
+    assert des.alpha_g > 500.0
+    res = rk.run_scenario(sc)
+    [ev] = res.design_events
+    assert ev.applied and ev.t == 0.0
+    assert ev.g == des.alpha_g and ev.C_f == des.C_f
 
 
 def test_phase_disturbance_override():

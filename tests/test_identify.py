@@ -11,6 +11,7 @@ from rfobkit.identify import (
     NonContactRegressorBank,
     RlmsEstimator,
 )
+from rfobkit.observers import FirstOrderLpf
 from rfobkit.plant import smooth_sign
 
 
@@ -368,7 +369,7 @@ def test_contact_bank_offset_absorbs_equilibrium():
     # -(D xdot_env + K x_env) and the regression stays exact while the contact moves
     dt, g = 1e-4, 400.0
     D, K, x_env, xdot_env = 2.0, 6500.0, 0.01, 0.002
-    bank = ContactRegressorBank(g_filter=g, dt=dt)
+    bank = ContactRegressorBank(FirstOrderLpf(g, dt))
     delta = np.array([D, K, -(D * xdot_env + K * x_env)])
     c = math.exp(-g * dt)
     f_meas = 0.0
@@ -482,7 +483,7 @@ def test_contact_bank_filters_consistently():
     # constant contact: filtered columns converge and the regression becomes exact
     dt = 1e-4
     g = 400.0
-    bank = ContactRegressorBank(g_filter=g, dt=dt)
+    bank = ContactRegressorBank(FirstOrderLpf(g, dt))
     D, K, off = 2.0, 6500.0, 0.0
     x, xdot = 1e-3, 0.0
     F = D * xdot + K * x + off
@@ -501,13 +502,13 @@ def test_banks_emit_the_numpy_reference_values_exactly():
     rng = np.random.default_rng(9)
     nc = NonContactRegressorBank(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
     nc_ref = NumpyNonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
-    c = ContactRegressorBank(g_filter=400.0, dt=1e-4)
+    c = ContactRegressorBank(FirstOrderLpf(400.0, 1e-4))
     c_ref = NumpyContactBankReference(g_filter=400.0, dt=1e-4)
     for k in range(2000):
         if k == 1000:
             nc.reset()
             nc_ref = NumpyNonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
-            c.retune(250.0)
+            c.lpf.retune(250.0)
             c_ref._c = math.exp(-250.0 * 1e-4)
         a, f, v, x = (rng.standard_normal(4) * (10.0, 5.0, 0.01, 1e-3)).tolist()
         got, want = nc.step(a, f, v), nc_ref.step(a, f, v)

@@ -196,6 +196,17 @@ def test_rhp_zero_underestimated_inertia_safe():
     assert not rep.has_rhp
 
 
+def test_rhp_zero_mirrored_identification_has_no_spurious_zeros():
+    # beta = alpha exactly (M_hat = 3 M_m, K_F_hat = 3 K_F), but 0.7*0.3 - 2.1*0.1 rounds
+    # to -2.8e-17, which a soft environment (c0 = 3e-6) does not dwarf
+    phi = PhiPoly.from_params(PlantParams(M_m=0.7, K_F=0.1), rfob(M_hat=2.1, K_hat=0.3),
+                              EnvImpedance(K_env=1e-5))
+    assert 0.7 * 0.3 - 2.1 * 0.1 != 0.0
+    assert phi.coeffs == (0.3 * 1e-5,)
+    rep = rhp_zero_check(phi)
+    assert rep.roots == () and not rep.has_rhp
+
+
 def test_rhp_zero_origin_is_marginal_not_rhp():
     phi = PhiPoly(c2=1.0, c1=2.0, c0=0.0)
     rep = rhp_zero_check(phi)
