@@ -27,7 +27,6 @@ from .design import (
 from .engine import (
     AdaptationConfig,
     AdaptationMode,
-    ContactHint,
     ControlMode,
     IdentConfig,
     Phase,
@@ -35,8 +34,6 @@ from .engine import (
     Scenario,
     SimResult,
     Simulator,
-    force_controller,
-    pd_position_controller,
     run_scenario,
 )
 from .identify import (
@@ -53,7 +50,6 @@ from .loop_model import (
     asymptote_angles,
     closed_loop_char_poly,
     closed_loop_force_tf,
-    gain_root_locus,
     open_loop_general,
     poles,
     rhp_zero_check,
@@ -67,8 +63,6 @@ from .observers import (
     RatioReport,
     RfobConfig,
     robustness_bound_check,
-    sensitivity_response,
-    sensitivity_second_order_params,
 )
 from .plant import (
     EnvImpedance,

@@ -3,9 +3,7 @@
 Format: INI-style sections with `key = value` lines and `#` comments.  Keys
 carry their unit as a suffix (e.g. `M_m_kg`, `g_v_rad_per_s`).  The `[phase]`
 section may repeat; phases run in file order.  Unknown sections or keys are
-rejected, missing required keys are reported with their section and name, and
-a validated document serializes back to a canonical text that re-parses to an
-equal document.
+rejected, and missing required keys are reported with their section and name.
 """
 from __future__ import annotations
 
@@ -16,13 +14,13 @@ from .design import DesignSpecA, DesignSpecB, DesignSpecC
 from .engine import (
     AdaptationConfig,
     AdaptationMode,
-    ContactHint,
     ControlMode,
     IdentConfig,
     Phase,
     Reference,
     Scenario,
 )
+from .identify import ContactMode
 from .observers import DobConfig, RfobConfig
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
@@ -184,18 +182,6 @@ def _convert(section: str, key: str, spec: FieldSpec, raw: str):
     raise ConfigError(f"[{section}] {key}: unknown field type {spec.typ}")
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)  # shortest exact round-trip
-    return str(value)
-
-
 def parse_config(text: str) -> ConfigDocument:
     """Parse and validate a configuration document."""
     raw_sections: dict[str, dict[str, str]] = {}
@@ -248,24 +234,6 @@ def _typed(name: str, raw: dict[str, str]) -> dict[str, object]:
         else:
             out[key] = spec.default
     return out
-
-
-def serialize_config(doc: ConfigDocument) -> str:
-    """Canonical text form of a validated document (round-trips to an equal document)."""
-    lines: list[str] = []
-    for name in SCHEMA:
-        if name == "phase" or name not in doc.sections:
-            continue
-        lines.append(f"[{name}]")
-        for key in SCHEMA[name]:
-            lines.append(f"{key} = {_format(doc.sections[name][key])}")
-        lines.append("")
-    for phase in doc.phases:
-        lines.append("[phase]")
-        for key in SCHEMA["phase"]:
-            lines.append(f"{key} = {_format(phase[key])}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +355,10 @@ def _build_reference(p: dict[str, object]) -> Reference:
     )
 
 
+# `contact = auto` leaves the mode to the contact detector
+_CONTACT_HINT = {"auto": None, "free": ContactMode.NON_CONTACT, "contact": ContactMode.CONTACT}
+
+
 @_rejects_as_config_error("phase")
 def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
     if not doc.phases:
@@ -396,7 +368,7 @@ def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
             mode=ControlMode(p["mode"]),
             duration=p["duration_s"],
             reference=_build_reference(p),
-            contact_hint=ContactHint(p["contact"]),
+            contact_hint=_CONTACT_HINT[p["contact"]],
             F_d_override=p["F_d_override_N"],
         )
         for p in doc.phases

@@ -37,12 +37,6 @@ class AdaptationMode(Enum):
     OFFLINE = "offline"
 
 
-class ContactHint(Enum):
-    AUTO = "auto"        # use the hysteresis detector
-    FREE = "free"        # scripted non-contact phase
-    CONTACT = "contact"  # scripted contact phase
-
-
 @dataclass(frozen=True)
 class Reference:
     """Scalar reference signal for one phase.
@@ -82,12 +76,19 @@ class Reference:
 
 @dataclass(frozen=True)
 class Phase:
-    """One contiguous segment of the schedule."""
+    """One contiguous segment of the schedule.
+
+    contact_hint scripts every step's contact mode; None leaves it to the
+    detector.  Only CONTACT updates the environment estimator and only
+    NON_CONTACT the plant estimator, so a scripted TRANSITION records 1 and
+    runs neither.  The identified plant folds into the RFOB as a scripted
+    NON_CONTACT phase ends.
+    """
 
     mode: ControlMode
     duration: float
     reference: Reference
-    contact_hint: ContactHint = ContactHint.AUTO
+    contact_hint: ContactMode | None = None
     F_d_override: float | None = None
 
     def __post_init__(self) -> None:
@@ -224,16 +225,6 @@ class Scenario:
         return sum(p.duration for p in self.phases)
 
 
-def force_controller(F_ref: float, F_load_hat: float, C_f: float) -> float:
-    """Proportional force control: desired acceleration C_f * (F_ref - F_load_hat)."""
-    return C_f * (F_ref - F_load_hat)
-
-
-def pd_position_controller(x_ref: float, x_m: float, xdot_m: float, K_P: float, K_V: float) -> float:
-    """PD position control with derivative on measurement: K_P*(x_ref - x) - K_V*xdot."""
-    return K_P * (x_ref - x_m) - K_V * xdot_m
-
-
 @dataclass
 class DesignEvent:
     """One applied (or rejected) re-design."""
@@ -246,9 +237,10 @@ class DesignEvent:
     note: str = ""
 
 
-_CTRL_CODE = {ControlMode.FORCE: 0, ControlMode.POSITION: 1}
-CONTACT_MODE_NAMES = ("non_contact", "transition", "contact")
-CTRL_MODE_NAMES = ("force", "position")
+# the codes the ctrl_mode and contact_mode columns record, and the names the CSV prints for them
+_CTRL_CODE = {mode: code for code, mode in enumerate(ControlMode)}
+CTRL_MODE_NAMES = tuple(mode.value for mode in ControlMode)
+CONTACT_MODE_NAMES = tuple(mode.name.lower() for mode in ContactMode)
 
 TIMESERIES_COLUMNS = (
     "t_s",
@@ -399,13 +391,9 @@ class Simulator:
         self._ctrl_code = _CTRL_CODE[phase.mode]
 
     def _on_phase_start(self, idx: int) -> None:
-        prev = self.sc.phases[idx - 1] if idx > 0 else None
-        if (
-            prev is not None
-            and prev.contact_hint is ContactHint.FREE
-            and self.sc.ident.apply_to_rfob
-            and self.est_nc is not None
-        ):
+        """The schedule has advanced from phase idx - 1 to phase idx (idx >= 1)."""
+        if (self.sc.phases[idx - 1].contact_hint is ContactMode.NON_CONTACT
+                and self.sc.ident.apply_to_rfob and self.est_nc is not None):
             # fold the identified plant model into the reaction force observer
             d = self.est_nc.values
             rfob = self.rfob
@@ -471,10 +459,10 @@ class Simulator:
         x_ref = math.nan
         if phase.mode is ControlMode.FORCE:
             F_ref = self._reference(t_local)
-            xddot_des = force_controller(F_ref, self.rfob.F_hat, self.C_f)
+            xddot_des = self.C_f * (F_ref - self.rfob.F_hat)
         else:
             x_ref = self._reference(t_local)
-            xddot_des = pd_position_controller(x_ref, x, xdot_f, sc.K_P, sc.K_V)
+            xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
 
         F_dis_used = self.dob.F_hat
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
@@ -503,13 +491,9 @@ class Simulator:
             self.diverged = True
             self.diverged_step = k
 
-        # contact mode code: 0 non-contact, 1 transition, 2 contact (CONTACT_MODE_NAMES)
-        hint = phase.contact_hint
-        if hint is ContactHint.AUTO:
+        mode = phase.contact_hint
+        if mode is None:
             mode = self.detector.update(F_hat_load)
-            mode_code = 2 if mode is ContactMode.CONTACT else 0 if mode is ContactMode.NON_CONTACT else 1
-        else:
-            mode_code = 0 if hint is ContactHint.FREE else 2
 
         innov_nc = math.nan
         innov_c = math.nan
@@ -519,7 +503,7 @@ class Simulator:
             # the bank filter tracks the observer filter every step; only the
             # estimator update is gated by the contact mode
             u_c, rho_c = self.bank_c.step(F_hat_load, xdot_meas, x)
-            if mode_code == 2:
+            if mode is ContactMode.CONTACT:
                 innov_c = est_c.update(rho_c, u_c)
                 if (
                     sc.adaptation.mode is AdaptationMode.ONLINE
@@ -532,7 +516,7 @@ class Simulator:
                         t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.M
                     ):
                         self._last_design_env = (d_env, k_env)
-        if mode_code == 0 and est_nc is not None and not self.diverged:
+        if mode is ContactMode.NON_CONTACT and est_nc is not None and not self.diverged:
             if self._bank_nc_last_k != k - 1:
                 self.bank_nc.reset()  # gap in the fed samples: restart the filter history
             self._bank_nc_last_k = k
@@ -554,7 +538,7 @@ class Simulator:
         c_F_hat_load[k] = F_hat_load
         c_F_hat_dis[k] = F_hat_dis
         c_ctrl[k] = self._ctrl_code
-        c_contact[k] = mode_code
+        c_contact[k] = mode
         c_alpha_g[k] = self.alpha_true * self.dob.lpf.g
         c_C_f[k] = self.C_f
         # update() replaces the estimate list, so reading it needs no copy

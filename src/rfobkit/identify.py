@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -19,10 +19,12 @@ from .observers import FirstOrderLpf, lpf_pole
 from .plant import smooth_sign
 
 
-class ContactMode(Enum):
-    NON_CONTACT = "non_contact"
-    TRANSITION = "transition"
-    CONTACT = "contact"
+class ContactMode(IntEnum):
+    """Contact mode; its value is the code the `contact_mode` column records."""
+
+    NON_CONTACT = 0
+    TRANSITION = 1
+    CONTACT = 2
 
 
 class RlmsEstimator:

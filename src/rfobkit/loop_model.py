@@ -292,24 +292,3 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def gain_root_locus(
-    pp: PlantParams,
-    dob: DobConfig,
-    rfob: RfobConfig,
-    env: EnvImpedance,
-    gains: np.ndarray,
-) -> list[tuple[float, list[complex]]]:
-    """Closed-loop poles of the force loop for a sweep of C_f values.
-
-    Only configurations with g_dob == g_rfob are supported (the closed-loop
-    characteristic polynomial stays at degree three there).
-    """
-    if dob.g_dob != rfob.g_rfob:
-        raise ValueError("root locus sweep requires g_dob == g_rfob")
-    out = []
-    for c_f in np.asarray(gains, dtype=float):
-        loop = open_loop_general(pp, dob, rfob, env, float(c_f))
-        out.append((float(c_f), poles(loop.closed_loop().den)))
-    return out

@@ -1,4 +1,4 @@
-"""Discrete-time disturbance observer (DOB and RFOB) plus the bandwidth-bound calculus.
+"""Discrete-time disturbance observer (DOB and RFOB) plus the observer bandwidth bound.
 
 All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
 (exact zero-order-hold, `lpf_pole`), output sampled at the end of each interval:
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .plant import FrictionParams, PlantParams, check_sign, friction_force
 
@@ -82,11 +80,6 @@ class FirstOrderLpf:
         self.c = lpf_pole(g, self.dt)
         self.g = g
 
-    def freq_response(self, omega: np.ndarray) -> np.ndarray:
-        """Discrete frequency response at angular frequencies omega (rad/s)."""
-        z = np.exp(1j * np.asarray(omega, dtype=float) * self.dt)
-        return (1.0 - self.c) * z / (z - self.c)
-
 
 class DisturbanceObserver:
     """Velocity-form observer: F_hat = LPF(K_F*i_m + g*M*xdot - F_fric(xdot) - F_d) - g*M*xdot.
@@ -146,20 +139,6 @@ class RatioReport:
         return cls(alpha=alpha, beta=beta)
 
 
-def sensitivity_second_order_params(alpha: float, kappa: float, g_dob: float) -> tuple[float, float]:
-    """Natural frequency and damping of the sensitivity characteristic polynomial.
-
-    With g_v = kappa * g_dob the inner loop denominator is
-    s^2 + kappa*g*s + alpha*kappa*g^2, i.e. w_n = sqrt(alpha*kappa)*g and
-    xi = 0.5*sqrt(kappa/alpha).
-    """
-    if alpha <= 0.0 or kappa <= 0.0 or g_dob <= 0.0:
-        raise ValueError("alpha, kappa and g_dob must all be > 0")
-    w_n = math.sqrt(alpha * kappa) * g_dob
-    xi = 0.5 * math.sqrt(kappa / alpha)
-    return w_n, xi
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """Result of the observer bandwidth bound alpha*g_dob <= g_v/2."""
@@ -169,43 +148,12 @@ class BoundCheck:
 
 
 def robustness_bound_check(alpha: float, g_dob: float, g_v: float) -> BoundCheck:
-    """Check the sensitivity-peak bound alpha*g_dob <= g_v/2 (margin = g_v/2 - alpha*g_dob)."""
+    """Check the sensitivity-peak bound alpha*g_dob <= g_v/2 (margin = g_v/2 - alpha*g_dob).
+
+    The check allows the relative 1e-15 of rounding that an on-bound design leaves.
+    """
     if alpha <= 0.0 or g_dob <= 0.0 or g_v <= 0.0:
         raise ValueError("alpha, g_dob and g_v must all be > 0")
     alpha_g = alpha * g_dob
     limit = 0.5 * g_v
-    return BoundCheck(passed=alpha_g <= limit, margin=limit - alpha_g)
-
-
-@dataclass(frozen=True)
-class SensitivityResponse:
-    """Complex sensitivity / co-sensitivity samples on a frequency grid."""
-
-    omega: np.ndarray
-    t_sen: np.ndarray
-    t_cosen: np.ndarray
-
-    @property
-    def mag_sen(self) -> np.ndarray:
-        return np.abs(self.t_sen)
-
-    @property
-    def mag_cosen(self) -> np.ndarray:
-        return np.abs(self.t_cosen)
-
-
-def sensitivity_response(alpha: float, kappa: float, g_dob: float, omega: np.ndarray) -> SensitivityResponse:
-    """Evaluate the inner-loop sensitivity pair with g_v = kappa*g_dob.
-
-    T_sen = s(s + kappa*g) / (s^2 + kappa*g*s + alpha*kappa*g^2) and
-    T_cosen = alpha*kappa*g^2 / (same denominator); they sum to 1 identically.
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("omega grid must be strictly positive")
-    s = 1j * w
-    kg = kappa * g_dob
-    den = s * s + kg * s + alpha * kg * g_dob
-    t_sen = s * (s + kg) / den
-    t_cosen = (alpha * kg * g_dob) / den
-    return SensitivityResponse(omega=w, t_sen=t_sen, t_cosen=t_cosen)
+    return BoundCheck(passed=alpha_g <= limit * (1.0 + 1e-15), margin=limit - alpha_g)

@@ -161,7 +161,7 @@ def _linear_step_scenario(dt: float, duration: float = 0.5):
         rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=g),
         phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=duration,
                          reference=rk.Reference(kind="const", value=1.0),
-                         contact_hint=rk.ContactHint.CONTACT),),
+                         contact_hint=rk.ContactMode.CONTACT),),
         dt=dt,
         C_f=des.C_f,
         always_in_contact=True,
@@ -218,7 +218,7 @@ def test_criterion_6_stability_rule_reproduction():
             rfob=rk.RfobConfig(M_hat=m_hat, K_F_hat=0.5, g_rfob=500.0),
             phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=3.0,
                              reference=rk.Reference(kind="const", value=1.0),
-                             contact_hint=rk.ContactHint.CONTACT),),
+                             contact_hint=rk.ContactMode.CONTACT),),
             dt=1e-4, C_f=1.25, always_in_contact=True, velocity_filter_on=False,
             x_limit=1.0, v_limit=100.0,
         )

@@ -9,7 +9,7 @@ import pytest
 
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
-from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config, serialize_config
+from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
 from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -28,14 +28,6 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
-
-def test_config_round_trip_identity():
-    doc = parse_config(SIM_CFG)
-    text = serialize_config(doc)
-    doc2 = parse_config(text)
-    assert doc == doc2
-    assert serialize_config(doc2) == text
-
 
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
@@ -295,6 +287,30 @@ def test_cmd_design_accepts_a_design_on_the_bandwidth_bound(tmp_path, plant_and_
     rep = json.loads(out.read_text())
     assert rep["g_dob"] == rep["g_rfob"] == rep["alpha_g"] / rep["alpha"]
     assert rep["alpha_g"] == pytest.approx(500.0, rel=1e-15)
+
+
+def test_cmd_analyze_passes_the_bandwidth_bound_of_an_on_bound_design(tmp_path, capsys):
+    # design puts g_dob one rounding step above g_v/2; analyze checks the same loop at alpha = 1
+    plant_and_env = "[plant]\nM_m_kg = 6.69\n[environment]\nD_env_Ns_per_m = 788.9\n"
+    cfg = tmp_path / "on_bound.cfg"
+    cfg.write_text(f"{plant_and_env}[dob]\ng_v_rad_per_s = 1000.0\n[design]\ncase = auto\n")
+    out = tmp_path / "design.json"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    des = json.loads(out.read_text())
+    assert des["g_dob"] == 500.00000000000006
+    cfg.write_text(
+        f"{plant_and_env}[dob]\nM_mn_kg = 6.69\ng_dob_rad_per_s = {des['g_dob']!r}\ng_v_rad_per_s = 1000.0\n"
+        f"[rfob]\nM_hat_kg = 6.69\ng_rfob_rad_per_s = {des['g_rfob']!r}\n"
+        f"[scenario]\ndt_s = 1e-4\nC_f = {des['C_f']!r}\n"
+    )
+    capsys.readouterr()
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["alpha"] == 1.0
+    assert rep["bandwidth_bound_passed"] is True
+    assert rep["bandwidth_bound_margin"] == 500.0 - 500.00000000000006
+    assert "bandwidth bound alpha*g_dob <= g_v/2: pass" in capsys.readouterr().out
 
 
 def test_cmd_analyze_reports_the_mismatch_zero_of_a_stiff_environment(tmp_path, capsys):

@@ -12,7 +12,7 @@ ENV = rk.EnvImpedance(D_env=2.0, K_env=6500.0)
 PP = rk.PlantParams(M_m=3.02, K_F=0.5)
 
 
-def force_phase(duration, value, hint=rk.ContactHint.AUTO):
+def force_phase(duration, value, hint=None):
     return rk.Phase(mode=rk.ControlMode.FORCE, duration=duration,
                     reference=rk.Reference(kind="const", value=value), contact_hint=hint)
 
@@ -26,20 +26,12 @@ def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
         env=ENV,
         dob=rk.DobConfig(M_mn=3.02, K_Fn=0.5, g_dob=g, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=g),
-        phases=(force_phase(duration, F_ref, hint=rk.ContactHint.CONTACT),),
+        phases=(force_phase(duration, F_ref, hint=rk.ContactMode.CONTACT),),
         dt=dt,
         C_f=C_f if C_f is not None else des.C_f,
         always_in_contact=True,
         velocity_filter_on=False,
     ), des
-
-
-def test_controllers():
-    assert rk.force_controller(1.0, 1.0, 5.0) == 0.0
-    assert rk.force_controller(1.0, 0.0, 5.0) == 5.0
-    assert rk.force_controller(1.0, 0.0, 10.0) == 2.0 * rk.force_controller(1.0, 0.0, 5.0)
-    assert rk.pd_position_controller(0.0, 0.0, 0.0, 1200.0, 90.0) == 0.0
-    assert rk.pd_position_controller(0.01, 0.0, 0.0, 1200.0, 90.0) == pytest.approx(12.0)
 
 
 def test_position_gains_stable_on_nominalized_plant():
@@ -109,7 +101,7 @@ def test_linear_regime_equivalence_damping_case():
         env=env,
         dob=rk.DobConfig(M_mn=0.81, K_Fn=0.5, g_dob=g, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=0.81, K_F_hat=0.5, g_rfob=g),
-        phases=(force_phase(0.3, 1.0, hint=rk.ContactHint.CONTACT),),
+        phases=(force_phase(0.3, 1.0, hint=rk.ContactMode.CONTACT),),
         dt=2e-5,
         C_f=des.C_f,
         always_in_contact=True,
@@ -132,7 +124,7 @@ def test_linear_regime_equivalence_stiffness_case():
         env=env,
         dob=rk.DobConfig(M_mn=3.02, K_Fn=0.5, g_dob=g, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=g),
-        phases=(force_phase(0.5, 1.0, hint=rk.ContactHint.CONTACT),),
+        phases=(force_phase(0.5, 1.0, hint=rk.ContactMode.CONTACT),),
         dt=1e-4,
         C_f=des.C_f,
         always_in_contact=True,
@@ -161,7 +153,7 @@ def test_divergence_detected_for_unstable_mismatch():
         env=ENV,
         dob=rk.DobConfig(M_mn=6.04, K_Fn=0.5, g_dob=500.0, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=6.04, K_F_hat=0.5, g_rfob=500.0),
-        phases=(force_phase(2.0, 1.0, hint=rk.ContactHint.CONTACT),),
+        phases=(force_phase(2.0, 1.0, hint=rk.ContactMode.CONTACT),),
         dt=1e-4,
         C_f=1.25,
         always_in_contact=True,
@@ -181,12 +173,12 @@ def test_identification_improves_rfob_between_force_phases():
     fric = rk.FrictionParams(k_vsc=12.0, k_clmb=6.0, eps=1e-3)
     env = rk.EnvImpedance(D_env=5.0, K_env=1000.0, x_env=0.0)
     phases = (
-        force_phase(1.5, 5.0, hint=rk.ContactHint.CONTACT),
+        force_phase(1.5, 5.0, hint=rk.ContactMode.CONTACT),
         rk.Phase(mode=rk.ControlMode.POSITION, duration=2.5,
                  reference=rk.Reference(kind="multisine", offset=-0.025,
                                         components=((0.012, 1.2, 0.0), (0.006, 0.35, 1.0))),
-                 contact_hint=rk.ContactHint.FREE),
-        force_phase(1.5, 5.0, hint=rk.ContactHint.CONTACT),
+                 contact_hint=rk.ContactMode.NON_CONTACT),
+        force_phase(1.5, 5.0, hint=rk.ContactMode.CONTACT),
     )
     sc = rk.Scenario(
         plant=pp, friction=fric, env=env,
@@ -242,6 +234,16 @@ def test_transition_rows_freeze_estimates_and_gains():
     changes = np.flatnonzero(np.diff(ts["C_f"]) != 0.0) + 1
     assert changes.size > 0
     assert np.all(ts["contact_mode"][changes] == 2)
+
+
+def test_scripted_transition_records_code_1_and_runs_neither_estimator():
+    sc, _ = linear_scenario(duration=0.05)
+    ident = rk.IdentConfig(enable_plant=True, enable_env=True)
+    phases = (force_phase(0.05, 1.0, hint=rk.ContactMode.TRANSITION),)
+    res = rk.run_scenario(rk.Scenario(**{**sc.__dict__, "phases": phases, "ident": ident}))
+    assert res.n_steps == 500 and np.all(res.ts["contact_mode"] == 1)
+    assert np.all(np.isnan(res.ts["innov_nc_N"])) and np.all(np.isnan(res.ts["innov_c_N"]))
+    assert tuple(res.final_delta_nc) == ident.delta0_nc and tuple(res.final_delta_c) == ident.delta0_c
 
 
 def test_online_adaptation_converges_to_truth_design():
@@ -331,7 +333,7 @@ def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
         env=rk.EnvImpedance(D_env=788.9),
         dob=rk.DobConfig(M_mn=6.69, K_Fn=0.5, g_dob=100.0, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=6.69, K_F_hat=0.5, g_rfob=100.0),
-        phases=(force_phase(0.01, 1.0, hint=rk.ContactHint.CONTACT),),
+        phases=(force_phase(0.01, 1.0, hint=rk.ContactMode.CONTACT),),
         dt=1e-4,
         C_f=1.0,
         always_in_contact=True,
@@ -349,7 +351,7 @@ def test_phase_disturbance_override():
     sc, _ = linear_scenario(duration=0.5)
     phases = (rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5,
                        reference=rk.Reference(kind="const", value=1.0),
-                       contact_hint=rk.ContactHint.CONTACT, F_d_override=0.7),)
+                       contact_hint=rk.ContactMode.CONTACT, F_d_override=0.7),)
     sc = rk.Scenario(**{**sc.__dict__, "phases": phases})
     res = rk.run_scenario(sc)
     # the inner observer swallows the constant disturbance; the force loop still
@@ -409,8 +411,8 @@ def test_ramp_spans_its_phase():
     sc, _ = linear_scenario()
     ramp = rk.Reference(kind="ramp", start=0.5, end=2.5)  # no duration given
     sc = rk.Scenario(**{**sc.__dict__, "phases": (
-        rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5, reference=ramp, contact_hint=rk.ContactHint.CONTACT),
-        force_phase(0.1, 1.0, hint=rk.ContactHint.CONTACT))})
+        rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5, reference=ramp, contact_hint=rk.ContactMode.CONTACT),
+        force_phase(0.1, 1.0, hint=rk.ContactMode.CONTACT))})
     F_ref = rk.run_scenario(sc).ts["F_ref_N"]
     # the reference is sampled at the start of each step, so the phase's last
     # sample (k = 4999, t = 0.4999 s) is one step's increment short of `end`
@@ -423,7 +425,7 @@ def test_ramp_spans_its_phase():
 def _switching_scenario(**ident):
     sc, _ = linear_scenario()
     phases = (rk.Phase(mode=rk.ControlMode.POSITION, duration=0.3,
-                       reference=rk.Reference(kind="const", value=1e-4), contact_hint=rk.ContactHint.AUTO),
+                       reference=rk.Reference(kind="const", value=1e-4), contact_hint=None),
               force_phase(0.7, 1.0))
     return rk.Scenario(**{**sc.__dict__, "phases": phases, "always_in_contact": False,
                           "ident": rk.IdentConfig(**ident)})

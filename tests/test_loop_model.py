@@ -16,7 +16,6 @@ from rfobkit.loop_model import (
     asymptote_angles,
     closed_loop_char_poly,
     closed_loop_force_tf,
-    gain_root_locus,
     open_loop_general,
     poles,
     rhp_zero_check,
@@ -359,20 +358,10 @@ def test_step_response_runs_without_scipy():
     assert float(out) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_gain_root_locus_poles_move():
-    gains = np.logspace(-3, 1, 8)
-    data = gain_root_locus(PP, dob(g=100.0), rfob(g=100.0), ENV, gains)
-    assert len(data) == 8
-    for c_f, pls in data:
-        assert len(pls) == 3
-    with pytest.raises(ValueError):
-        gain_root_locus(PP, dob(g=100.0), rfob(g=200.0), ENV, gains)
-
-
-def test_gain_root_locus_keeps_the_leading_coefficient_of_a_stiff_loop():
+def test_closed_loop_poles_keep_the_leading_coefficient_of_a_stiff_loop():
     # the loop constant 7.55e12 exceeds 1e12 * M_m; all three poles stay, two of them unstable
     env = EnvImpedance(K_env=1e8)
-    [(_, pls)] = gain_root_locus(PP, dob(), rfob(), env, np.array([50.0]))
+    pls = poles(open_loop_general(PP, dob(), rfob(), env, 50.0).closed_loop().den)
     char = np.polyadd(np.polymul([1.0, 0.0], [3.02, 3.02 * 500.0, 1e8]), [50.0 * 500.0 * 3.02 / 0.5 * 0.5 * 1e8])
     want = sorted((complex(z) for z in np.roots(char)), key=lambda z: (z.real, z.imag))
     got = sorted(pls, key=lambda z: (z.real, z.imag))
