@@ -39,7 +39,6 @@ from .engine import (
 from .identify import (
     ContactDetector,
     ContactMode,
-    ContactRegressorBank,
     NonContactRegressorBank,
     RlmsEstimator,
 )

@@ -60,7 +60,10 @@ def _sanitize(obj):
 
 
 def _load_config(path: str) -> ConfigDocument:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc}") from None
     return parse_config(text)
 
 
@@ -366,12 +369,11 @@ def main(argv=None) -> int:
                            help="section.key=START:STOP:N[:lin|log] one design per grid point")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
+    if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        sub.choices[args.command].error(f"--out {args.out}: not a file path in an existing directory")
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleDesignError as exc:

@@ -1,10 +1,13 @@
 """Fixed-step closed-loop simulation: plant, observer inner loop, force outer loop.
 
-One step runs, in order: sensor read (plus optional velocity noise), velocity
-filter, phase controller, observer compensation current, exact observer filter
-updates, semi-implicit Euler plant integration, contact detection, mode-gated
-estimator updates, and the periodic adaptive re-design.  Everything is
-deterministic for a fixed scenario and seed.
+The step order lives in `Simulator._advance`, which writes every stage out
+inline: phase controller, observer compensation current, semi-implicit Euler
+plant integration, sensor read (plus optional velocity noise), velocity
+filter, exact observer filter updates, contact detection, mode-gated
+estimator updates, the record, and the periodic adaptive re-design.  The
+single-step APIs it writes out (`plant_accel`, `DisturbanceObserver.step`,
+`ContactDetector.update`, ...) stay public.  Everything is deterministic for
+a fixed scenario and seed.
 """
 from __future__ import annotations
 
@@ -15,15 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
-from .identify import (
-    ContactDetector,
-    ContactMode,
-    ContactRegressorBank,
-    NonContactRegressorBank,
-    RlmsEstimator,
-)
+from .identify import ContactDetector, ContactMode, NonContactRegressorBank, RlmsEstimator, _rlms_kernel
 from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RatioReport, RfobConfig
-from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign, contact_force, plant_accel
+from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign
 
 
 class ControlMode(Enum):
@@ -329,7 +326,10 @@ class Simulator:
         self.detector, self.est_nc, self.est_c = ident.build_estimators()
         self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
                                                scenario.friction.eps) if ident.enable_plant else None
-        self.bank_c = ContactRegressorBank(self.rfob.lpf) if ident.enable_env else None
+        # the contact regression is u = F_hat_load against [xdot, x, 1] through the RFOB's own pole, the
+        # low-pass the load estimate already carries; with delta = [D_env, K_env, offset] the constant
+        # column absorbs -(D_env*xdot_env + K_env*x_env)
+        self._f_c = (0.0, 0.0, 0.0)
 
         # measurement available at t_0
         self._xdot_meas = scenario.v0 + (
@@ -371,12 +371,12 @@ class Simulator:
         if self.est_c is None:
             for name in ("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N"):
                 self.ts[name].fill(np.nan)
-        # step() records through these views: a memoryview store costs about
+        # _advance records through these views: a memoryview store costs about
         # half as much as a numpy scalar store
         self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
 
     def _enter_phase(self, k: int) -> None:
-        """Advance the schedule to step k and cache what step() reads of the current phase."""
+        """Advance the schedule to step k and cache what _advance reads of the current phase."""
         bounds = self._phase_bounds
         while self._phase_idx + 1 < len(bounds) - 1 and k >= bounds[self._phase_idx + 1]:
             self._phase_idx += 1
@@ -439,123 +439,169 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Advance one step; returns False once the run is over or diverged."""
-        k = self._k
-        if k >= self.n_steps or self.diverged:
-            return False
-        sc = self.sc
-        dt = self.dt
-        state = self.state
-        t = k * dt
-        if k >= self._next_bound:
-            self._enter_phase(k)
-        phase = self._phase
-        t_local = t - self._phase_t0
+        return self._advance(self._k + 1)
 
-        x = state.x_m
-        xdot_meas = self._xdot_meas  # measurement taken at t_k
-        xdot_f = self._xdot_f
+    def _advance(self, k_end: int) -> bool:
+        """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
-        F_ref = math.nan
-        x_ref = math.nan
-        if phase.mode is ControlMode.FORCE:
-            F_ref = self._reference(t_local)
-            xddot_des = self.C_f * (F_ref - self.rfob.F_hat)
-        else:
-            x_ref = self._reference(t_local)
-            xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
-
-        F_dis_used = self.dob.F_hat
-        i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
-
-        a = plant_accel(i_m, state, sc.plant, sc.friction, sc.env,
-                        sc.always_in_contact, phase.F_d_override)
-        xdot_new = state.xdot_m = state.xdot_m + a * dt
-        x_new = state.x_m = x + xdot_new * dt
-
-        # fresh measurement at t_{k+1}: observers integrate the interval just applied
-        xdot_meas_new = xdot_new + (
-            self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
-        )
-        xdot_f_new = self.vel_filter.step(xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
-        F_hat_dis = self.dob.step(i_m, xdot_f_new)
-        F_hat_load = self.rfob.step(i_m, xdot_f_new)
-        self._xdot_meas = xdot_meas_new
-        self._xdot_f = xdot_f_new
-
-        if (
-            not state.is_finite()
-            or abs(x_new) > sc.x_limit
-            or abs(xdot_new) > sc.v_limit
-            or abs(F_hat_load) > sc.dist_limit
-        ):
-            self.diverged = True
-            self.diverged_step = k
-
-        mode = phase.contact_hint
-        if mode is None:
-            mode = self.detector.update(F_hat_load)
-
-        innov_nc = math.nan
-        innov_c = math.nan
-        est_nc = self.est_nc
-        est_c = self.est_c
-        if est_c is not None and not self.diverged:
-            # the bank filter tracks the observer filter every step; only the
-            # estimator update is gated by the contact mode
-            u_c, rho_c = self.bank_c.step(F_hat_load, xdot_meas, x)
-            if mode is ContactMode.CONTACT:
-                innov_c = est_c.update(rho_c, u_c)
-                if (
-                    sc.adaptation.mode is AdaptationMode.ONLINE
-                    and (k + 1) % sc.adaptation.period_steps == 0
-                ):
-                    d = est_c.values
-                    d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
-                    # a rejected design leaves the anchor alone, so the next period retries
-                    if self._outside_deadband(d_env, k_env) and self._apply_design(
-                        t, EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.M
-                    ):
-                        self._last_design_env = (d_env, k_env)
-        if mode is ContactMode.NON_CONTACT and est_nc is not None and not self.diverged:
-            if self._bank_nc_last_k != k - 1:
-                self.bank_nc.reset()  # gap in the fed samples: restart the filter history
-            self._bank_nc_last_k = k
-            emitted = self.bank_nc.step(xddot_des, F_dis_used, xdot_meas)
-            if emitted is not None:
-                innov_nc = est_nc.update(emitted[1], emitted[0])
-
+        One step is the control law, `plant_accel`, the velocity filter, the
+        DOB and RFOB `DisturbanceObserver.step`, `ContactDetector.update`,
+        the contact regressor filter with its RLS update, and the record, all
+        written out in the floating-point order of those single-step APIs.
+        The loop state lives in locals: a chunk loads it from the objects and
+        writes it back when it ends, at k_end, a phase boundary, a divergence
+        or a redesign step.  A redesign runs after the write-back and patches
+        the gains of the step's record; the next chunk reloads them.
+        """
+        k_end = min(k_end, self.n_steps)
+        sc, dt, state, ad = self.sc, self.dt, self.state, self.sc.adaptation
+        K_F, M_m, dist0 = sc.plant.K_F, sc.plant.M_m, sc.plant.F_d
+        k_vsc, k_clmb, eps = sc.friction.k_vsc, sc.friction.k_clmb, sc.friction.eps
+        D_env, K_env, x_env, xdot_env = sc.env.D_env, sc.env.K_env, sc.env.x_env, sc.env.xdot_env
+        unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
+        x_limit, v_limit, dist_limit, noise_std = sc.x_limit, sc.v_limit, sc.dist_limit, sc.noise_std
+        noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
+        tanh, isfinite, nan = math.tanh, math.isfinite, math.nan
+        vf, dob, rfob, det = self.vel_filter, self.dob, self.rfob, self.detector
+        est_nc, bank_nc, est_c = self.est_nc, self.bank_nc, self.est_c
+        c_v = vf.c if vf is not None else 0.0
+        b_v = 1.0 - c_v
+        th_on, th_off, dwell = det.threshold_on, det.threshold_off, det.dwell
+        if est_c is not None:
+            kernel_c, lo_c, hi_c, mu_c = _rlms_kernel(est_c.n), est_c._lo, est_c._hi, est_c.mu
+        online = ad.mode is AdaptationMode.ONLINE and est_c is not None
+        period = ad.period_steps
         (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
          c_ctrl, c_contact, c_alpha_g, c_C_f, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
          c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
-        c_t[k] = t + dt
-        c_x[k] = x_new
-        c_xdot[k] = xdot_new
-        c_xddot[k] = xddot_des
-        c_i[k] = i_m
-        c_F_ref[k] = F_ref
-        c_x_ref[k] = x_ref
-        c_F_load[k] = contact_force(state, sc.env, sc.always_in_contact)
-        c_F_hat_load[k] = F_hat_load
-        c_F_hat_dis[k] = F_hat_dis
-        c_ctrl[k] = self._ctrl_code
-        c_contact[k] = mode
-        c_alpha_g[k] = self.alpha_true * self.dob.lpf.g
-        c_C_f[k] = self.C_f
-        # update() replaces the estimate list, so reading it needs no copy
-        if est_nc is not None:
-            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
-            c_innov_nc[k] = innov_nc
-        if est_c is not None:
-            c_D_env[k], c_K_env[k], c_offset[k] = est_c._delta
-            c_innov_c[k] = innov_c
-
-        self._k = k + 1
+        while self._k < k_end and not self.diverged:
+            k = self._k
+            if k >= self._next_bound:
+                self._enter_phase(k)
+            stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end)
+            phase, ref, t0, ctrl_code = self._phase, self._reference, self._phase_t0, self._ctrl_code
+            force = phase.mode is ControlMode.FORCE
+            hint = None if phase.contact_hint is None else int(phase.contact_hint)
+            dist = dist0 if phase.F_d_override is None else phase.F_d_override
+            # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
+            C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.lpf.c, dob.lpf.y, dob.F_hat, dob.lpf.g * dob.M
+            c_r, y_r, F_hat_load, gm_r = rfob.lpf.c, rfob.lpf.y, rfob.F_hat, rfob.lpf.g * rfob.M
+            b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
+            kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
+            alpha_g = self.alpha_true * dob.lpf.g
+            x, v, v_meas, v_f = state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f
+            y_v = vf.y if vf is not None else 0.0
+            det_mode, det_count, det_release = int(det.mode), det._count, det._release
+            (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
+            if est_c is not None:
+                ud_c, d_c = est_c._ud, est_c._delta
+            F_ref = x_ref = innov_nc = innov_c = nan
+            for k in range(k, stop):
+                t = k * dt
+                if force:
+                    F_ref = ref(t - t0)
+                    xddot_des = C_f * (F_ref - F_hat_load)
+                else:
+                    x_ref = ref(t - t0)
+                    xddot_des = K_P * (x_ref - x) - K_V * v_f
+                F_dis_used = F_hat_dis
+                i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
+                F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+                v += (K_F * i_m - (k_vsc * v + k_clmb * tanh(v / eps)) - F_load - dist) / M_m * dt
+                x_new = x + v * dt
+                # fresh measurement at t_{k+1}: the observers integrate the interval just applied
+                v_meas_new = v + (normal() * noise_std if noisy else 0.0)
+                if vf is not None:
+                    v_f = y_v = c_v * y_v + b_v * v_meas_new
+                else:
+                    v_f = v_meas_new
+                gv = gm_d * v_f
+                y_d = c_d * y_d + b_d * (K_F_d * i_m + gv)
+                F_hat_dis = y_d - gv
+                gv = gm_r * v_f
+                y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - (kv_r * v_f + kc_r * tanh(v_f / eps_r)) - F_d_r)
+                F_hat_load = y_r - gv
+                if (not (isfinite(x_new) and isfinite(v)) or abs(x_new) > x_limit or abs(v) > v_limit
+                        or abs(F_hat_load) > dist_limit):
+                    diverged = self.diverged = True
+                    self.diverged_step = k
+                if hint is None:  # ContactDetector.update on the mode codes: 0 non-contact, 1 transition, 2 contact
+                    f = abs(F_hat_load)
+                    if det_mode == 0:
+                        if f > th_on:
+                            det_mode, det_count = 1, 1
+                    elif f < th_off:
+                        det_release += 1
+                        if det_release >= dwell:
+                            det_mode = det_release = 0
+                    else:
+                        det_release = 0
+                        if det_mode == 1:
+                            det_count += 1
+                            if det_count >= dwell:
+                                det_mode = 2
+                    mode = det_mode
+                else:
+                    mode = hint
+                if est_c is not None and not diverged:
+                    # the contact filter tracks the RFOB filter every step; only the update is gated
+                    fv_c = c_r * fv_c + b_r * v_meas
+                    fx_c = c_r * fx_c + b_r * x
+                    f1_c = c_r * f1_c + b_r
+                    if mode == 2:
+                        ud_c, d_c, innov_c = kernel_c(ud_c, (fv_c, fx_c, f1_c), d_c, lo_c, hi_c, F_hat_load, mu_c)
+                if mode == 0 and est_nc is not None and not diverged:
+                    if nc_last_k != k - 1:
+                        bank_nc.reset()  # gap in the fed samples: restart the filter history
+                    nc_last_k = k
+                    emitted = bank_nc.step(xddot_des, F_dis_used, v_meas)
+                    if emitted is not None:
+                        innov_nc = est_nc.update(emitted[1], emitted[0])
+                c_t[k] = t + dt
+                c_x[k] = x = x_new
+                c_xdot[k] = v
+                c_xddot[k] = xddot_des
+                c_i[k] = i_m
+                c_F_ref[k] = F_ref
+                c_x_ref[k] = x_ref
+                c_F_load[k] = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+                c_F_hat_load[k] = F_hat_load
+                c_F_hat_dis[k] = F_hat_dis
+                c_ctrl[k] = ctrl_code
+                c_contact[k] = mode
+                c_alpha_g[k] = alpha_g
+                c_C_f[k] = C_f
+                # update() replaces the estimate list, so reading it needs no copy
+                if est_nc is not None:
+                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
+                    c_innov_nc[k], innov_nc = innov_nc, nan
+                if est_c is not None:
+                    c_D_env[k], c_K_env[k], c_offset[k] = d_c
+                    c_innov_c[k], innov_c = innov_c, nan
+                v_meas = v_meas_new
+                if diverged:
+                    break
+            state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
+            if vf is not None:
+                vf.y = y_v
+            dob.lpf.y, dob.F_hat, rfob.lpf.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
+            det.mode, det._count, det._release = ContactMode(det_mode), det_count, det_release
+            self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
+            if est_c is not None:
+                est_c._ud, est_c._delta = ud_c, d_c
+            if online and mode == 2 and not diverged and (k + 1) % period == 0:
+                d_env, k_env = max(d_c[0], 0.0), max(d_c[1], 0.0)
+                # a rejected design leaves the anchor alone, so the next period retries
+                if self._outside_deadband(d_env, k_env) and self._apply_design(
+                    k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
+                ):
+                    self._last_design_env = (d_env, k_env)
+                    c_alpha_g[k], c_C_f[k] = self.alpha_true * dob.lpf.g, self.C_f
         return not self.diverged and self._k < self.n_steps
 
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
-        while self.step():
-            pass
+        self._advance(self.n_steps)
         n = self._k
         ts = {name: arr[:n] for name, arr in self.ts.items()}
         phase_summaries = self._summarize_phases(ts)

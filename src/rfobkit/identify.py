@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .observers import FirstOrderLpf, lpf_pole
+from .observers import lpf_pole
 from .plant import smooth_sign
 
 
@@ -214,30 +214,6 @@ class NonContactRegressorBank:
     def reset(self) -> None:
         self._f = (0.0, 0.0, 0.0, 0.0)
         self._warm = 0
-
-
-class ContactRegressorBank:
-    """Filters the contact regressor columns through the observer's own low-pass.
-
-    The regression is u = F_load_hat against [xdot, x, 1]; with
-    delta = [D_env, K_env, offset] the constant column absorbs
-    -(D_env*xdot_env + K_env*x_env).  The measured load estimate is already a
-    low-passed version of the true contact force, so running the columns
-    through the matching filter keeps the regression consistent.  The bank
-    reads the pole of `lpf`, the RFOB's filter, on every step, so a retune of
-    the observer carries over without a second copy of the cutoff.
-    """
-
-    def __init__(self, lpf: FirstOrderLpf):
-        self.lpf = lpf
-        self._f = (0.0, 0.0, 0.0)  # filtered [xdot, x, 1]
-
-    def step(self, F_load_hat: float, xdot: float, x: float) -> tuple[float, tuple[float, float, float]]:
-        c = self.lpf.c
-        b = 1.0 - c
-        f_v, f_x, f_1 = self._f
-        self._f = (c * f_v + b * xdot, c * f_x + b * x, c * f_1 + b)
-        return F_load_hat, self._f
 
 
 class ContactDetector:

@@ -75,9 +75,6 @@ class PlantState:
     x_m: float = 0.0
     xdot_m: float = 0.0
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x_m) and math.isfinite(self.xdot_m)
-
 
 def smooth_sign(v: float, eps: float) -> float:
     """Smooth, bounded, odd approximation of sign(v): tanh(v / eps)."""

@@ -410,6 +410,27 @@ def test_cmd_simulate_missing_config_file():
     assert main(["simulate", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
 
 
+def test_cmd_simulate_config_directory_is_config_error(capsys):
+    assert main(["simulate", "--config", str(CONFIGS)]) == EXIT_CONFIG
+    assert f"configuration error: cannot read --config {CONFIGS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "identify", "design", "analyze"])
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_cmd_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    def no_work(*args):
+        raise AssertionError("the command ran")
+
+    for name in ("cmd_simulate", "cmd_identify", "cmd_design", "cmd_analyze"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "run.csv" if where == "missing_directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"--out {out}: not a file path in an existing directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_identify_plant(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["identify", "--config", str(CONFIGS / "identify_plant.cfg"), "--out", str(out)])

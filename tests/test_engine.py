@@ -1,12 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfobkit as rk
+from rfobkit.config import build_scenario, parse_config
 from rfobkit.design import EnvClass
 from rfobkit.engine import TIMESERIES_COLUMNS
+from rfobkit.identify import ContactMode
 from rfobkit.loop_model import closed_loop_force_tf, step_response
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 ENV = rk.EnvImpedance(D_env=2.0, K_env=6500.0)
 PP = rk.PlantParams(M_m=3.02, K_F=0.5)
@@ -32,6 +37,153 @@ def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
         always_in_contact=True,
         velocity_filter_on=False,
     ), des
+
+
+class LoopStepReference(rk.Simulator):
+    """One call per stage and the state on the objects: the bit-for-bit reference for Simulator._advance."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self._f_ref = (0.0, 0.0, 0.0)  # the contact regressor [xdot, x, 1], filtered by the RFOB's pole
+
+    def _advance(self, k_end):
+        while self._k < k_end and self._step():
+            pass
+        return not self.diverged and self._k < self.n_steps
+
+    def _step(self):
+        k = self._k
+        if k >= self.n_steps or self.diverged:
+            return False
+        sc = self.sc
+        dt = self.dt
+        state = self.state
+        t = k * dt
+        if k >= self._next_bound:
+            self._enter_phase(k)
+        phase = self._phase
+        t_local = t - self._phase_t0
+
+        x = state.x_m
+        xdot_meas = self._xdot_meas  # measurement taken at t_k
+        xdot_f = self._xdot_f
+
+        F_ref = math.nan
+        x_ref = math.nan
+        if phase.mode is rk.ControlMode.FORCE:
+            F_ref = self._reference(t_local)
+            xddot_des = self.C_f * (F_ref - self.rfob.F_hat)
+        else:
+            x_ref = self._reference(t_local)
+            xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
+
+        F_dis_used = self.dob.F_hat
+        i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
+
+        a = rk.plant_accel(i_m, state, sc.plant, sc.friction, sc.env,
+                           sc.always_in_contact, phase.F_d_override)
+        xdot_new = state.xdot_m = state.xdot_m + a * dt
+        x_new = state.x_m = x + xdot_new * dt
+
+        # fresh measurement at t_{k+1}: observers integrate the interval just applied
+        xdot_meas_new = xdot_new + (
+            self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
+        )
+        xdot_f_new = self.vel_filter.step(xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
+        F_hat_dis = self.dob.step(i_m, xdot_f_new)
+        F_hat_load = self.rfob.step(i_m, xdot_f_new)
+        self._xdot_meas = xdot_meas_new
+        self._xdot_f = xdot_f_new
+
+        if (
+            not (math.isfinite(x_new) and math.isfinite(xdot_new))
+            or abs(x_new) > sc.x_limit
+            or abs(xdot_new) > sc.v_limit
+            or abs(F_hat_load) > sc.dist_limit
+        ):
+            self.diverged = True
+            self.diverged_step = k
+
+        mode = phase.contact_hint
+        if mode is None:
+            mode = self.detector.update(F_hat_load)
+
+        innov_nc = math.nan
+        innov_c = math.nan
+        est_nc = self.est_nc
+        est_c = self.est_c
+        if est_c is not None and not self.diverged:
+            c = self.rfob.lpf.c
+            b = 1.0 - c
+            f_v, f_x, f_1 = self._f_ref
+            rho_c = self._f_ref = (c * f_v + b * xdot_meas, c * f_x + b * x, c * f_1 + b)
+            if mode is ContactMode.CONTACT:
+                innov_c = est_c.update(rho_c, F_hat_load)
+                if (
+                    sc.adaptation.mode is rk.AdaptationMode.ONLINE
+                    and (k + 1) % sc.adaptation.period_steps == 0
+                ):
+                    d = est_c.values
+                    d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
+                    if self._outside_deadband(d_env, k_env) and self._apply_design(
+                        t, rk.EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.M
+                    ):
+                        self._last_design_env = (d_env, k_env)
+        if mode is ContactMode.NON_CONTACT and est_nc is not None and not self.diverged:
+            if self._bank_nc_last_k != k - 1:
+                self.bank_nc.reset()
+            self._bank_nc_last_k = k
+            emitted = self.bank_nc.step(xddot_des, F_dis_used, xdot_meas)
+            if emitted is not None:
+                innov_nc = est_nc.update(emitted[1], emitted[0])
+
+        (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
+         c_ctrl, c_contact, c_alpha_g, c_C_f, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
+         c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
+        c_t[k] = t + dt
+        c_x[k] = x_new
+        c_xdot[k] = xdot_new
+        c_xddot[k] = xddot_des
+        c_i[k] = i_m
+        c_F_ref[k] = F_ref
+        c_x_ref[k] = x_ref
+        c_F_load[k] = rk.contact_force(state, sc.env, sc.always_in_contact)
+        c_F_hat_load[k] = F_hat_load
+        c_F_hat_dis[k] = F_hat_dis
+        c_ctrl[k] = self._ctrl_code
+        c_contact[k] = mode
+        c_alpha_g[k] = self.alpha_true * self.dob.lpf.g
+        c_C_f[k] = self.C_f
+        if est_nc is not None:
+            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
+            c_innov_nc[k] = innov_nc
+        if est_c is not None:
+            c_D_env[k], c_K_env[k], c_offset[k] = est_c._delta
+            c_innov_c[k] = innov_c
+
+        self._k = k + 1
+        return not self.diverged and self._k < self.n_steps
+
+
+def assert_same_run(sc, sim=None):
+    """Simulator(sc).run(), or `sim` run on from where it stands, matches LoopStepReference bit for bit."""
+    ref = LoopStepReference(sc)
+    ref_res = ref.run()
+    if sim is None:
+        sim = rk.Simulator(sc)
+    res = sim.run()
+    assert res.n_steps == ref_res.n_steps and res.diverged_step == ref_res.diverged_step
+    assert set(res.ts) == set(TIMESERIES_COLUMNS)
+    for name in TIMESERIES_COLUMNS:
+        assert res.ts[name].dtype == ref_res.ts[name].dtype, name
+        assert res.ts[name].tobytes() == ref_res.ts[name].tobytes(), name
+    assert repr(res.design_events) == repr(ref_res.design_events)  # repr: NaN fields compare too
+    for est, ref_est in ((sim.est_nc, ref.est_nc), (sim.est_c, ref.est_c)):
+        assert (est is None) == (ref_est is None)
+        if est is not None:
+            assert np.array(est._ud).tobytes() == np.array(ref_est._ud).tobytes()
+            assert np.array(est._delta).tobytes() == np.array(ref_est._delta).tobytes()
+    return res
 
 
 def test_position_gains_stable_on_nominalized_plant():
@@ -322,7 +474,9 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
     sim = rk.Simulator(sc)
     assert sim.rfob.lpf.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
     assert sim.rfob.lpf.g != 500.0
-    assert sim.bank_c.lpf is sim.rfob.lpf
+    sim.run()
+    # the constant regressor column is 1 - c**k for the pole c the filter ran with
+    assert sim._f_c[2] == pytest.approx(1.0 - math.exp(-sim.rfob.lpf.g * sc.dt * sim.n_steps), rel=1e-12)
 
 
 def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
@@ -431,19 +585,128 @@ def _switching_scenario(**ident):
                           "ident": rk.IdentConfig(**ident)})
 
 
-@pytest.mark.parametrize("ident", [{}, {"enable_env": True}], ids=["no_ident", "env_ident"])
-def test_stepped_simulator_records_as_run_scenario(ident):
-    sc = _switching_scenario(**ident)
+def _online_scenario():
+    """A contact onset under online adaptation: with g = alpha_g / design_alpha near 0.5/dt, the first
+    redesigns are rejected as too fast and the later ones, on converged estimates, are applied."""
+    sc, des = linear_scenario()
+    return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.5, 5.0),), "C_f": des.C_f, "x0": -0.001,
+                          "env": rk.EnvImpedance(D_env=2.0, K_env=6500.0, x_env=0.001), "always_in_contact": False,
+                          "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=100,
+                                                            design_alpha=0.0105, deadband=0.0),
+                          "ident": rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e5,
+                                                  delta0_c=(0.5, 3000.0, 0.0))})
+
+
+def _noisy_filtered_scenario():
+    """Velocity filter on and seeded noise, a unilateral contact the detector finds, both estimators on."""
+    sc, _ = linear_scenario(duration=0.3)
+    return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.3, 2.0),), "velocity_filter_on": True,
+                          "noise_std": 1e-3, "seed": 5, "always_in_contact": False,
+                          "env": rk.EnvImpedance(D_env=2.0, K_env=6500.0, x_env=2e-4),
+                          "ident": rk.IdentConfig(enable_plant=True, enable_env=True)})
+
+
+def _free_then_auto_scenario():
+    """Free motion identifies the plant, which folds into the RFOB as the auto-detected force phase starts."""
+    sc, _ = linear_scenario()
+    free = rk.Phase(mode=rk.ControlMode.POSITION, duration=0.5,
+                    reference=rk.Reference(kind="multisine", offset=-0.01,
+                                           components=((0.004, 4.0, 0.0), (0.002, 11.0, 1.0))),
+                    contact_hint=rk.ContactMode.NON_CONTACT)
+    return rk.Scenario(**{**sc.__dict__, "phases": (free, force_phase(0.3, 3.0)), "always_in_contact": False,
+                          "plant": rk.PlantParams(M_m=3.02, K_F=0.5, F_d=1.5),
+                          "friction": rk.FrictionParams(k_vsc=4.0, k_clmb=1.0),
+                          "ident": rk.IdentConfig(enable_plant=True, enable_env=True, mu_nc=1.0, gamma0_nc=1e5)})
+
+
+def _reference_kinds_scenario():
+    sc, _ = linear_scenario()
+    contact = rk.ContactMode.CONTACT
+    refs = (rk.Reference(kind="sine", offset=1.0, amp=0.5, freq_hz=20.0, phase=0.3),
+            rk.Reference(kind="multisine", offset=1.0, components=((0.3, 7.0, 0.0), (0.2, 31.0, 1.1))),
+            rk.Reference(kind="ramp", start=1.0, end=2.0))
+    phases = tuple(rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, reference=r, contact_hint=contact) for r in refs)
+    return rk.Scenario(**{**sc.__dict__, "phases": phases, "ident": rk.IdentConfig(enable_env=True)})
+
+
+def _diverging_scenario():
+    # overestimated identified inertia with high loop gain: the loop leaves x_limit within 2 s
+    sc, _ = linear_scenario()
+    return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(2.0, 1.0, hint=rk.ContactMode.CONTACT),),
+                          "dob": rk.DobConfig(M_mn=6.04, K_Fn=0.5, g_dob=500.0, g_v=1000.0),
+                          "rfob": rk.RfobConfig(M_hat=6.04, K_F_hat=0.5, g_rfob=500.0), "C_f": 1.25,
+                          "x_limit": 1.0, "v_limit": 100.0, "ident": rk.IdentConfig(enable_env=True)})
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg") if "[phase]" in p.read_text()))
+def test_step_loop_matches_the_reference_loop_on_bundled_configs(name):
+    # design_combined.cfg schedules no phase, so it has nothing to simulate
+    assert_same_run(build_scenario(parse_config((CONFIGS / name).read_text())))
+
+
+def test_step_loop_matches_the_reference_loop_under_online_adaptation():
+    events = assert_same_run(_online_scenario()).design_events
+    assert any(e.applied for e in events) and any(not e.applied for e in events)
+
+
+def test_step_loop_matches_the_reference_loop_with_noise_and_the_velocity_filter():
+    res = assert_same_run(_noisy_filtered_scenario())
+    assert set(np.unique(res.ts["contact_mode"])) == {0, 1, 2}
+
+
+def test_step_loop_matches_the_reference_loop_across_the_rfob_fold():
+    sc = _free_then_auto_scenario()
+    sim = rk.Simulator(sc)
+    for _ in range(5000):  # the whole free phase
+        sim.step()
+    d = sim.est_nc.values
+    assert (sim.rfob.M, sim.rfob.F_d) == (3.02, 0.0) and d[3] != 0.0
+    sim.step()
+    assert (sim.rfob.M, sim.rfob.friction.k_vsc, sim.rfob.friction.k_clmb, sim.rfob.F_d) == (
+        max(d[0], 1e-6), max(d[1], 0.0), max(d[2], 0.0), d[3])
+    assert_same_run(sc, sim)
+
+
+@pytest.mark.parametrize("make", [_switching_scenario, _reference_kinds_scenario, _diverging_scenario],
+                         ids=["position_to_force", "reference_kinds", "divergence"])
+def test_step_loop_matches_the_reference_loop(make):
+    res = assert_same_run(make())
+    assert res.diverged == (make is _diverging_scenario)
+
+
+@pytest.mark.parametrize("case", ["no_ident", "env_ident", "online", "divergence"])
+def test_stepped_simulator_records_as_run_scenario(case):
+    """step() j times, then run(), records what run_scenario does, for j on each kind of chunk boundary."""
+    if case == "online":
+        sc = _online_scenario()
+        period = sc.adaptation.period_steps
+        js = [3 * period - 1, 3 * period]  # the next step, or the last one stepped, is a redesign step
+    elif case == "divergence":
+        sc = _diverging_scenario()
+        k_div = rk.run_scenario(sc).diverged_step
+        js = [k_div - 1, k_div]
+    else:
+        sc = _switching_scenario(**({"enable_env": True} if case == "env_ident" else {}))
+        js = [2999, 3000]  # the position -> force bound
     sim = rk.Simulator(sc)
     while sim.step():
         pass
-    assert sim._k == sim.n_steps == 10000
+    ran_res = rk.run_scenario(sc)
+    assert sim._k == ran_res.n_steps == (ran_res.diverged_step + 1 if case == "divergence" else sim.n_steps)
+    if case in ("no_ident", "env_ident"):
+        assert sim._k == 10000
     stepped = {name: arr[:sim._k] for name, arr in sim.ts.items()}
-    ran = rk.run_scenario(sc).ts
+    ran = ran_res.ts
     assert set(stepped) == set(ran) == set(TIMESERIES_COLUMNS)
     for name, arr in ran.items():
         assert arr.dtype == stepped[name].dtype == (np.int8 if name in ("ctrl_mode", "contact_mode") else np.float64)
         np.testing.assert_array_equal(stepped[name], arr, err_msg=name)  # NaN-aware
+    for j in js:
+        sim = rk.Simulator(sc)
+        for _ in range(j):
+            assert sim.step()
+        assert sim._k == j
+        assert_same_run(sc, sim)
 
 
 def test_position_to_force_switch_lands_on_the_boundary_step():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfobkit.identify import (
-    ContactDetector,
-    ContactMode,
-    ContactRegressorBank,
-    NonContactRegressorBank,
-    RlmsEstimator,
-)
+from rfobkit.identify import ContactDetector, ContactMode, NonContactRegressorBank, RlmsEstimator
 from rfobkit.observers import FirstOrderLpf
 from rfobkit.plant import smooth_sign
 
@@ -139,16 +133,19 @@ class NumpyNonContactBankReference:
         return out
 
 
-class NumpyContactBankReference:
-    """The numpy contact bank step the tuple version replaced."""
+class ContactBankReference:
+    """The contact regressor filter that Simulator._advance writes out: [xdot, x, 1] through the pole of `lpf`."""
 
-    def __init__(self, g_filter, dt):
-        self._c = math.exp(-g_filter * dt)
-        self._f = np.zeros(3)
+    def __init__(self, lpf):
+        self.lpf = lpf
+        self._f = (0.0, 0.0, 0.0)
 
     def step(self, F_load_hat, xdot, x):
-        self._f = self._c * self._f + (1.0 - self._c) * np.array([xdot, x, 1.0])
-        return F_load_hat, self._f.copy()
+        c = self.lpf.c
+        b = 1.0 - c
+        f_v, f_x, f_1 = self._f
+        self._f = (c * f_v + b * xdot, c * f_x + b * x, c * f_1 + b)
+        return F_load_hat, self._f
 
 
 def scalar_estimator(gamma0=100.0, mu=1.0, lo=-1e6, hi=1e6, delta0=0.0):
@@ -369,7 +366,7 @@ def test_contact_bank_offset_absorbs_equilibrium():
     # -(D xdot_env + K x_env) and the regression stays exact while the contact moves
     dt, g = 1e-4, 400.0
     D, K, x_env, xdot_env = 2.0, 6500.0, 0.01, 0.002
-    bank = ContactRegressorBank(FirstOrderLpf(g, dt))
+    bank = ContactBankReference(FirstOrderLpf(g, dt))
     delta = np.array([D, K, -(D * xdot_env + K * x_env)])
     c = math.exp(-g * dt)
     f_meas = 0.0
@@ -483,7 +480,7 @@ def test_contact_bank_filters_consistently():
     # constant contact: filtered columns converge and the regression becomes exact
     dt = 1e-4
     g = 400.0
-    bank = ContactRegressorBank(FirstOrderLpf(g, dt))
+    bank = ContactBankReference(FirstOrderLpf(g, dt))
     D, K, off = 2.0, 6500.0, 0.0
     x, xdot = 1e-3, 0.0
     F = D * xdot + K * x + off
@@ -502,19 +499,13 @@ def test_banks_emit_the_numpy_reference_values_exactly():
     rng = np.random.default_rng(9)
     nc = NonContactRegressorBank(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
     nc_ref = NumpyNonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
-    c = ContactRegressorBank(FirstOrderLpf(400.0, 1e-4))
-    c_ref = NumpyContactBankReference(g_filter=400.0, dt=1e-4)
     for k in range(2000):
         if k == 1000:
             nc.reset()
             nc_ref = NumpyNonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
-            c.lpf.retune(250.0)
-            c_ref._c = math.exp(-250.0 * 1e-4)
-        a, f, v, x = (rng.standard_normal(4) * (10.0, 5.0, 0.01, 1e-3)).tolist()
+        a, f, v, _ = (rng.standard_normal(4) * (10.0, 5.0, 0.01, 1e-3)).tolist()
         got, want = nc.step(a, f, v), nc_ref.step(a, f, v)
         if want is None:
             assert got is None
         else:
             assert got[0] == want[0] and got[1] == tuple(want[1].tolist())
-        got, want = c.step(f, v, x), c_ref.step(f, v, x)
-        assert got[0] == want[0] and got[1] == tuple(want[1].tolist())
