@@ -39,7 +39,6 @@ from .engine import (
 from .identify import (
     ContactDetector,
     ContactMode,
-    NonContactRegressorBank,
     RlmsEstimator,
 )
 from .loop_model import (

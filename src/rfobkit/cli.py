@@ -149,6 +149,8 @@ def _parse_sweep(spec: str) -> tuple[str, str, np.ndarray]:
         raise ConfigError(
             f"bad --sweep {spec!r}: expected section.key=START:STOP:N[:lin|log]"
         ) from None
+    if not math.isfinite(stop - start):  # NaN or infinite when START or STOP is, or when the span overflows
+        raise ConfigError(f"bad --sweep {spec!r}: START, STOP and STOP - START must be finite")
     if scale == "log":
         if start <= 0 or stop <= 0:
             raise ConfigError("log sweep requires positive endpoints")

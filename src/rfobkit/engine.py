@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
-from .identify import ContactDetector, ContactMode, NonContactRegressorBank, RlmsEstimator, _rlms_kernel
-from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RatioReport, RfobConfig
+from .identify import ContactDetector, ContactMode, RlmsEstimator, _rlms_kernel
+from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RatioReport, RfobConfig, lpf_pole
 from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign
 
 
@@ -56,19 +56,27 @@ class Reference:
     duration: float = 1.0
 
     def __call__(self, t: float) -> float:
-        if self.kind == "const":
-            return self.value
-        if self.kind == "sine":
-            return self.offset + self.amp * math.sin(2.0 * math.pi * self.freq_hz * t + self.phase)
-        if self.kind == "multisine":
-            out = self.offset
-            for amp, freq, ph in self.components:
-                out += amp * math.sin(2.0 * math.pi * freq * t + ph)
-            return out
         if self.kind == "ramp":
             frac = min(max(t / self.duration, 0.0), 1.0)
             return self.start + (self.end - self.start) * frac
-        raise ValueError(f"unknown reference kind {self.kind!r}")
+        out, terms = self.terms()
+        for amp, w, ph in terms:
+            out += amp * math.sin(w * t + ph)
+        return out
+
+    def terms(self) -> tuple[float, tuple[tuple[float, float, float], ...]]:
+        """A const, sine or multisine reference as offset + sum of amp*sin(w*t + phase) over (amp, w, phase).
+
+        w = 2*pi*freq_hz is the product Python forms first in 2*pi*freq_hz*t,
+        so the sum is bit-identical to the formula written out.
+        """
+        if self.kind == "const":
+            return self.value, ()
+        if self.kind == "sine":
+            return self.offset, ((self.amp, 2.0 * math.pi * self.freq_hz, self.phase),)
+        if self.kind == "multisine":
+            return self.offset, tuple((amp, 2.0 * math.pi * freq, ph) for amp, freq, ph in self.components)
+        raise ValueError(f"reference kind {self.kind!r} is not const, sine or multisine")
 
 
 @dataclass(frozen=True)
@@ -324,8 +332,11 @@ class Simulator:
 
         ident = scenario.ident
         self.detector, self.est_nc, self.est_c = ident.build_estimators()
-        self.bank_nc = NonContactRegressorBank(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
-                                               scenario.friction.eps) if ident.enable_plant else None
+        # the free-motion regression is u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, tanh(xdot/eps), 1],
+        # the motor force balance with delta = [M_m, k_vsc, k_clmb, F_d]; every channel passes through one
+        # low-pass, so the balance holds exactly, and xddot is the backward difference of the filtered velocity
+        self._c_nc = lpf_pole(ident.g_nc(scenario.dob.g_v), self.dt) if ident.enable_plant else 0.0
+        self._f_nc, self._warm_nc = (0.0, 0.0, 0.0, 0.0), 0  # filtered [u, xdot, zeta, 1]; samples fed, up to 2
         # the contact regression is u = F_hat_load against [xdot, x, 1] through the RFOB's own pole, the
         # low-pass the load estimate already carries; with delta = [D_env, K_env, offset] the constant
         # column absorbs -(D_env*xdot_env + K_env*x_env)
@@ -388,6 +399,7 @@ class Simulator:
         self._next_bound = bounds[i + 1] if i + 2 < len(bounds) else math.inf
         ref = phase.reference
         self._reference = replace(ref, duration=phase.duration) if ref.kind == "ramp" else ref
+        self._ref_terms = None if ref.kind == "ramp" else ref.terms()
         self._ctrl_code = _CTRL_CODE[phase.mode]
 
     def _on_phase_start(self, idx: int) -> None:
@@ -444,14 +456,16 @@ class Simulator:
     def _advance(self, k_end: int) -> bool:
         """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
-        One step is the control law, `plant_accel`, the velocity filter, the
-        DOB and RFOB `DisturbanceObserver.step`, `ContactDetector.update`,
-        the contact regressor filter with its RLS update, and the record, all
-        written out in the floating-point order of those single-step APIs.
-        The loop state lives in locals: a chunk loads it from the objects and
-        writes it back when it ends, at k_end, a phase boundary, a divergence
-        or a redesign step.  A redesign runs after the write-back and patches
-        the gains of the step's record; the next chunk reloads them.
+        One step is the reference, the control law, `plant_accel`, the
+        velocity filter, the DOB and RFOB `DisturbanceObserver.step`,
+        `ContactDetector.update`, the contact and the free-motion regressor
+        filters with their RLS updates, and the record, all written out in the
+        floating-point order of those single-step APIs.  The loop state lives
+        in locals: a chunk loads it from the objects and writes it back when
+        it ends, at k_end, a phase boundary, a divergence or a redesign step,
+        so the RFOB model fold at a phase start reads the current estimate.  A
+        redesign runs after the write-back and patches the gains of the step's
+        record; the next chunk reloads them.
         """
         k_end = min(k_end, self.n_steps)
         sc, dt, state, ad = self.sc, self.dt, self.state, self.sc.adaptation
@@ -461,14 +475,18 @@ class Simulator:
         unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
         x_limit, v_limit, dist_limit, noise_std = sc.x_limit, sc.v_limit, sc.dist_limit, sc.noise_std
         noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
-        tanh, isfinite, nan = math.tanh, math.isfinite, math.nan
+        sin, tanh, isfinite, nan = math.sin, math.tanh, math.isfinite, math.nan
         vf, dob, rfob, det = self.vel_filter, self.dob, self.rfob, self.detector
-        est_nc, bank_nc, est_c = self.est_nc, self.bank_nc, self.est_c
+        est_nc, est_c = self.est_nc, self.est_c
         c_v = vf.c if vf is not None else 0.0
         b_v = 1.0 - c_v
         th_on, th_off, dwell = det.threshold_on, det.threshold_off, det.dwell
         if est_c is not None:
             kernel_c, lo_c, hi_c, mu_c = _rlms_kernel(est_c.n), est_c._lo, est_c._hi, est_c.mu
+        if est_nc is not None:
+            kernel_nc, lo_nc, hi_nc, mu_nc = _rlms_kernel(est_nc.n), est_nc._lo, est_nc._hi, est_nc.mu
+        c_nc, M_mn = self._c_nc, sc.dob.M_mn
+        b_nc = 1.0 - c_nc
         online = ad.mode is AdaptationMode.ONLINE and est_c is not None
         period = ad.period_steps
         (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
@@ -479,7 +497,9 @@ class Simulator:
             if k >= self._next_bound:
                 self._enter_phase(k)
             stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end)
-            phase, ref, t0, ctrl_code = self._phase, self._reference, self._phase_t0, self._ctrl_code
+            phase, t0, ctrl_code = self._phase, self._phase_t0, self._ctrl_code
+            ramp = self._reference if self._ref_terms is None else None
+            ref0, waves = self._ref_terms or (0.0, ())
             force = phase.mode is ControlMode.FORCE
             hint = None if phase.contact_hint is None else int(phase.contact_hint)
             dist = dist0 if phase.F_d_override is None else phase.F_d_override
@@ -493,16 +513,25 @@ class Simulator:
             y_v = vf.y if vf is not None else 0.0
             det_mode, det_count, det_release = int(det.mode), det._count, det._release
             (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
+            (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
             if est_c is not None:
                 ud_c, d_c = est_c._ud, est_c._delta
+            if est_nc is not None:
+                ud_nc, d_nc = est_nc._ud, est_nc._delta
             F_ref = x_ref = innov_nc = innov_c = nan
             for k in range(k, stop):
                 t = k * dt
+                if ramp is None:
+                    r = ref0
+                    for a, w, ph in waves:
+                        r += a * sin(w * (t - t0) + ph)
+                else:
+                    r = ramp(t - t0)
                 if force:
-                    F_ref = ref(t - t0)
+                    F_ref = r
                     xddot_des = C_f * (F_ref - F_hat_load)
                 else:
-                    x_ref = ref(t - t0)
+                    x_ref = r
                     xddot_des = K_P * (x_ref - x) - K_V * v_f
                 F_dis_used = F_hat_dis
                 i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
@@ -551,12 +580,20 @@ class Simulator:
                     if mode == 2:
                         ud_c, d_c, innov_c = kernel_c(ud_c, (fv_c, fx_c, f1_c), d_c, lo_c, hi_c, F_hat_load, mu_c)
                 if mode == 0 and est_nc is not None and not diverged:
-                    if nc_last_k != k - 1:
-                        bank_nc.reset()  # gap in the fed samples: restart the filter history
+                    if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
+                        fu_nc = fv_nc = fz_nc = f1_nc = 0.0
+                        warm_nc = 0
                     nc_last_k = k
-                    emitted = bank_nc.step(xddot_des, F_dis_used, v_meas)
-                    if emitted is not None:
-                        innov_nc = est_nc.update(emitted[1], emitted[0])
+                    v_nc = c_nc * fv_nc + b_nc * v_meas
+                    if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
+                        ud_nc, d_nc, innov_nc = kernel_nc(ud_nc, ((v_nc - fv_nc) / dt, fv_nc, fz_nc, f1_nc), d_nc,
+                                                          lo_nc, hi_nc, fu_nc, mu_nc)
+                    else:
+                        warm_nc += 1
+                    fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
+                    fv_nc = v_nc
+                    fz_nc = c_nc * fz_nc + b_nc * tanh(v_meas / eps)
+                    f1_nc = c_nc * f1_nc + b_nc
                 c_t[k] = t + dt
                 c_x[k] = x = x_new
                 c_xdot[k] = v
@@ -571,9 +608,9 @@ class Simulator:
                 c_contact[k] = mode
                 c_alpha_g[k] = alpha_g
                 c_C_f[k] = C_f
-                # update() replaces the estimate list, so reading it needs no copy
+                # the kernels return a new estimate list, so reading one needs no copy
                 if est_nc is not None:
-                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
+                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = d_nc
                     c_innov_nc[k], innov_nc = innov_nc, nan
                 if est_c is not None:
                     c_D_env[k], c_K_env[k], c_offset[k] = d_c
@@ -587,8 +624,11 @@ class Simulator:
             dob.lpf.y, dob.F_hat, rfob.lpf.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
             det.mode, det._count, det._release = ContactMode(det_mode), det_count, det_release
             self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
+            self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
             if est_c is not None:
                 est_c._ud, est_c._delta = ud_c, d_c
+            if est_nc is not None:
+                est_nc._ud, est_nc._delta = ud_nc, d_nc
             if online and mode == 2 and not diverged and (k + 1) % period == 0:
                 d_env, k_env = max(d_c[0], 0.0), max(d_c[1], 0.0)
                 # a rejected design leaves the anchor alone, so the next period retries

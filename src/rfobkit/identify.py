@@ -15,9 +15,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .observers import lpf_pole
-from .plant import smooth_sign
-
 
 class ContactMode(IntEnum):
     """Contact mode; its value is the code the `contact_mode` column records."""
@@ -174,46 +171,6 @@ def _rlms_kernel(n: int):
     source = "def kernel(ud, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
     exec(compile(source, f"<rlms update n={n}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-class NonContactRegressorBank:
-    """Produces filtered, time-aligned non-contact regressors from raw loop signals.
-
-    The regression is u = M_mn*xddot_des + F_dis_hat against
-    [xddot, xdot, zeta(xdot), 1]: with delta = [M_m, k_vsc, k_clmb, F_d] it
-    is the motor force balance when no external load acts.
-
-    Every channel (measurement and regressor columns) passes through the same
-    first-order low-pass so the regression equality is preserved exactly; the
-    acceleration column is the backward difference of the filtered velocity,
-    i.e. a filtered differentiation, which avoids needing an accelerometer.
-    The emitted pair is delayed by one sample to keep all columns aligned.
-    """
-
-    def __init__(self, g_filter: float, dt: float, M_mn: float, eps: float):
-        self._c = lpf_pole(g_filter, dt)
-        self.dt = dt
-        self.M_mn = M_mn
-        self.eps = eps
-        self._f = (0.0, 0.0, 0.0, 0.0)  # filtered [u, xdot, zeta, 1]
-        self._warm = 0
-
-    def step(self, xddot_des: float, F_dis_hat: float, xdot: float) -> tuple[float, tuple[float, ...]] | None:
-        c = self._c
-        b = 1.0 - c
-        f_u, f_v, f_z, f_1 = self._f
-        u_raw = self.M_mn * xddot_des + F_dis_hat
-        new_v = c * f_v + b * xdot
-        out = None
-        if self._warm >= 2:
-            out = (f_u, ((new_v - f_v) / self.dt, f_v, f_z, f_1))
-        self._f = (c * f_u + b * u_raw, new_v, c * f_z + b * smooth_sign(xdot, self.eps), c * f_1 + b)
-        self._warm += 1
-        return out
-
-    def reset(self) -> None:
-        self._f = (0.0, 0.0, 0.0, 0.0)
-        self._warm = 0
 
 
 class ContactDetector:

@@ -572,6 +572,21 @@ def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):
     assert "configuration error: --sweep target [design] case is a str key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "environment.D_env_Ns_per_m=1:inf:3:log", "environment.K_env_N_per_m=inf:100:3",
+    "environment.K_env_N_per_m=nan:100:3:log", "environment.D_env_Ns_per_m=1:nan:3",
+    "environment.D_env_Ns_per_m=-inf:1:3", "environment.K_env_N_per_m=inf:inf:3:log",
+    "environment.K_env_N_per_m=-1.7e308:1.7e308:3",  # finite endpoints whose span overflows
+])
+def test_cmd_design_sweep_with_non_finite_values_is_config_error(capsys, spec):
+    code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", spec])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (f"configuration error: bad --sweep {spec!r}: "
+                                    "START, STOP and STOP - START must be finite")
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("gamma0_c = 1e6", "gamma0_c = nan", "configuration error: [identify] gamma0 must be positive"),
     ("velocity_filter = off", "velocity_filter = off\nadaptation = online\n[design]\nalpha = nan",

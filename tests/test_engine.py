@@ -10,6 +10,7 @@ from rfobkit.design import EnvClass
 from rfobkit.engine import TIMESERIES_COLUMNS
 from rfobkit.identify import ContactMode
 from rfobkit.loop_model import closed_loop_force_tf, step_response
+from test_identify import NonContactBankReference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,6 +46,9 @@ class LoopStepReference(rk.Simulator):
     def __init__(self, scenario):
         super().__init__(scenario)
         self._f_ref = (0.0, 0.0, 0.0)  # the contact regressor [xdot, x, 1], filtered by the RFOB's pole
+        ident = scenario.ident
+        self.bank_nc = NonContactBankReference(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
+                                               scenario.friction.eps) if ident.enable_plant else None
 
     def _advance(self, k_end):
         while self._k < k_end and self._step():
@@ -535,6 +539,29 @@ def test_reference_kinds():
     assert r(5.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         rk.Reference(kind="wiggle")(0.0)
+    with pytest.raises(ValueError, match="not const, sine or multisine"):
+        rk.Reference(kind="ramp").terms()
+    # const, sine and multisine as Simulator._advance sums their terms: bit for bit the formulas written out
+    rng = np.random.default_rng(14)
+    off, amp, freq, ph = rng.uniform(-3.0, 3.0, 4).tolist()
+    comps = tuple(map(tuple, rng.uniform(-3.0, 3.0, (3, 3)).tolist()))
+
+    def multisine(t):
+        out = off
+        for a, f, p in comps:
+            out += a * math.sin(2.0 * math.pi * f * t + p)
+        return out
+
+    cases = [(rk.Reference(kind="const", value=amp), lambda t: amp),
+             (rk.Reference(kind="sine", offset=off, amp=amp, freq_hz=freq, phase=ph),
+              lambda t: off + amp * math.sin(2.0 * math.pi * freq * t + ph)),
+             (rk.Reference(kind="multisine", offset=off, components=comps), multisine)]
+    for t in rng.uniform(-1.0, 50.0, 10_000).tolist():
+        for ref, formula in cases:
+            r, terms = ref.terms()
+            for a, w, p in terms:
+                r += a * math.sin(w * t + p)
+            assert r.hex() == ref(t).hex() == formula(t).hex()
 
 
 def test_scenario_rejects_nan_settings():
@@ -619,6 +646,18 @@ def _free_then_auto_scenario():
                           "ident": rk.IdentConfig(enable_plant=True, enable_env=True, mu_nc=1.0, gamma0_nc=1e5)})
 
 
+def _free_contact_free_scenario():
+    """Position holds out of, into and back out of contact, found by the detector, with the plant estimator on."""
+    sc, _ = linear_scenario()
+
+    def hold(x):
+        return rk.Phase(mode=rk.ControlMode.POSITION, duration=0.1, reference=rk.Reference(kind="const", value=x))
+
+    return rk.Scenario(**{**sc.__dict__, "phases": (hold(-1e-3), hold(1e-3), hold(-1e-3)), "always_in_contact": False,
+                          "env": rk.EnvImpedance(D_env=2.0, K_env=6500.0),
+                          "ident": rk.IdentConfig(enable_plant=True, mu_nc=1.0, gamma0_nc=1e5)})
+
+
 def _reference_kinds_scenario():
     sc, _ = linear_scenario()
     contact = rk.ContactMode.CONTACT
@@ -667,6 +706,17 @@ def test_step_loop_matches_the_reference_loop_across_the_rfob_fold():
     assert_same_run(sc, sim)
 
 
+def test_step_loop_restarts_the_free_motion_filters_after_a_contact_gap():
+    res = assert_same_run(_free_contact_free_scenario())
+    mode, innov = res.ts["contact_mode"], res.ts["innov_nc_N"]
+    changes = np.flatnonzero(np.diff(mode) != 0) + 1
+    assert mode[0] == 0 and mode[changes].tolist() == [1, 2, 0]
+    k = int(changes[-1])  # free motion resumes after the contact gap
+    # the restarted filters warm up for two samples, as at the start, before the estimator updates again
+    assert np.flatnonzero(np.isnan(innov) & (mode == 0)).tolist() == [0, 1, k, k + 1]
+    assert np.isfinite(innov[k + 2:]).all()
+
+
 @pytest.mark.parametrize("make", [_switching_scenario, _reference_kinds_scenario, _diverging_scenario],
                          ids=["position_to_force", "reference_kinds", "divergence"])
 def test_step_loop_matches_the_reference_loop(make):
@@ -674,7 +724,7 @@ def test_step_loop_matches_the_reference_loop(make):
     assert res.diverged == (make is _diverging_scenario)
 
 
-@pytest.mark.parametrize("case", ["no_ident", "env_ident", "online", "divergence"])
+@pytest.mark.parametrize("case", ["no_ident", "env_ident", "plant_ident", "online", "divergence"])
 def test_stepped_simulator_records_as_run_scenario(case):
     """step() j times, then run(), records what run_scenario does, for j on each kind of chunk boundary."""
     if case == "online":
@@ -685,6 +735,9 @@ def test_stepped_simulator_records_as_run_scenario(case):
         sc = _diverging_scenario()
         k_div = rk.run_scenario(sc).diverged_step
         js = [k_div - 1, k_div]
+    elif case == "plant_ident":
+        sc = _free_then_auto_scenario()
+        js = [1, 2, 4999, 5000]  # within the free-motion filters' warm-up, and the free -> force bound
     else:
         sc = _switching_scenario(**({"enable_env": True} if case == "env_ident" else {}))
         js = [2999, 3000]  # the position -> force bound

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfobkit.identify import ContactDetector, ContactMode, NonContactRegressorBank, RlmsEstimator
-from rfobkit.observers import FirstOrderLpf
+from rfobkit.identify import ContactDetector, ContactMode, RlmsEstimator
+from rfobkit.observers import FirstOrderLpf, lpf_pole
 from rfobkit.plant import smooth_sign
 
 
@@ -131,6 +131,41 @@ class NumpyNonContactBankReference:
         self._f = new
         self._warm += 1
         return out
+
+
+class NonContactBankReference:
+    """The free-motion regressor filter that Simulator._advance writes out.
+
+    The regression is u = M_mn*xddot_des + F_dis_hat against
+    [xddot, xdot, zeta(xdot), 1]: with delta = [M_m, k_vsc, k_clmb, F_d] it
+    is the motor force balance when no external load acts.  Every channel
+    passes through the same first-order low-pass, so the balance holds
+    exactly; the acceleration column is the backward difference of the
+    filtered velocity, and the emitted pair lags one sample so every column
+    is aligned.
+    """
+
+    def __init__(self, g_filter, dt, M_mn, eps):
+        self._c = lpf_pole(g_filter, dt)
+        self.dt, self.M_mn, self.eps = dt, M_mn, eps
+        self.reset()
+
+    def step(self, xddot_des, F_dis_hat, xdot):
+        c = self._c
+        b = 1.0 - c
+        f_u, f_v, f_z, f_1 = self._f
+        u_raw = self.M_mn * xddot_des + F_dis_hat
+        new_v = c * f_v + b * xdot
+        out = None
+        if self._warm >= 2:
+            out = (f_u, ((new_v - f_v) / self.dt, f_v, f_z, f_1))
+        self._f = (c * f_u + b * u_raw, new_v, c * f_z + b * smooth_sign(xdot, self.eps), c * f_1 + b)
+        self._warm += 1
+        return out
+
+    def reset(self):
+        self._f = (0.0, 0.0, 0.0, 0.0)  # filtered [u, xdot, zeta, 1]
+        self._warm = 0
 
 
 class ContactBankReference:
@@ -347,7 +382,7 @@ def test_noncontact_bank_reproduces_balance_split_across_dob():
     dt, M_mn = 1e-4, 2.0
     M_m, k_vsc, k_clmb, F_d, eps = 1.7, 3.0, 1.2, 4.0, 1e-3
     truth = np.array([M_m, k_vsc, k_clmb, F_d])
-    bank = NonContactRegressorBank(g_filter=1000.0, dt=dt, M_mn=M_mn, eps=eps)
+    bank = NonContactBankReference(g_filter=1000.0, dt=dt, M_mn=M_mn, eps=eps)
     v = 0.0  # at rest, so the zero filter state is consistent from the first sample
     worst = 0.0
     for k in range(3000):
@@ -388,7 +423,7 @@ def test_noncontact_bank_exact_on_simulated_sequence():
     dt = 1e-4
     M_m, k_vsc, k_clmb, F_d, eps = 0.81, 12.0, 6.0, 7.95, 1e-3
     truth = np.array([M_m, k_vsc, k_clmb, F_d])
-    bank = NonContactRegressorBank(g_filter=1000.0, dt=dt, M_mn=1.0, eps=eps)
+    bank = NonContactBankReference(g_filter=1000.0, dt=dt, M_mn=1.0, eps=eps)
     rng = np.random.default_rng(2)
     v = 0.0
     worst = 0.0
@@ -409,7 +444,7 @@ def test_noncontact_bank_exact_on_simulated_sequence():
 def test_noncontact_bank_identifies_truth():
     dt = 1e-4
     M_m, k_vsc, k_clmb, F_d, eps = 0.81, 12.0, 6.0, 7.95, 1e-3
-    bank = NonContactRegressorBank(g_filter=1000.0, dt=dt, M_mn=1.0, eps=eps)
+    bank = NonContactBankReference(g_filter=1000.0, dt=dt, M_mn=1.0, eps=eps)
     est = RlmsEstimator(
         delta0=np.array([1.0, 0.0, 0.0, 0.0]),
         bounds_min=np.array([0.05, 0.0, 0.0, -50.0]),
@@ -497,7 +532,7 @@ def test_contact_bank_filters_consistently():
 
 def test_banks_emit_the_numpy_reference_values_exactly():
     rng = np.random.default_rng(9)
-    nc = NonContactRegressorBank(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
+    nc = NonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
     nc_ref = NumpyNonContactBankReference(g_filter=1000.0, dt=1e-4, M_mn=1.3, eps=1e-3)
     for k in range(2000):
         if k == 1000:
