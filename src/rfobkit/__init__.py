@@ -30,7 +30,6 @@ from .engine import (
     ControlMode,
     IdentConfig,
     Phase,
-    Reference,
     Scenario,
     SimResult,
     Simulator,

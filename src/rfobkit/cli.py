@@ -29,19 +29,7 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 
 CSV_SCHEMA_VERSION = "timeseries-v1"
-TRACE_COLUMNS = (
-    "t_s",
-    "contact_mode",
-    "delta_M_m_kg",
-    "delta_k_vsc_Nspm",
-    "delta_k_clmb_N",
-    "delta_F_d_N",
-    "innov_nc_N",
-    "delta_D_env_Nspm",
-    "delta_K_env_Npm",
-    "delta_c_offset_N",
-    "innov_c_N",
-)
+TRACE_COLUMNS = ("t_s", "contact_mode") + TIMESERIES_COLUMNS[TIMESERIES_COLUMNS.index("delta_M_m_kg"):]
 
 
 def _fmt(v: float) -> str:

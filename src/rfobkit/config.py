@@ -17,7 +17,6 @@ from .engine import (
     ControlMode,
     IdentConfig,
     Phase,
-    Reference,
     Scenario,
 )
 from .identify import ContactMode
@@ -324,35 +323,23 @@ def build_adaptation(doc: ConfigDocument) -> AdaptationConfig:
     )
 
 
-def _build_reference(p: dict[str, object]) -> Reference:
-    kind = p["ref"]
-    if kind == "multisine":
-        comps = []
-        text = str(p["components"])
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            parts = item.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"[phase] components entry {item!r}: expected amp:freq_hz[:phase_rad]")
-            try:
-                amp, freq = float(parts[0]), float(parts[1])
-                ph = float(parts[2]) if len(parts) == 3 else 0.0
-            except ValueError:
-                raise ConfigError(f"[phase] components entry {item!r}: not numeric") from None
-            comps.append((amp, freq, ph))
-        return Reference(kind="multisine", offset=p["offset"], components=tuple(comps))
-    return Reference(
-        kind=str(kind),
-        value=p["value"],
-        offset=p["offset"],
-        amp=p["amp"],
-        freq_hz=p["freq_hz"],
-        phase=p["phase_rad"],
-        start=p["start"],
-        end=p["end"],
-    )
+def _parse_components(text: str) -> tuple[tuple[float, float, float], ...]:
+    """A multisine's `amp:freq_hz[:phase_rad]` entries, comma-separated."""
+    comps = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        parts = item.split(":")
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"[phase] components entry {item!r}: expected amp:freq_hz[:phase_rad]")
+        try:
+            amp, freq = float(parts[0]), float(parts[1])
+            ph = float(parts[2]) if len(parts) == 3 else 0.0
+        except ValueError:
+            raise ConfigError(f"[phase] components entry {item!r}: not numeric") from None
+        comps.append((amp, freq, ph))
+    return tuple(comps)
 
 
 # `contact = auto` leaves the mode to the contact detector
@@ -363,16 +350,20 @@ _CONTACT_HINT = {"auto": None, "free": ContactMode.NON_CONTACT, "contact": Conta
 def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
     if not doc.phases:
         raise ConfigError("at least one [phase] section is required to simulate")
-    return tuple(
-        Phase(
-            mode=ControlMode(p["mode"]),
-            duration=p["duration_s"],
-            reference=_build_reference(p),
-            contact_hint=_CONTACT_HINT[p["contact"]],
-            F_d_override=p["F_d_override_N"],
-        )
-        for p in doc.phases
-    )
+    phases = []
+    for p in doc.phases:
+        kind = p["ref"]  # as the Phase reference fields offset, waves and ramp_end
+        if kind == "const":
+            ref = {"offset": p["value"]}
+        elif kind == "ramp":
+            ref = {"offset": p["start"], "ramp_end": p["end"]}
+        elif kind == "sine":
+            ref = {"offset": p["offset"], "waves": ((p["amp"], p["freq_hz"], p["phase_rad"]),)}
+        else:
+            ref = {"offset": p["offset"], "waves": _parse_components(str(p["components"]))}
+        phases.append(Phase(mode=ControlMode(p["mode"]), duration=p["duration_s"], **ref,
+                            contact_hint=_CONTACT_HINT[p["contact"]], F_d_override=p["F_d_override_N"]))
+    return tuple(phases)
 
 
 @_rejects_as_config_error("scenario")

@@ -298,7 +298,8 @@ def design_damping(M_m: float, D_env: float, g_v: float, spec: DesignSpecA | Non
             f"gamma = {spec.gamma:.6g}, lower bound = {gamma_lb:.6g}",
         )
     w_n = (spec.gamma / (2.0 * spec.xi)) * (0.5 * g_v + dm)
-    alpha_g = 2.0 * spec.xi * w_n - dm
+    # 2*xi*w_n - D/M rearranged so that gamma = 1 lands on g_v/2 exactly, with no rounding that scales with D/M
+    alpha_g = spec.gamma * 0.5 * g_v - (1.0 - spec.gamma) * dm
     C_f = w_n * w_n / (alpha_g * D_env)
     report = {
         "gamma": spec.gamma,

@@ -12,7 +12,7 @@ a fixed scenario and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -35,53 +35,13 @@ class AdaptationMode(Enum):
 
 
 @dataclass(frozen=True)
-class Reference:
-    """Scalar reference signal for one phase.
-
-    kind 'const': value.  kind 'sine': offset + amp*sin(2*pi*freq_hz*t + phase).
-    kind 'multisine': offset + sum of components (amp, freq_hz, phase).
-    kind 'ramp': linear from start to end over `duration`; the simulator
-    sets `duration` to that of the phase the reference drives.
-    """
-
-    kind: str = "const"
-    value: float = 0.0
-    offset: float = 0.0
-    amp: float = 0.0
-    freq_hz: float = 0.0
-    phase: float = 0.0
-    components: tuple[tuple[float, float, float], ...] = ()
-    start: float = 0.0
-    end: float = 0.0
-    duration: float = 1.0
-
-    def __call__(self, t: float) -> float:
-        if self.kind == "ramp":
-            frac = min(max(t / self.duration, 0.0), 1.0)
-            return self.start + (self.end - self.start) * frac
-        out, terms = self.terms()
-        for amp, w, ph in terms:
-            out += amp * math.sin(w * t + ph)
-        return out
-
-    def terms(self) -> tuple[float, tuple[tuple[float, float, float], ...]]:
-        """A const, sine or multisine reference as offset + sum of amp*sin(w*t + phase) over (amp, w, phase).
-
-        w = 2*pi*freq_hz is the product Python forms first in 2*pi*freq_hz*t,
-        so the sum is bit-identical to the formula written out.
-        """
-        if self.kind == "const":
-            return self.value, ()
-        if self.kind == "sine":
-            return self.offset, ((self.amp, 2.0 * math.pi * self.freq_hz, self.phase),)
-        if self.kind == "multisine":
-            return self.offset, tuple((amp, 2.0 * math.pi * freq, ph) for amp, freq, ph in self.components)
-        raise ValueError(f"reference kind {self.kind!r} is not const, sine or multisine")
-
-
-@dataclass(frozen=True)
 class Phase:
     """One contiguous segment of the schedule.
+
+    The phase drives its force or position reference with tau counted from
+    the phase start: offset, ramped linearly to ramp_end over the phase when
+    ramp_end is set, plus the sum of amp*sin(2*pi*freq_hz*tau + phase_rad)
+    over the waves (amp, freq_hz, phase_rad).
 
     contact_hint scripts every step's contact mode; None leaves it to the
     detector.  Only CONTACT updates the environment estimator and only
@@ -92,13 +52,19 @@ class Phase:
 
     mode: ControlMode
     duration: float
-    reference: Reference
+    offset: float = 0.0
+    waves: tuple[tuple[float, float, float], ...] = ()
+    ramp_end: float | None = None
     contact_hint: ContactMode | None = None
     F_d_override: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.duration < math.inf:
             raise ValueError(f"phase duration must be finite and >= 0, got {self.duration}")
+        values = (self.offset, *(v for wave in self.waves for v in wave), self.ramp_end or 0.0)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"reference values must be finite, got offset = {self.offset}, "
+                             f"waves = {self.waves}, ramp_end = {self.ramp_end}")
 
 
 @dataclass(frozen=True)
@@ -397,9 +363,9 @@ class Simulator:
         self._phase = phase
         self._phase_t0 = bounds[i] * self.dt
         self._next_bound = bounds[i + 1] if i + 2 < len(bounds) else math.inf
-        ref = phase.reference
-        self._reference = replace(ref, duration=phase.duration) if ref.kind == "ramp" else ref
-        self._ref_terms = None if ref.kind == "ramp" else ref.terms()
+        # w = 2*pi*freq_hz is the product Python forms first in 2*pi*freq_hz*tau, so the loop's
+        # a*sin(w*tau + ph) is bit-identical to the formula written out
+        self._waves = tuple((amp, 2.0 * math.pi * freq_hz, ph) for amp, freq_hz, ph in phase.waves)
         self._ctrl_code = _CTRL_CODE[phase.mode]
 
     def _on_phase_start(self, idx: int) -> None:
@@ -497,9 +463,9 @@ class Simulator:
             if k >= self._next_bound:
                 self._enter_phase(k)
             stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end)
-            phase, t0, ctrl_code = self._phase, self._phase_t0, self._ctrl_code
-            ramp = self._reference if self._ref_terms is None else None
-            ref0, waves = self._ref_terms or (0.0, ())
+            phase, t0, ctrl_code, waves = self._phase, self._phase_t0, self._ctrl_code, self._waves
+            ref0, duration = phase.offset, phase.duration
+            rise = None if phase.ramp_end is None else phase.ramp_end - ref0
             force = phase.mode is ControlMode.FORCE
             hint = None if phase.contact_hint is None else int(phase.contact_hint)
             dist = dist0 if phase.F_d_override is None else phase.F_d_override
@@ -510,6 +476,8 @@ class Simulator:
             kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
             alpha_g = self.alpha_true * dob.lpf.g
             x, v, v_meas, v_f = state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f
+            # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
+            F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
             y_v = vf.y if vf is not None else 0.0
             det_mode, det_count, det_release = int(det.mode), det._count, det._release
             (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
@@ -521,12 +489,11 @@ class Simulator:
             F_ref = x_ref = innov_nc = innov_c = nan
             for k in range(k, stop):
                 t = k * dt
-                if ramp is None:
-                    r = ref0
-                    for a, w, ph in waves:
-                        r += a * sin(w * (t - t0) + ph)
-                else:
-                    r = ramp(t - t0)
+                tau = t - t0
+                # 0 <= tau/duration < 1 on every step of a phase, so the ramp needs no clip to [0, 1]
+                r = ref0 if rise is None else ref0 + rise * (tau / duration)
+                for a, w, ph in waves:
+                    r += a * sin(w * tau + ph)
                 if force:
                     F_ref = r
                     xddot_des = C_f * (F_ref - F_hat_load)
@@ -535,7 +502,6 @@ class Simulator:
                     xddot_des = K_P * (x_ref - x) - K_V * v_f
                 F_dis_used = F_hat_dis
                 i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
-                F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
                 v += (K_F * i_m - (k_vsc * v + k_clmb * tanh(v / eps)) - F_load - dist) / M_m * dt
                 x_new = x + v * dt
                 # fresh measurement at t_{k+1}: the observers integrate the interval just applied
@@ -601,7 +567,7 @@ class Simulator:
                 c_i[k] = i_m
                 c_F_ref[k] = F_ref
                 c_x_ref[k] = x_ref
-                c_F_load[k] = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+                c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
                 c_F_hat_load[k] = F_hat_load
                 c_F_hat_dis[k] = F_hat_dis
                 c_ctrl[k] = ctrl_code

@@ -160,7 +160,7 @@ def _linear_step_scenario(dt: float, duration: float = 0.5):
         dob=rk.DobConfig(M_mn=3.02, K_Fn=0.5, g_dob=g, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=g),
         phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=duration,
-                         reference=rk.Reference(kind="const", value=1.0),
+                         offset=1.0,
                          contact_hint=rk.ContactMode.CONTACT),),
         dt=dt,
         C_f=des.C_f,
@@ -217,7 +217,7 @@ def test_criterion_6_stability_rule_reproduction():
             dob=rk.DobConfig(M_mn=6.04, K_Fn=0.5, g_dob=500.0, g_v=1000.0),
             rfob=rk.RfobConfig(M_hat=m_hat, K_F_hat=0.5, g_rfob=500.0),
             phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=3.0,
-                             reference=rk.Reference(kind="const", value=1.0),
+                             offset=1.0,
                              contact_hint=rk.ContactMode.CONTACT),),
             dt=1e-4, C_f=1.25, always_in_contact=True, velocity_filter_on=False,
             x_limit=1.0, v_limit=100.0,
@@ -288,7 +288,7 @@ def test_criterion_8_adaptation_benefit():
             dob=rk.DobConfig(M_mn=6.04, K_Fn=0.5, g_dob=500.0, g_v=1000.0),
             rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=500.0),
             phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=4.0,
-                             reference=rk.Reference(kind="const", value=5.0)),),
+                             offset=5.0),),
             dt=1e-4, C_f=1.25, x0=-0.002, seed=42,
             velocity_filter_on=True, x_limit=5.0, v_limit=1000.0,
             adaptation=rk.AdaptationConfig(mode=mode, design_alpha=2.0),

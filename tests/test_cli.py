@@ -279,7 +279,7 @@ def test_cmd_analyze_lists_every_pole_of_a_stiff_unstable_loop(tmp_path, capsys)
     "M_m_kg = 2.0\n[environment]\nK_env_N_per_m = 2e5",
 ], ids=["damping", "stiffness"])
 def test_cmd_design_accepts_a_design_on_the_bandwidth_bound(tmp_path, plant_and_env):
-    # both designs put alpha_g on g_v/2 = 500 rad/s, one rounding step above it
+    # both designs put alpha_g on g_v/2 = 500 rad/s, the stiffness one a rounding step above it
     cfg = tmp_path / "on_bound.cfg"
     cfg.write_text(f"[plant]\n{plant_and_env}\n[dob]\ng_v_rad_per_s = 1000.0\n[design]\ncase = auto\n")
     out = tmp_path / "design.json"
@@ -290,14 +290,14 @@ def test_cmd_design_accepts_a_design_on_the_bandwidth_bound(tmp_path, plant_and_
 
 
 def test_cmd_analyze_passes_the_bandwidth_bound_of_an_on_bound_design(tmp_path, capsys):
-    # design puts g_dob one rounding step above g_v/2; analyze checks the same loop at alpha = 1
+    # design puts g_dob on g_v/2; analyze checks the same loop at alpha = 1
     plant_and_env = "[plant]\nM_m_kg = 6.69\n[environment]\nD_env_Ns_per_m = 788.9\n"
     cfg = tmp_path / "on_bound.cfg"
     cfg.write_text(f"{plant_and_env}[dob]\ng_v_rad_per_s = 1000.0\n[design]\ncase = auto\n")
     out = tmp_path / "design.json"
     assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     des = json.loads(out.read_text())
-    assert des["g_dob"] == 500.00000000000006
+    assert des["g_dob"] == 500.0
     cfg.write_text(
         f"{plant_and_env}[dob]\nM_mn_kg = 6.69\ng_dob_rad_per_s = {des['g_dob']!r}\ng_v_rad_per_s = 1000.0\n"
         f"[rfob]\nM_hat_kg = 6.69\ng_rfob_rad_per_s = {des['g_rfob']!r}\n"
@@ -309,7 +309,7 @@ def test_cmd_analyze_passes_the_bandwidth_bound_of_an_on_bound_design(tmp_path, 
     rep = json.loads(out.read_text())
     assert rep["alpha"] == 1.0
     assert rep["bandwidth_bound_passed"] is True
-    assert rep["bandwidth_bound_margin"] == 500.0 - 500.00000000000006
+    assert rep["bandwidth_bound_margin"] == 0.0
     assert "bandwidth bound alpha*g_dob <= g_v/2: pass" in capsys.readouterr().out
 
 
@@ -392,6 +392,20 @@ def test_cmd_simulate_nan_cutoff_is_config_error(tmp_path, capsys):
     cfg.write_text(SIM_CFG.replace("g_dob_rad_per_s = 80.65025541797718", "g_dob_rad_per_s = nan"))
     assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "[dob] g_dob must be > 0, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref", [
+    "ref = const\nvalue = nan",
+    "ref = sine\noffset = 1.0\namp = inf\nfreq_hz = 2.0",
+    "ref = multisine\noffset = 1.0\ncomponents = 0.2:3.0, 0.5:inf",
+    "ref = ramp\nstart = 0.0\nend = -inf",
+], ids=["const", "sine", "multisine", "ramp"])
+def test_cmd_simulate_non_finite_reference_is_config_error(tmp_path, capsys, ref):
+    cfg = tmp_path / "ref.cfg"
+    assert "ref = const\nvalue = 1.0" in SIM_CFG
+    cfg.write_text(SIM_CFG.replace("ref = const\nvalue = 1.0", ref))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "configuration error: [phase] reference values must be finite" in capsys.readouterr().err
 
 
 def test_cmd_simulate_seed_without_scenario_section_is_config_error(tmp_path, capsys):

@@ -19,8 +19,7 @@ PP = rk.PlantParams(M_m=3.02, K_F=0.5)
 
 
 def force_phase(duration, value, hint=None):
-    return rk.Phase(mode=rk.ControlMode.FORCE, duration=duration,
-                    reference=rk.Reference(kind="const", value=value), contact_hint=hint)
+    return rk.Phase(mode=rk.ControlMode.FORCE, duration=duration, offset=value, contact_hint=hint)
 
 
 def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
@@ -72,13 +71,19 @@ class LoopStepReference(rk.Simulator):
         xdot_meas = self._xdot_meas  # measurement taken at t_k
         xdot_f = self._xdot_f
 
+        # the reference formulas written out; a ramp clips tau/duration to [0, 1]
+        r = phase.offset
+        if phase.ramp_end is not None:
+            r += (phase.ramp_end - phase.offset) * min(max(t_local / phase.duration, 0.0), 1.0)
+        for amp, freq_hz, ph in phase.waves:
+            r += amp * math.sin(2.0 * math.pi * freq_hz * t_local + ph)
         F_ref = math.nan
         x_ref = math.nan
         if phase.mode is rk.ControlMode.FORCE:
-            F_ref = self._reference(t_local)
+            F_ref = r
             xddot_des = self.C_f * (F_ref - self.rfob.F_hat)
         else:
-            x_ref = self._reference(t_local)
+            x_ref = r
             xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
 
         F_dis_used = self.dob.F_hat
@@ -331,8 +336,7 @@ def test_identification_improves_rfob_between_force_phases():
     phases = (
         force_phase(1.5, 5.0, hint=rk.ContactMode.CONTACT),
         rk.Phase(mode=rk.ControlMode.POSITION, duration=2.5,
-                 reference=rk.Reference(kind="multisine", offset=-0.025,
-                                        components=((0.012, 1.2, 0.0), (0.006, 0.35, 1.0))),
+                 offset=-0.025, waves=((0.012, 1.2, 0.0), (0.006, 0.35, 1.0)),
                  contact_hint=rk.ContactMode.NON_CONTACT),
         force_phase(1.5, 5.0, hint=rk.ContactMode.CONTACT),
     )
@@ -411,8 +415,7 @@ def test_online_adaptation_converges_to_truth_design():
         dob=rk.DobConfig(M_mn=3.02, K_Fn=0.5, g_dob=g0, g_v=1000.0),
         rfob=rk.RfobConfig(M_hat=3.02, K_F_hat=0.5, g_rfob=g0),
         phases=(rk.Phase(mode=rk.ControlMode.FORCE, duration=3.0,
-                         reference=rk.Reference(kind="multisine", offset=5.0,
-                                                components=((2.0, 3.0, 0.0), (1.5, 1.3, 0.7)))),),
+                         offset=5.0, waves=((2.0, 3.0, 0.0), (1.5, 1.3, 0.7))),),
         dt=5e-5, C_f=des_truth.C_f, velocity_filter_on=False,
         adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=200,
                                        design_alpha=1.0),
@@ -484,7 +487,7 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
 
 
 def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
-    # the damping design puts alpha_g one rounding step above g_v/2 = 500 rad/s
+    # the damping design puts alpha_g on g_v/2 = 500 rad/s exactly
     sc = rk.Scenario(
         plant=rk.PlantParams(M_m=6.69, K_F=0.5),
         friction=rk.FrictionParams(),
@@ -498,7 +501,7 @@ def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
         adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, design_alpha=1.0),
     )
     des = rk.design_damping(6.69, 788.9, 1000.0)
-    assert des.alpha_g > 500.0
+    assert des.alpha_g == 500.0
     res = rk.run_scenario(sc)
     [ev] = res.design_events
     assert ev.applied and ev.t == 0.0
@@ -508,8 +511,7 @@ def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
 def test_phase_disturbance_override():
     sc, _ = linear_scenario(duration=0.5)
     phases = (rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5,
-                       reference=rk.Reference(kind="const", value=1.0),
-                       contact_hint=rk.ContactMode.CONTACT, F_d_override=0.7),)
+                       offset=1.0, contact_hint=rk.ContactMode.CONTACT, F_d_override=0.7),)
     sc = rk.Scenario(**{**sc.__dict__, "phases": phases})
     res = rk.run_scenario(sc)
     # the inner observer swallows the constant disturbance; the force loop still
@@ -531,37 +533,38 @@ def test_scenario_validation():
 
 
 def test_reference_kinds():
-    assert rk.Reference(kind="const", value=2.0)(10.0) == 2.0
-    r = rk.Reference(kind="sine", offset=1.0, amp=2.0, freq_hz=0.25)
-    assert r(1.0) == pytest.approx(3.0)
-    r = rk.Reference(kind="ramp", start=0.0, end=4.0, duration=2.0)
-    assert r(1.0) == pytest.approx(2.0)
-    assert r(5.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        rk.Reference(kind="wiggle")(0.0)
-    with pytest.raises(ValueError, match="not const, sine or multisine"):
-        rk.Reference(kind="ramp").terms()
-    # const, sine and multisine as Simulator._advance sums their terms: bit for bit the formulas written out
+    """Each config `ref` kind records, in both control modes, the value its formula written out gives, bit for bit."""
     rng = np.random.default_rng(14)
-    off, amp, freq, ph = rng.uniform(-3.0, 3.0, 4).tolist()
-    comps = tuple(map(tuple, rng.uniform(-3.0, 3.0, (3, 3)).tolist()))
+    off, amp, freq, ph, start, end = rng.uniform(-1.0, 1.0, 6).tolist()
+    comps = rng.uniform(-1.0, 1.0, (3, 3)).tolist()
+    components = ", ".join(f"{a!r}:{f!r}:{p!r}" for a, f, p in comps)
+    dt, duration, n = 1e-4, 0.05, 500
 
-    def multisine(t):
+    def multisine(tau):
         out = off
         for a, f, p in comps:
-            out += a * math.sin(2.0 * math.pi * f * t + p)
+            out += a * math.sin(2.0 * math.pi * f * tau + p)
         return out
 
-    cases = [(rk.Reference(kind="const", value=amp), lambda t: amp),
-             (rk.Reference(kind="sine", offset=off, amp=amp, freq_hz=freq, phase=ph),
-              lambda t: off + amp * math.sin(2.0 * math.pi * freq * t + ph)),
-             (rk.Reference(kind="multisine", offset=off, components=comps), multisine)]
-    for t in rng.uniform(-1.0, 50.0, 10_000).tolist():
-        for ref, formula in cases:
-            r, terms = ref.terms()
-            for a, w, p in terms:
-                r += a * math.sin(w * t + p)
-            assert r.hex() == ref(t).hex() == formula(t).hex()
+    kinds = [
+        (f"ref = const\nvalue = {off!r}", lambda tau: off),
+        (f"ref = sine\noffset = {off!r}\namp = {amp!r}\nfreq_hz = {freq!r}\nphase_rad = {ph!r}",
+         lambda tau: off + amp * math.sin(2.0 * math.pi * freq * tau + ph)),
+        (f"ref = multisine\noffset = {off!r}\ncomponents = {components}", multisine),
+        (f"ref = ramp\nstart = {start!r}\nend = {end!r}",
+         lambda tau: start + (end - start) * min(max(tau / duration, 0.0), 1.0)),
+    ]
+    text = (CONFIGS / "sim_force_step.cfg").read_text().split("[phase]")[0]
+    modes = ("force", "position")
+    text += "".join(f"[phase]\nmode = {mode}\nduration_s = {duration}\n{ref}\n" for mode in modes for ref, _ in kinds)
+    res = rk.run_scenario(build_scenario(parse_config(text)))
+    assert not res.diverged and res.n_steps == 2 * len(kinds) * n
+    for i, (mode, (_, formula)) in enumerate((mode, kind) for mode in modes for kind in kinds):
+        recorded, unused = ("F_ref_N", "x_ref_m") if mode == "force" else ("x_ref_m", "F_ref_N")
+        k0 = i * n
+        assert [res.ts[recorded][k].hex() for k in range(k0, k0 + n)] == [
+            formula(k * dt - k0 * dt).hex() for k in range(k0, k0 + n)], (mode, i)
+        assert np.isnan(res.ts[unused][k0:k0 + n]).all()
 
 
 def test_scenario_rejects_nan_settings():
@@ -590,9 +593,9 @@ def test_phase_duration_must_be_whole_steps():
 
 def test_ramp_spans_its_phase():
     sc, _ = linear_scenario()
-    ramp = rk.Reference(kind="ramp", start=0.5, end=2.5)  # no duration given
     sc = rk.Scenario(**{**sc.__dict__, "phases": (
-        rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5, reference=ramp, contact_hint=rk.ContactMode.CONTACT),
+        rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5, offset=0.5, ramp_end=2.5,
+                 contact_hint=rk.ContactMode.CONTACT),
         force_phase(0.1, 1.0, hint=rk.ContactMode.CONTACT))})
     F_ref = rk.run_scenario(sc).ts["F_ref_N"]
     # the reference is sampled at the start of each step, so the phase's last
@@ -606,7 +609,7 @@ def test_ramp_spans_its_phase():
 def _switching_scenario(**ident):
     sc, _ = linear_scenario()
     phases = (rk.Phase(mode=rk.ControlMode.POSITION, duration=0.3,
-                       reference=rk.Reference(kind="const", value=1e-4), contact_hint=None),
+                       offset=1e-4, contact_hint=None),
               force_phase(0.7, 1.0))
     return rk.Scenario(**{**sc.__dict__, "phases": phases, "always_in_contact": False,
                           "ident": rk.IdentConfig(**ident)})
@@ -637,8 +640,7 @@ def _free_then_auto_scenario():
     """Free motion identifies the plant, which folds into the RFOB as the auto-detected force phase starts."""
     sc, _ = linear_scenario()
     free = rk.Phase(mode=rk.ControlMode.POSITION, duration=0.5,
-                    reference=rk.Reference(kind="multisine", offset=-0.01,
-                                           components=((0.004, 4.0, 0.0), (0.002, 11.0, 1.0))),
+                    offset=-0.01, waves=((0.004, 4.0, 0.0), (0.002, 11.0, 1.0)),
                     contact_hint=rk.ContactMode.NON_CONTACT)
     return rk.Scenario(**{**sc.__dict__, "phases": (free, force_phase(0.3, 3.0)), "always_in_contact": False,
                           "plant": rk.PlantParams(M_m=3.02, K_F=0.5, F_d=1.5),
@@ -651,7 +653,7 @@ def _free_contact_free_scenario():
     sc, _ = linear_scenario()
 
     def hold(x):
-        return rk.Phase(mode=rk.ControlMode.POSITION, duration=0.1, reference=rk.Reference(kind="const", value=x))
+        return rk.Phase(mode=rk.ControlMode.POSITION, duration=0.1, offset=x)
 
     return rk.Scenario(**{**sc.__dict__, "phases": (hold(-1e-3), hold(1e-3), hold(-1e-3)), "always_in_contact": False,
                           "env": rk.EnvImpedance(D_env=2.0, K_env=6500.0),
@@ -661,10 +663,9 @@ def _free_contact_free_scenario():
 def _reference_kinds_scenario():
     sc, _ = linear_scenario()
     contact = rk.ContactMode.CONTACT
-    refs = (rk.Reference(kind="sine", offset=1.0, amp=0.5, freq_hz=20.0, phase=0.3),
-            rk.Reference(kind="multisine", offset=1.0, components=((0.3, 7.0, 0.0), (0.2, 31.0, 1.1))),
-            rk.Reference(kind="ramp", start=1.0, end=2.0))
-    phases = tuple(rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, reference=r, contact_hint=contact) for r in refs)
+    refs = ({"waves": ((0.5, 20.0, 0.3),)}, {"waves": ((0.3, 7.0, 0.0), (0.2, 31.0, 1.1))}, {"ramp_end": 2.0})
+    phases = tuple(rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, offset=1.0, **r, contact_hint=contact)
+                   for r in refs)
     return rk.Scenario(**{**sc.__dict__, "phases": phases, "ident": rk.IdentConfig(enable_env=True)})
 
 

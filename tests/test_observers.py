@@ -183,7 +183,7 @@ def test_bound_check_examples():
 
 
 def test_bound_check_passes_the_rounding_an_on_bound_design_leaves():
-    # design places g_dob = 500.00000000000006 (one ulp above g_v/2) for M_m = 6.69, D_env = 788.9
+    # an on-bound design may place g_dob one ulp above g_v/2, at 500.00000000000006
     c = robustness_bound_check(1.0, 500.00000000000006, 1000.0)
     assert c.passed and c.margin == -5.684341886080802e-14
     assert not robustness_bound_check(1.0, 500.0 * (1 + 1e-14), 1000.0).passed
