@@ -8,9 +8,9 @@ error, 3 infeasible design, 4 divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -36,15 +36,41 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _sanitize(obj):
-    """Non-finite floats -> None recursively, keeping emitted JSON strict."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+def _json_text(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` in one pass, a non-finite float written as null.
+
+    json falls back to its pure-Python encoder whenever `indent` is set; this
+    writes the same text by json's rules, in json's order: str, None, True,
+    False, int (`int.__repr__`), float (`float.__repr__`), list or tuple, dict
+    (str keys, sorted); any other type raises TypeError.  A plain float item of
+    a container, the bulk of every report, is written without a call.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [float.__repr__(v) if type(v) is float and math.isfinite(v) else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": "
+                 + (float.__repr__(v) if type(v) is float and math.isfinite(v) else _json_text(v, inner))
+                 for k in sorted(obj) for v in (obj[k],)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_config(path: str) -> ConfigDocument:
@@ -57,6 +83,10 @@ def _load_config(path: str) -> ConfigDocument:
 
 def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
     """Design for the configured case; also returns the environment projected onto that case."""
+    m, g_v = doc.get("plant", "M_m_kg"), doc.get("dob", "g_v_rad_per_s")
+    for where, v in (("[plant] M_m_kg", m), ("[dob] g_v_rad_per_s", g_v)):
+        if not 0.0 < v < math.inf:  # NaN fails too
+            raise ConfigError(f"{where} must be finite and > 0, got {v}")
     env = cfgmod.build_env(doc)
     case = doc.get("design", "case")
     if case != "auto":
@@ -74,7 +104,6 @@ def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
         env = EnvImpedance(D_env=env.D_env)
     elif case is EnvClass.PURE_STIFFNESS:
         env = EnvImpedance(K_env=env.K_env)
-    m, g_v = doc.get("plant", "M_m_kg"), doc.get("dob", "g_v_rad_per_s")
     return design_for_env(m, env, g_v, *cfgmod.build_design_specs(doc)), env
 
 
@@ -168,16 +197,16 @@ def cmd_design(args) -> int:
             doc.sections[section][key] = float(v)
             rep = _design_report(doc, *_run_design(doc))
             rep["sweep_value"] = float(v)
-            rows.append(_sanitize(rep))
+            rows.append(rep)
             print(f"{key} = {_fmt(v)}: alpha_g = {_fmt(rep['alpha_g'])}, C_f = {_fmt(rep['C_f'])}, "
                   f"w_n = {_fmt(rep['w_n'])}, feasible = {rep['feasible']}")
         if args.out:
-            Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8")
+            Path(args.out).write_text(_json_text(rows), encoding="utf-8")
         return EXIT_OK
     rep = _design_report(doc, *_run_design(doc))
     _print_design_report(rep)
     if args.out:
-        Path(args.out).write_text(json.dumps(_sanitize(rep), indent=2, sort_keys=True), encoding="utf-8")
+        Path(args.out).write_text(_json_text(rep), encoding="utf-8")
     return EXIT_OK
 
 
@@ -232,7 +261,7 @@ def cmd_analyze(args) -> int:
     print(f"bandwidth bound alpha*g_dob <= g_v/2: {'pass' if bound.passed else 'FAIL'} "
           f"(margin {_fmt(bound.margin)} rad/s)")
     if args.out:
-        Path(args.out).write_text(json.dumps(_sanitize(rep), indent=2, sort_keys=True), encoding="utf-8")
+        Path(args.out).write_text(_json_text(rep), encoding="utf-8")
     return EXIT_OK
 
 
@@ -289,9 +318,9 @@ def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
     res = run_scenario(scenario)
     if out:
         write_timeseries_csv(res, out, columns)
-        summary = _sanitize(res.summary_dict())
+        summary = res.summary_dict()
         summary["csv_schema"] = CSV_SCHEMA_VERSION
-        Path(out + ".summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
+        Path(out + ".summary.json").write_text(_json_text(summary), encoding="utf-8")
     return res
 
 

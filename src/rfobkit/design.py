@@ -208,7 +208,10 @@ def _repair_dominant_root(b3: float, b2: float, b1: float, b0: float,
     def worst_residual(rs):
         out = 0.0
         for r in rs:
-            scale = abs(b3 * r ** 3) + abs(b2 * r * r) + abs(b1 * r) + abs(b0) + 1e-300
+            try:
+                scale = abs(b3 * r ** 3) + abs(b2 * r * r) + abs(b1 * r) + abs(b0) + 1e-300
+            except OverflowError:  # |r| ** 3 beyond the float range: a set that cannot be scored loses
+                return math.inf
             out = max(out, abs(_cubic_eval(b3, b2, b1, b0, r)) / abs(scale))
         return out
 

@@ -61,6 +61,8 @@ class Phase:
     def __post_init__(self) -> None:
         if not 0.0 <= self.duration < math.inf:
             raise ValueError(f"phase duration must be finite and >= 0, got {self.duration}")
+        if not all(isinstance(wave, (tuple, list)) and len(wave) == 3 for wave in self.waves):
+            raise ValueError(f"each wave must be an (amp, freq_hz, phase_rad) triple, got waves = {self.waves}")
         values = (self.offset, *(v for wave in self.waves for v in wave), self.ramp_end or 0.0)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"reference values must be finite, got offset = {self.offset}, "

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
 from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult, run_scenario
+from rfobkit.identify import ContactMode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -580,6 +582,42 @@ def test_cmd_design_nonpositive_alpha_is_config_error(tmp_path):
     assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("M_m_kg = 3.02", "M_m_kg = nan", "[plant] M_m_kg must be finite and > 0, got nan"),
+    ("M_m_kg = 3.02", "M_m_kg = 0.0", "[plant] M_m_kg must be finite and > 0, got 0.0"),
+    ("M_m_kg = 3.02", "M_m_kg = -3.02", "[plant] M_m_kg must be finite and > 0, got -3.02"),
+    ("M_m_kg = 3.02", "M_m_kg = inf", "[plant] M_m_kg must be finite and > 0, got inf"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = nan", "[dob] g_v_rad_per_s must be finite and > 0, got nan"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = -1000.0",
+     "[dob] g_v_rad_per_s must be finite and > 0, got -1000.0"),
+])
+def test_cmd_design_rejects_a_bad_mass_or_velocity_cutoff(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "bad.cfg"
+    assert old in DESIGN_CFG
+    cfg.write_text(DESIGN_CFG.replace(old, new))
+    assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {message}"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("plant.M_m_kg=-1:1:3", "[plant] M_m_kg must be finite and > 0, got -1.0"),
+    ("dob.g_v_rad_per_s=0:1000:3", "[dob] g_v_rad_per_s must be finite and > 0, got 0.0"),
+])
+def test_cmd_design_sweep_rejects_a_bad_mass_or_velocity_cutoff(capsys, spec, message):
+    code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", spec])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {message}"
+
+
+@pytest.mark.parametrize("k_env", ["1e150", "1e180", "1e300"])
+def test_cmd_design_of_a_huge_stiffness_is_infeasible(tmp_path, capsys, k_env):
+    # from about 1e180 on the k cubic has a root whose cube overflows a float
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(DESIGN_CFG.replace("K_env_N_per_m = 6500.0", f"K_env_N_per_m = {k_env}"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("infeasible design:")
+
+
 def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):
     code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", "design.case=0:1:2"])
     assert code == EXIT_CONFIG
@@ -660,6 +698,71 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="non-finite"):
         main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg")])
     assert "configuration error" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+
+def _sanitize(obj):
+    """Non-finite floats -> None recursively: the copy the JSON writer once made before json.dumps."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(_sanitize(obj), indent=2, sort_keys=True)
+
+
+JSON_FLOATS = st.floats() | st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-320, 1e308, -1.7976931348623157e308]) | st.floats().map(np.float64)
+JSON_TEXT = st.text() | st.sampled_from(['"', "\\", 'a "quoted\\" \\n', "\x00\x01\x1f\x7f", "tab\tcr\r", "é ü ß", "\u2028", "🙂 🚀"])
+JSON_LEAVES = (JSON_FLOATS | st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+               | st.sampled_from(list(ContactMode)) | st.booleans() | st.none() | JSON_TEXT)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+@example([[[], {}], (), {"x": [[]], "y": {}, "z": ((),)}])
+@example({"z": 1, "a": [math.nan, -math.inf, np.float64(math.inf), np.float64(0.1)], "m": {"k": None}})
+def test_json_text_matches_json_dumps_of_the_sanitized_copy(obj):
+    assert cli._json_text(obj) == _json_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, np.array([1.0, 2.0]), {"a": [0.5, frozenset()]}, [np.array(1.0)]])
+def test_json_text_rejects_other_types_as_json_does(obj):
+    with pytest.raises(TypeError):
+        _json_reference(obj)
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def test_cmd_analyze_writes_null_poles_of_a_loop_above_third_order(tmp_path, capsys):
+    # g_dob != g_rfob: the closed loop is above third order and lists no poles
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(ANALYZE_CFG.replace("g_rfob_rad_per_s = 250.0", "g_rfob_rad_per_s = 300.0"))
+    out = tmp_path / "split.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "analytic pole listing unsupported" in capsys.readouterr().out
+    assert out.read_bytes() == (
+        b'{\n  "alpha": 2.0,\n  "asymptote_angles_deg": [\n    -90.0,\n    90.0\n  ],\n'
+        b'  "bandwidth_bound_margin": 0.0,\n  "bandwidth_bound_passed": true,\n  "beta": 2.0,\n'
+        b'  "beta_below_alpha": false,\n  "closed_loop_poles": null,\n  "closed_loop_stable": null,\n'
+        b'  "phi_coeffs": [\n    0.0,\n    1.0,\n    3250.0\n  ],\n'
+        b'  "phi_roots": [\n    [\n      -3250.0,\n      0.0\n    ]\n  ],\n'
+        b'  "relative_degree": 2,\n  "rhp_marginal": false,\n  "rhp_zero": false\n}'
+    )
 
 
 # ---------------------------------------------------------------------------

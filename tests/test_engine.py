@@ -591,6 +591,13 @@ def test_phase_duration_must_be_whole_steps():
     assert rk.Simulator(sc)._phase_bounds == [0, 3000, 3000, 10000]
 
 
+def test_phase_rejects_a_wave_that_is_not_a_triple():
+    for waves in (((0.5, 2.0),), ((0.5, 2.0, 0.0, 1.0),), (0.5, 2.0, 0.0), ((0.5, 2.0, 0.0), (1.0,))):
+        with pytest.raises(ValueError, match=r"\(amp, freq_hz, phase_rad\) triple"):
+            rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, waves=waves)
+    assert rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, waves=((0.5, 2.0, 0.0), [1.0, 3.0, 0.5])).waves[1][2] == 0.5
+
+
 def test_ramp_spans_its_phase():
     sc, _ = linear_scenario()
     sc = rk.Scenario(**{**sc.__dict__, "phases": (
