@@ -8,6 +8,7 @@ error, 3 infeasible design, 4 divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -370,15 +371,16 @@ def _print_estimates(what: str, names, values, truth) -> None:
             print(f"  {name:16s} {_fmt(got):>14s} {_fmt(want):>12s} {abs(got - want) / abs(want):.3%}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers, built on the first `main()` call only."""
     parser = argparse.ArgumentParser(
         prog="rfobkit",
         description="Observer-based robust force control: gain design, stability analysis, "
                     "simulation and identification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("design", cmd_design), ("analyze", cmd_analyze),
-                     ("simulate", cmd_simulate), ("identify", cmd_identify)):
+    for name in ("design", "analyze", "simulate", "identify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", default=None, help="output path (JSON report or CSV)")
@@ -386,12 +388,17 @@ def main(argv=None) -> int:
         if name == "design":
             p.add_argument("--sweep", default=None,
                            help="section.key=START:STOP:N[:lin|log] one design per grid point")
-        p.set_defaults(fn=fn)
+    return parser, sub.choices
+
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        sub.choices[args.command].error(f"--out {args.out}: not a file path in an existing directory")
+        commands[args.command].error(f"--out {args.out}: not a file path in an existing directory")
     try:
-        return args.fn(args)
+        # looked up by name on every call, so a replaced cmd_* (a test's patch, a tracer) is the one run
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

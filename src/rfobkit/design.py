@@ -495,6 +495,8 @@ def design_damping_stiffness(
     dm = D_env / M_m
     xi_minus = dm / (2.0 * sq_km)
     xi_plus = (0.5 * g_v + dm) / (2.0 * sq_km)
+    if not D_env / (2.0 * xi_plus * math.sqrt(M_m * K_env)) > 0.0:  # psi at the largest xi; 1/psi is used below
+        raise InfeasibleDesignError("psi = D/(2*xi*sqrt(M*K)) rounds to 0", f"M_m = {M_m:.6g}, K_env = {K_env:.6g}")
 
     def solve_with_xi(xi: float, eta_star: float) -> tuple[float, float, float, list[str]] | None:
         """Return (k, eta, alpha_g, notes) on the narrow branch, or None if the bound fails."""

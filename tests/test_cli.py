@@ -1,7 +1,11 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +451,79 @@ def test_cmd_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_builds_its_parser_once_and_runs_the_current_command(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    analyze = ["analyze", "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", str(tmp_path / "a.json")]
+    assert main(analyze) == EXIT_OK
+    assert main(["design", "--config", str(CONFIGS / "design_combined.cfg")]) == EXIT_OK
+    calls = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args) or 7)
+    assert main(analyze) == 7
+    # built at most once in the process: here, or in an earlier test
+    assert built in ([], ["rfobkit"] + [f"rfobkit {name}" for name in ("design", "analyze", "simulate", "identify")])
+    assert [(a.command, a.config, a.out) for a in calls] == [("analyze", analyze[2], analyze[4])]
+
+
+USAGE = "usage: rfobkit [-h] {design,analyze,simulate,identify} ...\n"
+SIMULATE_USAGE = "usage: rfobkit simulate [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+ARGPARSE_TEXT = {  # argv -> (SystemExit code, stdout, stderr), at an 80-column terminal
+    "--help": (0, USAGE + """
+Observer-based robust force control: gain design, stability analysis,
+simulation and identification
+
+positional arguments:
+  {design,analyze,simulate,identify}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "design --help": (0, """\
+usage: rfobkit design [-h] --config CONFIG [--out OUT] [--seed SEED]
+                      [--sweep SWEEP]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  configuration file path
+  --out OUT        output path (JSON report or CSV)
+  --seed SEED      override the scenario seed
+  --sweep SWEEP    section.key=START:STOP:N[:lin|log] one design per grid
+                   point
+""", ""),
+    "": (2, "", USAGE + "rfobkit: error: the following arguments are required: command\n"),
+    "simulate": (2, "", SIMULATE_USAGE + "rfobkit simulate: error: the following arguments are required: --config\n"),
+    "simulate --config sim.cfg --seed x":
+        (2, "", SIMULATE_USAGE + "rfobkit simulate: error: argument --seed: invalid int value: 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ARGPARSE_TEXT))
+def test_argparse_text_and_exit_code_hold_on_a_reused_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == ARGPARSE_TEXT[argv]
+
+
+def test_cli_as_its_own_process_matches_an_in_process_call(tmp_path, capsys):
+    argv = ["design", "--config", str(CONFIGS / "design_combined.cfg"), "--out"]
+    code = main(argv + [str(tmp_path / "in.json")])
+    stdout = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rfobkit.cli"] + argv + [str(tmp_path / "sub.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+
+
 def test_cmd_identify_plant(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["identify", "--config", str(CONFIGS / "identify_plant.cfg"), "--out", str(out)])
@@ -616,6 +693,16 @@ def test_cmd_design_of_a_huge_stiffness_is_infeasible(tmp_path, capsys, k_env):
     cfg.write_text(DESIGN_CFG.replace("K_env_N_per_m = 6500.0", f"K_env_N_per_m = {k_env}"))
     assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith("infeasible design:")
+
+
+@pytest.mark.parametrize("m_m, k_env", [("1e308", "6500.0"), ("1e10", "1e300")])
+def test_cmd_design_whose_psi_rounds_to_zero_is_infeasible(tmp_path, capsys, m_m, k_env):
+    # M*K overflows, so psi = D/(2*xi*sqrt(M*K)) is 0: once on the wide branch, once on the narrow one
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(DESIGN_CFG.replace("M_m_kg = 3.02", f"M_m_kg = {m_m}")
+                   .replace("K_env_N_per_m = 6500.0", f"K_env_N_per_m = {k_env}"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("infeasible design: psi = D/(2*xi*sqrt(M*K)) rounds to 0")
 
 
 def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):
