@@ -492,6 +492,8 @@ def design_damping_stiffness(
         raise InfeasibleDesignError("M_m, D_env, K_env and g_v must be > 0 for the combined case")
     notes: list[str] = []
     sq_km = math.sqrt(K_env / M_m)
+    if not sq_km > 0.0:  # both window edges divide by it
+        raise InfeasibleDesignError("sqrt(K/M) rounds to 0", f"M_m = {M_m:.6g}, K_env = {K_env:.6g}")
     dm = D_env / M_m
     xi_minus = dm / (2.0 * sq_km)
     xi_plus = (0.5 * g_v + dm) / (2.0 * sq_km)

@@ -6,8 +6,11 @@ plant integration, sensor read (plus optional velocity noise), velocity
 filter, exact observer filter updates, contact detection, mode-gated
 estimator updates, the record, and the periodic adaptive re-design.  The
 single-step APIs it writes out (`plant_accel`, `DisturbanceObserver.step`,
-`ContactDetector.update`, ...) stay public.  Everything is deterministic for
-a fixed scenario and seed.
+`ContactDetector.update`, ...) stay public.  The velocity noise comes from
+one seeded generator: t_0's sample is drawn on its own, and each chunk of
+steps draws its samples in one call from the same stream, so the samples do
+not depend on where chunks end.  Everything is deterministic for a fixed
+scenario and seed.
 """
 from __future__ import annotations
 
@@ -178,8 +181,8 @@ class Scenario:
             raise ValueError(f"dt*max(filter cutoff) = {max(cutoffs) * self.dt:g} >= 0.5")
         if not self.C_f > 0.0 and any(p.mode is ControlMode.FORCE for p in self.phases):
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
-        if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a NaN limit would never trip divergence detection, and one <= 0 would trip it at step 0
@@ -209,6 +212,9 @@ class DesignEvent:
     g: float
     note: str = ""
 
+
+# the most steps one chunk of Simulator._advance runs, so its noise buffer does not grow with the run
+NOISE_BLOCK = 4096
 
 # the codes the ctrl_mode and contact_mode columns record, and the names the CSV prints for them
 _CTRL_CODE = {mode: code for code, mode in enumerate(ControlMode)}
@@ -433,7 +439,11 @@ class Simulator:
         it ends, at k_end, a phase boundary, a divergence or a redesign step,
         so the RFOB model fold at a phase start reads the current estimate.  A
         redesign runs after the write-back and patches the gains of the step's
-        record; the next chunk reloads them.
+        record; the next chunk reloads them.  A chunk also ends after
+        NOISE_BLOCK steps.  Its prologue draws the chunk's noise samples with
+        one `standard_normal(n)` call, which gives the same sequence as n
+        scalar draws, so a chunk boundary moves no sample; a divergence
+        leaves the chunk's unused samples drawn.
         """
         k_end = min(k_end, self.n_steps)
         sc, dt, state, ad = self.sc, self.dt, self.state, self.sc.adaptation
@@ -464,7 +474,8 @@ class Simulator:
             k = self._k
             if k >= self._next_bound:
                 self._enter_phase(k)
-            stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end)
+            stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, k + NOISE_BLOCK)
+            k0, noise = k, normal(stop - k).tolist() if noisy else None
             phase, t0, ctrl_code, waves = self._phase, self._phase_t0, self._ctrl_code, self._waves
             ref0, duration = phase.offset, phase.duration
             rise = None if phase.ramp_end is None else phase.ramp_end - ref0
@@ -507,7 +518,8 @@ class Simulator:
                 v += (K_F * i_m - (k_vsc * v + k_clmb * tanh(v / eps)) - F_load - dist) / M_m * dt
                 x_new = x + v * dt
                 # fresh measurement at t_{k+1}: the observers integrate the interval just applied
-                v_meas_new = v + (normal() * noise_std if noisy else 0.0)
+                # a Python product: it overflows to inf without the warning a numpy product gives
+                v_meas_new = v + (noise[k - k0] * noise_std if noisy else 0.0)
                 if vf is not None:
                     v_f = y_v = c_v * y_v + b_v * v_meas_new
                 else:

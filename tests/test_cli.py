@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,29 @@ def test_cmd_simulate_deterministic_csv(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+NOISY_CFG = SIM_CFG.replace("velocity_filter = off", "velocity_filter = on\nnoise_std_m_per_s = 1e-3")
+
+
+def test_cmd_simulate_noisy_output_is_pinned(tmp_path):
+    # velocity filter on and seeded measurement noise: every noise sample reaches the CSV through the filter
+    cfg, out = tmp_path / "noisy.cfg", tmp_path / "noisy.csv"
+    cfg.write_text(NOISY_CFG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == EXIT_OK
+    assert _sha256(out) == "2cc836f61de5658172f449cd492f25454d35f5dc75328cd722d0d440792cde03"
+    assert _sha256(tmp_path / "noisy.csv.summary.json") == (
+        "e796abca1aea9d2b5bc550ce89d00b5d349424c7015f2238d59a4cb2eebb939c")
+
+
+def test_cmd_simulate_huge_noise_diverges_without_a_warning(tmp_path, capsys):
+    # noise times 1e308 overflows to inf; the product is a Python one, so no numpy overflow warning is raised
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(NOISY_CFG.replace("noise_std_m_per_s = 1e-3", "noise_std_m_per_s = 1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "huge.csv")]) == EXIT_DIVERGED
+    assert "diverged: True" in capsys.readouterr().out
+
+
 def test_cmd_simulate_zero_duration(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(SIM_CFG.replace("duration_s = 1.0", "duration_s = 0.0"))
@@ -705,6 +729,15 @@ def test_cmd_design_whose_psi_rounds_to_zero_is_infeasible(tmp_path, capsys, m_m
     assert capsys.readouterr().err.startswith("infeasible design: psi = D/(2*xi*sqrt(M*K)) rounds to 0")
 
 
+def test_cmd_design_whose_sqrt_k_over_m_rounds_to_zero_is_infeasible(tmp_path, capsys):
+    # K/M underflows to 0, and both edges of the damping-ratio window divide by sqrt(K/M)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(DESIGN_CFG.replace("M_m_kg = 3.02", "M_m_kg = 1e308")
+                   .replace("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e-20"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.strip() == "infeasible design: sqrt(K/M) rounds to 0: M_m = 1e+308, K_env = 1e-20"
+
+
 def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):
     code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", "design.case=0:1:2"])
     assert code == EXIT_CONFIG
@@ -752,7 +785,12 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
      "configuration error: [scenario] v_limit must be > 0, got 0.0"),
     ("identify", "identify_env.cfg", "dt_s = 5e-5", "dt_s = 5e-5\ndist_limit_N = nan",
      "configuration error: [scenario] dist_limit must be > 0, got nan"),
-], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan"])
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nnoise_std_m_per_s = inf",
+     "configuration error: [scenario] noise_std must be finite and >= 0, got inf"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nnoise_std_m_per_s = nan",
+     "configuration error: [scenario] noise_std must be finite and >= 0, got nan"),
+], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan",
+        "noise_inf", "noise_nan"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     cfg = tmp_path / config
     text = (CONFIGS / config).read_text()

@@ -7,7 +7,7 @@ import pytest
 import rfobkit as rk
 from rfobkit.config import build_scenario, parse_config
 from rfobkit.design import EnvClass
-from rfobkit.engine import TIMESERIES_COLUMNS
+from rfobkit.engine import NOISE_BLOCK, TIMESERIES_COLUMNS
 from rfobkit.identify import ContactMode
 from rfobkit.loop_model import closed_loop_force_tf, step_response
 from test_identify import NonContactBankReference
@@ -187,6 +187,8 @@ def assert_same_run(sc, sim=None):
         assert res.ts[name].dtype == ref_res.ts[name].dtype, name
         assert res.ts[name].tobytes() == ref_res.ts[name].tobytes(), name
     assert repr(res.design_events) == repr(ref_res.design_events)  # repr: NaN fields compare too
+    if not res.diverged:  # the chunked draws took exactly the reference's scalar draws from the stream
+        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
     for est, ref_est in ((sim.est_nc, ref.est_nc), (sim.est_c, ref.est_c)):
         assert (est is None) == (ref_est is None)
         if est is not None:
@@ -570,9 +572,11 @@ def test_reference_kinds():
 def test_scenario_rejects_nan_settings():
     sc, _ = linear_scenario()
     for field, message in (("dt", "dt must be > 0"), ("C_f", "C_f must be > 0"),
-                           ("noise_std", "noise_std must be >= 0")):
+                           ("noise_std", "noise_std must be finite and >= 0")):
         with pytest.raises(ValueError, match=message):
             rk.Scenario(**{**sc.__dict__, field: math.nan})
+    with pytest.raises(ValueError, match="noise_std must be finite and >= 0, got inf"):
+        rk.Scenario(**{**sc.__dict__, "noise_std": math.inf})
     for field in ("design_alpha", "deadband"):
         with pytest.raises(ValueError, match=field):
             rk.AdaptationConfig(**{field: math.nan})
@@ -685,6 +689,21 @@ def _diverging_scenario():
                           "x_limit": 1.0, "v_limit": 100.0, "ident": rk.IdentConfig(enable_env=True)})
 
 
+def _noisy_online_scenario():
+    """_online_scenario with the velocity filter on, seeded noise and a phase bound at step 2550, in contact."""
+    sc = _online_scenario()
+    return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.255, 5.0), force_phase(0.245, 5.0)),
+                          "velocity_filter_on": True, "noise_std": 1e-3, "seed": 3})
+
+
+def _noisy_diverging_scenario():
+    """A 0.5 s position hold, then _diverging_scenario's force phase, with seeded noise: the loop diverges
+    at step 5050, inside the chunk that starts at the phase bound, after a chunk has ended at NOISE_BLOCK."""
+    sc = _diverging_scenario()
+    hold = rk.Phase(mode=rk.ControlMode.POSITION, duration=0.5, contact_hint=rk.ContactMode.CONTACT)
+    return rk.Scenario(**{**sc.__dict__, "phases": (hold, *sc.phases), "noise_std": 1e-3, "seed": 3})
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg") if "[phase]" in p.read_text()))
 def test_step_loop_matches_the_reference_loop_on_bundled_configs(name):
     # design_combined.cfg schedules no phase, so it has nothing to simulate
@@ -732,17 +751,31 @@ def test_step_loop_matches_the_reference_loop(make):
     assert res.diverged == (make is _diverging_scenario)
 
 
-@pytest.mark.parametrize("case", ["no_ident", "env_ident", "plant_ident", "online", "divergence"])
+@pytest.mark.parametrize("case", ["no_ident", "env_ident", "plant_ident", "online", "divergence",
+                                  "noisy_online", "noisy_divergence"])
 def test_stepped_simulator_records_as_run_scenario(case):
-    """step() j times, then run(), records what run_scenario does, for j on each kind of chunk boundary."""
+    """step() j times, then run(), records what run_scenario does, for j on each kind of chunk boundary.
+
+    Each step() draws its one noise sample on its own, and run() draws the rest chunk by chunk from there,
+    so the noisy cases also check that the samples do not depend on where chunks end."""
     if case == "online":
         sc = _online_scenario()
         period = sc.adaptation.period_steps
         js = [3 * period - 1, 3 * period]  # the next step, or the last one stepped, is a redesign step
+    elif case == "noisy_online":
+        sc = _noisy_online_scenario()
+        redesigns = {round(e.t / sc.dt) for e in rk.run_scenario(sc).design_events}
+        assert 1799 in redesigns
+        js = [1799, 1800, 2549, 2550]  # on either side of a redesign step and of the phase bound
     elif case == "divergence":
         sc = _diverging_scenario()
         k_div = rk.run_scenario(sc).diverged_step
         js = [k_div - 1, k_div]
+    elif case == "noisy_divergence":
+        sc = _noisy_diverging_scenario()
+        k_div = rk.run_scenario(sc).diverged_step
+        assert NOISE_BLOCK < 5000 < k_div < 5000 + NOISE_BLOCK
+        js = [NOISE_BLOCK, k_div - 1, k_div]
     elif case == "plant_ident":
         sc = _free_then_auto_scenario()
         js = [1, 2, 4999, 5000]  # within the free-motion filters' warm-up, and the free -> force bound
@@ -753,7 +786,8 @@ def test_stepped_simulator_records_as_run_scenario(case):
     while sim.step():
         pass
     ran_res = rk.run_scenario(sc)
-    assert sim._k == ran_res.n_steps == (ran_res.diverged_step + 1 if case == "divergence" else sim.n_steps)
+    assert sim._k == ran_res.n_steps == (ran_res.diverged_step + 1 if ran_res.diverged else sim.n_steps)
+    assert ran_res.diverged == case.endswith("divergence")
     if case in ("no_ident", "env_ident"):
         assert sim._k == 10000
     stepped = {name: arr[:sim._k] for name, arr in sim.ts.items()}
