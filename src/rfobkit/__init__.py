@@ -66,10 +66,6 @@ from .plant import (
     FrictionParams,
     PlantParams,
     PlantState,
-    contact_force,
-    friction_force,
-    plant_accel,
-    smooth_sign,
 )
 
 __version__ = "0.1.0"

@@ -218,8 +218,8 @@ def cmd_analyze(args) -> int:
     rfob = cfgmod.build_rfob(doc)
     env = cfgmod.build_env(doc)
     c_f = doc.get("scenario", "C_f")
-    if not c_f > 0.0:
-        raise ConfigError(f"[scenario] C_f must be > 0, got {c_f}")
+    if not 0.0 < c_f < math.inf:
+        raise ConfigError(f"[scenario] C_f must be finite and > 0, got {c_f}")
     if env.D_env == 0.0 and env.K_env == 0.0:
         raise ConfigError("[environment] neither damping nor stiffness: no force loop to analyze")
     ratios = RatioReport.from_configs(pp, dob, rfob)

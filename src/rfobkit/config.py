@@ -8,6 +8,7 @@ rejected, and missing required keys are reported with their section and name.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC
@@ -299,8 +300,8 @@ def build_design_specs(doc: ConfigDocument) -> tuple[DesignSpecA, DesignSpecB, D
 def build_design_alpha(doc: ConfigDocument) -> float:
     """The inertia ratio alpha that splits a designed alpha_g between the two observers."""
     alpha = doc.get("design", "alpha")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be {'finite' if alpha > 0.0 else '> 0'}, got {alpha}")
     return alpha
 
 

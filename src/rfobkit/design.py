@@ -663,6 +663,6 @@ def split_alpha_g(result: DesignResult, alpha: float) -> float:
     Each design case places alpha_g inside alpha*g <= g_v/2, so an on-bound
     design gives alpha*g on the bound to within rounding.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be {'finite' if alpha > 0.0 else '> 0'}, got {alpha}")
     return result.alpha_g / alpha

@@ -1,16 +1,15 @@
 """Fixed-step closed-loop simulation: plant, observer inner loop, force outer loop.
 
-The step order lives in `Simulator._advance`, which writes every stage out
-inline: phase controller, observer compensation current, semi-implicit Euler
-plant integration, sensor read (plus optional velocity noise), velocity
-filter, exact observer filter updates, contact detection, mode-gated
-estimator updates, the record, and the periodic adaptive re-design.  The
-single-step APIs it writes out (`plant_accel`, `DisturbanceObserver.step`,
-`ContactDetector.update`, ...) stay public.  The velocity noise comes from
-one seeded generator: t_0's sample is drawn on its own, and each chunk of
-steps draws its samples in one call from the same stream, so the samples do
-not depend on where chunks end.  Everything is deterministic for a fixed
-scenario and seed.
+The step order lives in `Simulator._advance`, the one definition of each
+stage, written out inline: phase controller, observer compensation current,
+semi-implicit Euler plant integration, sensor read (plus optional velocity
+noise), velocity filter, exact observer filter updates, contact detection,
+mode-gated estimator updates, the record, and the periodic adaptive
+re-design.  The observer, filter and detector objects only hold state
+between chunks.  The velocity noise comes from one seeded generator: t_0's
+sample is drawn on its own, and each chunk of steps draws its samples in one
+call from the same stream, so the samples do not depend on where chunks end.
+Everything is deterministic for a fixed scenario and seed.
 """
 from __future__ import annotations
 
@@ -66,9 +65,10 @@ class Phase:
             raise ValueError(f"phase duration must be finite and >= 0, got {self.duration}")
         if not all(isinstance(wave, (tuple, list)) and len(wave) == 3 for wave in self.waves):
             raise ValueError(f"each wave must be an (amp, freq_hz, phase_rad) triple, got waves = {self.waves}")
-        values = (self.offset, *(v for wave in self.waves for v in wave), self.ramp_end or 0.0)
+        span = 0.0 if self.ramp_end is None else self.ramp_end - self.offset  # inf * 0 would make a NaN reference
+        values = (self.offset, *(v for wave in self.waves for v in wave), self.ramp_end or 0.0, span)
         if not all(map(math.isfinite, values)):
-            raise ValueError(f"reference values must be finite, got offset = {self.offset}, "
+            raise ValueError(f"reference values must be finite, and ramp_end - offset too, got offset = {self.offset}, "
                              f"waves = {self.waves}, ramp_end = {self.ramp_end}")
 
 
@@ -181,6 +181,9 @@ class Scenario:
             raise ValueError(f"dt*max(filter cutoff) = {max(cutoffs) * self.dt:g} >= 0.5")
         if not self.C_f > 0.0 and any(p.mode is ControlMode.FORCE for p in self.phases):
             raise ValueError("C_f must be > 0 when a force phase is scheduled")
+        for name in ("x0", "v0", "C_f", "K_P", "K_V"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
@@ -423,27 +426,25 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Advance one step; returns False once the run is over or diverged."""
-        return self._advance(self._k + 1)
-
     def _advance(self, k_end: int) -> bool:
         """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
-        One step is the reference, the control law, `plant_accel`, the
-        velocity filter, the DOB and RFOB `DisturbanceObserver.step`,
-        `ContactDetector.update`, the contact and the free-motion regressor
-        filters with their RLS updates, and the record, all written out in the
-        floating-point order of those single-step APIs.  The loop state lives
-        in locals: a chunk loads it from the objects and writes it back when
-        it ends, at k_end, a phase boundary, a divergence or a redesign step,
-        so the RFOB model fold at a phase start reads the current estimate.  A
-        redesign runs after the write-back and patches the gains of the step's
-        record; the next chunk reloads them.  A chunk also ends after
-        NOISE_BLOCK steps.  Its prologue draws the chunk's noise samples with
-        one `standard_normal(n)` call, which gives the same sequence as n
-        scalar draws, so a chunk boundary moves no sample; a divergence
-        leaves the chunk's unused samples drawn.
+        One step is the reference, the control law, the plant force balance,
+        the velocity filter, the DOB and RFOB updates, the contact detector,
+        the contact and the free-motion regressor filters with their RLS
+        updates, and the record, all written out inline.  The tests keep each
+        stage as a bit-for-bit reference (`plant_accel`, `observer_step`,
+        `detector_update`, ...) and rebuild the step from them in
+        `LoopStepReference`.  The loop state lives in locals: a chunk loads it
+        from the objects and writes it back when it ends, at k_end, a phase
+        boundary, a divergence or a redesign step, so the RFOB model fold at a
+        phase start reads the current estimate.  A redesign runs after the
+        write-back and patches the gains of the step's record; the next chunk
+        reloads them.  A chunk also ends after NOISE_BLOCK steps.  Its
+        prologue draws the chunk's noise samples with one `standard_normal(n)`
+        call, which gives the same sequence as n scalar draws, so a chunk
+        boundary moves no sample; a divergence leaves the chunk's unused
+        samples drawn.
         """
         k_end = min(k_end, self.n_steps)
         sc, dt, state, ad = self.sc, self.dt, self.state, self.sc.adaptation

@@ -83,8 +83,8 @@ class RlmsEstimator:
         n = self.n = delta.size
         self.mu = float(mu)
         gamma0_diag = np.broadcast_to(np.asarray(gamma0, dtype=float), delta.shape)
-        if not np.all(gamma0_diag > 0.0):
-            raise ValueError("gamma0 must be positive")
+        if not np.all((gamma0_diag > 0.0) & (gamma0_diag < np.inf)):
+            raise ValueError("gamma0 must be positive and finite")
         self._delta = delta.tolist()
         self._lo = lo.tolist()
         self._hi = hi.tolist()
@@ -178,7 +178,8 @@ class ContactDetector:
 
     NON_CONTACT -> TRANSITION once |F| > threshold_on; TRANSITION -> CONTACT
     after `dwell` consecutive steps; CONTACT (or TRANSITION) -> NON_CONTACT
-    after `dwell` consecutive steps with |F| < threshold_off.
+    after `dwell` consecutive steps with |F| < threshold_off.  The object
+    holds the mode and its counters; `Simulator._advance` updates them.
     """
 
     def __init__(self, threshold_on: float, threshold_off: float, dwell: int = 20):
@@ -190,26 +191,5 @@ class ContactDetector:
         self.threshold_off = threshold_off
         self.dwell = dwell
         self.mode = ContactMode.NON_CONTACT
-        self._count = 0
-        self._release = 0
-
-    def update(self, F_load_hat: float) -> ContactMode:
-        # _release is 0 whenever the mode is NON_CONTACT; _count is read only in TRANSITION
-        f = abs(F_load_hat)
-        mode = self.mode
-        if mode is ContactMode.NON_CONTACT:
-            if f > self.threshold_on:
-                self.mode = ContactMode.TRANSITION
-                self._count = 1
-        elif f < self.threshold_off:  # TRANSITION or CONTACT: count towards release
-            self._release += 1
-            if self._release >= self.dwell:
-                self.mode = ContactMode.NON_CONTACT
-                self._release = 0
-        else:
-            self._release = 0
-            if mode is ContactMode.TRANSITION:
-                self._count += 1
-                if self._count >= self.dwell:
-                    self.mode = ContactMode.CONTACT
-        return self.mode
+        self._count = 0  # steps of the dwell in TRANSITION
+        self._release = 0  # consecutive steps with |F| < threshold_off; 0 whenever the mode is NON_CONTACT

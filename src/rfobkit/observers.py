@@ -8,13 +8,14 @@ All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
 so a constant input is reproduced with zero steady-state error.  One observer
 class serves both loops: the DOB is `DisturbanceObserver` with the nominal
 plant and no model terms, the RFOB the same class with the identified model.
+The classes hold the filter and observer state; `Simulator._advance` steps it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .plant import FrictionParams, PlantParams, check_sign, friction_force
+from .plant import FrictionParams, PlantParams, check_sign
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,13 @@ def lpf_pole(g: float, dt: float) -> float:
 
 
 class FirstOrderLpf:
-    """First-order low-pass g/(s+g), discretized with pole exp(-g*dt)."""
+    """First-order low-pass g/(s+g), discretized with pole c = exp(-g*dt); y is its output."""
 
     def __init__(self, g: float, dt: float, y0: float = 0.0):
         self.c = lpf_pole(g, dt)
         self.g = g
         self.dt = dt
         self.y = y0
-
-    def step(self, u: float) -> float:
-        self.y = self.c * self.y + (1.0 - self.c) * u
-        return self.y
 
     def retune(self, g: float) -> None:
         """Change the cutoff without disturbing the filter state."""
@@ -98,15 +95,6 @@ class DisturbanceObserver:
         self.friction = friction
         self.F_d = F_d
         self.F_hat = 0.0
-
-    def step(self, i_m_total: float, xdot: float) -> float:
-        lpf = self.lpf
-        gm = lpf.g * self.M
-        u = self.K_F * i_m_total + gm * xdot
-        if self.friction is not None:
-            u -= friction_force(xdot, self.friction)
-        self.F_hat = lpf.step(u - self.F_d) - gm * xdot
-        return self.F_hat
 
     def retune(self, g: float, xdot: float = 0.0) -> None:
         """Change the observer cutoff in place with a bumpless output.

@@ -1,7 +1,9 @@
-"""Ground-truth continuous plant: motor dynamics, static friction, spring-damper contact."""
+"""Ground-truth continuous plant: motor dynamics, static friction, spring-damper contact.
+
+`Simulator._advance` integrates the force balance M_m*xddot = K_F*i_m - F_fric - F_env - F_d.
+"""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -35,7 +37,7 @@ class PlantParams:
 
 @dataclass(frozen=True)
 class FrictionParams:
-    """Viscous + Coulomb friction with a smooth sign approximation.
+    """Viscous + Coulomb friction, F_fric = k_vsc*xdot + k_clmb*tanh(xdot/eps).
 
     k_vsc: viscous coefficient, Ns/m.
     k_clmb: Coulomb force level, N.
@@ -53,7 +55,9 @@ class FrictionParams:
 
 @dataclass(frozen=True)
 class EnvImpedance:
-    """Lumped spring-damper contact environment.
+    """Lumped spring-damper contact, F_env = D_env*(xdot - xdot_env) + K_env*(x - x_env).
+
+    Unilateral by default: the force acts only while x >= x_env.
 
     D_env: damping, Ns/m.  K_env: stiffness, N/m.
     x_env, xdot_env: position/velocity of the environment equilibrium.
@@ -74,43 +78,3 @@ class PlantState:
 
     x_m: float = 0.0
     xdot_m: float = 0.0
-
-
-def smooth_sign(v: float, eps: float) -> float:
-    """Smooth, bounded, odd approximation of sign(v): tanh(v / eps)."""
-    return math.tanh(v / eps)
-
-
-def friction_force(xdot: float, fp: FrictionParams) -> float:
-    """Static friction force: k_vsc * xdot + k_clmb * smooth_sign(xdot)."""
-    return fp.k_vsc * xdot + fp.k_clmb * smooth_sign(xdot, fp.eps)
-
-
-def contact_force(state: PlantState, env: EnvImpedance, always_in_contact: bool = False) -> float:
-    """Environment reaction force.
-
-    Unilateral by default: force only while penetrating (x_m >= x_env).
-    With always_in_contact the spring-damper acts in both directions,
-    which makes the contact exactly linear for analysis equivalence runs.
-    """
-    if not always_in_contact and state.x_m < env.x_env:
-        return 0.0
-    return env.D_env * (state.xdot_m - env.xdot_env) + env.K_env * (state.x_m - env.x_env)
-
-
-def plant_accel(
-    i_m: float,
-    state: PlantState,
-    pp: PlantParams,
-    fp: FrictionParams,
-    env: EnvImpedance,
-    always_in_contact: bool = False,
-    F_d: float | None = None,
-) -> float:
-    """Acceleration from the force balance on the motor mass.
-
-    F_d overrides the constant disturbance in pp when given (scenario hook).
-    """
-    dist = pp.F_d if F_d is None else F_d
-    f = pp.K_F * i_m - friction_force(state.xdot_m, fp) - contact_force(state, env, always_in_contact) - dist
-    return f / pp.M_m

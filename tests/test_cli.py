@@ -789,15 +789,52 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
      "configuration error: [scenario] noise_std must be finite and >= 0, got inf"),
     ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nnoise_std_m_per_s = nan",
      "configuration error: [scenario] noise_std must be finite and >= 0, got nan"),
+    ("simulate", "sim_force_step.cfg", "C_f = 0.035842180861184146", "C_f = inf",
+     "configuration error: [scenario] C_f must be finite, got inf"),
+    ("analyze", "sim_force_step.cfg", "C_f = 0.035842180861184146", "C_f = inf",
+     "configuration error: [scenario] C_f must be finite and > 0, got inf"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nx0_m = nan",
+     "configuration error: [scenario] x0 must be finite, got nan"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nv0_m_per_s = inf",
+     "configuration error: [scenario] v0 must be finite, got inf"),
+    ("identify", "identify_plant.cfg", "velocity_filter = off", "velocity_filter = off\nK_P = nan",
+     "configuration error: [scenario] K_P must be finite, got nan"),
+    # finite ends whose span overflows: inf * 0 at the first step would make the reference NaN
+    ("simulate", "sim_force_step.cfg", "ref = const\nvalue = 1.0", "ref = ramp\nstart = 1e308\nend = -1e308",
+     "configuration error: [phase] reference values must be finite, and ramp_end - offset too"),
+    ("simulate", "sim_force_step.cfg", "mode = force\nduration_s = 1.0\nref = const\nvalue = 1.0",
+     "mode = position\nduration_s = 1.0\nref = ramp\nstart = 1e308\nend = -1e308",
+     "configuration error: [phase] reference values must be finite, and ramp_end - offset too"),
 ], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan",
-        "noise_inf", "noise_nan"])
+        "noise_inf", "noise_nan", "C_f_inf", "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan",
+        "ramp_span_force", "ramp_span_position"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
+    _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
+
+
+@pytest.mark.parametrize("command, config, old, new, message", [
+    ("identify", "identify_plant.cfg", "gamma0_nc = 1e5", "gamma0_nc = inf",
+     "configuration error: [identify] gamma0 must be positive and finite"),
+    ("design", "design_combined.cfg", "alpha = 1.0", "alpha = inf",
+     "configuration error: [design] alpha must be finite, got inf"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off",
+     "velocity_filter = off\nadaptation = offline\n[design]\nalpha = inf",
+     "configuration error: [design] alpha must be finite, got inf"),
+], ids=["gamma0_inf", "design_alpha_inf", "offline_alpha_inf"])
+def test_cmd_infinite_covariance_seed_or_design_alpha_is_config_error(tmp_path, capsys, command, config, old, new,
+                                                                      message):
+    _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
+
+
+def _assert_rejected_with(tmp_path, capsys, command, config, old, new, message):
+    """`command` on the bundled `config` with `old` replaced by `new` exits 2 with `message` and prints nothing."""
     cfg = tmp_path / config
     text = (CONFIGS / config).read_text()
     assert old in text
     cfg.write_text(text.replace(old, new))
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("extra", [

@@ -468,7 +468,7 @@ def test_split_alpha_g():
     assert split_alpha_g(_result_with(500.0, 1000.0), 2.0) == pytest.approx(250.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])  # alpha_g / inf would be a zero cutoff
 def test_split_alpha_g_rejects_nonpositive_or_nan_alpha(alpha):
     with pytest.raises(ValueError):
         split_alpha_g(_result_with(500.0, 1000.0), alpha)

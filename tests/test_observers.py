@@ -13,14 +13,33 @@ from rfobkit.observers import (
     lpf_pole,
     robustness_bound_check,
 )
-from rfobkit.plant import FrictionParams, PlantParams, friction_force
+from rfobkit.plant import FrictionParams, PlantParams
+from test_plant import friction_force
+
+
+# The filter and observer steps that Simulator._advance writes out, kept as bit-for-bit references
+# for LoopStepReference.  Each updates the state the src object holds.
+
+def lpf_step(lpf: FirstOrderLpf, u: float) -> float:
+    lpf.y = lpf.c * lpf.y + (1.0 - lpf.c) * u
+    return lpf.y
+
+
+def observer_step(obs: DisturbanceObserver, i_m_total: float, xdot: float) -> float:
+    lpf = obs.lpf
+    gm = lpf.g * obs.M
+    u = obs.K_F * i_m_total + gm * xdot
+    if obs.friction is not None:
+        u -= friction_force(xdot, obs.friction)
+    obs.F_hat = lpf_step(lpf, u - obs.F_d) - gm * xdot
+    return obs.F_hat
 
 
 def test_lpf_dc_gain():
     f = FirstOrderLpf(g=100.0, dt=1e-3)
     y = 0.0
     for _ in range(2000):
-        y = f.step(3.0)
+        y = lpf_step(f, 3.0)
     assert y == pytest.approx(3.0, rel=1e-9)
 
 
@@ -31,7 +50,7 @@ def test_lpf_one_time_constant():
     n = int(round(1.0 / (g * dt)))
     y = 0.0
     for _ in range(n):
-        y = f.step(1.0)
+        y = lpf_step(f, 1.0)
     assert y == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
 
@@ -53,7 +72,7 @@ def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
     if dt > 0.0:
         with pytest.raises(ValueError):
             f.retune(g)  # a rejected retune leaves the filter as it was
-    assert f.g == 100.0 and f.step(1.0) == FirstOrderLpf(100.0, 1e-4).step(1.0)
+    assert f.g == 100.0 and lpf_step(f, 1.0) == lpf_step(FirstOrderLpf(100.0, 1e-4), 1.0)
 
 
 @pytest.mark.parametrize("name", ["M_mn", "K_Fn", "g_dob", "g_v", "M_hat", "K_F_hat", "g_rfob"])
@@ -71,13 +90,13 @@ def test_dob_estimates_constant_disturbance():
     # zero velocity, current exactly cancels a 2 N disturbance: F_dis = K_Fn*i = 2
     f = 0.0
     for _ in range(3000):
-        f = dob.step(4.0, 0.0)
+        f = observer_step(dob, 4.0, 0.0)
     assert f == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dob_zero_state_zero_output():
     dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
-    assert dob.step(0.0, 0.0) == 0.0
+    assert observer_step(dob, 0.0, 0.0) == 0.0
 
 
 def test_rfob_steady_state_with_friction_error():
@@ -93,7 +112,7 @@ def test_rfob_steady_state_with_friction_error():
     rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric_hat)
     f = 0.0
     for _ in range(3000):
-        f = rfob.step(i, v)
+        f = observer_step(rfob, i, v)
     d_fric = friction_force(v, fric_true) - friction_force(v, fric_hat)
     assert f == pytest.approx(F_load + d_fric, rel=1e-9)
 
@@ -107,7 +126,7 @@ def test_rfob_perfect_model_recovers_load():
     rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric)
     f = 0.0
     for _ in range(3000):
-        f = rfob.step(i, v)
+        f = observer_step(rfob, i, v)
     assert f == pytest.approx(F_load, rel=1e-9)
 
 
@@ -130,7 +149,7 @@ _inputs = st.tuples(st.floats(-20.0, 20.0), st.floats(-1.0, 1.0))
 def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
     obs = DisturbanceObserver(M, K_F, g, dt, **_MODEL[model])
     for i, xdot in history:
-        obs.step(i, xdot)
+        observer_step(obs, i, xdot)
     xdot = history[-1][1]
     before = obs.F_hat
     obs.retune(g_new, xdot)
@@ -157,7 +176,7 @@ def test_observer_converges_to_exact_equilibrium(model, M, K_F, g, dt, inputs):
     obs = DisturbanceObserver(M, K_F, g, dt, **terms)
     n = math.ceil(30.0 / (g * dt))  # exp(-g dt n) < 1e-13
     for _ in range(n):
-        out = obs.step(i, xdot)
+        out = observer_step(obs, i, xdot)
     fric = friction_force(xdot, terms["friction"]) if "friction" in terms else 0.0
     equilibrium = K_F * i - fric - terms.get("F_d", 0.0)
     scale = abs(K_F * i) + g * M * abs(xdot) + abs(fric) + abs(terms.get("F_d", 0.0))
@@ -219,7 +238,7 @@ def test_inner_loop_accel_transfer_matches_first_order_model():
             t = k * dt
             xddot_des = math.sin(omega * t)
             i = mn_over_kfn * xddot_des + dob.F_hat / K_F
-            dob.step(i, v)
+            observer_step(dob, i, v)
             a = K_F * i / M_m
             v += a * dt
             ts[k] = t

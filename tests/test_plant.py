@@ -8,10 +8,49 @@ from rfobkit.plant import (
     FrictionParams,
     PlantParams,
     PlantState,
-    contact_force,
-    friction_force,
-    plant_accel,
 )
+
+
+# The plant stages that Simulator._advance writes out, kept as bit-for-bit references for LoopStepReference.
+
+def smooth_sign(v: float, eps: float) -> float:
+    """Smooth, bounded, odd approximation of sign(v): tanh(v / eps)."""
+    return math.tanh(v / eps)
+
+
+def friction_force(xdot: float, fp: FrictionParams) -> float:
+    """Static friction force: k_vsc * xdot + k_clmb * smooth_sign(xdot)."""
+    return fp.k_vsc * xdot + fp.k_clmb * smooth_sign(xdot, fp.eps)
+
+
+def contact_force(state: PlantState, env: EnvImpedance, always_in_contact: bool = False) -> float:
+    """Environment reaction force.
+
+    Unilateral by default: force only while penetrating (x_m >= x_env).
+    With always_in_contact the spring-damper acts in both directions,
+    which makes the contact exactly linear for analysis equivalence runs.
+    """
+    if not always_in_contact and state.x_m < env.x_env:
+        return 0.0
+    return env.D_env * (state.xdot_m - env.xdot_env) + env.K_env * (state.x_m - env.x_env)
+
+
+def plant_accel(
+    i_m: float,
+    state: PlantState,
+    pp: PlantParams,
+    fp: FrictionParams,
+    env: EnvImpedance,
+    always_in_contact: bool = False,
+    F_d: float | None = None,
+) -> float:
+    """Acceleration from the force balance on the motor mass.
+
+    F_d overrides the constant disturbance in pp when given (scenario hook).
+    """
+    dist = pp.F_d if F_d is None else F_d
+    f = pp.K_F * i_m - friction_force(state.xdot_m, fp) - contact_force(state, env, always_in_contact) - dist
+    return f / pp.M_m
 
 
 def test_friction_zero_velocity_is_zero():
