@@ -267,17 +267,19 @@ def cmd_analyze(args) -> int:
 
 
 CSV_CHUNK_ROWS = 4096
+CSV_BLOCK_ROWS = 64
 
 
 def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) -> None:
     """Fixed column order, >= 10 significant digits, deterministic text.
 
     Cells read as `f"{v:.10g}"` would print them.  Rows are written
-    CSV_CHUNK_ROWS at a time, so memory stays bounded by one chunk of
-    strings.  Within a chunk, a column whose cells are all bitwise equal is
-    formatted once and folded into the chunk's row template; only the
-    varying columns are formatted per row, by one `%.10g`/`%s` template.
-    Bitwise equality keeps NaN columns foldable and 0.0 apart from -0.0.
+    CSV_CHUNK_ROWS at a time.  Within a chunk, a column whose cells are all
+    bitwise equal is formatted once and folded into the chunk's row template;
+    bitwise, so NaN columns fold and 0.0 stays apart from -0.0.  The varying
+    columns are stacked into one array, and each CSV_BLOCK_ROWS rows are
+    formatted by one `%` of the repeated `%.10g`/`%s` row template, so only
+    one block's cells are Python objects at a time.
     """
     mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
     arrays = [res.ts[name] for name in columns]
@@ -285,7 +287,7 @@ def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) 
         fh.write(",".join(columns) + "\n")
         for i in range(0, res.n_steps, CSV_CHUNK_ROWS):
             j = min(i + CSV_CHUNK_ROWS, res.n_steps)
-            fields, varying = [], []
+            fields, varying, named = [], [], []
             for name, arr in zip(columns, arrays):
                 a = arr[i:j]
                 bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
@@ -293,17 +295,22 @@ def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) 
                 if (bits == bits[0]).all():
                     cell = names[a[0]] if names else "%.10g" % a[0]
                     fields.append(cell.replace("%", "%%"))
-                elif names:
-                    fields.append("%s")
-                    varying.append([names[v] for v in a.tolist()])
-                else:
-                    fields.append("%.10g")
-                    varying.append(a.tolist())
+                    continue
+                if names:
+                    named.append((len(varying), [names[v] for v in a.tolist()]))
+                fields.append("%s" if names else "%.10g")
+                varying.append(a)
             row = ",".join(fields) + "\n"
-            if varying:
-                fh.write("".join([row % cells for cells in zip(*varying)]))
-            else:
+            if not varying:
                 fh.write((row % ()) * (j - i))
+                continue
+            m, grid = len(varying), np.column_stack(varying)
+            for b0 in range(0, j - i, CSV_BLOCK_ROWS):
+                b1 = min(b0 + CSV_BLOCK_ROWS, j - i)
+                cells = grid[b0:b1].ravel().tolist()
+                for c, labels in named:
+                    cells[c::m] = labels[b0:b1]
+                fh.write(row * (b1 - b0) % tuple(cells))
 
 
 def _load_scenario(args) -> Scenario:

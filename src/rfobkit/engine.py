@@ -93,8 +93,8 @@ class AdaptationConfig:
     def __post_init__(self) -> None:
         if self.period_steps < 1:
             raise ValueError("period_steps must be >= 1")
-        if not self.design_alpha > 0.0:
-            raise ValueError("design_alpha must be > 0")
+        if not 0.0 < self.design_alpha < math.inf:
+            raise ValueError(f"design_alpha must be finite and > 0, got {self.design_alpha}")
         if not self.deadband >= 0.0:
             raise ValueError("deadband must be >= 0")
 
@@ -359,8 +359,8 @@ class Simulator:
         if self.est_c is None:
             for name in ("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N"):
                 self.ts[name].fill(np.nan)
-        # _advance records through these views: a memoryview store costs about
-        # half as much as a numpy scalar store
+        # _advance records each step's varying cells through these views (a memoryview store costs about half
+        # a numpy scalar store); t_s and the columns fixed over a chunk take one slice fill per chunk instead
         self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
 
     def _enter_phase(self, k: int) -> None:
@@ -438,9 +438,12 @@ class Simulator:
         `LoopStepReference`.  The loop state lives in locals: a chunk loads it
         from the objects and writes it back when it ends, at k_end, a phase
         boundary, a divergence or a redesign step, so the RFOB model fold at a
-        phase start reads the current estimate.  A redesign runs after the
-        write-back and patches the gains of the step's record; the next chunk
-        reloads them.  A chunk also ends after NOISE_BLOCK steps.  Its
+        phase start reads the current estimate.  A step records the cells that
+        vary; the write-back fills, over the steps run, the columns fixed over
+        a chunk (ctrl_mode, alpha_g_radps, C_f, and contact_mode under a hint;
+        the detector path records it per step) and t_s with one slice store
+        each, not one store per step.  A redesign then patches the gains of the step's record; the next
+        chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.  Its
         prologue draws the chunk's noise samples with one `standard_normal(n)`
         call, which gives the same sequence as n scalar draws, so a chunk
         boundary moves no sample; a divergence leaves the chunk's unused
@@ -468,9 +471,10 @@ class Simulator:
         b_nc = 1.0 - c_nc
         online = ad.mode is AdaptationMode.ONLINE and est_c is not None
         period = ad.period_steps
-        (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
-         c_ctrl, c_contact, c_alpha_g, c_C_f, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
+        (_, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
+         _, c_contact, _, _, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
          c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
+        ts = self.ts
         while self._k < k_end and not self.diverged:
             k = self._k
             if k >= self._next_bound:
@@ -481,6 +485,7 @@ class Simulator:
             ref0, duration = phase.offset, phase.duration
             rise = None if phase.ramp_end is None else phase.ramp_end - ref0
             force = phase.mode is ControlMode.FORCE
+            c_ref = c_F_ref if force else c_x_ref  # the other reference column keeps _alloc's NaN
             hint = None if phase.contact_hint is None else int(phase.contact_hint)
             dist = dist0 if phase.F_d_override is None else phase.F_d_override
             # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
@@ -500,7 +505,7 @@ class Simulator:
                 ud_c, d_c = est_c._ud, est_c._delta
             if est_nc is not None:
                 ud_nc, d_nc = est_nc._ud, est_nc._delta
-            F_ref = x_ref = innov_nc = innov_c = nan
+            innov_nc = innov_c = nan
             for k in range(k, stop):
                 t = k * dt
                 tau = t - t0
@@ -509,11 +514,9 @@ class Simulator:
                 for a, w, ph in waves:
                     r += a * sin(w * tau + ph)
                 if force:
-                    F_ref = r
-                    xddot_des = C_f * (F_ref - F_hat_load)
+                    xddot_des = C_f * (r - F_hat_load)
                 else:
-                    x_ref = r
-                    xddot_des = K_P * (x_ref - x) - K_V * v_f
+                    xddot_des = K_P * (r - x) - K_V * v_f
                 F_dis_used = F_hat_dis
                 i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
                 v += (K_F * i_m - (k_vsc * v + k_clmb * tanh(v / eps)) - F_load - dist) / M_m * dt
@@ -550,7 +553,7 @@ class Simulator:
                             det_count += 1
                             if det_count >= dwell:
                                 det_mode = 2
-                    mode = det_mode
+                    c_contact[k] = mode = det_mode
                 else:
                     mode = hint
                 if est_c is not None and not diverged:
@@ -575,20 +578,14 @@ class Simulator:
                     fv_nc = v_nc
                     fz_nc = c_nc * fz_nc + b_nc * tanh(v_meas / eps)
                     f1_nc = c_nc * f1_nc + b_nc
-                c_t[k] = t + dt
                 c_x[k] = x = x_new
                 c_xdot[k] = v
                 c_xddot[k] = xddot_des
                 c_i[k] = i_m
-                c_F_ref[k] = F_ref
-                c_x_ref[k] = x_ref
+                c_ref[k] = r
                 c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
                 c_F_hat_load[k] = F_hat_load
                 c_F_hat_dis[k] = F_hat_dis
-                c_ctrl[k] = ctrl_code
-                c_contact[k] = mode
-                c_alpha_g[k] = alpha_g
-                c_C_f[k] = C_f
                 # the kernels return a new estimate list, so reading one needs no copy
                 if est_nc is not None:
                     c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = d_nc
@@ -599,6 +596,11 @@ class Simulator:
                 v_meas = v_meas_new
                 if diverged:
                     break
+            # arange(k0, k + 1) * dt + dt rounds as k * dt + dt does, so t_s is bit-identical to a per-step store
+            ts["t_s"][k0:k + 1] = np.arange(k0, k + 1) * dt + dt
+            ts["ctrl_mode"][k0:k + 1], ts["alpha_g_radps"][k0:k + 1], ts["C_f"][k0:k + 1] = ctrl_code, alpha_g, C_f
+            if hint is not None:
+                ts["contact_mode"][k0:k + 1] = hint
             state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
             if vf is not None:
                 vf.y = y_v
@@ -617,7 +619,7 @@ class Simulator:
                     k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
                 ):
                     self._last_design_env = (d_env, k_env)
-                    c_alpha_g[k], c_C_f[k] = self.alpha_true * dob.lpf.g, self.C_f
+                    ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.lpf.g, self.C_f
         return not self.diverged and self._k < self.n_steps
 
     # ------------------------------------------------------------------

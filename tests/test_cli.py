@@ -380,6 +380,28 @@ def test_cmd_simulate_noisy_output_is_pinned(tmp_path):
         "e796abca1aea9d2b5bc550ce89d00b5d349424c7015f2238d59a4cb2eebb939c")
 
 
+POSITION_THEN_AUTO_CFG = (
+    SIM_CFG.replace("contact = bilateral", "contact = unilateral")
+    .replace("velocity_filter = off", "velocity_filter = on")
+    .replace("[phase]\nmode = force\nduration_s = 1.0",
+             "[phase]\nmode = position\nduration_s = 0.3\nref = const\nvalue = -1e-3\ncontact = auto\n\n"
+             "[phase]\nmode = force\nduration_s = 0.7")
+    .replace("contact = contact", "contact = auto"))
+
+
+def test_cmd_simulate_position_then_auto_force_output_is_pinned(tmp_path):
+    # a free-space position hold, then a force phase against a unilateral wall, the contact detector finding
+    # the contact, and the velocity filter on: the per-step contact_mode record and both reference columns
+    cfg, out = tmp_path / "approach.cfg", tmp_path / "approach.csv"
+    cfg.write_text(POSITION_THEN_AUTO_CFG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    contact = [row.split(",")[TIMESERIES_COLUMNS.index("contact_mode")] for row in out.read_text().splitlines()[1:]]
+    assert {"non_contact", "transition", "contact"} <= set(contact)
+    assert _sha256(out) == "0650c696d23da94a6ebd1d8463fdeaa96792beb02a39d029344c31b3a5b61b8c"
+    assert _sha256(tmp_path / "approach.csv.summary.json") == (
+        "fa2c8adf3ed4e93a24a4d48c2b2618b59a949ca9527522a181a32655c3fb23b6")
+
+
 def test_cmd_simulate_huge_noise_diverges_without_a_warning(tmp_path, capsys):
     # noise times 1e308 overflows to inf; the product is a Python one, so no numpy overflow warning is raised
     cfg = tmp_path / "noisy.cfg"
@@ -969,8 +991,13 @@ def synthetic_result(n: int) -> SimResult:
                      unidentifiable_nc=False, unidentifiable_c=False)
 
 
+# around one chunk and one block of rows; the last two counts end their last chunk partway through a block
+WRITER_ROW_COUNTS = [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1, cli.CSV_CHUNK_ROWS,
+                     cli.CSV_CHUNK_ROWS + cli.CSV_BLOCK_ROWS + 5, 2 * cli.CSV_CHUNK_ROWS + 7]
+
+
 @pytest.mark.parametrize("columns", [TIMESERIES_COLUMNS, TRACE_COLUMNS], ids=["timeseries", "trace"])
-@pytest.mark.parametrize("n", [0, 1, cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 7])
+@pytest.mark.parametrize("n", WRITER_ROW_COUNTS)
 def test_csv_writer_matches_per_cell_reference(tmp_path, columns, n):
     res = synthetic_result(n)
     out = tmp_path / "out.csv"
@@ -1002,7 +1029,7 @@ def constant_columns_result(n: int) -> SimResult:
 
 
 @pytest.mark.parametrize("columns", [TIMESERIES_COLUMNS, TRACE_COLUMNS], ids=["timeseries", "trace"])
-@pytest.mark.parametrize("n", [0, 1, cli.CSV_CHUNK_ROWS, 2 * cli.CSV_CHUNK_ROWS + 7])
+@pytest.mark.parametrize("n", WRITER_ROW_COUNTS)
 def test_csv_writer_folds_constant_columns_exactly(tmp_path, columns, n):
     res = constant_columns_result(n)
     out = tmp_path / "out.csv"
@@ -1015,6 +1042,20 @@ def test_csv_writer_folds_constant_columns_exactly(tmp_path, columns, n):
         assert innov == ["0", "-0", "0", "-0"]
         tail = text.splitlines()[-7:]
         assert len(set(tail)) == 1
+
+
+@pytest.mark.parametrize("n", [cli.CSV_BLOCK_ROWS + 1, cli.CSV_CHUNK_ROWS + 3])
+def test_csv_writer_formats_blocks_whose_only_varying_column_is_a_mode(tmp_path, n):
+    # every float column folds, so each block's cells are the contact_mode names alone
+    res = synthetic_result(n)
+    for name in TIMESERIES_COLUMNS:
+        if name != "contact_mode":
+            res.ts[name] = np.zeros(n, dtype=res.ts[name].dtype)
+    out = tmp_path / "out.csv"
+    write_timeseries_csv(res, str(out))
+    assert out.read_bytes() == per_cell_csv(res, TIMESERIES_COLUMNS).encode("utf-8")
+    assert out.read_text().splitlines()[1:4] == ["0,0,0,0,0,0,0,0,0,0,force,%s,0,0,0,0,0,0,0,0,0,0,0" % m
+                                                 for m in CONTACT_MODE_NAMES]
 
 
 def test_csv_writer_matches_per_cell_reference_on_a_run(tmp_path):

@@ -590,6 +590,14 @@ def test_scenario_rejects_nan_settings():
             rk.AdaptationConfig(**{field: math.nan})
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, 0.0, -1.0])
+def test_adaptation_config_refuses_a_design_alpha_outside_zero_to_inf(alpha):
+    # an infinite alpha would leave every redesign of the run to be rejected; it is refused here instead
+    with pytest.raises(ValueError, match=f"design_alpha must be finite and > 0, got {alpha}"):
+        rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, design_alpha=alpha)
+    assert rk.AdaptationConfig(design_alpha=1e300).design_alpha == 1e300
+
+
 def test_scenario_rejects_non_finite_gains_and_initial_state():
     sc, _ = linear_scenario()
     position = (rk.Phase(mode=rk.ControlMode.POSITION, duration=0.1),)
@@ -822,7 +830,9 @@ def test_stepped_simulator_records_as_run_scenario(case):
         assert_same_run(sc, sim)
 
 
-_SPLIT_SCENARIOS = {"noisy_online": _noisy_online_scenario, "free_then_auto": _free_then_auto_scenario}
+# a redesign every period in contact; a hinted phase, then an auto one; a divergence partway through a chunk
+_SPLIT_SCENARIOS = {"noisy_online": _noisy_online_scenario, "free_then_auto": _free_then_auto_scenario,
+                    "noisy_divergence": _noisy_diverging_scenario}
 
 
 @functools.cache
@@ -839,16 +849,18 @@ def test_any_chunk_split_records_as_run_scenario(name, data):
     """_advance through any increasing k_end sequence, one-step chunks included, then run(), records the same run."""
     ref, ref_res = _recorded_run(name)
     n, sc = ref.n_steps, ref.sc
-    # the loop's own chunk ends (phase bounds, redesign periods, noise blocks) and one step either side of them
-    own = {*ref._phase_bounds, *range(0, n, sc.adaptation.period_steps), *range(0, n, NOISE_BLOCK)}
+    assert ref_res.diverged == (name == "noisy_divergence")
+    # the loop's own chunk ends (phase bounds, redesign periods, noise blocks, a divergence) and one step either
+    # side of them
+    own = {*ref._phase_bounds, *range(0, n, sc.adaptation.period_steps), *range(0, n, NOISE_BLOCK),
+           *([ref_res.diverged_step] if ref_res.diverged else [])}
     near = sorted({k + d for k in own for d in (-1, 0, 1) if 0 <= k + d <= n})
     k_ends = sorted(set(data.draw(st.lists(st.one_of(st.integers(0, n + 1), st.sampled_from(near)), max_size=30))))
     sim = rk.Simulator(sc)
     for k_end in k_ends:
         sim._advance(k_end)
-        assert sim._k == min(k_end, n)
+        assert sim._k == min(k_end, ref_res.n_steps)  # a diverged run stops after its diverged step
     res = sim.run()
-    assert not res.diverged
     assert_same_record(sim, res, ref, ref_res)
 
 
