@@ -36,7 +36,6 @@ from .engine import (
     run_scenario,
 )
 from .identify import (
-    ContactDetector,
     ContactMode,
     RlmsEstimator,
 )
@@ -56,7 +55,6 @@ from .observers import (
     BoundCheck,
     DisturbanceObserver,
     DobConfig,
-    FirstOrderLpf,
     RatioReport,
     RfobConfig,
     robustness_bound_check,
@@ -65,7 +63,6 @@ from .plant import (
     EnvImpedance,
     FrictionParams,
     PlantParams,
-    PlantState,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ stage, written out inline: phase controller, observer compensation current,
 semi-implicit Euler plant integration, sensor read (plus optional velocity
 noise), velocity filter, exact observer filter updates, contact detection,
 mode-gated estimator updates, the record, and the periodic adaptive
-re-design.  The observer, filter and detector objects only hold state
-between chunks.  The velocity noise comes from one seeded generator: t_0's
+re-design.  Between chunks the loop state lives on the Simulator and its two
+observers.  The velocity noise comes from one seeded generator: t_0's
 sample is drawn on its own, and each chunk of steps draws its samples in one
 call from the same stream, so the samples do not depend on where chunks end.
 Everything is deterministic for a fixed scenario and seed.
@@ -20,9 +20,9 @@ from enum import Enum
 import numpy as np
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
-from .identify import ContactDetector, ContactMode, RlmsEstimator, _rlms_kernel
-from .observers import DisturbanceObserver, DobConfig, FirstOrderLpf, RatioReport, RfobConfig, lpf_pole
-from .plant import EnvImpedance, FrictionParams, PlantParams, PlantState, check_sign
+from .identify import ContactMode, RlmsEstimator, _rlms_kernel
+from .observers import DisturbanceObserver, DobConfig, RatioReport, RfobConfig, lpf_pole
+from .plant import EnvImpedance, FrictionParams, PlantParams
 
 
 class ControlMode(Enum):
@@ -70,6 +70,8 @@ class Phase:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"reference values must be finite, and ramp_end - offset too, got offset = {self.offset}, "
                              f"waves = {self.waves}, ramp_end = {self.ramp_end}")
+        if self.F_d_override is not None and not math.isfinite(self.F_d_override):
+            raise ValueError(f"F_d_override must be finite, got {self.F_d_override}")
 
 
 @dataclass(frozen=True)
@@ -128,12 +130,16 @@ class IdentConfig:
                 raise ValueError(f"{name} needs {n} values, got {len(getattr(self, name))}")
         if self.g_filter_nc is not None and not self.g_filter_nc > 0.0:
             raise ValueError(f"g_filter_nc must be > 0, got {self.g_filter_nc}")
-        self.build_estimators()  # the detector and the estimators check the rest of the settings
+        if not (self.threshold_on > self.threshold_off >= 0.0):
+            raise ValueError(f"need threshold_on > threshold_off >= 0, got on={self.threshold_on}, "
+                             f"off={self.threshold_off}")
+        if self.dwell < 1:
+            raise ValueError(f"dwell must be >= 1, got {self.dwell}")
+        self.build_estimators()  # the estimators check the rest of the settings
 
-    def build_estimators(self) -> tuple[ContactDetector, RlmsEstimator | None, RlmsEstimator | None]:
-        """The contact detector and the enabled non-contact and contact estimators (None if off)."""
+    def build_estimators(self) -> tuple[RlmsEstimator | None, RlmsEstimator | None]:
+        """The enabled non-contact and contact estimators (None if off)."""
         return (
-            ContactDetector(self.threshold_on, self.threshold_off, self.dwell),
             RlmsEstimator(self.delta0_nc, self.bounds_nc_min, self.bounds_nc_max, self.gamma0_nc, self.mu_nc)
             if self.enable_plant else None,
             RlmsEstimator(self.delta0_c, self.bounds_c_min, self.bounds_c_max, self.gamma0_c, self.mu_c)
@@ -188,8 +194,9 @@ class Scenario:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # a NaN limit would never trip divergence detection, and one <= 0 would trip it at step 0
-        check_sign(self, ">", "x_limit", "v_limit", "dist_limit")
+        for name in ("x_limit", "v_limit", "dist_limit"):  # NaN never trips divergence detection, <= 0 does at once
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for i, p in enumerate(self.phases, 1):
             steps = p.duration / self.dt
             if abs(steps - round(steps)) > 1e-6:
@@ -296,11 +303,11 @@ class Simulator:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.dt = scenario.dt
-        self.state = PlantState(x_m=scenario.x0, xdot_m=scenario.v0)
+        self._x, self._v = scenario.x0, scenario.v0
         dob, rfob = scenario.dob, scenario.rfob
         self.dob = DisturbanceObserver(dob.M_mn, dob.K_Fn, dob.g_dob, self.dt)
         self.rfob = DisturbanceObserver(rfob.M_hat, rfob.K_F_hat, rfob.g_rfob, self.dt, rfob.friction, rfob.F_d_hat)
-        self.vel_filter = FirstOrderLpf(dob.g_v, self.dt) if scenario.velocity_filter_on else None
+        self._c_v = lpf_pole(dob.g_v, self.dt) if scenario.velocity_filter_on else None  # velocity-filter pole
         self.C_f = scenario.C_f
         self.alpha_true = RatioReport.from_configs(scenario.plant, dob, rfob).alpha
         self._mn_over_kfn = scenario.dob.M_mn / scenario.dob.K_Fn
@@ -308,7 +315,8 @@ class Simulator:
         self.design_events: list[DesignEvent] = []
 
         ident = scenario.ident
-        self.detector, self.est_nc, self.est_c = ident.build_estimators()
+        self.est_nc, self.est_c = ident.build_estimators()
+        self._det = (0, 0, 0)  # the contact detector's mode code, dwell count and release count
         # the free-motion regression is u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, tanh(xdot/eps), 1],
         # the motor force balance with delta = [M_m, k_vsc, k_clmb, F_d]; every channel passes through one
         # low-pass, so the balance holds exactly, and xddot is the backward difference of the filtered velocity
@@ -323,7 +331,7 @@ class Simulator:
         self._xdot_meas = scenario.v0 + (
             self.rng.standard_normal() * scenario.noise_std if scenario.noise_std > 0.0 else 0.0
         )
-        self._xdot_f = self.vel_filter.y if self.vel_filter is not None else self._xdot_meas
+        self._xdot_f = 0.0 if self._c_v is not None else self._xdot_meas  # the velocity-filter output
 
         if scenario.adaptation.mode is AdaptationMode.OFFLINE:
             self._apply_design(0.0, scenario.env, scenario.rfob.M_hat)
@@ -433,24 +441,25 @@ class Simulator:
         the velocity filter, the DOB and RFOB updates, the contact detector,
         the contact and the free-motion regressor filters with their RLS
         updates, and the record, all written out inline.  The tests keep each
-        stage as a bit-for-bit reference (`plant_accel`, `observer_step`,
-        `detector_update`, ...) and rebuild the step from them in
-        `LoopStepReference`.  The loop state lives in locals: a chunk loads it
-        from the objects and writes it back when it ends, at k_end, a phase
+        stage as a bit-for-bit reference on plain values (`plant_accel`,
+        `lpf_step`, `observer_step`, `detector_update` and the two regressor
+        filters) and rebuild the step from them in `LoopStepReference`.  The
+        loop state lives in locals: a chunk loads it from the Simulator and
+        the observers and writes it back when it ends, at k_end, a phase
         boundary, a divergence or a redesign step, so the RFOB model fold at a
         phase start reads the current estimate.  A step records the cells that
         vary; the write-back fills, over the steps run, the columns fixed over
         a chunk (ctrl_mode, alpha_g_radps, C_f, and contact_mode under a hint;
         the detector path records it per step) and t_s with one slice store
-        each, not one store per step.  A redesign then patches the gains of the step's record; the next
-        chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.  Its
-        prologue draws the chunk's noise samples with one `standard_normal(n)`
-        call, which gives the same sequence as n scalar draws, so a chunk
-        boundary moves no sample; a divergence leaves the chunk's unused
-        samples drawn.
+        each.  A redesign then patches the gains of the step's record; the
+        next chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.
+        Its prologue draws the chunk's noise samples with one
+        `standard_normal(n)` call, which gives the same sequence as n scalar
+        draws, so a chunk boundary moves no sample; a divergence leaves the
+        chunk's unused samples drawn.
         """
         k_end = min(k_end, self.n_steps)
-        sc, dt, state, ad = self.sc, self.dt, self.state, self.sc.adaptation
+        sc, dt, ad = self.sc, self.dt, self.sc.adaptation
         K_F, M_m, dist0 = sc.plant.K_F, sc.plant.M_m, sc.plant.F_d
         k_vsc, k_clmb, eps = sc.friction.k_vsc, sc.friction.k_clmb, sc.friction.eps
         D_env, K_env, x_env, xdot_env = sc.env.D_env, sc.env.K_env, sc.env.x_env, sc.env.xdot_env
@@ -458,11 +467,9 @@ class Simulator:
         x_limit, v_limit, dist_limit, noise_std = sc.x_limit, sc.v_limit, sc.dist_limit, sc.noise_std
         noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
         sin, tanh, isfinite, nan = math.sin, math.tanh, math.isfinite, math.nan
-        vf, dob, rfob, det = self.vel_filter, self.dob, self.rfob, self.detector
-        est_nc, est_c = self.est_nc, self.est_c
-        c_v = vf.c if vf is not None else 0.0
-        b_v = 1.0 - c_v
-        th_on, th_off, dwell = det.threshold_on, det.threshold_off, det.dwell
+        dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
+        b_v = 1.0 - c_v if c_v is not None else 0.0
+        th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
         if est_c is not None:
             kernel_c, lo_c, hi_c, mu_c = _rlms_kernel(est_c.n), est_c._lo, est_c._hi, est_c.mu
         if est_nc is not None:
@@ -489,16 +496,15 @@ class Simulator:
             hint = None if phase.contact_hint is None else int(phase.contact_hint)
             dist = dist0 if phase.F_d_override is None else phase.F_d_override
             # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
-            C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.lpf.c, dob.lpf.y, dob.F_hat, dob.lpf.g * dob.M
-            c_r, y_r, F_hat_load, gm_r = rfob.lpf.c, rfob.lpf.y, rfob.F_hat, rfob.lpf.g * rfob.M
+            C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.c, dob.y, dob.F_hat, dob.g * dob.M
+            c_r, y_r, F_hat_load, gm_r = rfob.c, rfob.y, rfob.F_hat, rfob.g * rfob.M
             b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
             kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
-            alpha_g = self.alpha_true * dob.lpf.g
-            x, v, v_meas, v_f = state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f
+            alpha_g = self.alpha_true * dob.g
+            x, v, v_meas, v_f = self._x, self._v, self._xdot_meas, self._xdot_f
             # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
             F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
-            y_v = vf.y if vf is not None else 0.0
-            det_mode, det_count, det_release = int(det.mode), det._count, det._release
+            det_mode, det_count, det_release = self._det
             (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
             (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
             if est_c is not None:
@@ -524,8 +530,8 @@ class Simulator:
                 # fresh measurement at t_{k+1}: the observers integrate the interval just applied
                 # a Python product: it overflows to inf without the warning a numpy product gives
                 v_meas_new = v + (noise[k - k0] * noise_std if noisy else 0.0)
-                if vf is not None:
-                    v_f = y_v = c_v * y_v + b_v * v_meas_new
+                if c_v is not None:
+                    v_f = c_v * v_f + b_v * v_meas_new
                 else:
                     v_f = v_meas_new
                 gv = gm_d * v_f
@@ -538,7 +544,7 @@ class Simulator:
                         or abs(F_hat_load) > dist_limit):
                     diverged = self.diverged = True
                     self.diverged_step = k
-                if hint is None:  # ContactDetector.update on the mode codes: 0 non-contact, 1 transition, 2 contact
+                if hint is None:  # the contact detector on the mode codes: 0 non-contact, 1 transition, 2 contact
                     f = abs(F_hat_load)
                     if det_mode == 0:
                         if f > th_on:
@@ -601,11 +607,9 @@ class Simulator:
             ts["ctrl_mode"][k0:k + 1], ts["alpha_g_radps"][k0:k + 1], ts["C_f"][k0:k + 1] = ctrl_code, alpha_g, C_f
             if hint is not None:
                 ts["contact_mode"][k0:k + 1] = hint
-            state.x_m, state.xdot_m, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
-            if vf is not None:
-                vf.y = y_v
-            dob.lpf.y, dob.F_hat, rfob.lpf.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
-            det.mode, det._count, det._release = ContactMode(det_mode), det_count, det_release
+            self._x, self._v, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
+            dob.y, dob.F_hat, rfob.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
+            self._det = (det_mode, det_count, det_release)
             self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
             self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
             if est_c is not None:
@@ -619,7 +623,7 @@ class Simulator:
                     k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
                 ):
                     self._last_design_env = (d_env, k_env)
-                    ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.lpf.g, self.C_f
+                    ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.g, self.C_f
         return not self.diverged and self._k < self.n_steps
 
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Plant parameters (mass, viscous/Coulomb friction, constant disturbance) are
 identified from non-contact motion; environmental impedance (damping,
 stiffness, offset) from contact motion.  The two estimators are mutually
-exclusive, gated by a hysteresis contact detector, and every estimate is
-box-projected so it cannot leave its configured convex set.
+exclusive, gated by the contact detector of `Simulator._advance`, and every
+estimate is box-projected so it cannot leave its configured convex set.
 """
 from __future__ import annotations
 
@@ -171,25 +171,3 @@ def _rlms_kernel(n: int):
     source = "def kernel(ud, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
     exec(compile(source, f"<rlms update n={n}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-class ContactDetector:
-    """Hysteresis + dwell classifier over the estimated load force.
-
-    NON_CONTACT -> TRANSITION once |F| > threshold_on; TRANSITION -> CONTACT
-    after `dwell` consecutive steps; CONTACT (or TRANSITION) -> NON_CONTACT
-    after `dwell` consecutive steps with |F| < threshold_off.  The object
-    holds the mode and its counters; `Simulator._advance` updates them.
-    """
-
-    def __init__(self, threshold_on: float, threshold_off: float, dwell: int = 20):
-        if not (threshold_on > threshold_off >= 0.0):
-            raise ValueError(f"need threshold_on > threshold_off >= 0, got on={threshold_on}, off={threshold_off}")
-        if dwell < 1:
-            raise ValueError(f"dwell must be >= 1, got {dwell}")
-        self.threshold_on = threshold_on
-        self.threshold_off = threshold_off
-        self.dwell = dwell
-        self.mode = ContactMode.NON_CONTACT
-        self._count = 0  # steps of the dwell in TRANSITION
-        self._release = 0  # consecutive steps with |F| < threshold_off; 0 whenever the mode is NON_CONTACT

@@ -8,14 +8,15 @@ All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
 so a constant input is reproduced with zero steady-state error.  One observer
 class serves both loops: the DOB is `DisturbanceObserver` with the nominal
 plant and no model terms, the RFOB the same class with the identified model.
-The classes hold the filter and observer state; `Simulator._advance` steps it.
+Each observer holds its filter state, which `Simulator._advance` steps; the
+velocity filter there is its pole alone, `Simulator._c_v`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .plant import FrictionParams, PlantParams, check_sign
+from .plant import FrictionParams, PlantParams, check_params
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class DobConfig:
     g_v: float
 
     def __post_init__(self) -> None:
-        check_sign(self, ">", "M_mn", "K_Fn", "g_dob", "g_v")
+        check_params(self, positive=("M_mn", "K_Fn", "g_dob", "g_v"))
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class RfobConfig:
     F_d_hat: float = 0.0
 
     def __post_init__(self) -> None:
-        check_sign(self, ">", "M_hat", "K_F_hat", "g_rfob")
+        check_params(self, positive=("M_hat", "K_F_hat", "g_rfob"))
 
 
 def lpf_pole(g: float, dt: float) -> float:
@@ -63,33 +64,18 @@ def lpf_pole(g: float, dt: float) -> float:
     return math.exp(-g * dt)
 
 
-class FirstOrderLpf:
-    """First-order low-pass g/(s+g), discretized with pole c = exp(-g*dt); y is its output."""
-
-    def __init__(self, g: float, dt: float, y0: float = 0.0):
-        self.c = lpf_pole(g, dt)
-        self.g = g
-        self.dt = dt
-        self.y = y0
-
-    def retune(self, g: float) -> None:
-        """Change the cutoff without disturbing the filter state."""
-        self.c = lpf_pole(g, self.dt)
-        self.g = g
-
-
 class DisturbanceObserver:
     """Velocity-form observer: F_hat = LPF(K_F*i_m + g*M*xdot - F_fric(xdot) - F_d) - g*M*xdot.
 
     As the DOB (nominal M_mn, K_Fn, friction=None, F_d = 0) F_hat is the lumped
     disturbance and the compensation current is F_hat / K_Fn.  As the RFOB
     (identified M_hat, K_F_hat, friction and F_d_hat) F_hat is the load force.
-    The cutoff g is read from the filter, `lpf.g`.
+    The low-pass has cutoff g, pole c = lpf_pole(g, dt) and output y.
     """
 
     def __init__(self, M: float, K_F: float, g: float, dt: float,
                  friction: FrictionParams | None = None, F_d: float = 0.0):
-        self.lpf = FirstOrderLpf(g, dt)
+        self.c, self.g, self.dt, self.y = lpf_pole(g, dt), g, dt, 0.0
         self.M = M
         self.K_F = K_F
         self.friction = friction
@@ -99,13 +85,13 @@ class DisturbanceObserver:
     def retune(self, g: float, xdot: float = 0.0) -> None:
         """Change the observer cutoff in place with a bumpless output.
 
-        The output is lpf_state - g*M*xdot, so the state is shifted by
-        (g_new - g_old)*M*xdot to keep the estimate continuous across the
-        cutoff change.
+        The output is y - g*M*xdot, so y is shifted by (g_new - g_old)*M*xdot
+        to keep the estimate continuous across the cutoff change.  A rejected
+        cutoff raises before any state changes.
         """
-        g_old = self.lpf.g
-        self.lpf.retune(g)
-        self.lpf.y += (g - g_old) * self.M * xdot
+        c = lpf_pole(g, self.dt)
+        self.y += (g - self.g) * self.M * xdot
+        self.c, self.g = c, g
 
 
 @dataclass(frozen=True)

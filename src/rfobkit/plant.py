@@ -4,18 +4,21 @@
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
-def check_sign(obj, bound: str, *names: str) -> None:
-    """Raise ValueError unless each named field of obj is > 0 (bound ">") or >= 0 (bound ">=").
+def check_params(obj, positive: tuple[str, ...] = (), nonnegative: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless each float field of obj is finite, and the named ones > 0 or >= 0.
 
-    Written as `not v > 0.0` so that NaN fails both bounds.
+    A named field's sign is checked first, written as `not v > 0.0`, so NaN fails it with the sign message.
     """
-    for name in names:
-        v = getattr(obj, name)
-        if not (v > 0.0 if bound == ">" else v >= 0.0):
+    for name, v in vars(obj).items():
+        bound = ">" if name in positive else ">=" if name in nonnegative else ""
+        if bound and not (v > 0.0 if bound == ">" else v >= 0.0):
             raise ValueError(f"{name} must be {bound} 0, got {v}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class PlantParams:
     F_d: float = 0.0
 
     def __post_init__(self) -> None:
-        check_sign(self, ">", "M_m", "K_F")
+        check_params(self, positive=("M_m", "K_F"))
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,7 @@ class FrictionParams:
     eps: float = 1e-3
 
     def __post_init__(self) -> None:
-        check_sign(self, ">=", "k_vsc", "k_clmb")
-        check_sign(self, ">", "eps")
+        check_params(self, positive=("eps",), nonnegative=("k_vsc", "k_clmb"))
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,4 @@ class EnvImpedance:
     xdot_env: float = 0.0
 
     def __post_init__(self) -> None:
-        check_sign(self, ">=", "D_env", "K_env")
-
-
-@dataclass
-class PlantState:
-    """Motor position and velocity."""
-
-    x_m: float = 0.0
-    xdot_m: float = 0.0
+        check_params(self, nonnegative=("D_env", "K_env"))

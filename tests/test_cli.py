@@ -848,6 +848,27 @@ def test_cmd_infinite_covariance_seed_or_design_alpha_is_config_error(tmp_path, 
     _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
 
 
+@pytest.mark.parametrize("command, old, new, message", [
+    ("analyze", "K_env_N_per_m = 6500.0", "K_env_N_per_m = inf", "[environment] K_env must be finite, got inf"),
+    ("analyze", "D_env_Ns_per_m = 2.0", "D_env_Ns_per_m = inf", "[environment] D_env must be finite, got inf"),
+    ("analyze", "K_F_N_per_A = 0.5", "K_F_N_per_A = inf", "[plant] K_F must be finite, got inf"),
+    ("analyze", "M_mn_kg = 3.02", "M_mn_kg = inf", "[dob] M_mn must be finite, got inf"),
+    ("analyze", "M_m_kg = 3.02", "M_m_kg = inf", "[plant] M_m must be finite, got inf"),
+    ("analyze", "K_Fn_N_per_A = 0.5", "K_Fn_N_per_A = inf", "[dob] K_Fn must be finite, got inf"),
+    ("simulate", "K_F_N_per_A = 0.5", "K_F_N_per_A = 0.5\nF_d_N = nan", "[plant] F_d must be finite, got nan"),
+    ("simulate", "g_rfob_rad_per_s", "F_d_hat_N = inf\ng_rfob_rad_per_s", "[rfob] F_d_hat must be finite, got inf"),
+    ("simulate", "K_env_N_per_m = 6500.0", "K_env_N_per_m = 6500.0\nx_env_m = nan",
+     "[environment] x_env must be finite, got nan"),
+    ("simulate", "contact = contact", "contact = contact\nF_d_override_N = inf",
+     "[phase] F_d_override must be finite, got inf"),
+    ("simulate", "M_hat_kg = 3.02", "M_hat_kg = inf", "[rfob] M_hat must be finite, got inf"),
+], ids=["analyze_K_env_inf", "analyze_D_env_inf", "analyze_K_F_inf", "analyze_M_mn_inf", "analyze_M_m_inf",
+        "analyze_K_Fn_inf", "F_d_nan", "F_d_hat_inf", "x_env_nan", "F_d_override_inf", "M_hat_inf"])
+def test_cmd_non_finite_model_parameter_is_config_error(tmp_path, capsys, command, old, new, message):
+    # analyze used to divide by zero (exit 1) on these, and simulate to run them into a divergence (exit 4)
+    _assert_rejected_with(tmp_path, capsys, command, "sim_force_step.cfg", old, new, f"configuration error: {message}")
+
+
 def _assert_rejected_with(tmp_path, capsys, command, config, old, new, message):
     """`command` on the bundled `config` with `old` replaced by `new` exits 2 with `message` and prints nothing."""
     cfg = tmp_path / config

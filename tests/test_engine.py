@@ -12,7 +12,8 @@ from rfobkit.design import EnvClass
 from rfobkit.engine import NOISE_BLOCK, TIMESERIES_COLUMNS
 from rfobkit.identify import ContactMode
 from rfobkit.loop_model import closed_loop_force_tf, step_response
-from test_identify import NonContactBankReference, detector_update
+from rfobkit.observers import lpf_pole
+from test_identify import DETECTOR_START, NonContactBankReference, detector_update
 from test_observers import lpf_step, observer_step
 from test_plant import contact_force, plant_accel
 
@@ -44,10 +45,17 @@ def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
 
 
 class LoopStepReference(rk.Simulator):
-    """One call per stage reference and the state on the objects: the bit-for-bit reference for Simulator._advance."""
+    """One call per stage reference and one step per call: the bit-for-bit reference for Simulator._advance.
+
+    It keeps its own plant state (x, v), velocity-filter pole c_v and detector state `det`; the filter
+    output stays in `_xdot_f`, where the bumpless retune of `_apply_design` reads it.
+    """
 
     def __init__(self, scenario):
         super().__init__(scenario)
+        self.x, self.v = scenario.x0, scenario.v0
+        self.c_v = lpf_pole(scenario.dob.g_v, self.dt) if scenario.velocity_filter_on else None
+        self.det = DETECTOR_START
         self._f_ref = (0.0, 0.0, 0.0)  # the contact regressor [xdot, x, 1], filtered by the RFOB's pole
         ident = scenario.ident
         self.bank_nc = NonContactBankReference(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
@@ -64,14 +72,13 @@ class LoopStepReference(rk.Simulator):
             return False
         sc = self.sc
         dt = self.dt
-        state = self.state
         t = k * dt
         if k >= self._next_bound:
             self._enter_phase(k)
         phase = self._phase
         t_local = t - self._phase_t0
 
-        x = state.x_m
+        x = self.x
         xdot_meas = self._xdot_meas  # measurement taken at t_k
         xdot_f = self._xdot_f
 
@@ -93,15 +100,15 @@ class LoopStepReference(rk.Simulator):
         F_dis_used = self.dob.F_hat
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
 
-        a = plant_accel(i_m, state, sc.plant, sc.friction, sc.env, sc.always_in_contact, phase.F_d_override)
-        xdot_new = state.xdot_m = state.xdot_m + a * dt
-        x_new = state.x_m = x + xdot_new * dt
+        a = plant_accel(i_m, x, self.v, sc.plant, sc.friction, sc.env, sc.always_in_contact, phase.F_d_override)
+        xdot_new = self.v = self.v + a * dt
+        x_new = self.x = x + xdot_new * dt
 
         # fresh measurement at t_{k+1}: observers integrate the interval just applied
         xdot_meas_new = xdot_new + (
             self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
         )
-        xdot_f_new = lpf_step(self.vel_filter, xdot_meas_new) if self.vel_filter is not None else xdot_meas_new
+        xdot_f_new = lpf_step(self.c_v, xdot_f, xdot_meas_new) if self.c_v is not None else xdot_meas_new
         F_hat_dis = observer_step(self.dob, i_m, xdot_f_new)
         F_hat_load = observer_step(self.rfob, i_m, xdot_f_new)
         self._xdot_meas = xdot_meas_new
@@ -118,14 +125,16 @@ class LoopStepReference(rk.Simulator):
 
         mode = phase.contact_hint
         if mode is None:
-            mode = detector_update(self.detector, F_hat_load)
+            self.det = detector_update(self.det, F_hat_load, sc.ident.threshold_on, sc.ident.threshold_off,
+                                       sc.ident.dwell)
+            mode = self.det[0]
 
         innov_nc = math.nan
         innov_c = math.nan
         est_nc = self.est_nc
         est_c = self.est_c
         if est_c is not None and not self.diverged:
-            c = self.rfob.lpf.c
+            c = self.rfob.c
             b = 1.0 - c
             f_v, f_x, f_1 = self._f_ref
             rho_c = self._f_ref = (c * f_v + b * xdot_meas, c * f_x + b * x, c * f_1 + b)
@@ -159,12 +168,12 @@ class LoopStepReference(rk.Simulator):
         c_i[k] = i_m
         c_F_ref[k] = F_ref
         c_x_ref[k] = x_ref
-        c_F_load[k] = contact_force(state, sc.env, sc.always_in_contact)
+        c_F_load[k] = contact_force(x_new, xdot_new, sc.env, sc.always_in_contact)
         c_F_hat_load[k] = F_hat_load
         c_F_hat_dis[k] = F_hat_dis
         c_ctrl[k] = self._ctrl_code
         c_contact[k] = mode
-        c_alpha_g[k] = self.alpha_true * self.dob.lpf.g
+        c_alpha_g[k] = self.alpha_true * self.dob.g
         c_C_f[k] = self.C_f
         if est_nc is not None:
             c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
@@ -489,11 +498,11 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
                                                           design_alpha=1.0)})
     sim = rk.Simulator(sc)
-    assert sim.rfob.lpf.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
-    assert sim.rfob.lpf.g != 500.0
+    assert sim.rfob.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
+    assert sim.rfob.g != 500.0
     sim.run()
     # the constant regressor column is 1 - c**k for the pole c the filter ran with
-    assert sim._f_c[2] == pytest.approx(1.0 - math.exp(-sim.rfob.lpf.g * sc.dt * sim.n_steps), rel=1e-12)
+    assert sim._f_c[2] == pytest.approx(1.0 - math.exp(-sim.rfob.g * sc.dt * sim.n_steps), rel=1e-12)
 
 
 def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
@@ -850,9 +859,11 @@ def test_any_chunk_split_records_as_run_scenario(name, data):
     ref, ref_res = _recorded_run(name)
     n, sc = ref.n_steps, ref.sc
     assert ref_res.diverged == (name == "noisy_divergence")
-    # the loop's own chunk ends (phase bounds, redesign periods, noise blocks, a divergence) and one step either
+    # the loop's own chunk ends (phase bounds, redesign periods, noise blocks, a divergence), the steps where the
+    # recorded contact mode changes, so a split falls on each edge of the detector state, and one step either
     # side of them
-    own = {*ref._phase_bounds, *range(0, n, sc.adaptation.period_steps), *range(0, n, NOISE_BLOCK),
+    edges = (np.flatnonzero(np.diff(ref_res.ts["contact_mode"])) + 1).tolist()
+    own = {*ref._phase_bounds, *range(0, n, sc.adaptation.period_steps), *range(0, n, NOISE_BLOCK), *edges,
            *([ref_res.diverged_step] if ref_res.diverged else [])}
     near = sorted({k + d for k in own for d in (-1, 0, 1) if 0 <= k + d <= n})
     k_ends = sorted(set(data.draw(st.lists(st.one_of(st.integers(0, n + 1), st.sampled_from(near)), max_size=30))))

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfobkit.identify import ContactDetector, ContactMode, RlmsEstimator
-from rfobkit.observers import FirstOrderLpf, lpf_pole
+from rfobkit.engine import IdentConfig
+from rfobkit.identify import ContactMode, RlmsEstimator
+from rfobkit.observers import lpf_pole
 from test_plant import smooth_sign
 
 
@@ -169,14 +171,14 @@ class NonContactBankReference:
 
 
 class ContactBankReference:
-    """The contact regressor filter that Simulator._advance writes out: [xdot, x, 1] through the pole of `lpf`."""
+    """The contact regressor filter that Simulator._advance writes out: [xdot, x, 1] through the pole c."""
 
-    def __init__(self, lpf):
-        self.lpf = lpf
+    def __init__(self, c):
+        self.c = c
         self._f = (0.0, 0.0, 0.0)
 
     def step(self, F_load_hat, xdot, x):
-        c = self.lpf.c
+        c = self.c
         b = 1.0 - c
         f_v, f_x, f_1 = self._f
         self._f = (c * f_v + b * xdot, c * f_x + b * x, c * f_1 + b)
@@ -402,7 +404,7 @@ def test_contact_bank_offset_absorbs_equilibrium():
     # -(D xdot_env + K x_env) and the regression stays exact while the contact moves
     dt, g = 1e-4, 400.0
     D, K, x_env, xdot_env = 2.0, 6500.0, 0.01, 0.002
-    bank = ContactBankReference(FirstOrderLpf(g, dt))
+    bank = ContactBankReference(lpf_pole(g, dt))
     delta = np.array([D, K, -(D * xdot_env + K * x_env)])
     c = math.exp(-g * dt)
     f_meas = 0.0
@@ -470,76 +472,92 @@ def test_noncontact_bank_identifies_truth():
 # contact detector
 # ---------------------------------------------------------------------------
 
-def detector_update(det: ContactDetector, F_load_hat: float) -> ContactMode:
-    """The contact detector step that Simulator._advance writes out on the mode codes, kept as its reference."""
-    # _release is 0 whenever the mode is NON_CONTACT; _count is read only in TRANSITION
+DETECTOR_START = (ContactMode.NON_CONTACT, 0, 0)  # mode, dwell count, release count
+
+
+def detector_update(det: tuple[ContactMode, int, int], F_load_hat: float, threshold_on: float,
+                    threshold_off: float, dwell: int) -> tuple[ContactMode, int, int]:
+    """The contact detector step that Simulator._advance writes out on the mode codes, kept as its reference.
+
+    NON_CONTACT -> TRANSITION once |F| > threshold_on; TRANSITION -> CONTACT after `dwell` consecutive
+    steps; CONTACT (or TRANSITION) -> NON_CONTACT after `dwell` consecutive steps with |F| < threshold_off.
+    """
+    # the release count is 0 whenever the mode is NON_CONTACT; the dwell count is read only in TRANSITION
+    mode, count, release = det
     f = abs(F_load_hat)
-    mode = det.mode
     if mode is ContactMode.NON_CONTACT:
-        if f > det.threshold_on:
-            det.mode = ContactMode.TRANSITION
-            det._count = 1
-    elif f < det.threshold_off:  # TRANSITION or CONTACT: count towards release
-        det._release += 1
-        if det._release >= det.dwell:
-            det.mode = ContactMode.NON_CONTACT
-            det._release = 0
+        if f > threshold_on:
+            mode, count = ContactMode.TRANSITION, 1
+    elif f < threshold_off:  # TRANSITION or CONTACT: count towards release
+        release += 1
+        if release >= dwell:
+            mode, release = ContactMode.NON_CONTACT, 0
     else:
-        det._release = 0
+        release = 0
         if mode is ContactMode.TRANSITION:
-            det._count += 1
-            if det._count >= det.dwell:
-                det.mode = ContactMode.CONTACT
-    return det.mode
+            count += 1
+            if count >= dwell:
+                mode = ContactMode.CONTACT
+    return mode, count, release
 
 
 def test_detector_all_zero_stays_noncontact():
-    det = ContactDetector(0.5, 0.2, dwell=5)
+    det = DETECTOR_START
     for _ in range(100):
-        assert detector_update(det, 0.0) is ContactMode.NON_CONTACT
+        det = detector_update(det, 0.0, 0.5, 0.2, dwell=5)
+        assert det == DETECTOR_START
 
 
 def test_detector_step_force_transition_then_contact():
-    det = ContactDetector(0.5, 0.2, dwell=5)
-    assert detector_update(det, 1.0) is ContactMode.TRANSITION
+    det = detector_update(DETECTOR_START, 1.0, 0.5, 0.2, dwell=5)
+    assert det == (ContactMode.TRANSITION, 1, 0)
     for _ in range(3):
-        assert detector_update(det, 1.0) is ContactMode.TRANSITION
-    assert detector_update(det, 1.0) is ContactMode.CONTACT
+        det = detector_update(det, 1.0, 0.5, 0.2, dwell=5)
+        assert det[0] is ContactMode.TRANSITION
+    det = detector_update(det, 1.0, 0.5, 0.2, dwell=5)
+    assert det[0] is ContactMode.CONTACT
     # release needs dwell steps below the off threshold
     for _ in range(4):
-        assert detector_update(det, 0.1) is ContactMode.CONTACT
-    assert detector_update(det, 0.1) is ContactMode.NON_CONTACT
+        det = detector_update(det, 0.1, 0.5, 0.2, dwell=5)
+        assert det[0] is ContactMode.CONTACT
+    det = detector_update(det, 0.1, 0.5, 0.2, dwell=5)
+    assert det[0] is ContactMode.NON_CONTACT and det[2] == 0
 
 
 def test_detector_hysteresis_no_chatter():
-    det = ContactDetector(0.5, 0.2, dwell=5)
+    det = DETECTOR_START
     # drive into contact
     for _ in range(10):
-        detector_update(det, 1.0)
-    assert det.mode is ContactMode.CONTACT
+        det = detector_update(det, 1.0, 0.5, 0.2, dwell=5)
+    assert det[0] is ContactMode.CONTACT
     # oscillate between the thresholds: no mode changes
     changes = 0
-    prev = det.mode
+    prev = det[0]
     for k in range(200):
-        mode = detector_update(det, 0.3 if k % 2 == 0 else 0.45)
-        if mode is not prev:
+        det = detector_update(det, 0.3 if k % 2 == 0 else 0.45, 0.5, 0.2, dwell=5)
+        if det[0] is not prev:
             changes += 1
-        prev = mode
+        prev = det[0]
     assert changes == 0
 
 
 def test_detector_validates_thresholds():
-    with pytest.raises(ValueError):
-        ContactDetector(0.2, 0.5)
-    with pytest.raises(ValueError):
-        ContactDetector(0.5, 0.2, dwell=0)
+    for kwargs, message in [
+        (dict(threshold_on=0.2, threshold_off=0.5), "need threshold_on > threshold_off >= 0, got on=0.2, off=0.5"),
+        (dict(threshold_on=0.5, threshold_off=0.5), "need threshold_on > threshold_off >= 0, got on=0.5, off=0.5"),
+        (dict(threshold_off=-0.1), "need threshold_on > threshold_off >= 0, got on=0.5, off=-0.1"),
+        (dict(threshold_on=math.nan), "need threshold_on > threshold_off >= 0, got on=nan, off=0.2"),
+        (dict(dwell=0), "dwell must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IdentConfig(**kwargs)
 
 
 def test_contact_bank_filters_consistently():
     # constant contact: filtered columns converge and the regression becomes exact
     dt = 1e-4
     g = 400.0
-    bank = ContactBankReference(FirstOrderLpf(g, dt))
+    bank = ContactBankReference(lpf_pole(g, dt))
     D, K, off = 2.0, 6500.0, 0.0
     x, xdot = 1e-3, 0.0
     F = D * xdot + K * x + off

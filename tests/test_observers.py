@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from rfobkit.observers import (
     DisturbanceObserver,
     DobConfig,
-    FirstOrderLpf,
     RatioReport,
     RfobConfig,
     lpf_pole,
@@ -18,49 +17,51 @@ from test_plant import friction_force
 
 
 # The filter and observer steps that Simulator._advance writes out, kept as bit-for-bit references
-# for LoopStepReference.  Each updates the state the src object holds.
+# for LoopStepReference.  `lpf_step` maps the pole, output and input to the new output; `observer_step`
+# updates the filter output and estimate the observer holds.
 
-def lpf_step(lpf: FirstOrderLpf, u: float) -> float:
-    lpf.y = lpf.c * lpf.y + (1.0 - lpf.c) * u
-    return lpf.y
+def lpf_step(c: float, y: float, u: float) -> float:
+    return c * y + (1.0 - c) * u
 
 
 def observer_step(obs: DisturbanceObserver, i_m_total: float, xdot: float) -> float:
-    lpf = obs.lpf
-    gm = lpf.g * obs.M
+    gm = obs.g * obs.M
     u = obs.K_F * i_m_total + gm * xdot
     if obs.friction is not None:
         u -= friction_force(xdot, obs.friction)
-    obs.F_hat = lpf_step(lpf, u - obs.F_d) - gm * xdot
+    obs.y = lpf_step(obs.c, obs.y, u - obs.F_d)
+    obs.F_hat = obs.y - gm * xdot
     return obs.F_hat
 
 
 def test_lpf_dc_gain():
-    f = FirstOrderLpf(g=100.0, dt=1e-3)
+    c = lpf_pole(g=100.0, dt=1e-3)
     y = 0.0
     for _ in range(2000):
-        y = lpf_step(f, 3.0)
+        y = lpf_step(c, y, 3.0)
     assert y == pytest.approx(3.0, rel=1e-9)
 
 
 def test_lpf_one_time_constant():
     # exact pole placement: after n = 1/(g dt) steps the step response is 1 - e^-1
     g, dt = 1000.0, 1e-4
-    f = FirstOrderLpf(g, dt)
+    c = lpf_pole(g, dt)
     n = int(round(1.0 / (g * dt)))
     y = 0.0
     for _ in range(n):
-        y = lpf_step(f, 1.0)
+        y = lpf_step(c, y, 1.0)
     assert y == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
 
 def test_velocity_filter_table_values_accepted():
-    FirstOrderLpf(g=1000.0, dt=1e-4)  # the engine's velocity filter at g_v = 1000 rad/s
+    assert lpf_pole(g=1000.0, dt=1e-4) == math.exp(-0.1)  # the engine's velocity filter at g_v = 1000 rad/s
 
 
 def test_lpf_rejects_fast_cutoff():
-    with pytest.raises(ValueError):
-        FirstOrderLpf(g=1000.0, dt=1e-3)
+    with pytest.raises(ValueError, match="cutoff too fast for this sample time"):
+        lpf_pole(g=1000.0, dt=1e-3)
+    with pytest.raises(ValueError, match="cutoff too fast for this sample time"):
+        DisturbanceObserver(1.0, 0.5, g=1000.0, dt=1e-3)
 
 
 @pytest.mark.parametrize("g, dt", [(0.0, 1e-4), (-5.0, 1e-4), (100.0, 0.0), (100.0, -1e-4), (1e4, 1e-4),
@@ -68,11 +69,14 @@ def test_lpf_rejects_fast_cutoff():
 def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
     with pytest.raises(ValueError):
         lpf_pole(g, dt)
-    f = FirstOrderLpf(100.0, 1e-4)
+    obs, twin = DisturbanceObserver(1.0, 0.5, 100.0, 1e-4), DisturbanceObserver(1.0, 0.5, 100.0, 1e-4)
+    observer_step(obs, 1.0, 0.3)
+    observer_step(twin, 1.0, 0.3)
     if dt > 0.0:
         with pytest.raises(ValueError):
-            f.retune(g)  # a rejected retune leaves the filter as it was
-    assert f.g == 100.0 and lpf_step(f, 1.0) == lpf_step(FirstOrderLpf(100.0, 1e-4), 1.0)
+            obs.retune(g, 0.3)  # a rejected retune leaves the observer as it was
+    assert obs.g == 100.0 and (obs.c, obs.y) == (twin.c, twin.y)
+    assert observer_step(obs, 1.0, 0.3) == observer_step(twin, 1.0, 0.3)
 
 
 @pytest.mark.parametrize("name", ["M_mn", "K_Fn", "g_dob", "g_v", "M_hat", "K_F_hat", "g_rfob"])
@@ -82,6 +86,18 @@ def test_observer_configs_reject_nan(name):
     cls, kwargs = (DobConfig, dob) if name in dob else (RfobConfig, rfob)
     with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
         cls(**{**kwargs, name: math.nan})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    *((DobConfig, name, math.inf) for name in ("M_mn", "K_Fn", "g_dob", "g_v")),
+    *((RfobConfig, name, math.inf) for name in ("M_hat", "K_F_hat", "g_rfob", "F_d_hat")),
+    (RfobConfig, "F_d_hat", math.nan), (RfobConfig, "F_d_hat", -math.inf),
+])
+def test_observer_configs_reject_non_finite(cls, name, value):
+    kwargs = dict(M_mn=1.0, K_Fn=0.5, g_dob=500.0, g_v=1000.0) if cls is DobConfig else dict(
+        M_hat=1.0, K_F_hat=0.5, g_rfob=500.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        cls(**{**kwargs, name: value})
 
 
 def test_dob_estimates_constant_disturbance():
@@ -153,13 +169,13 @@ def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
     xdot = history[-1][1]
     before = obs.F_hat
     obs.retune(g_new, xdot)
-    after = obs.lpf.y - obs.lpf.g * obs.M * xdot  # the output re-evaluated at the same xdot
-    scale = abs(obs.lpf.y) + (g + g_new) * M * abs(xdot)
-    assert obs.lpf.g == g_new
+    after = obs.y - obs.g * obs.M * xdot  # the output re-evaluated at the same xdot
+    scale = abs(obs.y) + (g + g_new) * M * abs(xdot)
+    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt)
     assert after == pytest.approx(before, abs=1e-13 * scale + 1e-300)
     with pytest.raises(ValueError):
         obs.retune(2.0 / dt, xdot)  # rejected before the state is touched
-    assert obs.lpf.g == g_new and obs.lpf.y - g_new * M * xdot == after
+    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt) and obs.y - g_new * M * xdot == after
 
 
 @pytest.mark.parametrize("model", ["dob", "rfob"])
