@@ -14,6 +14,7 @@ Everything is deterministic for a fixed scenario and seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -70,6 +71,9 @@ class Phase:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"reference values must be finite, and ramp_end - offset too, got offset = {self.offset}, "
                              f"waves = {self.waves}, ramp_end = {self.ramp_end}")
+        if not all(math.isfinite(abs(2.0 * math.pi * f) * self.duration + abs(ph)) for _, f, ph in self.waves):
+            raise ValueError(f"each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must be "
+                             f"finite, got waves = {self.waves} over duration {self.duration}")
         if self.F_d_override is not None and not math.isfinite(self.F_d_override):
             raise ValueError(f"F_d_override must be finite, got {self.F_d_override}")
 
@@ -372,20 +376,30 @@ class Simulator:
         self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
 
     def _enter_phase(self, k: int) -> None:
-        """Advance the schedule to step k and cache what _advance reads of the current phase."""
+        """Advance the schedule to step k, cache what _advance reads of the phase, and write its reference column.
+
+        The other reference column keeps _alloc's NaN.  The fill runs NOISE_BLOCK steps at a time, so its
+        temporaries stay small, and keeps the formula's IEEE operations in order: tau = k*dt - t0, offset + rise *
+        (tau / duration), then + amp*sin(w*tau + ph) per wave with w = 2*pi*freq_hz and math.sin (numpy's SIMD sine
+        need not match libm), so each value is the formula's in Python floats, an overflow included (a silent inf).
+        """
         bounds = self._phase_bounds
         while self._phase_idx + 1 < len(bounds) - 1 and k >= bounds[self._phase_idx + 1]:
             self._phase_idx += 1
             self._on_phase_start(self._phase_idx)
         i = self._phase_idx
-        phase = self.sc.phases[i]
-        self._phase = phase
-        self._phase_t0 = bounds[i] * self.dt
+        self._phase = phase = self.sc.phases[i]
         self._next_bound = bounds[i + 1] if i + 2 < len(bounds) else math.inf
-        # w = 2*pi*freq_hz is the product Python forms first in 2*pi*freq_hz*tau, so the loop's
-        # a*sin(w*tau + ph) is bit-identical to the formula written out
-        self._waves = tuple((amp, 2.0 * math.pi * freq_hz, ph) for amp, freq_hz, ph in phase.waves)
         self._ctrl_code = _CTRL_CODE[phase.mode]
+        ref = self.ts["F_ref_N" if phase.mode is ControlMode.FORCE else "x_ref_m"]
+        t0, b1, offset = bounds[i] * self.dt, bounds[i + 1], phase.offset
+        with np.errstate(all="ignore"):
+            for b0 in range(bounds[i], b1, NOISE_BLOCK):
+                tau = np.arange(b0, min(b0 + NOISE_BLOCK, b1)) * self.dt - t0
+                r = ref[b0:b0 + tau.size]
+                r[:] = offset if phase.ramp_end is None else offset + (phase.ramp_end - offset) * (tau / phase.duration)
+                for amp, freq_hz, ph in phase.waves:
+                    r += amp * np.fromiter(map(math.sin, memoryview(2.0 * math.pi * freq_hz * tau + ph)), float, r.size)
 
     def _on_phase_start(self, idx: int) -> None:
         """The schedule has advanced from phase idx - 1 to phase idx (idx >= 1)."""
@@ -437,11 +451,13 @@ class Simulator:
     def _advance(self, k_end: int) -> bool:
         """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
-        One step is the reference, the control law, the plant force balance,
-        the velocity filter, the DOB and RFOB updates, the contact detector,
-        the contact and the free-motion regressor filters with their RLS
-        updates, and the record, all written out inline.  The tests keep each
-        stage as a bit-for-bit reference on plain values (`plant_accel`,
+        One step reads the reference `_enter_phase` wrote, then runs the
+        control law, the plant force balance, the velocity filter, the DOB and
+        RFOB updates, the divergence guard (its x and v limits capped at the
+        largest float, so a NaN or infinite x or v trips it), the contact
+        detector, the contact and the free-motion regressor filters with their
+        RLS updates, and the record, all written out inline.  The tests keep
+        each stage as a bit-for-bit reference on plain values (`plant_accel`,
         `lpf_step`, `observer_step`, `detector_update` and the two regressor
         filters) and rebuild the step from them in `LoopStepReference`.  The
         loop state lives in locals: a chunk loads it from the Simulator and
@@ -464,12 +480,14 @@ class Simulator:
         k_vsc, k_clmb, eps = sc.friction.k_vsc, sc.friction.k_clmb, sc.friction.eps
         D_env, K_env, x_env, xdot_env = sc.env.D_env, sc.env.K_env, sc.env.x_env, sc.env.xdot_env
         unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
-        x_limit, v_limit, dist_limit, noise_std = sc.x_limit, sc.v_limit, sc.dist_limit, sc.noise_std
+        x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
+        x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
         noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
-        sin, tanh, isfinite, nan = math.sin, math.tanh, math.isfinite, math.nan
+        tanh, nan = math.tanh, math.nan
         dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
         b_v = 1.0 - c_v if c_v is not None else 0.0
         th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
+        th_on_lo, th_off_lo = -th_on, -th_off
         if est_c is not None:
             kernel_c, lo_c, hi_c, mu_c = _rlms_kernel(est_c.n), est_c._lo, est_c._hi, est_c.mu
         if est_nc is not None:
@@ -488,11 +506,8 @@ class Simulator:
                 self._enter_phase(k)
             stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, k + NOISE_BLOCK)
             k0, noise = k, normal(stop - k).tolist() if noisy else None
-            phase, t0, ctrl_code, waves = self._phase, self._phase_t0, self._ctrl_code, self._waves
-            ref0, duration = phase.offset, phase.duration
-            rise = None if phase.ramp_end is None else phase.ramp_end - ref0
-            force = phase.mode is ControlMode.FORCE
-            c_ref = c_F_ref if force else c_x_ref  # the other reference column keeps _alloc's NaN
+            phase, ctrl_code, force = self._phase, self._ctrl_code, self._phase.mode is ControlMode.FORCE
+            c_ref = c_F_ref if force else c_x_ref  # _enter_phase wrote the phase's reference there
             hint = None if phase.contact_hint is None else int(phase.contact_hint)
             dist = dist0 if phase.F_d_override is None else phase.F_d_override
             # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
@@ -513,12 +528,7 @@ class Simulator:
                 ud_nc, d_nc = est_nc._ud, est_nc._delta
             innov_nc = innov_c = nan
             for k in range(k, stop):
-                t = k * dt
-                tau = t - t0
-                # 0 <= tau/duration < 1 on every step of a phase, so the ramp needs no clip to [0, 1]
-                r = ref0 if rise is None else ref0 + rise * (tau / duration)
-                for a, w, ph in waves:
-                    r += a * sin(w * tau + ph)
+                r = c_ref[k]
                 if force:
                     xddot_des = C_f * (r - F_hat_load)
                 else:
@@ -540,16 +550,14 @@ class Simulator:
                 gv = gm_r * v_f
                 y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - (kv_r * v_f + kc_r * tanh(v_f / eps_r)) - F_d_r)
                 F_hat_load = y_r - gv
-                if (not (isfinite(x_new) and isfinite(v)) or abs(x_new) > x_limit or abs(v) > v_limit
-                        or abs(F_hat_load) > dist_limit):
+                if not (x_lo <= x_new <= x_hi and v_lo <= v <= v_hi) or F_hat_load > F_hi or F_hat_load < F_lo:
                     diverged = self.diverged = True
                     self.diverged_step = k
                 if hint is None:  # the contact detector on the mode codes: 0 non-contact, 1 transition, 2 contact
-                    f = abs(F_hat_load)
                     if det_mode == 0:
-                        if f > th_on:
+                        if F_hat_load > th_on or F_hat_load < th_on_lo:  # |F| > th_on; a NaN takes neither branch
                             det_mode, det_count = 1, 1
-                    elif f < th_off:
+                    elif F_hat_load < th_off and F_hat_load > th_off_lo:
                         det_release += 1
                         if det_release >= dwell:
                             det_mode = det_release = 0
@@ -588,7 +596,6 @@ class Simulator:
                 c_xdot[k] = v
                 c_xddot[k] = xddot_des
                 c_i[k] = i_m
-                c_ref[k] = r
                 c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
                 c_F_hat_load[k] = F_hat_load
                 c_F_hat_dis[k] = F_hat_dis

@@ -53,7 +53,9 @@ class RlmsEstimator:
     U_1j rho_1 + ..., the steps above as written, the innovation summed left
     to right from 0.0 (never `sum()`, which compensates float sums from
     Python 3.12 on) and the clip as `lo if v < lo else hi if v > hi else v`.
-    The tests keep the loop form as a bit-for-bit reference.
+    The innovation comes first: u and each rho_i are checked only when it is
+    not finite, as any NaN or inf among them makes it.  The tests keep the
+    loop form as a bit-for-bit reference.
 
     `delta` and `Gamma` read as new numpy arrays: writing into them leaves
     the estimator unchanged.  `values` is the estimate as a tuple of floats.
@@ -146,11 +148,13 @@ def _rlms_kernel(n: int):
 
     upper = [(i, j) for j in ix for i in range(j)]  # the strict upper part of U, column by column
     state = names("D") + "".join(f"U{i}_{j}, " for i, j in upper)
-    lines = [f"{names('rho')}= rho",
-             "if not (" + " and ".join(["isfinite(u)"] + [f"isfinite(rho{i})" for i in ix]) + "):",
+    lines = [f"{names('rho')}= rho", f"{names('d')}= d",
+             "innovation = u - (" + " + ".join(["0.0"] + [f"rho{j} * d{j}" for j in ix]) + ")",
+             "if not isfinite(innovation) and not (" + " and ".join(
+                 ["isfinite(u)"] + [f"isfinite(rho{i})" for i in ix]) + "):",
              "    raise ValueError('non-finite regressor or measurement')",
              f"{state}= ud"]
-    lines += [f"{names(v)}= {v}" for v in ("d", "lo", "hi")]
+    lines += [f"{names(v)}= {v}" for v in ("lo", "hi")]
     lines += [f"f{j} = " + " + ".join([f"rho{j}"] + [f"U{i}_{j} * rho{i}" for i in range(j)]) for j in ix]
     lines += [f"h{j} = D{j} * f{j}" for j in ix]
     lines.append("a0 = mu")
@@ -161,8 +165,7 @@ def _rlms_kernel(n: int):
         if j:
             lines.append(f"p = -f{j} / a{j}")
         lines += [f"U{i}_{j}, b{i} = U{i}_{j} + b{i} * p, b{i} + U{i}_{j} * h{j}" for i in range(j)]
-    lines += ["innovation = u - (" + " + ".join(["0.0"] + [f"rho{j} * d{j}" for j in ix]) + ")",
-              f"g = innovation / a{n}"]
+    lines.append(f"g = innovation / a{n}")
     for i in ix:
         lines += [f"v{i} = d{i} + b{i} * g",
                   f"d{i} = lo{i} if v{i} < lo{i} else hi{i} if v{i} > hi{i} else v{i}"]

@@ -827,9 +827,17 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("simulate", "sim_force_step.cfg", "mode = force\nduration_s = 1.0\nref = const\nvalue = 1.0",
      "mode = position\nduration_s = 1.0\nref = ramp\nstart = 1e308\nend = -1e308",
      "configuration error: [phase] reference values must be finite, and ramp_end - offset too"),
+    # a wave whose argument overflows: math.sin(inf) used to raise mid-run (exit 1), and w = inf made the
+    # reference NaN, a divergence at step 0 (exit 4)
+    ("simulate", "sim_force_step.cfg", "duration_s = 1.0\nref = const\nvalue = 1.0",
+     "duration_s = 2.0\nref = sine\noffset = 1.0\namp = 0.01\nfreq_hz = 2e307",
+     "configuration error: [phase] each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must"),
+    ("simulate", "sim_force_step.cfg", "duration_s = 1.0\nref = const\nvalue = 1.0",
+     "duration_s = 2.0\nref = sine\noffset = 1.0\namp = 0.01\nfreq_hz = 1e308",
+     "configuration error: [phase] each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must"),
 ], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan",
         "noise_inf", "noise_nan", "C_f_inf", "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan",
-        "ramp_span_force", "ramp_span_position"])
+        "ramp_span_force", "ramp_span_position", "wave_argument_overflows", "wave_w_infinite"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ class LoopStepReference(rk.Simulator):
         if k >= self._next_bound:
             self._enter_phase(k)
         phase = self._phase
-        t_local = t - self._phase_t0
+        t_local = t - self._phase_bounds[self._phase_idx] * dt
 
         x = self.x
         xdot_meas = self._xdot_meas  # measurement taken at t_k
@@ -638,6 +639,20 @@ def test_phase_rejects_a_wave_that_is_not_a_triple():
     assert rk.Phase(mode=rk.ControlMode.FORCE, duration=0.1, waves=((0.5, 2.0, 0.0), [1.0, 3.0, 0.5])).waves[1][2] == 0.5
 
 
+@pytest.mark.parametrize("duration, wave", [
+    (2.0, (0.01, 2e307, 0.0)),  # w = 2*pi*freq_hz is finite, w*duration is not: math.sin(inf) raised mid-run
+    (2.0, (0.01, 1e308, 0.0)),  # w is inf, so w*tau + ph was NaN from the first step
+    (0.0, (0.01, -1e308, 0.0)),  # inf * 0 is NaN even on a zero-length phase
+    (1.0, (0.01, -1e307, 1.7e308)),  # each term finite, their sum not
+], ids=["argument_overflows", "w_infinite", "w_infinite_zero_duration", "sum_overflows"])
+def test_phase_rejects_a_wave_whose_argument_overflows(duration, wave):
+    message = r"sine argument, up to \|2\*pi\*freq_hz\|\*duration \+ \|phase_rad\|, must be finite"
+    with pytest.raises(ValueError, match=message):
+        rk.Phase(mode=rk.ControlMode.FORCE, duration=duration, offset=1.0, waves=((0.5, 2.0, 0.0), wave))
+    amp, freq_hz, ph = wave  # an eighth of the frequency and half the phase keep the argument finite
+    rk.Phase(mode=rk.ControlMode.FORCE, duration=duration, waves=((amp, freq_hz / 8.0, ph / 2.0),))
+
+
 def test_ramp_spans_its_phase():
     sc, _ = linear_scenario()
     sc = rk.Scenario(**{**sc.__dict__, "phases": (
@@ -740,6 +755,25 @@ def _noisy_diverging_scenario():
     return rk.Scenario(**{**sc.__dict__, "phases": (hold, *sc.phases), "noise_std": 1e-3, "seed": 3})
 
 
+def _multi_phase_scenario():
+    """_online_scenario behind a ramped position phase with a wave, its force phase ramped with three waves: both
+    phases are longer than NOISE_BLOCK and no multiple of it, and the force phase starts at step 4321."""
+    sc = _online_scenario()
+    position = rk.Phase(mode=rk.ControlMode.POSITION, duration=0.4321, offset=-1e-3, ramp_end=-5e-4,
+                        waves=((1e-4, 3.0, 0.5),))
+    force = rk.Phase(mode=rk.ControlMode.FORCE, duration=0.5003, offset=5.0, ramp_end=6.0,
+                     waves=((0.5, 20.0, 0.3), (0.3, 7.0, 1.1), (0.2, 31.0, -0.7)))
+    return rk.Scenario(**{**sc.__dict__, "phases": (position, force)})
+
+
+def _overflowing_reference_scenario():
+    """A force phase whose offset plus its wave overflows to inf on its first step, step 500."""
+    sc, _ = linear_scenario()
+    huge = rk.Phase(mode=rk.ControlMode.FORCE, duration=0.05, offset=1.7e308, waves=((1e308, 3.0, 1.0),),
+                    contact_hint=rk.ContactMode.CONTACT)
+    return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.05, 1.0, hint=rk.ContactMode.CONTACT), huge)})
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg") if "[phase]" in p.read_text()))
 def test_step_loop_matches_the_reference_loop_on_bundled_configs(name):
     # design_combined.cfg schedules no phase, so it has nothing to simulate
@@ -779,11 +813,38 @@ def test_step_loop_restarts_the_free_motion_filters_after_a_contact_gap():
     assert np.isfinite(innov[k + 2:]).all()
 
 
-@pytest.mark.parametrize("make", [_switching_scenario, _reference_kinds_scenario, _diverging_scenario],
-                         ids=["position_to_force", "reference_kinds", "divergence"])
+@pytest.mark.parametrize("make", [_switching_scenario, _reference_kinds_scenario, _diverging_scenario,
+                                  _multi_phase_scenario, _overflowing_reference_scenario],
+                         ids=["position_to_force", "reference_kinds", "divergence", "multi_phase",
+                              "overflowing_reference"])
 def test_step_loop_matches_the_reference_loop(make):
-    res = assert_same_run(make())
-    assert res.diverged == (make is _diverging_scenario)
+    sc = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing reference is a silent inf, as Python float arithmetic leaves it
+        res = assert_same_run(sc)
+    assert res.diverged == (make in (_diverging_scenario, _overflowing_reference_scenario))
+    if make is _multi_phase_scenario:
+        steps = np.diff(rk.Simulator(sc)._phase_bounds)
+        assert (steps > NOISE_BLOCK).all() and (steps % NOISE_BLOCK != 0).all()
+        assert any(e.applied for e in res.design_events)
+    if make is _overflowing_reference_scenario:
+        assert res.diverged_step == 500 and res.ts["F_ref_N"][500] == math.inf
+
+
+@pytest.mark.parametrize("limits, k_div", [
+    ({"x_limit": 100.0, "v_limit": 1e4, "dist_limit": 1e6}, 59),  # the defaults: F_hat_load leaves dist_limit first
+    ({"x_limit": math.inf, "v_limit": math.inf, "dist_limit": math.inf}, 3118),  # only a non-finite x or v trips
+    ({"x_limit": 0.5, "v_limit": math.inf, "dist_limit": math.inf}, 60),
+    ({"x_limit": math.inf, "v_limit": 500.0, "dist_limit": math.inf}, 57),
+], ids=["default_limits", "infinite_limits", "x_limit_crossed", "v_limit_crossed"])
+def test_divergence_guard_trips_on_the_reference_loops_step(limits, k_div):
+    """_diverging_scenario's unstable run under other limits diverges on the same step as LoopStepReference."""
+    sc = rk.Scenario(**{**_diverging_scenario().__dict__, **limits})
+    res = assert_same_run(sc)
+    assert res.diverged and res.diverged_step == k_div
+    x, v, F = (res.ts[name][-1] for name in ("x_m_m", "xdot_m_mps", "F_hat_load_N"))
+    assert not (math.isfinite(x) and math.isfinite(v) and abs(x) <= sc.x_limit and abs(v) <= sc.v_limit
+                and abs(F) <= sc.dist_limit)
 
 
 @pytest.mark.parametrize("case", ["no_ident", "env_ident", "plant_ident", "online", "divergence",

@@ -349,6 +349,44 @@ def test_rlms_matches_loop_reference_bitwise(n, mu):
     assert clamped > 1000
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rlms_rejects_every_non_finite_input_before_any_state_changes(n):
+    """A NaN or infinite u or rho_i raises, whether the estimate is zero or not, and the estimator keeps its state."""
+    args = dict(delta0=np.zeros(n), bounds_min=np.full(n, -5.0), bounds_max=np.full(n, 5.0), gamma0=1e4, mu=0.98)
+    est = RlmsEstimator(**args)
+    rng = np.random.default_rng(n)
+    for estimate in ("zero", "nonzero"):
+        if estimate == "nonzero":
+            for _ in range(20):
+                est.update(rng.standard_normal(n), float(rng.standard_normal()))
+            assert all(v != 0.0 for v in est._delta)
+        rho, u = rng.standard_normal(n).tolist(), 0.5
+        before = _bits(est)
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(-1, n):  # -1 puts the bad value in u, i >= 0 in rho_i
+                rho_bad = [bad if j == i else r for j, r in enumerate(rho)]
+                with pytest.raises(ValueError, match="non-finite regressor or measurement"):
+                    est.update(rho_bad, bad if i < 0 else u)
+                assert _bits(est) == before
+
+
+@pytest.mark.parametrize("hi0, rho0, u", [(1e6, 1e303, 1.0), (1e6, -1e303, 1e308), (1e200, 1e150, 1.0)],
+                         ids=["minus_inf", "plus_inf", "clipped"])
+def test_rlms_proceeds_on_finite_inputs_whose_innovation_overflows(hi0, rho0, u):
+    """rho0 * d0 overflows with d0 near hi0: the update runs as the loop form does, bit for bit, and raises nothing.
+
+    With rho0 = +-1e303 the factors overflow too and leave NaN in the estimate; with rho0 = 1e150 they stay
+    finite and the infinite step clips the estimate to the box."""
+    args = dict(delta0=np.array([0.9 * hi0, 1.0, 0.0]), bounds_min=np.array([0.0, -10.0, -10.0]),
+                bounds_max=np.array([hi0, 10.0, 10.0]), gamma0=1e4, mu=0.999)
+    est, ref = RlmsEstimator(**args), LoopUdReference(**args)
+    for rho, u_k in (((rho0, 1.0, 1.0), u), ((1.0, 2.0, 1.0), 3.0)):
+        innovation = est.update(rho, u_k)
+        assert innovation.hex() == ref.update(rho, u_k).hex()
+        assert _bits(est) == _bits(ref)
+        assert math.isfinite(innovation) == (rho0 == 1e150 and rho[0] == 1.0)
+
+
 def test_rlms_factors_stay_positive_under_wild_updates():
     """100 000 criterion-7-style wild updates with forgetting: every D_j stays finite and > 0, Gamma factors."""
     rng = np.random.default_rng(78)
