@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
-from .identify import ContactMode, RlmsEstimator, _rlms_kernel
+from .identify import ContactMode, RlmsEstimator, _inline_rlms
 from .observers import DisturbanceObserver, DobConfig, RatioReport, RfobConfig, lpf_pole
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
@@ -448,6 +448,7 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------------
+    @_inline_rlms(_c=len(IdentConfig.delta0_c), _nc=len(IdentConfig.delta0_nc))
     def _advance(self, k_end: int) -> bool:
         """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
@@ -456,23 +457,25 @@ class Simulator:
         RFOB updates, the divergence guard (its x and v limits capped at the
         largest float, so a NaN or infinite x or v trips it), the contact
         detector, the contact and the free-motion regressor filters with their
-        RLS updates, and the record, all written out inline.  The tests keep
-        each stage as a bit-for-bit reference on plain values (`plant_accel`,
-        `lpf_step`, `observer_step`, `detector_update` and the two regressor
-        filters) and rebuild the step from them in `LoopStepReference`.  The
-        loop state lives in locals: a chunk loads it from the Simulator and
-        the observers and writes it back when it ends, at k_end, a phase
-        boundary, a divergence or a redesign step, so the RFOB model fold at a
-        phase start reads the current estimate.  A step records the cells that
-        vary; the write-back fills, over the steps run, the columns fixed over
-        a chunk (ctrl_mode, alpha_g_radps, C_f, and contact_mode under a hint;
-        the detector path records it per step) and t_s with one slice store
-        each.  A redesign then patches the gains of the step's record; the
-        next chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.
-        Its prologue draws the chunk's noise samples with one
-        `standard_normal(n)` call, which gives the same sequence as n scalar
-        draws, so a chunk boundary moves no sample; a divergence leaves the
-        chunk's unused samples drawn.
+        RLS updates, and the record, all written out inline: the first call
+        compiles the loop with the updates of `RlmsEstimator.update` filled in
+        (`_inline_rlms`).  The tests keep each stage as a bit-for-bit reference
+        on plain values (`plant_accel`, `lpf_step`, `observer_step`,
+        `detector_update` and the two regressor filters) and rebuild the step
+        from them in `LoopStepReference`.  The loop state lives in locals: a
+        chunk loads it from the Simulator, the observers and the estimators
+        (UD state, estimate, bounds and mu) and writes it back when it ends,
+        at k_end, a phase boundary, a divergence or a redesign step, so the
+        RFOB model fold at a phase start reads the current estimate.  A step
+        records the cells that vary; the write-back fills, over the steps run,
+        the columns fixed over a chunk (ctrl_mode, alpha_g_radps, C_f, and
+        contact_mode under a hint; the detector path records it per step) and
+        t_s with one slice store each.  A redesign then patches the gains of
+        the step's record; the next chunk reloads them.  A chunk also ends
+        after NOISE_BLOCK steps.  Its prologue draws the chunk's noise samples
+        with one `standard_normal(n)` call, which gives the same sequence as n
+        scalar draws, so a chunk boundary moves no sample; a divergence leaves
+        the chunk's unused samples drawn.
         """
         k_end = min(k_end, self.n_steps)
         sc, dt, ad = self.sc, self.dt, self.sc.adaptation
@@ -488,10 +491,6 @@ class Simulator:
         b_v = 1.0 - c_v if c_v is not None else 0.0
         th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
         th_on_lo, th_off_lo = -th_on, -th_off
-        if est_c is not None:
-            kernel_c, lo_c, hi_c, mu_c = _rlms_kernel(est_c.n), est_c._lo, est_c._hi, est_c.mu
-        if est_nc is not None:
-            kernel_nc, lo_nc, hi_nc, mu_nc = _rlms_kernel(est_nc.n), est_nc._lo, est_nc._hi, est_nc.mu
         c_nc, M_mn = self._c_nc, sc.dob.M_mn
         b_nc = 1.0 - c_nc
         online = ad.mode is AdaptationMode.ONLINE and est_c is not None
@@ -523,9 +522,10 @@ class Simulator:
             (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
             (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
             if est_c is not None:
-                ud_c, d_c = est_c._ud, est_c._delta
+                [*ud_c], [*d_c], [*lo_c], [*hi_c], mu_c = est_c._ud, est_c._delta, est_c._lo, est_c._hi, est_c.mu
             if est_nc is not None:
-                ud_nc, d_nc = est_nc._ud, est_nc._delta
+                [*ud_nc], [*d_nc], [*lo_nc], [*hi_nc], mu_nc = (
+                    est_nc._ud, est_nc._delta, est_nc._lo, est_nc._hi, est_nc.mu)
             innov_nc = innov_c = nan
             for k in range(k, stop):
                 r = c_ref[k]
@@ -535,7 +535,9 @@ class Simulator:
                     xddot_des = K_P * (r - x) - K_V * v_f
                 F_dis_used = F_hat_dis
                 i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
-                v += (K_F * i_m - (k_vsc * v + k_clmb * tanh(v / eps)) - F_load - dist) / M_m * dt
+                # k_clmb == 0 skips tanh; that flips at most the sign of a zero force, kept only if K_F*i_m is -0.0
+                F_fric = k_vsc * v + k_clmb * tanh(v / eps) if k_clmb else k_vsc * v
+                v += (K_F * i_m - F_fric - F_load - dist) / M_m * dt
                 x_new = x + v * dt
                 # fresh measurement at t_{k+1}: the observers integrate the interval just applied
                 # a Python product: it overflows to inf without the warning a numpy product gives
@@ -548,7 +550,8 @@ class Simulator:
                 y_d = c_d * y_d + b_d * (K_F_d * i_m + gv)
                 F_hat_dis = y_d - gv
                 gv = gm_r * v_f
-                y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - (kv_r * v_f + kc_r * tanh(v_f / eps_r)) - F_d_r)
+                F_fric_r = kv_r * v_f + kc_r * tanh(v_f / eps_r) if kc_r else kv_r * v_f
+                y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - F_fric_r - F_d_r)
                 F_hat_load = y_r - gv
                 if not (x_lo <= x_new <= x_hi and v_lo <= v <= v_hi) or F_hat_load > F_hi or F_hat_load < F_lo:
                     diverged = self.diverged = True
@@ -576,7 +579,7 @@ class Simulator:
                     fx_c = c_r * fx_c + b_r * x
                     f1_c = c_r * f1_c + b_r
                     if mode == 2:
-                        ud_c, d_c, innov_c = kernel_c(ud_c, (fv_c, fx_c, f1_c), d_c, lo_c, hi_c, F_hat_load, mu_c)
+                        innov_c = RLMS_UPDATE(fv_c, fx_c, f1_c, F_hat_load)
                 if mode == 0 and est_nc is not None and not diverged:
                     if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
                         fu_nc = fv_nc = fz_nc = f1_nc = 0.0
@@ -584,8 +587,8 @@ class Simulator:
                     nc_last_k = k
                     v_nc = c_nc * fv_nc + b_nc * v_meas
                     if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
-                        ud_nc, d_nc, innov_nc = kernel_nc(ud_nc, ((v_nc - fv_nc) / dt, fv_nc, fz_nc, f1_nc), d_nc,
-                                                          lo_nc, hi_nc, fu_nc, mu_nc)
+                        xddot_nc = (v_nc - fv_nc) / dt
+                        innov_nc = RLMS_UPDATE(xddot_nc, fv_nc, fz_nc, f1_nc, fu_nc)
                     else:
                         warm_nc += 1
                     fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
@@ -599,12 +602,11 @@ class Simulator:
                 c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
                 c_F_hat_load[k] = F_hat_load
                 c_F_hat_dis[k] = F_hat_dis
-                # the kernels return a new estimate list, so reading one needs no copy
                 if est_nc is not None:
-                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = d_nc
+                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = *d_nc,
                     c_innov_nc[k], innov_nc = innov_nc, nan
                 if est_c is not None:
-                    c_D_env[k], c_K_env[k], c_offset[k] = d_c
+                    c_D_env[k], c_K_env[k], c_offset[k] = *d_c,
                     c_innov_c[k], innov_c = innov_c, nan
                 v_meas = v_meas_new
                 if diverged:
@@ -620,11 +622,11 @@ class Simulator:
             self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
             self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
             if est_c is not None:
-                est_c._ud, est_c._delta = ud_c, d_c
+                est_c._ud, est_c._delta = [*ud_c], [*d_c]
             if est_nc is not None:
-                est_nc._ud, est_nc._delta = ud_nc, d_nc
+                est_nc._ud, est_nc._delta = [*ud_nc], [*d_nc]
             if online and mode == 2 and not diverged and (k + 1) % period == 0:
-                d_env, k_env = max(d_c[0], 0.0), max(d_c[1], 0.0)
+                d_env, k_env = max(est_c._delta[0], 0.0), max(est_c._delta[1], 0.0)
                 # a rejected design leaves the anchor alone, so the next period retries
                 if self._outside_deadband(d_env, k_env) and self._apply_design(
                     k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M

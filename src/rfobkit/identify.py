@@ -9,7 +9,10 @@ estimate is box-projected so it cannot leave its configured convex set.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import re
+import textwrap
 from collections.abc import Sequence
 from enum import IntEnum
 
@@ -47,15 +50,16 @@ class RlmsEstimator:
     part of U column by column (U_01, U_02, U_12, U_03, ...); it starts at
     gamma0 on D and zeros in U.  With 3 or 4 components numpy's per-call
     overhead would outweigh the arithmetic, and loops would spend the time in
-    the interpreter, so the update is one straight-line function per n,
-    generated and compiled on the first update of that n (`_rlms_kernel`).
-    It must keep the operations and their order: f_j = rho_j + U_0j rho_0 +
-    U_1j rho_1 + ..., the steps above as written, the innovation summed left
-    to right from 0.0 (never `sum()`, which compensates float sums from
-    Python 3.12 on) and the clip as `lo if v < lo else hi if v > hi else v`.
-    The innovation comes first: u and each rho_i are checked only when it is
-    not finite, as any NaN or inf among them makes it.  The tests keep the
-    loop form as a bit-for-bit reference.
+    the interpreter, so the update is straight-line code, generated once
+    (`_rlms_lines`) and compiled on first use, per n in `_rlms_kernel` and
+    inline in `Simulator._advance`.  It keeps the operations and their order:
+    f_j = rho_j + U_0j rho_0 + U_1j rho_1 + ..., the steps above as written,
+    the innovation summed left to right from 0.0 (never `sum()`, which
+    compensates float sums from Python 3.12 on) and the clip as
+    `lo if v < lo else hi if v > hi else v`.  The innovation comes first: u
+    and each rho_i are checked only when it is not finite, as any NaN or inf
+    among them makes it.  The tests keep the loop form as a bit-for-bit
+    reference.
 
     `delta` and `Gamma` read as new numpy arrays: writing into them leaves
     the estimator unchanged.  `values` is the estimate as a tuple of floats.
@@ -135,42 +139,56 @@ class RlmsEstimator:
 
 @functools.cache
 def _rlms_kernel(n: int):
-    """The straight-line UD update for estimate dimension n >= 1, compiled on first use.
+    """The UD update for dimension n >= 1 as one function; it raises ValueError on a non-finite u or rho_i."""
+    def kernel(ud, rho, d, lo, hi, u, mu):  # returns the new UD state and estimate and the innovation
+        [*rho], [*d], [*ud] = rho, d, ud  # three or fewer per statement: no tuple is built
+        [*lo], [*hi] = lo, hi
+        innov = RLMS_UPDATE(*rho, u)
+        return [*ud], [*d], innov
+    return _compile_filled(kernel, {"": n})
 
-    `kernel(ud, rho, d, lo, hi, u, mu)` raises ValueError on a non-finite u
-    or rho_i and otherwise returns the new UD state, the new estimate and the
-    innovation; RlmsEstimator states the operations it keeps.
-    """
+
+def _inline_rlms(**dims: int):
+    """Decorate a template that runs RLS updates on its locals; its first call fills and compiles it, once.
+
+    For each suffix s, `*ud{s}`, `*d{s}`, `*lo{s}`, `*hi{s}` and `*rho{s}` stand for the local names of the UD state
+    (in the flat list's order), estimate, bounds and regressor of dimension dims[s], and each line
+    `innov{s} = RLMS_UPDATE(rho_0, ..., u)` for `_rlms_lines`' update, which also reads mu{s}."""
+    def decorate(template):
+        compiled = functools.cache(lambda: _compile_filled(template, dims))
+        return functools.wraps(template)(lambda *args, **kwargs: compiled()(*args, **kwargs))
+    return decorate
+
+
+def _compile_filled(template, dims: dict[str, int]):
+    source = textwrap.dedent(inspect.getsource(template))
+    source = source[re.search("^def ", source, re.M).start():]  # without the decorators
+    for s, n in dims.items():
+        names = {"ud": [f"D{j}{s}" for j in range(n)] + [f"U{i}_{j}{s}" for j in range(n) for i in range(j)],
+                 **{key: [f"{key}{i}{s}" for i in range(n)] for key in ("d", "lo", "hi", "rho")}}
+        source = re.sub(rf"\*(ud|d|lo|hi|rho){s}\b", lambda m: ", ".join(names[m[1]]), source)
+        source = re.sub(rf"^( *)innov{s} = RLMS_UPDATE\((.*), (\w+)\)$", lambda m: "".join(
+            f"{m[1]}{line}\n" for line in _rlms_lines(n, s, m[2].split(", "), m[3])), source, flags=re.M)
+    namespace: dict = {}
+    exec(compile(source, f"<{template.__qualname__} {dims}>", "exec"), template.__globals__, namespace)
+    return namespace[template.__name__]
+
+
+def _rlms_lines(n: int, s: str, rho: Sequence[str], u: str) -> list[str]:
+    """Bierman's update as statements on the names rho and u; the state, estimate, bounds, mu and innov end in s,
+    the temporaries f{j}, h{j}, a{j}, b{j}, p, g and v{i} do not, so a template must not use those names."""
     ix = range(n)
-
-    def names(prefix: str) -> str:
-        return "".join(f"{prefix}{i}, " for i in ix)
-
-    upper = [(i, j) for j in ix for i in range(j)]  # the strict upper part of U, column by column
-    state = names("D") + "".join(f"U{i}_{j}, " for i, j in upper)
-    lines = [f"{names('rho')}= rho", f"{names('d')}= d",
-             "innovation = u - (" + " + ".join(["0.0"] + [f"rho{j} * d{j}" for j in ix]) + ")",
-             "if not isfinite(innovation) and not (" + " and ".join(
-                 ["isfinite(u)"] + [f"isfinite(rho{i})" for i in ix]) + "):",
-             "    raise ValueError('non-finite regressor or measurement')",
-             f"{state}= ud"]
-    lines += [f"{names(v)}= {v}" for v in ("lo", "hi")]
-    lines += [f"f{j} = " + " + ".join([f"rho{j}"] + [f"U{i}_{j} * rho{i}" for i in range(j)]) for j in ix]
-    lines += [f"h{j} = D{j} * f{j}" for j in ix]
-    lines.append("a0 = mu")
+    lines = [f"innov$ = {u} - (" + " + ".join(["0.0"] + [f"{rho[j]} * d{j}$" for j in ix]) + ")",
+             "if not math.isfinite(innov$) and not (" + " and ".join(f"math.isfinite({x})" for x in (u, *rho)) + "):",
+             "    raise ValueError('non-finite regressor or measurement')"]
+    lines += [f"f{j} = " + " + ".join([rho[j]] + [f"U{i}_{j}$ * {rho[i]}" for i in range(j)]) for j in ix]
+    lines += [f"h{j} = D{j}$ * f{j}" for j in ix] + ["a0 = mu$"]
     for j in ix:
-        lines += [f"a{j + 1} = a{j} + f{j} * h{j}",
-                  f"D{j} = D{j} * a{j} / (a{j + 1} * mu)",
-                  f"b{j} = h{j}"]
+        lines += [f"a{j + 1} = a{j} + f{j} * h{j}", f"D{j}$ = D{j}$ * a{j} / (a{j + 1} * mu$)", f"b{j} = h{j}"]
         if j:
             lines.append(f"p = -f{j} / a{j}")
-        lines += [f"U{i}_{j}, b{i} = U{i}_{j} + b{i} * p, b{i} + U{i}_{j} * h{j}" for i in range(j)]
-    lines.append(f"g = innovation / a{n}")
+        lines += [f"U{i}_{j}$, b{i} = U{i}_{j}$ + b{i} * p, b{i} + U{i}_{j}$ * h{j}" for i in range(j)]
+    lines.append(f"g = innov$ / a{n}")
     for i in ix:
-        lines += [f"v{i} = d{i} + b{i} * g",
-                  f"d{i} = lo{i} if v{i} < lo{i} else hi{i} if v{i} > hi{i} else v{i}"]
-    lines.append(f"return [{state}], [{names('d')}], innovation")
-    namespace: dict = {"isfinite": math.isfinite}
-    source = "def kernel(ud, rho, d, lo, hi, u, mu):\n    " + "\n    ".join(lines)
-    exec(compile(source, f"<rlms update n={n}>", "exec"), namespace)
-    return namespace["kernel"]
+        lines += [f"v{i} = d{i}$ + b{i} * g", f"d{i}$ = lo{i}$ if v{i} < lo{i}$ else hi{i}$ if v{i} > hi{i}$ else v{i}"]
+    return [line.replace("$", s) for line in lines]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -800,6 +801,32 @@ def test_step_loop_matches_the_reference_loop_across_the_rfob_fold():
     assert (sim.rfob.M, sim.rfob.friction.k_vsc, sim.rfob.friction.k_clmb, sim.rfob.F_d) == (
         max(d[0], 1e-6), max(d[1], 0.0), max(d[2], 0.0), d[3])
     assert_same_run(sc, sim)
+
+
+def test_step_loop_matches_the_reference_loop_where_both_clips_engage_under_forgetting():
+    """The inlined updates clip and forget as RlmsEstimator.update does: a frictionless plant puts k_vsc and k_clmb
+    on the default lower bound 0, and the contact phase's D_env bound of 1 lies below the true 2."""
+    sc = _free_then_auto_scenario()
+    sc = rk.Scenario(**{**sc.__dict__, "plant": PP, "friction": rk.FrictionParams(),
+                        "phases": (sc.phases[0], force_phase(0.3, 3.0, hint=rk.ContactMode.CONTACT)),
+                        "ident": rk.IdentConfig(enable_plant=True, enable_env=True, mu_nc=0.99, mu_c=0.99,
+                                                delta0_c=(0.5, 3000.0, 0.0), bounds_c_max=(1.0, 1e6, 100.0))})
+    ts = assert_same_run(sc).ts
+    assert (ts["delta_k_vsc_Nspm"] == 0.0).any() and (ts["delta_k_clmb_N"] == 0.0).any()
+    assert (ts["delta_D_env_Nspm"] == 1.0).any()
+
+
+@pytest.mark.parametrize("k_clmb", [0.0, -0.0])
+def test_zero_coulomb_terms_match_the_reference_loop_on_signed_zeros(k_clmb):
+    """The step skips tanh where a Coulomb level is a zero; the plant and the RFOB (k_vsc = -0.0, k_clmb) from
+    v0 = -0.0 still run as the reference loop's full friction term, across a fold that sets the RFOB's k_clmb."""
+    sc = _free_then_auto_scenario()
+    friction = rk.FrictionParams(k_vsc=-0.0, k_clmb=k_clmb)
+    sc = rk.Scenario(**{**sc.__dict__, "friction": friction, "v0": -0.0,
+                        "rfob": dataclasses.replace(sc.rfob, friction=friction)})
+    sim = rk.Simulator(sc)
+    assert_same_run(sc, sim)
+    assert sim.rfob.friction.k_clmb != 0.0
 
 
 def test_step_loop_restarts_the_free_motion_filters_after_a_contact_gap():
