@@ -464,18 +464,20 @@ class Simulator:
         `detector_update` and the two regressor filters) and rebuild the step
         from them in `LoopStepReference`.  The loop state lives in locals: a
         chunk loads it from the Simulator, the observers and the estimators
-        (UD state, estimate, bounds and mu) and writes it back when it ends,
-        at k_end, a phase boundary, a divergence or a redesign step, so the
-        RFOB model fold at a phase start reads the current estimate.  A step
-        records the cells that vary; the write-back fills, over the steps run,
-        the columns fixed over a chunk (ctrl_mode, alpha_g_radps, C_f, and
-        contact_mode under a hint; the detector path records it per step) and
-        t_s with one slice store each.  A redesign then patches the gains of
-        the step's record; the next chunk reloads them.  A chunk also ends
-        after NOISE_BLOCK steps.  Its prologue draws the chunk's noise samples
-        with one `standard_normal(n)` call, which gives the same sequence as n
-        scalar draws, so a chunk boundary moves no sample; a divergence leaves
-        the chunk's unused samples drawn.
+        (their `_state` and `_bounds` lists, in the names identify.py lays
+        out, and mu) and writes it back when it ends, at k_end, a phase
+        boundary, a divergence or a redesign step, so the RFOB model fold at a
+        phase start reads the current estimate.  A step records the cells that
+        vary, an innovation only where its update runs (`_alloc` fills NaN);
+        the write-back fills, over the steps run, the columns fixed over a
+        chunk (ctrl_mode, alpha_g_radps, C_f, and contact_mode under a hint;
+        the detector path records it per step) and t_s with one slice store
+        each.  A redesign then patches the gains of the step's record; the
+        next chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.
+        Its prologue draws the chunk's noise samples with one
+        `standard_normal(n)` call, which gives the same sequence as n scalar
+        draws, so a chunk boundary moves no sample; a divergence leaves the
+        chunk's unused samples drawn.
         """
         k_end = min(k_end, self.n_steps)
         sc, dt, ad = self.sc, self.dt, self.sc.adaptation
@@ -486,7 +488,7 @@ class Simulator:
         x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
         x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
         noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
-        tanh, nan = math.tanh, math.nan
+        tanh = math.tanh
         dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
         b_v = 1.0 - c_v if c_v is not None else 0.0
         th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
@@ -522,11 +524,9 @@ class Simulator:
             (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
             (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
             if est_c is not None:
-                [*ud_c], [*d_c], [*lo_c], [*hi_c], mu_c = est_c._ud, est_c._delta, est_c._lo, est_c._hi, est_c.mu
+                [*s_c], [*bounds_c], mu_c = est_c._state, est_c._bounds, est_c.mu
             if est_nc is not None:
-                [*ud_nc], [*d_nc], [*lo_nc], [*hi_nc], mu_nc = (
-                    est_nc._ud, est_nc._delta, est_nc._lo, est_nc._hi, est_nc.mu)
-            innov_nc = innov_c = nan
+                [*s_nc], [*bounds_nc], mu_nc = est_nc._state, est_nc._bounds, est_nc.mu
             for k in range(k, stop):
                 r = c_ref[k]
                 if force:
@@ -580,6 +580,7 @@ class Simulator:
                     f1_c = c_r * f1_c + b_r
                     if mode == 2:
                         innov_c = RLMS_UPDATE(fv_c, fx_c, f1_c, F_hat_load)
+                        c_innov_c[k] = innov_c
                 if mode == 0 and est_nc is not None and not diverged:
                     if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
                         fu_nc = fv_nc = fz_nc = f1_nc = 0.0
@@ -589,6 +590,7 @@ class Simulator:
                     if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
                         xddot_nc = (v_nc - fv_nc) / dt
                         innov_nc = RLMS_UPDATE(xddot_nc, fv_nc, fz_nc, f1_nc, fu_nc)
+                        c_innov_nc[k] = innov_nc
                     else:
                         warm_nc += 1
                     fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
@@ -604,10 +606,8 @@ class Simulator:
                 c_F_hat_dis[k] = F_hat_dis
                 if est_nc is not None:
                     c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = *d_nc,
-                    c_innov_nc[k], innov_nc = innov_nc, nan
                 if est_c is not None:
                     c_D_env[k], c_K_env[k], c_offset[k] = *d_c,
-                    c_innov_c[k], innov_c = innov_c, nan
                 v_meas = v_meas_new
                 if diverged:
                     break
@@ -622,11 +622,11 @@ class Simulator:
             self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
             self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
             if est_c is not None:
-                est_c._ud, est_c._delta = [*ud_c], [*d_c]
+                est_c._state = [*s_c]
             if est_nc is not None:
-                est_nc._ud, est_nc._delta = [*ud_nc], [*d_nc]
+                est_nc._state = [*s_nc]
             if online and mode == 2 and not diverged and (k + 1) % period == 0:
-                d_env, k_env = max(est_c._delta[0], 0.0), max(est_c._delta[1], 0.0)
+                d_env, k_env = (max(v, 0.0) for v in est_c.values[:2])
                 # a rejected design leaves the anchor alone, so the next period retries
                 if self._outside_deadband(d_env, k_env) and self._apply_design(
                     k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M

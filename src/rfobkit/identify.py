@@ -46,20 +46,21 @@ class RlmsEstimator:
     still winds up: with mu < 1, the D_j of a direction the regressors do not
     excite grows by 1/mu per update, as Gamma would, and nothing bounds it.
 
-    The state is one flat float list: D_0 ... D_{n-1}, then the strict upper
-    part of U column by column (U_01, U_02, U_12, U_03, ...); it starts at
-    gamma0 on D and zeros in U.  With 3 or 4 components numpy's per-call
-    overhead would outweigh the arithmetic, and loops would spend the time in
-    the interpreter, so the update is straight-line code, generated once
-    (`_rlms_lines`) and compiled on first use, per n in `_rlms_kernel` and
-    inline in `Simulator._advance`.  It keeps the operations and their order:
-    f_j = rho_j + U_0j rho_0 + U_1j rho_1 + ..., the steps above as written,
-    the innovation summed left to right from 0.0 (never `sum()`, which
-    compensates float sums from Python 3.12 on) and the clip as
-    `lo if v < lo else hi if v > hi else v`.  The innovation comes first: u
-    and each rho_i are checked only when it is not finite, as any NaN or inf
-    among them makes it.  The tests keep the loop form as a bit-for-bit
-    reference.
+    The state is one flat float list, `_state`: D_0 ... D_{n-1}, then the
+    strict upper part of U column by column (U_01, U_02, U_12, U_03, ...),
+    then the estimate, from gamma0, zeros and delta0.  `_bounds` is the box:
+    the lower bounds, then the upper.  Only this module knows these layouts.
+    With 3 or 4 components numpy's per-call overhead would outweigh the
+    arithmetic, and loops would spend the time in the interpreter, so the
+    update is straight-line code, generated once (`_rlms_lines`) and compiled
+    on first use, per n in `_rlms_kernel` and inline in `Simulator._advance`.
+    It keeps the operations and their order: f_j = rho_j + U_0j rho_0 +
+    U_1j rho_1 + ..., the steps above as written, the innovation summed left
+    to right from 0.0 (never `sum()`, which compensates float sums from
+    Python 3.12 on) and the clip as `lo if v < lo else hi if v > hi else v`.
+    The innovation comes first: u and each rho_i are checked only when it is
+    not finite, as any NaN or inf among them makes it.  The tests keep the
+    loop form as a bit-for-bit reference.
 
     `delta` and `Gamma` read as new numpy arrays: writing into them leaves
     the estimator unchanged.  `values` is the estimate as a tuple of floats.
@@ -91,27 +92,25 @@ class RlmsEstimator:
         gamma0_diag = np.broadcast_to(np.asarray(gamma0, dtype=float), delta.shape)
         if not np.all((gamma0_diag > 0.0) & (gamma0_diag < np.inf)):
             raise ValueError("gamma0 must be positive and finite")
-        self._delta = delta.tolist()
-        self._lo = lo.tolist()
-        self._hi = hi.tolist()
         self._gamma0_max = float(gamma0_diag.max())
-        self._ud = gamma0_diag.tolist() + [0.0] * (n * (n - 1) // 2)
+        self._state = gamma0_diag.tolist() + [0.0] * (n * (n - 1) // 2) + delta.tolist()
+        self._bounds = lo.tolist() + hi.tolist()
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(self._delta)
+        return tuple(self._state[-self.n:])
 
     @property
     def delta(self) -> np.ndarray:
-        return np.array(self._delta)
+        return np.array(self._state[-self.n:])
 
     @property
     def Gamma(self) -> np.ndarray:
         """U D U' as a new, exactly symmetric array."""
         n = self.n
         Ut = np.eye(n)
-        Ut[np.tril_indices(n, -1)] = self._ud[n:]  # row by row below the diagonal of U' is U column by column
-        G = (Ut.T * self._ud[:n]) @ Ut
+        Ut[np.tril_indices(n, -1)] = self._state[n:-n]  # row by row below the diagonal of U' is U column by column
+        G = (Ut.T * self._state[:n]) @ Ut
         return (G + G.T) * 0.5
 
     def update(self, rho: Sequence[float] | np.ndarray, u: float) -> float:
@@ -123,8 +122,7 @@ class RlmsEstimator:
             rho = rho.tolist()
         elif len(rho) != n:
             raise ValueError(f"regressor length {len(rho)} != estimate dimension {n}")
-        self._ud, self._delta, innovation = self._kernel(
-            self._ud, rho, self._delta, self._lo, self._hi, float(u), self.mu)
+        self._state, innovation = self._kernel(self._state, rho, self._bounds, float(u), self.mu)
         return innovation
 
     def _kernel(self, *args):
@@ -140,20 +138,19 @@ class RlmsEstimator:
 @functools.cache
 def _rlms_kernel(n: int):
     """The UD update for dimension n >= 1 as one function; it raises ValueError on a non-finite u or rho_i."""
-    def kernel(ud, rho, d, lo, hi, u, mu):  # returns the new UD state and estimate and the innovation
-        [*rho], [*d], [*ud] = rho, d, ud  # three or fewer per statement: no tuple is built
-        [*lo], [*hi] = lo, hi
+    def kernel(s, rho, bounds, u, mu):  # returns the new state and the innovation
+        [*s], [*rho], [*bounds] = s, rho, bounds  # three or fewer per statement: no tuple is built
         innov = RLMS_UPDATE(*rho, u)
-        return [*ud], [*d], innov
+        return [*s], innov
     return _compile_filled(kernel, {"": n})
 
 
 def _inline_rlms(**dims: int):
     """Decorate a template that runs RLS updates on its locals; its first call fills and compiles it, once.
 
-    For each suffix s, `*ud{s}`, `*d{s}`, `*lo{s}`, `*hi{s}` and `*rho{s}` stand for the local names of the UD state
-    (in the flat list's order), estimate, bounds and regressor of dimension dims[s], and each line
-    `innov{s} = RLMS_UPDATE(rho_0, ..., u)` for `_rlms_lines`' update, which also reads mu{s}."""
+    For each suffix s, `*s{s}`, `*bounds{s}`, `*d{s}` and `*rho{s}` stand for the local names, in list order, of the
+    `_state` and `_bounds` lists, the estimate (the tail of `_state`) and the regressor of dimension dims[s], and each
+    line `innov{s} = RLMS_UPDATE(rho_0, ..., u)` for `_rlms_lines`' update, which also reads mu{s}."""
     def decorate(template):
         compiled = functools.cache(lambda: _compile_filled(template, dims))
         return functools.wraps(template)(lambda *args, **kwargs: compiled()(*args, **kwargs))
@@ -164,9 +161,10 @@ def _compile_filled(template, dims: dict[str, int]):
     source = textwrap.dedent(inspect.getsource(template))
     source = source[re.search("^def ", source, re.M).start():]  # without the decorators
     for s, n in dims.items():
-        names = {"ud": [f"D{j}{s}" for j in range(n)] + [f"U{i}_{j}{s}" for j in range(n) for i in range(j)],
-                 **{key: [f"{key}{i}{s}" for i in range(n)] for key in ("d", "lo", "hi", "rho")}}
-        source = re.sub(rf"\*(ud|d|lo|hi|rho){s}\b", lambda m: ", ".join(names[m[1]]), source)
+        d, lo, hi, rho = ([f"{key}{i}{s}" for i in range(n)] for key in ("d", "lo", "hi", "rho"))
+        names = {"s": [f"D{j}{s}" for j in range(n)] + [f"U{i}_{j}{s}" for j in range(n) for i in range(j)] + d,
+                 "bounds": lo + hi, "d": d, "rho": rho}
+        source = re.sub(rf"\*(s|bounds|d|rho){s}\b", lambda m: ", ".join(names[m[1]]), source)
         source = re.sub(rf"^( *)innov{s} = RLMS_UPDATE\((.*), (\w+)\)$", lambda m: "".join(
             f"{m[1]}{line}\n" for line in _rlms_lines(n, s, m[2].split(", "), m[3])), source, flags=re.M)
     namespace: dict = {}

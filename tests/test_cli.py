@@ -611,6 +611,24 @@ def test_cmd_identify_env_online_adaptation_is_pinned(tmp_path, capsys):
         "21bf149d16801309a23e318744bc6f16b81dfb4a96df3ac183c0af3ac46f9439")
 
 
+@pytest.mark.parametrize("design, applied, rejected", [("", 24, 0), ("\n[design]\nalpha = 0.003\n", 1, 85)],
+                         ids=["online_twin", "alpha_0.003"])
+def test_cmd_simulate_prints_each_design_event(tmp_path, capsys, design, applied, rejected):
+    """One line per design event, in the summary's order: applied with its gains, or rejected with its note."""
+    cfg, out = tmp_path / "online.cfg", tmp_path / "online.csv"
+    cfg.write_text(ONLINE_CFG + design)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    events = json.loads((tmp_path / "online.csv.summary.json").read_text())["design_events"]
+    assert [e["applied"] for e in events].count(True) == applied and len(events) == applied + rejected
+    fmt = cli._fmt
+    want = [f"  design event t = {fmt(e['t'])} s: "
+            + (f"applied, alpha_g = {fmt(e['alpha_g'])}, C_f = {fmt(e['C_f'])}, g = {fmt(e['g'])}" if e["applied"]
+               else f"rejected ({e['note']})") for e in events]
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("  design event")] == want
+    assert all(e["note"].startswith("designed cutoff too fast for the sample time: g*dt = ")
+               for e in events if not e["applied"])
+
+
 @pytest.mark.parametrize("text, estimate, pinned", [
     ((CONFIGS / "identify_plant.cfg").read_text(), "final_delta_nc",
      [0.8100128080551768, 11.999975407871736, 6.0000014901516625, 7.9499992753816064]),
@@ -779,6 +797,64 @@ def test_cmd_design_sweep_with_non_finite_values_is_config_error(capsys, spec):
     assert captured.out == ""
     assert captured.err.strip() == (f"configuration error: bad --sweep {spec!r}: "
                                     "START, STOP and STOP - START must be finite")
+
+
+NO_PLANT = ("[plant]\nM_m_kg = 3.02\nK_F_N_per_A = 0.5\n", "")  # design_combined.cfg without its [plant] section
+
+
+@pytest.mark.parametrize("command, config, old, new, sweep, message", [
+    ("simulate", "sim_force_step.cfg", "[dob]", "[dob", None, "line 16: malformed section header '[dob'"),
+    ("simulate", "sim_force_step.cfg", "[dob]", "[plant]", None, "line 16: duplicate section [plant]"),
+    ("simulate", "sim_force_step.cfg", "[plant]", "M_m_kg = 1.0\n[plant]", None, "line 3: key outside any section"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter off", None,
+     "line 30: expected 'key = value', got 'velocity_filter off'"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = maybe", None,
+     "[scenario] velocity_filter: must be one of ('on', 'off'), got 'maybe'"),
+    ("identify", "identify_env.cfg", "enable_env = true", "enable_env = maybe", None,
+     "[identify] enable_env: not a boolean: 'maybe'"),
+    ("identify", "identify_env.cfg", "components = 2.0:3.0,", "components = 2.0,", None,
+     "[phase] components entry '2.0': expected amp:freq_hz[:phase_rad]"),
+    ("identify", "identify_env.cfg", "components = 2.0:3.0,", "components = 2.0:fast,", None,
+     "[phase] components entry '2.0:fast': not numeric"),
+    ("design", "design_combined.cfg", *NO_PLANT, None, "missing required section [plant] (key M_m_kg)"),
+    ("design", "design_combined.cfg", "", "", "environment.K_env_N_per_m=100:1000",
+     "bad --sweep 'environment.K_env_N_per_m=100:1000': expected section.key=START:STOP:N[:lin|log]"),
+    ("design", "design_combined.cfg", "", "", "environment.K_env_N_per_m=100:1000:3:cubic",
+     "bad --sweep 'environment.K_env_N_per_m=100:1000:3:cubic': expected section.key=START:STOP:N[:lin|log]"),
+    ("design", "design_combined.cfg", "", "", "environment.K_env_N_per_m=-1:1000:3:log",
+     "log sweep requires positive endpoints"),
+    ("design", "design_combined.cfg", "", "", "environment.bogus=1:2:3",
+     "--sweep target [environment] bogus is not a known key"),
+    ("design", "design_combined.cfg", *NO_PLANT, "plant.K_F_N_per_A=0.5:1:3",
+     "--sweep needs section [plant] in the config (required keys: M_m_kg)"),
+    ("analyze", "sim_force_step.cfg", "D_env_Ns_per_m = 2.0\nK_env_N_per_m = 6500.0",
+     "D_env_Ns_per_m = 0.0\nK_env_N_per_m = 0.0", None,
+     "[environment] neither damping nor stiffness: no force loop to analyze"),
+], ids=["malformed_header", "duplicate_section", "key_outside_section", "line_without_equals", "bad_choice",
+        "bad_bool", "components_arity", "components_not_numeric", "missing_section", "sweep_without_n",
+        "sweep_bad_scale", "log_sweep_negative_start", "sweep_unknown_key", "sweep_needs_section",
+        "analyze_no_force_loop"])
+def test_cmd_config_or_sweep_error_exits_2_with_its_message(tmp_path, capsys, command, config, old, new, sweep,
+                                                            message):
+    cfg = tmp_path / config
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main([command, "--config", str(cfg), *(["--sweep", sweep] if sweep else [])]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"configuration error: {message}\n")
+
+
+def test_cmd_design_sweep_fills_a_missing_section_with_its_defaults(tmp_path, capsys):
+    """A sweep over the one required key of a section the config leaves out runs on that section's defaults."""
+    outputs = []
+    for name, plant in (("without", ""), ("defaults", "[plant]\nM_m_kg = 1.0\nK_F_N_per_A = 0.5\nF_d_N = 0.0\n")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.json"
+        cfg.write_text(DESIGN_CFG.replace(NO_PLANT[0], plant))
+        assert main(["design", "--config", str(cfg), "--out", str(out), "--sweep", "plant.M_m_kg=1:3:3"]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert [row["sweep_value"] for row in json.loads(outputs[0][1])] == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("old, new, message", [

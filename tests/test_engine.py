@@ -178,10 +178,10 @@ class LoopStepReference(rk.Simulator):
         c_alpha_g[k] = self.alpha_true * self.dob.g
         c_C_f[k] = self.C_f
         if est_nc is not None:
-            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc._delta
+            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc.values
             c_innov_nc[k] = innov_nc
         if est_c is not None:
-            c_D_env[k], c_K_env[k], c_offset[k] = est_c._delta
+            c_D_env[k], c_K_env[k], c_offset[k] = est_c.values
             c_innov_c[k] = innov_c
 
         self._k = k + 1
@@ -212,8 +212,7 @@ def assert_same_record(sim, res, ref, ref_res):
     for est, ref_est in ((sim.est_nc, ref.est_nc), (sim.est_c, ref.est_c)):
         assert (est is None) == (ref_est is None)
         if est is not None:
-            assert np.array(est._ud).tobytes() == np.array(ref_est._ud).tobytes()
-            assert np.array(est._delta).tobytes() == np.array(ref_est._delta).tobytes()
+            assert np.array(est._state).tobytes() == np.array(ref_est._state).tobytes()
 
 
 def test_position_gains_stable_on_nominalized_plant():

@@ -67,9 +67,10 @@ class LoopUdReference(RlmsEstimator):
             raise ValueError("non-finite regressor or measurement")
         mu = self.mu
         upper = [(i, j) for j in range(n) for i in range(j)]
-        D = self._ud[:n]
+        m = n + len(upper)  # the UD factors lead the state list, the estimate follows
+        D, delta_old = self._state[:n], self._state[m:]
         U = [[0.0] * n for _ in range(n)]
-        for (i, j), v in zip(upper, self._ud[n:]):
+        for (i, j), v in zip(upper, self._state[n:m]):
             U[i][j] = v
         f = []
         for j in range(n):
@@ -90,14 +91,13 @@ class LoopUdReference(RlmsEstimator):
                 U_ij = U[i][j]
                 U[i][j] = U_ij + b[i] * p
                 b[i] = b[i] + U_ij * h[j]
-        innovation = u - _dot(rho, self._delta)
+        innovation = u - _dot(rho, delta_old)
         g = innovation / a
         delta = []
-        for d, bi, lo, hi in zip(self._delta, b, self._lo, self._hi):
+        for d, bi, lo, hi in zip(delta_old, b, self._bounds[:n], self._bounds[n:]):
             v = d + bi * g
             delta.append(lo if v < lo else hi if v > hi else v)
-        self._delta = delta
-        self._ud = D + [U[i][j] for i, j in upper]
+        self._state = D + [U[i][j] for i, j in upper] + delta
         return innovation
 
 
@@ -110,8 +110,8 @@ def _dot(a, b):
 
 
 def _bits(est):
-    """The estimate and the UD state as exact hex strings, so 0.0 and -0.0 or two NaNs compare bitwise."""
-    return list(map(float.hex, est._delta)), list(map(float.hex, est._ud))
+    """The state (UD factors and estimate) as exact hex strings, so 0.0 and -0.0 or two NaNs compare bitwise."""
+    return list(map(float.hex, est._state))
 
 
 class NumpyNonContactBankReference:
@@ -345,7 +345,7 @@ def test_rlms_matches_loop_reference_bitwise(n, mu):
         rho = tuple(rho.tolist()) if rng.integers(2) else rho  # tuples as the banks emit, arrays as callers pass
         assert est.update(rho, u).hex() == ref.update(rho, u).hex()
         assert _bits(est) == _bits(ref)
-        clamped += any(v in (-2.0, 2.0) for v in est._delta)
+        clamped += any(v in (-2.0, 2.0) for v in est.values)
     assert clamped > 1000
 
 
@@ -359,7 +359,7 @@ def test_rlms_rejects_every_non_finite_input_before_any_state_changes(n):
         if estimate == "nonzero":
             for _ in range(20):
                 est.update(rng.standard_normal(n), float(rng.standard_normal()))
-            assert all(v != 0.0 for v in est._delta)
+            assert all(v != 0.0 for v in est.values)
         rho, u = rng.standard_normal(n).tolist(), 0.5
         before = _bits(est)
         for bad in (math.nan, math.inf, -math.inf):
@@ -397,7 +397,7 @@ def test_rlms_factors_stay_positive_under_wild_updates():
     us = rng.standard_normal(n) * 1e3
     for i in range(n):
         est.update(rhos[i], us[i])
-    D = est._ud[:3]
+    D = est._state[:3]
     assert all(math.isfinite(v) and v > 0.0 for v in D)
     np.linalg.cholesky(est.Gamma)  # raises if not positive definite
 
