@@ -19,7 +19,6 @@ from .design import (
     design_damping_stiffness,
     design_for_env,
     design_stiffness,
-    eta_feasibility,
     solve_cubic,
     solve_quadratic,
     split_alpha_g,

@@ -277,6 +277,35 @@ class DesignResult:
         return {**vars(self), "case": self.case.value, "report": dict(self.report), "notes": list(self.notes)}
 
 
+def _third_order_result(case: EnvClass, xi: float, k: float, eta: float, psi: float | None, w_n: float, p: float,
+                        alpha_g: float, g_v: float, K_env: float, report: dict[str, float],
+                        notes: list[str]) -> DesignResult:
+    """C_f and the result of a case-B or case-C design, once the case has placed its poles.
+
+    The design is flagged degenerate when the third pole nearly vanishes.
+    """
+    C_f = w_n * w_n * p / (alpha_g * K_env)
+    degenerate = p < 1e-6 * w_n
+    if degenerate:
+        notes.append("degenerate third pole: p < 1e-6 * w_n")
+    return DesignResult(
+        case=case,
+        w_n=w_n,
+        xi=xi,
+        p=p,
+        alpha_g=alpha_g,
+        C_f=C_f,
+        g_v=g_v,
+        k=k,
+        eta=eta,
+        psi=psi,
+        feasible=not degenerate,
+        degenerate=degenerate,
+        report=report,
+        notes=tuple(notes),
+    )
+
+
 # ---------------------------------------------------------------------------
 # case A: pure damping
 # ---------------------------------------------------------------------------
@@ -381,10 +410,6 @@ def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpecB | N
     w_n = k * math.sqrt(K_env / M_m)
     p = eta * xi * w_n
     alpha_g = 2.0 * xi * w_n + p
-    C_f = w_n * w_n * p / (alpha_g * K_env)
-    degenerate = p < 1e-6 * w_n
-    if degenerate:
-        notes.append("degenerate third pole: p < 1e-6 * w_n")
     report = {
         "R": R,
         "M_gv2_over_K": Rq,
@@ -394,56 +419,12 @@ def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpecB | N
         "eta_hi": eta_hi,
         "bandwidth_margin": 0.5 * g_v - alpha_g,
     }
-    return DesignResult(
-        case=EnvClass.PURE_STIFFNESS,
-        w_n=w_n,
-        xi=xi,
-        p=p,
-        alpha_g=alpha_g,
-        C_f=C_f,
-        g_v=g_v,
-        k=k,
-        eta=eta,
-        feasible=not degenerate,
-        degenerate=degenerate,
-        report=report,
-        notes=tuple(notes),
-    )
+    return _third_order_result(EnvClass.PURE_STIFFNESS, xi, k, eta, None, w_n, p, alpha_g, g_v, K_env, report, notes)
 
 
 # ---------------------------------------------------------------------------
 # case C: damping + stiffness
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EtaIntervals:
-    """Admissible eta_star ranges keeping the k cubic all-real."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def contains(self, eta: float) -> bool:
-        return any(lo < eta <= hi or (hi == math.inf and eta >= lo) for lo, hi in self.intervals)
-
-
-def eta_feasibility(psi: float, xi: float) -> EtaIntervals:
-    """Ranges of eta_star for which 8*xi^6*eta^3 - (27*psi^2-12)*xi^4*eta^2 + 6*xi^2*eta + 1 >= 0.
-
-    For psi <= 1 any eta_star > 0 is admissible; for psi > 1 the cubic in
-    lambda = xi^2*eta has three real roots lambda1 < lambda2 < lambda3 and the
-    admissible set is (0, lambda2/xi^2] union [lambda3/xi^2, inf).
-    """
-    if psi <= 0.0 or xi <= 0.0:
-        raise ValueError("psi and xi must be > 0")
-    if psi <= 1.0:
-        return EtaIntervals(intervals=((0.0, math.inf),))
-    roots = solve_cubic(8.0, -(27.0 * psi * psi - 12.0), 6.0, 1.0)
-    lam = sorted(roots.real_roots())
-    if len(lam) < 3:
-        # psi > 1 always yields three real roots; guard for rounding at psi ~ 1
-        return EtaIntervals(intervals=((0.0, math.inf),))
-    xi2 = xi * xi
-    return EtaIntervals(intervals=((0.0, lam[1] / xi2), (lam[2] / xi2, math.inf)))
-
 
 def _eta_from_k(k: float, xi: float, psi: float) -> float:
     return (1.0 - k * k) / (2.0 * xi * xi * (1.0 - psi * k) * k * k)
@@ -483,9 +464,14 @@ def design_damping_stiffness(
 
     Narrow window (xi_plus < 1): fix eta = eta_star < 1 and solve
     2*eta*xi^2*psi*k^3 - (1 + 2*eta*xi^2)*k^2 + 1 = 0, keeping the positive real
-    root nearest 1.  Wide window (xi_plus >= 1): xi defaults to 1 and k is
-    searched on (0, min(1, 1/psi)) directly against the bandwidth bound, which
-    sidesteps the closed-form inequality whose symbols are underdetermined.
+    root nearest 1.  Every eta_star > 0 is admissible: on the window
+    psi = xi_minus/xi < 1, so the cubic's all-real condition
+    8*lam^3 - (27*psi^2 - 12)*lam^2 + 6*lam + 1 >= 0 (lam = xi^2*eta_star)
+    holds, its left side being at least (lam - 1)^2*(8*lam + 1).
+
+    Wide window (xi_plus >= 1): xi defaults to 1 and k is searched on
+    (0, min(1, 1/psi)) directly against the bandwidth bound, which sidesteps the
+    closed-form inequality whose symbols are underdetermined.
     """
     spec = spec or DesignSpecC()
     if M_m <= 0.0 or D_env <= 0.0 or K_env <= 0.0 or g_v <= 0.0:
@@ -500,20 +486,9 @@ def design_damping_stiffness(
     if not D_env / (2.0 * xi_plus * math.sqrt(M_m * K_env)) > 0.0:  # psi at the largest xi; 1/psi is used below
         raise InfeasibleDesignError("psi = D/(2*xi*sqrt(M*K)) rounds to 0", f"M_m = {M_m:.6g}, K_env = {K_env:.6g}")
 
-    def solve_with_xi(xi: float, eta_star: float) -> tuple[float, float, float, list[str]] | None:
-        """Return (k, eta, alpha_g, notes) on the narrow branch, or None if the bound fails."""
-        local_notes: list[str] = []
+    def solve_with_xi(xi: float, eta_star: float) -> tuple[float, float] | None:
+        """Return (k, alpha_g) on the narrow branch, or None if the bound fails."""
         psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))
-        feas = eta_feasibility(psi, xi)
-        if not feas.contains(eta_star):
-            cap = feas.intervals[0][1]
-            if cap <= 0.0:
-                raise InfeasibleDesignError(
-                    "no admissible eta_star keeps the k cubic all-real",
-                    f"psi = {psi:.6g}, xi = {xi:.6g}",
-                )
-            eta_star = cap
-            local_notes.append(f"eta_star moved to {eta_star:.6g} to keep the k cubic all-real")
         a3 = 2.0 * eta_star * xi * xi * psi
         a2 = -(1.0 + 2.0 * eta_star * xi * xi)
         roots = solve_cubic(a3, a2, 0.0, 1.0)
@@ -529,17 +504,18 @@ def design_damping_stiffness(
         alpha_g = (2.0 + eta_star) * xi * k * sq_km - dm
         if alpha_g <= 0.0 or alpha_g > 0.5 * g_v:
             return None
-        return k, eta_star, alpha_g, local_notes
+        return k, alpha_g
 
     if xi_plus < 1.0:
         # narrow window: small eta_star, k close to 1
         if not (0.0 < spec.eta_star < 1.0):
             raise InfeasibleDesignError("eta_star must lie in (0, 1) on the narrow branch",
                                         f"eta_star = {spec.eta_star}")
+        eta = spec.eta_star
         if spec.xi is not None:
             xi = spec.xi
             _check_xi_window(xi, xi_minus, xi_plus)
-            solved = solve_with_xi(xi, spec.eta_star)
+            solved = solve_with_xi(xi, eta)
             if solved is None:
                 raise InfeasibleDesignError(
                     "bandwidth bound violated: (2+eta)*xi*k*sqrt(K/M) - D/M not in (0, g_v/2]",
@@ -552,28 +528,26 @@ def design_damping_stiffness(
             xi_grid = [xi_plus - (xi_plus - xi_minus) * i / 33.0 for i in range(33)]
             solved = None
             xi = xi_plus
-            eta_try = spec.eta_star
-            while solved is None and eta_try >= 1e-5:
+            while solved is None and eta >= 1e-5:
                 for xi_cand in xi_grid:
-                    solved = solve_with_xi(xi_cand, eta_try)
+                    solved = solve_with_xi(xi_cand, eta)
                     if solved is not None:
                         xi = xi_cand
                         break
                 if solved is None:
-                    eta_try *= 0.5
+                    eta *= 0.5
             if solved is None:
                 raise InfeasibleDesignError(
                     "bandwidth bound violated for every (xi, eta_star) tried in the admissible window",
                     f"window = ({xi_minus:.6g}, {xi_plus:.6g}]",
                 )
-            if eta_try != spec.eta_star:
-                notes.append(f"eta_star reduced from {spec.eta_star:.6g} to {eta_try:.6g} "
+            if eta != spec.eta_star:
+                notes.append(f"eta_star reduced from {spec.eta_star:.6g} to {eta:.6g} "
                              f"to satisfy the bandwidth bound")
             if abs(xi - xi_plus) > 1e-12 * xi_plus:
                 notes.append(f"xi auto-selected at {xi:.6g} inside ({xi_minus:.6g}, {xi_plus:.6g}]")
-        k, eta, alpha_g, branch_notes = solved
-        notes.extend(branch_notes)
-        branch = "narrow"
+        k, alpha_g = solved
+        branch = 0.0
     else:
         # wide window: xi defaults to 1, k searched directly against the bound
         xi = 1.0 if spec.xi is None else spec.xi
@@ -602,42 +576,22 @@ def design_damping_stiffness(
             k = min(candidates, key=lambda kk: (abs(kk - k), kk))
             notes.append(f"k moved from {spec.k_hint:.6g} to {k:.6g} to satisfy the bandwidth bound")
         alpha_g = alpha_g_of(k)
-        _check_stability_region(k, psi)
         eta = _eta_from_k(k, xi, psi)
-        branch = "wide"
+        branch = 1.0
 
     psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))
     w_n = k * sq_km
     p = eta * xi * w_n
-    C_f = w_n * w_n * p / (alpha_g * K_env)
-    degenerate = p < 1e-6 * w_n
-    if degenerate:
-        notes.append("degenerate third pole: p < 1e-6 * w_n")
     report = {
         "xi_minus": xi_minus,
         "xi_plus": xi_plus,
         "psi": psi,
-        "branch": 0.0 if branch == "narrow" else 1.0,
+        "branch": branch,
         "D_over_M": dm,
         "bandwidth_margin": 0.5 * g_v - alpha_g,
         "alpha_g_lower_margin": alpha_g,
     }
-    return DesignResult(
-        case=EnvClass.DAMPING_STIFFNESS,
-        w_n=w_n,
-        xi=xi,
-        p=p,
-        alpha_g=alpha_g,
-        C_f=C_f,
-        g_v=g_v,
-        k=k,
-        eta=eta,
-        psi=psi,
-        feasible=not degenerate,
-        degenerate=degenerate,
-        report=report,
-        notes=tuple(notes),
-    )
+    return _third_order_result(EnvClass.DAMPING_STIFFNESS, xi, k, eta, psi, w_n, p, alpha_g, g_v, K_env, report, notes)
 
 
 def design_for_env(

@@ -16,8 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 import rfobkit.cli as cli
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
-from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, SimResult, run_scenario
+from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, Scenario, SimResult, run_scenario
 from rfobkit.identify import ContactMode
+from rfobkit.observers import RfobConfig
+from rfobkit.plant import EnvImpedance, FrictionParams, PlantParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,6 +129,17 @@ def test_positional_builds_follow_schema():
                 continue
             assert key == name or key.startswith(name + "_"), (type(obj).__name__, name, key)
             assert getattr(obj, name) == doc.get(section, key), (type(obj).__name__, name, key)
+
+
+def test_schema_defaults_match_the_library_defaults():
+    # a config with only the required keys builds what the dataclasses build by default, wherever they
+    # declare a default: the friction, environment, identify, design and scenario sections in full, and
+    # [plant] F_d and the [rfob] friction keys and F_d_hat (masses, thrust constants and cutoffs have none)
+    sc = build_scenario(parse_config("[plant]\nM_m_kg = 2.0\n[scenario]\ndt_s = 1e-4\n"
+                                     "[phase]\nmode = force\nduration_s = 0.1\n"))
+    assert sc.plant == PlantParams(2.0, sc.plant.K_F)
+    assert sc.rfob == RfobConfig(sc.rfob.M_hat, sc.rfob.K_F_hat, sc.rfob.g_rfob)
+    assert sc == Scenario(sc.plant, FrictionParams(), EnvImpedance(), sc.dob, sc.rfob, sc.phases, sc.dt)
 
 
 def test_build_scenario_passes_identify_values():
@@ -757,6 +770,38 @@ def test_cmd_design_of_a_huge_stiffness_is_infeasible(tmp_path, capsys, k_env):
     cfg.write_text(DESIGN_CFG.replace("K_env_N_per_m = 6500.0", f"K_env_N_per_m = {k_env}"))
     assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith("infeasible design:")
+
+
+@pytest.mark.parametrize("plant, design, err", [
+    # narrow branch (xi_plus < 1) with an explicit xi: designed, then the same path failing its bound
+    pytest.param((3.02, 2.0, 1e6, 1000.0), {"xi_combined": 0.3}, None, id="narrow_xi"),
+    pytest.param((0.13, 706.1, 6861070.0, 1000.0), {"xi_combined": 0.391},
+                 "bandwidth bound violated: (2+eta)*xi*k*sqrt(K/M) - D/M not in (0, g_v/2]: xi = 0.391",
+                 id="narrow_xi_bound"),
+    pytest.param((3.02, 2.0, 1e6, 1000.0), {"eta_star": 1.5},
+                 "eta_star must lie in (0, 1) on the narrow branch: eta_star = 1.5", id="narrow_eta_star"),
+    # wide branch
+    pytest.param((3.02, 2.0, 6500.0, 1000.0), {"k_hint": 0.0}, "k_hint must be > 0: k_hint = 0.0", id="wide_k_hint"),
+    pytest.param((0.04095246960355829, 1943.9670051231615, 1265278.043190457, 15.986177660304902),
+                 {"xi_combined": 4.270698717983586},
+                 "bandwidth bound violated: (2+eta)*xi*k*sqrt(K/M) - D/M not in (0, g_v/2] for any k: "
+                 "xi = 4.2707, psi = 0.999832", id="wide_any_k"),
+])
+def test_cmd_design_combined_case_paths(tmp_path, capsys, plant, design, err):
+    M, D, K, g_v = plant
+    cfg = tmp_path / "combined.cfg"
+    cfg.write_text(f"[plant]\nM_m_kg = {M!r}\n[environment]\nD_env_Ns_per_m = {D!r}\nK_env_N_per_m = {K!r}\n"
+                   f"[dob]\ng_v_rad_per_s = {g_v!r}\n[design]\n" + "".join(f"{k} = {v!r}\n" for k, v in design.items()))
+    out = tmp_path / "design.json"
+    code = main(["design", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    if err is None:
+        assert code == EXIT_OK and captured.err == ""
+        rep = json.loads(out.read_text())
+        assert rep["report"]["branch"] == 0.0 and rep["xi"] == 0.3 and rep["alpha_g"] == 358.6487281102194
+    else:
+        assert code == EXIT_INFEASIBLE and captured.out == "" and not out.exists()
+        assert captured.err == f"infeasible design: {err}\n"
 
 
 @pytest.mark.parametrize("m_m, k_env", [("1e308", "6500.0"), ("1e10", "1e300")])

@@ -1,8 +1,12 @@
+import collections
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
+from rfobkit.cli import _json_text
 from rfobkit.design import (
     DesignResult,
     DesignSpecA,
@@ -15,7 +19,6 @@ from rfobkit.design import (
     design_damping_stiffness,
     design_for_env,
     design_stiffness,
-    eta_feasibility,
     solve_cubic,
     solve_quadratic,
     split_alpha_g,
@@ -198,10 +201,32 @@ def test_design_damping_stiffness_heavy_damping_tight_window():
 
 
 def test_psi_equals_xi_minus_over_xi():
-    # for any valid window psi = xi_minus / xi < 1
-    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0)
-    assert r.psi == pytest.approx(r.report["xi_minus"] / r.xi, rel=1e-12)
-    assert r.psi < 1.0
+    # for any valid window psi = xi_minus / xi < 1, so on the narrow branch the k cubic at the chosen
+    # eta_star has three real roots with no condition on eta_star
+    draws = [(design_damping_stiffness, (3.02, 2.0, 6500.0, 1000.0, DesignSpecC()))]
+    draws += [d for d in _case_b_and_c_draws(800, seed=26) if d[0] is design_damping_stiffness]
+    branches = collections.Counter()
+    for design, args in draws:
+        try:
+            r = design(*args)
+        except InfeasibleDesignError:
+            continue
+        assert r.psi == pytest.approx(r.report["xi_minus"] / r.xi, rel=1e-12)
+        # an xi a few ulps above xi_minus can round psi up to 1
+        assert r.psi < 1.0 or r.xi - r.report["xi_minus"] <= 4.0 * math.ulp(r.xi), args
+        if r.report["branch"] == 0.0:
+            a = 2.0 * r.eta * r.xi * r.xi
+            assert solve_cubic(a * r.psi, -(1.0 + a), 0.0, 1.0).all_real, args
+        branches[r.report["branch"], args[-1].xi is None] += 1
+    assert min(branches.values()) > 20 and len(branches) == 4, branches
+
+
+def test_eta_feasibility_psi_below_one_unrestricted():
+    # psi < 1 puts no condition on eta_star: the k cubic stays all-real for small, unit and large eta
+    psi, xi = 0.5, 1.0
+    for eta in (1e-6, 1.0, 100.0):
+        a = 2.0 * eta * xi * xi
+        assert solve_cubic(a * psi, -(1.0 + a), 0.0, 1.0).all_real, eta
 
 
 def test_design_damping_stiffness_stability_region():
@@ -270,6 +295,58 @@ def test_default_designs_keep_alpha_g_within_the_bandwidth_bound():
     assert min(n_ok.values()) > 500, n_ok
     # the draws reach the bound itself: case B can land one ulp above it, case A never does
     assert n_above[EnvClass.PURE_DAMPING] == 0 and n_above[EnvClass.PURE_STIFFNESS] > 0, n_above
+
+
+def _case_b_and_c_draws(n: int, seed: int):
+    """Seeded (design function, args) pairs, one case C and one case B per draw.
+
+    Case C cycles through the default spec, random eta_star/k_hint (some outside
+    their ranges), an explicit xi inside the window and an explicit xi 1-4 ulps
+    above xi_minus, where psi rounds to about 1.  The draws use only
+    `random.Random.random`, whose sequence Python keeps across versions.
+    """
+    rng = random.Random(seed)
+
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * rng.random()
+
+    for i in range(n):
+        M, D, K, g_v = (10.0 ** uniform(lo, hi) for lo, hi in ((-1.3, 1.7), (-3.0, 4.0), (0.0, 8.0), (1.0, 4.0)))
+        kind = i % 4
+        if kind == 0:
+            spec = DesignSpecC()
+        elif kind == 1:
+            spec = DesignSpecC(eta_star=uniform(-0.1, 1.2), k_hint=uniform(-0.05, 1.2))
+        else:
+            sq_km = math.sqrt(K / M)  # the window edges as design_damping_stiffness computes them
+            xi_minus, xi_plus = D / M / (2.0 * sq_km), (0.5 * g_v + D / M) / (2.0 * sq_km)
+            if kind == 2:
+                xi = xi_minus + rng.random() * (xi_plus - xi_minus)
+            else:
+                xi = xi_minus
+                for _ in range(1 + int(4.0 * rng.random())):
+                    xi = math.nextafter(xi, math.inf)
+            spec = DesignSpecC(xi=xi, eta_star=uniform(0.001, 0.999), k_hint=uniform(0.01, 1.0))
+        yield design_damping_stiffness, (M, D, K, g_v, spec)
+        spec_b = DesignSpecB() if i % 2 else DesignSpecB(xi=10.0 ** uniform(-1.3, 0.7), eta=10.0 ** uniform(-7.0, 1.7))
+        yield design_stiffness, (M, K, g_v, spec_b)
+
+
+def test_case_b_and_c_designs_match_their_pinned_digest():
+    # every result as the design command writes it, plus its report key order, or the error text
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for design, args in _case_b_and_c_draws(1500, seed=25):
+        try:
+            r = design(*args)
+        except InfeasibleDesignError as exc:
+            text = str(exc)
+            outcomes["error"] += 1
+        else:
+            text = _json_text(r.as_dict()) + " ".join(r.report)
+            outcomes[r.case, r.report.get("branch"), r.degenerate] += 1
+        digest.update(text.encode())
+    assert digest.hexdigest() == "6d2952f1049fd74ee80ba7b789d07abe5a7205c8e1a9f9babfc81b129cb6f389", outcomes
 
 
 def test_default_damping_designs_pass_the_bandwidth_bound_check():
@@ -413,45 +490,28 @@ def test_solve_cubic_bandwidth_family_weak_damping():
             assert abs(a - b) <= 1e-8 * (1.0 + abs(b))
 
 
+def test_solve_cubic_three_real_roots_around_zero():
+    # the k cubic's all-real condition at psi = 2, xi = 1: 8*lam^3 - (27*psi^2 - 12)*lam^2 + 6*lam + 1
+    r = solve_cubic(8.0, -96.0, 6.0, 1.0)
+    assert r.all_real
+    lam = sorted(r.real_roots())
+    assert len(lam) == 3 and lam[0] < 0.0 < lam[1] < lam[2]
+    assert 8.0 * lam[1] ** 3 - 96.0 * lam[1] ** 2 + 6.0 * lam[1] + 1.0 == pytest.approx(0.0, abs=1e-8)
+
+
+def test_solve_cubic_k_cubic_between_the_all_real_roots():
+    # with eta = 5 between those roots (0.139, 11.94) the k cubic 2*eta*psi*k^3 - (1 + 2*eta)*k^2 + 1
+    # = (4k + 1)(5k^2 - 4k + 1) keeps one real root
+    r = solve_cubic(2.0 * 5.0 * 2.0, -(1.0 + 2.0 * 5.0), 0.0, 1.0)
+    assert not r.all_real
+    assert r.real_roots() == pytest.approx([-0.25], abs=1e-12)
+    assert list(r.roots[1:]) == pytest.approx([0.4 - 0.2j, 0.4 + 0.2j], abs=1e-12)
+
+
 def test_solve_quadratic_stable():
     lo, hi = solve_quadratic(1.0, -1e8, 1.0)
     assert lo.real == pytest.approx(1e-8, rel=1e-9)
     assert hi.real == pytest.approx(1e8, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# eta feasibility (all-real condition for the k cubic)
-# ---------------------------------------------------------------------------
-
-def test_eta_feasibility_psi_below_one_unrestricted():
-    f = eta_feasibility(0.5, 1.0)
-    assert f.contains(1e-6) and f.contains(1.0) and f.contains(100.0)
-
-
-def test_eta_feasibility_psi_two():
-    f = eta_feasibility(2.0, 1.0)
-    roots = solve_cubic(8.0, -96.0, 6.0, 1.0)
-    assert roots.all_real
-    lam = sorted(roots.real_roots())
-    assert len(lam) == 3 and lam[0] < 0.0 < lam[1] < lam[2]
-    assert f.contains(0.5 * lam[1])
-    assert not f.contains(0.5 * (lam[1] + lam[2]))
-    assert f.contains(lam[2] * 1.5)
-    # boundary included and satisfies the all-real inequality with equality
-    assert f.contains(lam[1])
-    val = 8.0 * lam[1] ** 3 - (27.0 * 4.0 - 12.0) * lam[1] ** 2 + 6.0 * lam[1] + 1.0
-    assert val == pytest.approx(0.0, abs=1e-8)
-
-
-def test_eta_feasibility_gates_design():
-    # inadmissible eta_star band must show up in the cubic having no positive real root
-    psi, xi = 2.0, 1.0
-    f = eta_feasibility(psi, xi)
-    bad = 0.5 * (f.intervals[0][1] + f.intervals[1][0])
-    a3 = 2.0 * bad * xi * xi * psi
-    a2 = -(1.0 + 2.0 * bad * xi * xi)
-    r = solve_cubic(a3, a2, 0.0, 1.0)
-    assert not r.all_real
 
 
 # ---------------------------------------------------------------------------
