@@ -183,14 +183,26 @@ def _repair_dominant_root(b3: float, b2: float, b1: float, b0: float,
     """Recover from the ill-conditioned tiny-leading-coefficient regime.
 
     When one root dominates (|a3| << |a2|) the closed-form sum can lose the
-    small roots entirely; the root sum then misses -a2/a3.  Repair: polish the
+    small roots entirely; the root sum then misses -a2/a3, or the residual
+    shows it when the lost pair cancels in the sum.  Repair: polish the
     dominant root from -a2/a3, deflate it with the backward (constant-side)
-    recursion, which is stable for the small roots, and solve the remaining
-    quadratic.
+    recursion, which is stable for the small roots, and solve the quadratic.
     """
+    def worst_residual(rs):
+        out = 0.0
+        for r in rs:
+            try:
+                scale = abs(b3 * r ** 3) + abs(b2 * r * r) + abs(b1 * r) + abs(b0) + 1e-300
+            except OverflowError:  # |r| ** 3 beyond the float range: a set that cannot be scored loses
+                return math.inf
+            res = abs(_cubic_eval(b3, b2, b1, b0, r)) / scale
+            out = max(out, math.inf if math.isnan(res) else res)  # so does a NaN root
+        return out
+
     s_target = -b2 / b3
     s_got = sum(r.real for r in roots)
-    if abs(s_got - s_target) <= 1e-6 * (1.0 + abs(s_target)):
+    before = worst_residual(roots)
+    if abs(s_got - s_target) <= 1e-6 * (1.0 + abs(s_target)) and before <= 1e-8:
         return roots
     big = _polish(b3, b2, b1, b0, complex(s_target), iters=8)
     if big == 0:
@@ -204,18 +216,7 @@ def _repair_dominant_root(b3: float, b2: float, b1: float, b0: float,
     repaired = [_polish(b3, b2, b1, b0, big),
                 _polish(b3, b2, b1, b0, small[0]),
                 _polish(b3, b2, b1, b0, small[1])]
-
-    def worst_residual(rs):
-        out = 0.0
-        for r in rs:
-            try:
-                scale = abs(b3 * r ** 3) + abs(b2 * r * r) + abs(b1 * r) + abs(b0) + 1e-300
-            except OverflowError:  # |r| ** 3 beyond the float range: a set that cannot be scored loses
-                return math.inf
-            out = max(out, abs(_cubic_eval(b3, b2, b1, b0, r)) / abs(scale))
-        return out
-
-    return repaired if worst_residual(repaired) < worst_residual(roots) else roots
+    return repaired if worst_residual(repaired) < before else roots
 
 
 # ---------------------------------------------------------------------------

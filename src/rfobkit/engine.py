@@ -1,12 +1,12 @@
 """Fixed-step closed-loop simulation: plant, observer inner loop, force outer loop.
 
 The step order lives in `Simulator._advance`, the one definition of each
-stage, written out inline: phase controller, observer compensation current,
-semi-implicit Euler plant integration, sensor read (plus optional velocity
-noise), velocity filter, exact observer filter updates, contact detection,
-mode-gated estimator updates, the record, and the periodic adaptive
-re-design.  Between chunks the loop state lives on the Simulator and its two
-observers.  The velocity noise comes from one seeded generator: t_0's
+stage, written out inline in its text `_ADVANCE`: phase controller, observer
+compensation current, semi-implicit Euler plant integration, sensor read (plus
+optional velocity noise), velocity filter, exact observer filter updates,
+contact detection, mode-gated estimator updates, the record, and the periodic
+adaptive re-design.  Between chunks the loop state lives on the Simulator and
+its two observers.  The velocity noise comes from one seeded generator: t_0's
 sample is drawn on its own, and each chunk of steps draws its samples in one
 call from the same stream, so the samples do not depend on where chunks end.
 Everything is deterministic for a fixed scenario and seed.
@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
-from .identify import ContactMode, RlmsEstimator, _inline_rlms
+from .identify import ContactMode, RlmsEstimator, _compile_filled
 from .observers import DisturbanceObserver, DobConfig, RatioReport, RfobConfig, lpf_pole
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
@@ -448,192 +448,11 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------------
-    @_inline_rlms(_c=len(IdentConfig.delta0_c), _nc=len(IdentConfig.delta0_nc))
     def _advance(self, k_end: int) -> bool:
-        """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
-
-        One step reads the reference `_enter_phase` wrote, then runs the
-        control law, the plant force balance, the velocity filter, the DOB and
-        RFOB updates, the divergence guard (its x and v limits capped at the
-        largest float, so a NaN or infinite x or v trips it), the contact
-        detector, the contact and the free-motion regressor filters with their
-        RLS updates, and the record, all written out inline: the first call
-        compiles the loop with the updates of `RlmsEstimator.update` filled in
-        (`_inline_rlms`).  The tests keep each stage as a bit-for-bit reference
-        on plain values (`plant_accel`, `lpf_step`, `observer_step`,
-        `detector_update` and the two regressor filters) and rebuild the step
-        from them in `LoopStepReference`.  The loop state lives in locals: a
-        chunk loads it from the Simulator, the observers and the estimators
-        (their `_state` and `_bounds` lists, in the names identify.py lays
-        out, and mu) and writes it back when it ends, at k_end, a phase
-        boundary, a divergence or a redesign step, so the RFOB model fold at a
-        phase start reads the current estimate.  A step records the cells that
-        vary, an innovation only where its update runs (`_alloc` fills NaN);
-        the write-back fills, over the steps run, the columns fixed over a
-        chunk (ctrl_mode, alpha_g_radps, C_f, and contact_mode under a hint;
-        the detector path records it per step) and t_s with one slice store
-        each.  A redesign then patches the gains of the step's record; the
-        next chunk reloads them.  A chunk also ends after NOISE_BLOCK steps.
-        Its prologue draws the chunk's noise samples with one
-        `standard_normal(n)` call, which gives the same sequence as n scalar
-        draws, so a chunk boundary moves no sample; a divergence leaves the
-        chunk's unused samples drawn.
-        """
-        k_end = min(k_end, self.n_steps)
-        sc, dt, ad = self.sc, self.dt, self.sc.adaptation
-        K_F, M_m, dist0 = sc.plant.K_F, sc.plant.M_m, sc.plant.F_d
-        k_vsc, k_clmb, eps = sc.friction.k_vsc, sc.friction.k_clmb, sc.friction.eps
-        D_env, K_env, x_env, xdot_env = sc.env.D_env, sc.env.K_env, sc.env.x_env, sc.env.xdot_env
-        unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
-        x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
-        x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
-        noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
-        tanh = math.tanh
-        dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
-        b_v = 1.0 - c_v if c_v is not None else 0.0
-        th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
-        th_on_lo, th_off_lo = -th_on, -th_off
-        c_nc, M_mn = self._c_nc, sc.dob.M_mn
-        b_nc = 1.0 - c_nc
-        online = ad.mode is AdaptationMode.ONLINE and est_c is not None
-        period = ad.period_steps
-        (_, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
-         _, c_contact, _, _, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
-         c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
-        ts = self.ts
-        while self._k < k_end and not self.diverged:
-            k = self._k
-            if k >= self._next_bound:
-                self._enter_phase(k)
-            stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, k + NOISE_BLOCK)
-            k0, noise = k, normal(stop - k).tolist() if noisy else None
-            phase, ctrl_code, force = self._phase, self._ctrl_code, self._phase.mode is ControlMode.FORCE
-            c_ref = c_F_ref if force else c_x_ref  # _enter_phase wrote the phase's reference there
-            hint = None if phase.contact_hint is None else int(phase.contact_hint)
-            dist = dist0 if phase.F_d_override is None else phase.F_d_override
-            # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
-            C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.c, dob.y, dob.F_hat, dob.g * dob.M
-            c_r, y_r, F_hat_load, gm_r = rfob.c, rfob.y, rfob.F_hat, rfob.g * rfob.M
-            b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
-            kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
-            alpha_g = self.alpha_true * dob.g
-            x, v, v_meas, v_f = self._x, self._v, self._xdot_meas, self._xdot_f
-            # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
-            F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
-            det_mode, det_count, det_release = self._det
-            (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
-            (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
-            if est_c is not None:
-                [*s_c], [*bounds_c], mu_c = est_c._state, est_c._bounds, est_c.mu
-            if est_nc is not None:
-                [*s_nc], [*bounds_nc], mu_nc = est_nc._state, est_nc._bounds, est_nc.mu
-            for k in range(k, stop):
-                r = c_ref[k]
-                if force:
-                    xddot_des = C_f * (r - F_hat_load)
-                else:
-                    xddot_des = K_P * (r - x) - K_V * v_f
-                F_dis_used = F_hat_dis
-                i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
-                # k_clmb == 0 skips tanh; that flips at most the sign of a zero force, kept only if K_F*i_m is -0.0
-                F_fric = k_vsc * v + k_clmb * tanh(v / eps) if k_clmb else k_vsc * v
-                v += (K_F * i_m - F_fric - F_load - dist) / M_m * dt
-                x_new = x + v * dt
-                # fresh measurement at t_{k+1}: the observers integrate the interval just applied
-                # a Python product: it overflows to inf without the warning a numpy product gives
-                v_meas_new = v + (noise[k - k0] * noise_std if noisy else 0.0)
-                if c_v is not None:
-                    v_f = c_v * v_f + b_v * v_meas_new
-                else:
-                    v_f = v_meas_new
-                gv = gm_d * v_f
-                y_d = c_d * y_d + b_d * (K_F_d * i_m + gv)
-                F_hat_dis = y_d - gv
-                gv = gm_r * v_f
-                F_fric_r = kv_r * v_f + kc_r * tanh(v_f / eps_r) if kc_r else kv_r * v_f
-                y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - F_fric_r - F_d_r)
-                F_hat_load = y_r - gv
-                if not (x_lo <= x_new <= x_hi and v_lo <= v <= v_hi) or F_hat_load > F_hi or F_hat_load < F_lo:
-                    diverged = self.diverged = True
-                    self.diverged_step = k
-                if hint is None:  # the contact detector on the mode codes: 0 non-contact, 1 transition, 2 contact
-                    if det_mode == 0:
-                        if F_hat_load > th_on or F_hat_load < th_on_lo:  # |F| > th_on; a NaN takes neither branch
-                            det_mode, det_count = 1, 1
-                    elif F_hat_load < th_off and F_hat_load > th_off_lo:
-                        det_release += 1
-                        if det_release >= dwell:
-                            det_mode = det_release = 0
-                    else:
-                        det_release = 0
-                        if det_mode == 1:
-                            det_count += 1
-                            if det_count >= dwell:
-                                det_mode = 2
-                    c_contact[k] = mode = det_mode
-                else:
-                    mode = hint
-                if est_c is not None and not diverged:
-                    # the contact filter tracks the RFOB filter every step; only the update is gated
-                    fv_c = c_r * fv_c + b_r * v_meas
-                    fx_c = c_r * fx_c + b_r * x
-                    f1_c = c_r * f1_c + b_r
-                    if mode == 2:
-                        innov_c = RLMS_UPDATE(fv_c, fx_c, f1_c, F_hat_load)
-                        c_innov_c[k] = innov_c
-                if mode == 0 and est_nc is not None and not diverged:
-                    if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
-                        fu_nc = fv_nc = fz_nc = f1_nc = 0.0
-                        warm_nc = 0
-                    nc_last_k = k
-                    v_nc = c_nc * fv_nc + b_nc * v_meas
-                    if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
-                        xddot_nc = (v_nc - fv_nc) / dt
-                        innov_nc = RLMS_UPDATE(xddot_nc, fv_nc, fz_nc, f1_nc, fu_nc)
-                        c_innov_nc[k] = innov_nc
-                    else:
-                        warm_nc += 1
-                    fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
-                    fv_nc = v_nc
-                    fz_nc = c_nc * fz_nc + b_nc * tanh(v_meas / eps)
-                    f1_nc = c_nc * f1_nc + b_nc
-                c_x[k] = x = x_new
-                c_xdot[k] = v
-                c_xddot[k] = xddot_des
-                c_i[k] = i_m
-                c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
-                c_F_hat_load[k] = F_hat_load
-                c_F_hat_dis[k] = F_hat_dis
-                if est_nc is not None:
-                    c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = *d_nc,
-                if est_c is not None:
-                    c_D_env[k], c_K_env[k], c_offset[k] = *d_c,
-                v_meas = v_meas_new
-                if diverged:
-                    break
-            # arange(k0, k + 1) * dt + dt rounds as k * dt + dt does, so t_s is bit-identical to a per-step store
-            ts["t_s"][k0:k + 1] = np.arange(k0, k + 1) * dt + dt
-            ts["ctrl_mode"][k0:k + 1], ts["alpha_g_radps"][k0:k + 1], ts["C_f"][k0:k + 1] = ctrl_code, alpha_g, C_f
-            if hint is not None:
-                ts["contact_mode"][k0:k + 1] = hint
-            self._x, self._v, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
-            dob.y, dob.F_hat, rfob.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
-            self._det = (det_mode, det_count, det_release)
-            self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
-            self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
-            if est_c is not None:
-                est_c._state = [*s_c]
-            if est_nc is not None:
-                est_nc._state = [*s_nc]
-            if online and mode == 2 and not diverged and (k + 1) % period == 0:
-                d_env, k_env = (max(v, 0.0) for v in est_c.values[:2])
-                # a rejected design leaves the anchor alone, so the next period retries
-                if self._outside_deadband(d_env, k_env) and self._apply_design(
-                    k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
-                ):
-                    self._last_design_env = (d_env, k_env)
-                    ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.g, self.C_f
-        return not self.diverged and self._k < self.n_steps
+        # the first call compiles the step loop, _ADVANCE, and puts it in place of this method, once per process
+        Simulator._advance = _compile_filled(_ADVANCE, "_advance", globals(), {"_c": len(IdentConfig.delta0_c),
+                                                                             "_nc": len(IdentConfig.delta0_nc)})
+        return self._advance(k_end)
 
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
@@ -694,6 +513,194 @@ class Simulator:
                 )
             )
         return out
+
+
+_ADVANCE = '''def _advance(self, k_end: int) -> bool:
+    """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
+
+    One step reads the reference `_enter_phase` wrote, then runs the
+    control law, the plant force balance, the velocity filter, the DOB and
+    RFOB updates, the divergence guard (its x and v limits capped at the
+    largest float, so a NaN or infinite x or v trips it), the contact
+    detector, the contact and the free-motion regressor filters with their
+    RLS updates, and the record, all written out inline: the first call
+    compiles this text, `_ADVANCE`, with the updates of
+    `RlmsEstimator.update` filled in (`identify._compile_filled`).  The
+    tests keep each stage as a bit-for-bit reference on plain values
+    (`plant_accel`, `lpf_step`, `observer_step`, `detector_update` and the
+    two regressor filters) and rebuild the step from them in
+    `LoopStepReference`.  The loop state lives in locals: a chunk loads it
+    from the Simulator, the observers and the estimators (their `_state`
+    and `_bounds` lists, in the names identify.py lays out, and mu) and
+    writes it back when it ends, at k_end, a phase boundary, a divergence
+    or a redesign step, so the RFOB model fold at a phase start reads the
+    current estimate.  A step records the cells that vary, an innovation
+    only where its update runs (`_alloc` fills NaN); the write-back fills,
+    over the steps run, the columns fixed over a chunk (ctrl_mode,
+    alpha_g_radps, C_f, and contact_mode under a hint; the detector path
+    records it per step) and t_s with one slice store each.  A redesign
+    then patches the gains of the step's record; the next chunk reloads
+    them.  A chunk also ends after NOISE_BLOCK steps.  Its prologue draws
+    the chunk's noise samples with one `standard_normal(n)` call, which
+    gives the same sequence as n scalar draws, so a chunk boundary moves
+    no sample; a divergence leaves the chunk's unused samples drawn.
+    """
+    k_end = min(k_end, self.n_steps)
+    sc, dt, ad = self.sc, self.dt, self.sc.adaptation
+    K_F, M_m, dist0 = sc.plant.K_F, sc.plant.M_m, sc.plant.F_d
+    k_vsc, k_clmb, eps = sc.friction.k_vsc, sc.friction.k_clmb, sc.friction.eps
+    D_env, K_env, x_env, xdot_env = sc.env.D_env, sc.env.K_env, sc.env.x_env, sc.env.xdot_env
+    unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
+    x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
+    x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
+    noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
+    tanh = math.tanh
+    dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
+    b_v = 1.0 - c_v if c_v is not None else 0.0
+    th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
+    th_on_lo, th_off_lo = -th_on, -th_off
+    c_nc, M_mn = self._c_nc, sc.dob.M_mn
+    b_nc = 1.0 - c_nc
+    online = ad.mode is AdaptationMode.ONLINE and est_c is not None
+    period = ad.period_steps
+    (_, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
+     _, c_contact, _, _, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
+     c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
+    ts = self.ts
+    while self._k < k_end and not self.diverged:
+        k = self._k
+        if k >= self._next_bound:
+            self._enter_phase(k)
+        stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, k + NOISE_BLOCK)
+        k0, noise = k, normal(stop - k).tolist() if noisy else None
+        phase, ctrl_code, force = self._phase, self._ctrl_code, self._phase.mode is ControlMode.FORCE
+        c_ref = c_F_ref if force else c_x_ref  # _enter_phase wrote the phase's reference there
+        hint = None if phase.contact_hint is None else int(phase.contact_hint)
+        dist = dist0 if phase.F_d_override is None else phase.F_d_override
+        # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
+        C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.c, dob.y, dob.F_hat, dob.g * dob.M
+        c_r, y_r, F_hat_load, gm_r = rfob.c, rfob.y, rfob.F_hat, rfob.g * rfob.M
+        b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
+        kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
+        alpha_g = self.alpha_true * dob.g
+        x, v, v_meas, v_f = self._x, self._v, self._xdot_meas, self._xdot_f
+        # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
+        F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+        det_mode, det_count, det_release = self._det
+        (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
+        (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
+        if est_c is not None:
+            [*s_c], [*bounds_c], mu_c = est_c._state, est_c._bounds, est_c.mu
+        if est_nc is not None:
+            [*s_nc], [*bounds_nc], mu_nc = est_nc._state, est_nc._bounds, est_nc.mu
+        for k in range(k, stop):
+            r = c_ref[k]
+            if force:
+                xddot_des = C_f * (r - F_hat_load)
+            else:
+                xddot_des = K_P * (r - x) - K_V * v_f
+            F_dis_used = F_hat_dis
+            i_m = mn_over_kfn * xddot_des + F_dis_used / K_Fn
+            # k_clmb == 0 skips tanh; that flips at most the sign of a zero force, kept only if K_F*i_m is -0.0
+            F_fric = k_vsc * v + k_clmb * tanh(v / eps) if k_clmb else k_vsc * v
+            v += (K_F * i_m - F_fric - F_load - dist) / M_m * dt
+            x_new = x + v * dt
+            # fresh measurement at t_{k+1}: the observers integrate the interval just applied
+            # a Python product: it overflows to inf without the warning a numpy product gives
+            v_meas_new = v + (noise[k - k0] * noise_std if noisy else 0.0)
+            if c_v is not None:
+                v_f = c_v * v_f + b_v * v_meas_new
+            else:
+                v_f = v_meas_new
+            gv = gm_d * v_f
+            y_d = c_d * y_d + b_d * (K_F_d * i_m + gv)
+            F_hat_dis = y_d - gv
+            gv = gm_r * v_f
+            F_fric_r = kv_r * v_f + kc_r * tanh(v_f / eps_r) if kc_r else kv_r * v_f
+            y_r = c_r * y_r + b_r * (K_F_r * i_m + gv - F_fric_r - F_d_r)
+            F_hat_load = y_r - gv
+            if not (x_lo <= x_new <= x_hi and v_lo <= v <= v_hi) or F_hat_load > F_hi or F_hat_load < F_lo:
+                diverged = self.diverged = True
+                self.diverged_step = k
+            if hint is None:  # the contact detector on the mode codes: 0 non-contact, 1 transition, 2 contact
+                if det_mode == 0:
+                    if F_hat_load > th_on or F_hat_load < th_on_lo:  # |F| > th_on; a NaN takes neither branch
+                        det_mode, det_count = 1, 1
+                elif F_hat_load < th_off and F_hat_load > th_off_lo:
+                    det_release += 1
+                    if det_release >= dwell:
+                        det_mode = det_release = 0
+                else:
+                    det_release = 0
+                    if det_mode == 1:
+                        det_count += 1
+                        if det_count >= dwell:
+                            det_mode = 2
+                c_contact[k] = mode = det_mode
+            else:
+                mode = hint
+            if est_c is not None and not diverged:
+                # the contact filter tracks the RFOB filter every step; only the update is gated
+                fv_c = c_r * fv_c + b_r * v_meas
+                fx_c = c_r * fx_c + b_r * x
+                f1_c = c_r * f1_c + b_r
+                if mode == 2:
+                    innov_c = RLMS_UPDATE(fv_c, fx_c, f1_c, F_hat_load)
+                    c_innov_c[k] = innov_c
+            if mode == 0 and est_nc is not None and not diverged:
+                if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
+                    fu_nc = fv_nc = fz_nc = f1_nc = 0.0
+                    warm_nc = 0
+                nc_last_k = k
+                v_nc = c_nc * fv_nc + b_nc * v_meas
+                if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
+                    xddot_nc = (v_nc - fv_nc) / dt
+                    innov_nc = RLMS_UPDATE(xddot_nc, fv_nc, fz_nc, f1_nc, fu_nc)
+                    c_innov_nc[k] = innov_nc
+                else:
+                    warm_nc += 1
+                fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
+                fv_nc = v_nc
+                fz_nc = c_nc * fz_nc + b_nc * tanh(v_meas / eps)
+                f1_nc = c_nc * f1_nc + b_nc
+            c_x[k] = x = x_new
+            c_xdot[k] = v
+            c_xddot[k] = xddot_des
+            c_i[k] = i_m
+            c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+            c_F_hat_load[k] = F_hat_load
+            c_F_hat_dis[k] = F_hat_dis
+            if est_nc is not None:
+                c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = *d_nc,
+            if est_c is not None:
+                c_D_env[k], c_K_env[k], c_offset[k] = *d_c,
+            v_meas = v_meas_new
+            if diverged:
+                break
+        # arange(k0, k + 1) * dt + dt rounds as k * dt + dt does, so t_s is bit-identical to a per-step store
+        ts["t_s"][k0:k + 1] = np.arange(k0, k + 1) * dt + dt
+        ts["ctrl_mode"][k0:k + 1], ts["alpha_g_radps"][k0:k + 1], ts["C_f"][k0:k + 1] = ctrl_code, alpha_g, C_f
+        if hint is not None:
+            ts["contact_mode"][k0:k + 1] = hint
+        self._x, self._v, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
+        dob.y, dob.F_hat, rfob.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
+        self._det = (det_mode, det_count, det_release)
+        self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
+        self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
+        if est_c is not None:
+            est_c._state = [*s_c]
+        if est_nc is not None:
+            est_nc._state = [*s_nc]
+        if online and mode == 2 and not diverged and (k + 1) % period == 0:
+            d_env, k_env = (max(v, 0.0) for v in est_c.values[:2])
+            # a rejected design leaves the anchor alone, so the next period retries
+            if self._outside_deadband(d_env, k_env) and self._apply_design(
+                k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
+            ):
+                self._last_design_env = (d_env, k_env)
+                ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.g, self.C_f
+    return not self.diverged and self._k < self.n_steps
+'''
 
 
 def run_scenario(scenario: Scenario) -> SimResult:

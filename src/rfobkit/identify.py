@@ -9,10 +9,8 @@ estimate is box-projected so it cannot leave its configured convex set.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import re
-import textwrap
 from collections.abc import Sequence
 from enum import IntEnum
 
@@ -52,8 +50,9 @@ class RlmsEstimator:
     the lower bounds, then the upper.  Only this module knows these layouts.
     With 3 or 4 components numpy's per-call overhead would outweigh the
     arithmetic, and loops would spend the time in the interpreter, so the
-    update is straight-line code, generated once (`_rlms_lines`) and compiled
-    on first use, per n in `_rlms_kernel` and inline in `Simulator._advance`.
+    update is straight-line code, generated once (`_rlms_lines`), filled into
+    text that this module and engine.py carry (`_compile_filled`) and compiled
+    on first use: `_KERNEL` per n in `_rlms_kernel`, and `engine._ADVANCE`.
     It keeps the operations and their order: f_j = rho_j + U_0j rho_0 +
     U_1j rho_1 + ..., the steps above as written, the innovation summed left
     to right from 0.0 (never `sum()`, which compensates float sums from
@@ -135,31 +134,25 @@ class RlmsEstimator:
         return np.linalg.eigvalsh(self.Gamma) / self._gamma0_max
 
 
+_KERNEL = """def kernel(s, rho, bounds, u, mu):  # returns the new state and the innovation
+    [*s], [*rho], [*bounds] = s, rho, bounds  # three or fewer per statement: no tuple is built
+    innov = RLMS_UPDATE(*rho, u)
+    return [*s], innov
+"""
+
+
 @functools.cache
 def _rlms_kernel(n: int):
     """The UD update for dimension n >= 1 as one function; it raises ValueError on a non-finite u or rho_i."""
-    def kernel(s, rho, bounds, u, mu):  # returns the new state and the innovation
-        [*s], [*rho], [*bounds] = s, rho, bounds  # three or fewer per statement: no tuple is built
-        innov = RLMS_UPDATE(*rho, u)
-        return [*s], innov
-    return _compile_filled(kernel, {"": n})
+    return _compile_filled(_KERNEL, "kernel", globals(), {"": n})
 
 
-def _inline_rlms(**dims: int):
-    """Decorate a template that runs RLS updates on its locals; its first call fills and compiles it, once.
+def _compile_filled(source: str, name: str, namespace: dict, dims: dict[str, int]):
+    """Fill the placeholders of `source`, compile it with `namespace` as its globals, and return the function `name`.
 
     For each suffix s, `*s{s}`, `*bounds{s}`, `*d{s}` and `*rho{s}` stand for the local names, in list order, of the
     `_state` and `_bounds` lists, the estimate (the tail of `_state`) and the regressor of dimension dims[s], and each
     line `innov{s} = RLMS_UPDATE(rho_0, ..., u)` for `_rlms_lines`' update, which also reads mu{s}."""
-    def decorate(template):
-        compiled = functools.cache(lambda: _compile_filled(template, dims))
-        return functools.wraps(template)(lambda *args, **kwargs: compiled()(*args, **kwargs))
-    return decorate
-
-
-def _compile_filled(template, dims: dict[str, int]):
-    source = textwrap.dedent(inspect.getsource(template))
-    source = source[re.search("^def ", source, re.M).start():]  # without the decorators
     for s, n in dims.items():
         d, lo, hi, rho = ([f"{key}{i}{s}" for i in range(n)] for key in ("d", "lo", "hi", "rho"))
         names = {"s": [f"D{j}{s}" for j in range(n)] + [f"U{i}_{j}{s}" for j in range(n) for i in range(j)] + d,
@@ -167,9 +160,8 @@ def _compile_filled(template, dims: dict[str, int]):
         source = re.sub(rf"\*(s|bounds|d|rho){s}\b", lambda m: ", ".join(names[m[1]]), source)
         source = re.sub(rf"^( *)innov{s} = RLMS_UPDATE\((.*), (\w+)\)$", lambda m: "".join(
             f"{m[1]}{line}\n" for line in _rlms_lines(n, s, m[2].split(", "), m[3])), source, flags=re.M)
-    namespace: dict = {}
-    exec(compile(source, f"<{template.__qualname__} {dims}>", "exec"), template.__globals__, namespace)
-    return namespace[template.__name__]
+    exec(compile(source, f"<{name} {dims}>", "exec"), namespace, defined := {})
+    return defined[name]
 
 
 def _rlms_lines(n: int, s: str, rho: Sequence[str], u: str) -> list[str]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -582,6 +583,38 @@ def test_cli_as_its_own_process_matches_an_in_process_call(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
     assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "in.json").read_bytes()
 
+
+# one RLS update through RlmsEstimator.update, so the kernel compiles too, from a module file ending in argv[1]
+RLS_SCRIPT = """import sys
+from rfobkit import identify
+assert identify.__file__.endswith(sys.argv[1]), identify.__file__
+est = identify.RlmsEstimator([1.0, 0.5, 0.1, 0.0], [0.1, -10.0, -10.0, -10.0], [10.0, 10.0, 10.0, 10.0], 1e3, 0.999)
+print(est.update([0.3, -1.2, 0.7, 1.0], 2.5).hex(), [v.hex() for v in est.values])
+"""
+
+
+def test_bytecode_only_install_runs_simulate_and_identify_with_the_same_bytes(tmp_path):
+    src = Path(cli.__file__).parent
+    pkg = tmp_path / "sourceless" / "rfobkit"
+    shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "-b", str(pkg)], check=True, timeout=120)
+    for path in pkg.glob("*.py"):
+        path.unlink()
+    runs = {}
+    for tree, suffix in ((src.parent, "identify.py"), (pkg.parent, "identify.pyc")):
+        out = tmp_path / f"out_{tree.name}"
+        out.mkdir()
+        procs = [subprocess.run([sys.executable] + argv, cwd=out, env=dict(os.environ, PYTHONPATH=str(tree)),
+                                capture_output=True, timeout=300) for argv in (
+            ["-m", "rfobkit.cli", "simulate", "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", "sim.csv"],
+            ["-m", "rfobkit.cli", "identify", "--config", str(CONFIGS / "identify_plant.cfg"), "--out", "id.csv"],
+            ["-c", RLS_SCRIPT, suffix])]
+        runs[tree.name] = ([(p.returncode, p.stdout, p.stderr) for p in procs],
+                           {path.name: path.read_bytes() for path in out.iterdir()})
+    assert runs["sourceless"] == runs["src"]
+    procs, files = runs["src"]
+    assert [(code, err) for code, _, err in procs] == [(EXIT_OK, b"")] * 3
+    assert sorted(files) == ["id.csv", "id.csv.summary.json", "sim.csv", "sim.csv.summary.json"]
 
 def test_cmd_identify_plant(tmp_path, capsys):
     out = tmp_path / "trace.csv"

@@ -464,13 +464,19 @@ def test_solve_cubic_tiny_leading_coefficient():
 
 
 def test_solve_cubic_repairs_lost_small_roots():
-    # the closed form returns the two small roots near -2.4e12 +- 0.1j here; only the
-    # dominant-root repair (polish -a2/a3, deflate, solve the quadratic) recovers +-1.6596j
-    c = (-6.834402301693627e-18, 0.3630682533620418, 6.5698740439335205e-15, 1.0)
-    mine = sorted(solve_cubic(*c).roots, key=lambda z: (z.real, z.imag))
-    ref = sorted((complex(z) for z in np.roots(c)), key=lambda z: (z.real, z.imag))
-    for a, b in zip(mine, ref):
-        assert abs(a - b) <= 1e-8 * abs(b)
+    # the closed form returns the two small roots near -2.4e12 +- 0.1j in the first case; only the
+    # dominant-root repair (polish -a2/a3, deflate, solve the quadratic) recovers +-1.6596j.  The
+    # second is design's k cubic a3 k^3 + a2 k^2 + 1, where the closed form gave -115.65 and 115.65
+    # for -1 and 1: the lost pair cancels in the root sum, so only the residual shows the loss
+    for c in [(-6.834402301693627e-18, 0.3630682533620418, 6.5698740439335205e-15, 1.0), (1e-20, -1.0, 0.0, 1.0)]:
+        mine = sorted(solve_cubic(*c).roots, key=lambda z: (z.real, z.imag))
+        ref = sorted((complex(z) for z in np.roots(c)), key=lambda z: (z.real, z.imag))
+        for a, b in zip(mine, ref):
+            assert abs(a - b) <= 1e-9 * abs(b), c
+    # at a3 = 1e-100 numpy.roots loses the pair too (it gives 0 and 0), so the roots are checked against their limit
+    mine = sorted(solve_cubic(1e-100, -1.0, 0.0, 1.0).roots, key=lambda z: (z.real, z.imag))
+    for a, b in zip(mine, (-1.0, 1.0, 1e100)):
+        assert abs(a - b) <= 1e-9 * abs(b)
 
 
 def test_solve_cubic_bandwidth_family_weak_damping():

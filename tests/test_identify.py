@@ -1,12 +1,18 @@
+import builtins
+import dis
 import math
 import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfobkit.engine import IdentConfig
-from rfobkit.identify import ContactMode, RlmsEstimator
+import rfobkit.engine as engine
+from rfobkit.config import build_scenario, parse_config
+from rfobkit.engine import IdentConfig, Simulator
+from rfobkit.identify import ContactMode, RlmsEstimator, _compile_filled, _rlms_kernel
 from rfobkit.observers import lpf_pole
 from test_plant import smooth_sign
 
@@ -411,6 +417,33 @@ def test_rlms_estimate_reads_as_array_and_floats():
     assert np.array_equal(est.Gamma, np.diag([1.0, 2.0]))
     est.update((1.0, 0.0), 1.5)
     assert est.values[0] == pytest.approx(0.5 + 1.0 / 1.999, rel=1e-12)
+
+
+def unresolved_globals(fn) -> set[str]:
+    """The names that fn's code, nested code objects included, loads as globals and neither fn's module nor builtins
+    defines: what a linter would flag in source that it cannot see, such as the generated step loop's text."""
+    codes, names = [fn.__code__], set()
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        names |= {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    return {name for name in names if name not in fn.__globals__ and not hasattr(builtins, name)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_rlms_kernel_reads_only_defined_globals(n):
+    assert unresolved_globals(_rlms_kernel(n)) == set()
+
+
+def test_generated_step_loop_reads_only_defined_globals():
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "sim_force_step.cfg"
+    Simulator(build_scenario(parse_config(cfg.read_text())))._advance(0)  # the first call installs the compiled loop
+    dims = {"_c": len(IdentConfig.delta0_c), "_nc": len(IdentConfig.delta0_nc)}
+    assert Simulator._advance.__code__.co_filename == f"<_advance {dims}>"
+    assert unresolved_globals(Simulator._advance) == set()
+    planted = engine._ADVANCE.replace("y_r = c_r * y_r", "y_r = c_r * y_rr")
+    assert planted.count("y_rr") == 1
+    assert unresolved_globals(_compile_filled(planted, "_advance", vars(engine), dims)) == {"y_rr"}
 
 
 # ---------------------------------------------------------------------------
