@@ -13,16 +13,18 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config as cfgmod
 from .config import ConfigDocument, ConfigError, parse_config
 from .design import DesignResult, EnvClass, InfeasibleDesignError, classify_environment, design_for_env, split_alpha_g
-from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, Scenario, SimResult, run_scenario
 from .loop_model import PhiPoly, asymptote_angles, closed_loop_char_poly, open_loop_general, poles, rhp_zero_check
 from .observers import RatioReport, robustness_bound_check
 from .plant import EnvImpedance
+
+if TYPE_CHECKING:  # design and analyze run without the simulator and numpy; the commands that need them import them
+    import numpy as np
+    from .engine import Scenario, SimResult
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,7 +32,6 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 
 CSV_SCHEMA_VERSION = "timeseries-v1"
-TRACE_COLUMNS = ("t_s", "contact_mode") + TIMESERIES_COLUMNS[TIMESERIES_COLUMNS.index("delta_M_m_kg"):]
 
 
 def _fmt(v: float) -> str:
@@ -153,6 +154,7 @@ def _print_design_report(rep: dict) -> None:
 
 
 def _parse_sweep(spec: str) -> tuple[str, str, np.ndarray]:
+    import numpy as np
     try:
         key_part, rng = spec.split("=", 1)
         section, key = key_part.strip().split(".", 1)
@@ -270,7 +272,7 @@ CSV_CHUNK_ROWS = 4096
 CSV_BLOCK_ROWS = 64
 
 
-def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) -> None:
+def write_timeseries_csv(res: SimResult, path: str, columns=None) -> None:
     """Fixed column order, >= 10 significant digits, deterministic text.
 
     Cells read as `f"{v:.10g}"` would print them.  Rows are written
@@ -279,8 +281,11 @@ def write_timeseries_csv(res: SimResult, path: str, columns=TIMESERIES_COLUMNS) 
     bitwise, so NaN columns fold and 0.0 stays apart from -0.0.  The varying
     columns are stacked into one array, and each CSV_BLOCK_ROWS rows are
     formatted by one `%` of the repeated `%.10g`/`%s` row template, so only
-    one block's cells are Python objects at a time.
+    one block's cells are Python objects at a time.  `columns` defaults to TIMESERIES_COLUMNS.
     """
+    import numpy as np
+    from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS
+    columns = TIMESERIES_COLUMNS if columns is None else columns
     mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
     arrays = [res.ts[name] for name in columns]
     with open(path, "w", encoding="utf-8") as fh:
@@ -323,6 +328,7 @@ def _load_scenario(args) -> Scenario:
 
 def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
     """Run the scenario; with `out`, write the CSV of `columns` and the JSON summary next to it."""
+    from .engine import run_scenario
     res = run_scenario(scenario)
     if out:
         write_timeseries_csv(res, out, columns)
@@ -333,6 +339,7 @@ def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
 
 
 def cmd_simulate(args) -> int:
+    from .engine import TIMESERIES_COLUMNS
     res = _run_and_write(_load_scenario(args), args.out, TIMESERIES_COLUMNS)
     print(f"steps: {res.n_steps}   diverged: {res.diverged}"
           + (f" at step {res.diverged_step}" if res.diverged else ""))
@@ -348,6 +355,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    from .engine import TRACE_COLUMNS
     scenario = _load_scenario(args)
     if not (scenario.ident.enable_plant or scenario.ident.enable_env):
         raise ConfigError("[identify] enable_plant or enable_env must be on for the identify command")

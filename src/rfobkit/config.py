@@ -10,19 +10,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .design import DesignSpecA, DesignSpecB, DesignSpecC
-from .engine import (
-    AdaptationConfig,
-    AdaptationMode,
-    ControlMode,
-    IdentConfig,
-    Phase,
-    Scenario,
-)
-from .identify import ContactMode
 from .observers import DobConfig, RfobConfig
 from .plant import EnvImpedance, FrictionParams, PlantParams
+
+if TYPE_CHECKING:  # the scenario builders import the simulator, and with it numpy, when they run
+    from .engine import AdaptationConfig, IdentConfig, Phase, Scenario
 
 
 class ConfigError(Exception):
@@ -307,12 +302,14 @@ def build_design_alpha(doc: ConfigDocument) -> float:
 
 @_rejects_as_config_error("identify")
 def build_ident(doc: ConfigDocument) -> IdentConfig:
+    from .engine import IdentConfig
     return IdentConfig(*_values(doc, "identify"))
 
 
 @_rejects_as_config_error("scenario")
 def build_adaptation(doc: ConfigDocument) -> AdaptationConfig:
     """The redesign policy: mode and period from [scenario], alpha and the specs from [design]."""
+    from .engine import AdaptationConfig, AdaptationMode
     spec_a, spec_b, spec_c = build_design_specs(doc)
     return AdaptationConfig(
         mode=AdaptationMode(doc.get("scenario", "adaptation")),
@@ -343,12 +340,11 @@ def _parse_components(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(comps)
 
 
-# `contact = auto` leaves the mode to the contact detector
-_CONTACT_HINT = {"auto": None, "free": ContactMode.NON_CONTACT, "contact": ContactMode.CONTACT}
-
-
 @_rejects_as_config_error("phase")
 def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
+    from .engine import ContactMode, ControlMode, Phase
+    # `contact = auto` leaves the mode to the contact detector
+    contact_hint = {"auto": None, "free": ContactMode.NON_CONTACT, "contact": ContactMode.CONTACT}
     if not doc.phases:
         raise ConfigError("at least one [phase] section is required to simulate")
     phases = []
@@ -363,12 +359,13 @@ def _build_phases(doc: ConfigDocument) -> tuple[Phase, ...]:
         else:
             ref = {"offset": p["offset"], "waves": _parse_components(str(p["components"]))}
         phases.append(Phase(mode=ControlMode(p["mode"]), duration=p["duration_s"], **ref,
-                            contact_hint=_CONTACT_HINT[p["contact"]], F_d_override=p["F_d_override_N"]))
+                            contact_hint=contact_hint[p["contact"]], F_d_override=p["F_d_override_N"]))
     return tuple(phases)
 
 
 @_rejects_as_config_error("scenario")
 def build_scenario(doc: ConfigDocument) -> Scenario:
+    from .engine import Scenario
     if "scenario" not in doc.sections:
         raise ConfigError("missing required section [scenario]")
     phases = _build_phases(doc)

@@ -260,6 +260,8 @@ TIMESERIES_COLUMNS = (
     "delta_c_offset_N",
     "innov_c_N",
 )
+# the columns `identify` writes: time, contact mode and the estimator states
+TRACE_COLUMNS = ("t_s", "contact_mode") + TIMESERIES_COLUMNS[TIMESERIES_COLUMNS.index("delta_M_m_kg"):]
 
 
 @dataclass

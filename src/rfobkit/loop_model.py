@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .design import EnvClass, classify_environment, solve_cubic, solve_quadratic
 from .observers import DobConfig, RatioReport, RfobConfig
 from .plant import EnvImpedance, PlantParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,7 @@ class RationalTf:
         return len(self.den) - len(self.num)
 
     def __call__(self, s: complex) -> complex:
+        import numpy as np
         return complex(np.polyval(self.num, s) / np.polyval(self.den, s))
 
     def closed_loop(self) -> "RationalTf":
@@ -229,6 +232,7 @@ def step_response(tf: RationalTf, t: np.ndarray) -> np.ndarray:
     order one. Powers of two scale exactly in floating point, so the rescale
     itself rounds nothing.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two time points")
@@ -278,6 +282,7 @@ _THETA13 = 5.371920351148152
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential: degree-13 Pade approximant with scaling and squaring."""
+    import numpy as np
     norm = np.linalg.norm(a, 1)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0 ** s

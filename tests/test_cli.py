@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rfobkit.cli as cli
-from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, TRACE_COLUMNS, main, write_timeseries_csv
+import rfobkit.engine
+from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
-from rfobkit.engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, Scenario, SimResult, run_scenario
+from rfobkit.engine import (CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, TRACE_COLUMNS, Scenario, SimResult,
+                            run_scenario)
 from rfobkit.identify import ContactMode
 from rfobkit.observers import RfobConfig
 from rfobkit.plant import EnvImpedance, FrictionParams, PlantParams
@@ -616,6 +618,24 @@ def test_bytecode_only_install_runs_simulate_and_identify_with_the_same_bytes(tm
     assert [(code, err) for code, _, err in procs] == [(EXIT_OK, b"")] * 3
     assert sorted(files) == ["id.csv", "id.csv.summary.json", "sim.csv", "sim.csv.summary.json"]
 
+
+@pytest.mark.parametrize("cfg", ["design_combined.cfg", "identify_env.cfg", "identify_plant.cfg", "sim_force_step.cfg"])
+@pytest.mark.parametrize("command", ["design", "analyze"])
+def test_design_and_analyze_run_with_numpy_blocked(tmp_path, capsys, command, cfg):
+    # `identify_plant.cfg` has no contact environment: both commands exit with a configuration error
+    argv = [command, "--config", str(CONFIGS / cfg), "--out"]
+    code = main(argv + [str(tmp_path / "report.json")])
+    expected = (code, *capsys.readouterr(), (tmp_path / "report.json").read_bytes() if code == EXIT_OK else None)
+    assert code == (EXIT_CONFIG if cfg == "identify_plant.cfg" else EXIT_OK)
+    blocked = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['numpy'] = None; from rfobkit.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv, str(tmp_path / "blocked.json")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    got = (blocked.returncode, blocked.stdout, blocked.stderr,
+           (tmp_path / "blocked.json").read_bytes() if blocked.returncode == EXIT_OK else None)
+    assert got == expected
+
+
 def test_cmd_identify_plant(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["identify", "--config", str(CONFIGS / "identify_plant.cfg"), "--out", str(out)])
@@ -1061,7 +1081,7 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
     def broken(scenario):
         raise ValueError("non-finite regressor or measurement")
 
-    monkeypatch.setattr(cli, "run_scenario", broken)
+    monkeypatch.setattr(rfobkit.engine, "run_scenario", broken)
     with pytest.raises(ValueError, match="non-finite"):
         main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg")])
     assert "configuration error" not in capsys.readouterr().err

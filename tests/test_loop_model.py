@@ -1,7 +1,9 @@
+import importlib
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +344,48 @@ def _run_python(code: str) -> str:
 
 def test_cli_import_leaves_scipy_unloaded():
     assert _run_python("import sys, rfobkit.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+def test_cli_and_config_import_leave_numpy_and_the_simulator_unloaded():
+    out = _run_python("import sys, rfobkit, rfobkit.cli, rfobkit.config\n"
+                      "print([m for m in ('numpy', 'rfobkit.engine', 'rfobkit.identify') if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
+# the names `rfobkit` exports, by defining module; the `engine` and `identify` ones resolve on first access
+PACKAGE_EXPORTS = {
+    "design": ("CubicRoots", "DesignResult", "DesignSpecA", "DesignSpecB", "DesignSpecC", "EnvClass",
+               "InfeasibleDesignError", "classify_environment", "design_damping", "design_damping_stiffness",
+               "design_for_env", "design_stiffness", "solve_cubic", "solve_quadratic", "split_alpha_g"),
+    "engine": ("AdaptationConfig", "AdaptationMode", "ControlMode", "IdentConfig", "Phase", "Scenario",
+               "SimResult", "Simulator", "run_scenario"),
+    "identify": ("ContactMode", "RlmsEstimator"),
+    "loop_model": ("PhiPoly", "RationalTf", "RhpZeroReport", "asymptote_angles", "closed_loop_char_poly",
+                   "closed_loop_force_tf", "open_loop_general", "poles", "rhp_zero_check", "step_response"),
+    "observers": ("BoundCheck", "DisturbanceObserver", "DobConfig", "RatioReport", "RfobConfig",
+                  "robustness_bound_check"),
+    "plant": ("EnvImpedance", "FrictionParams", "PlantParams"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_each_name_of_its_modules(module):
+    defining = importlib.import_module(f"rfobkit.{module}")
+    listed = dir(rfobkit)
+    for name in PACKAGE_EXPORTS[module]:
+        assert getattr(rfobkit, name) is getattr(defining, name)
+        assert name in listed
+
+
+def test_package_from_import_and_unknown_attribute():
+    from rfobkit import ContactMode, Simulator
+
+    assert (Simulator, ContactMode) == (rfobkit.engine.Simulator, rfobkit.identify.ContactMode)
+    with pytest.raises(AttributeError) as got:
+        getattr(rfobkit, "no_such_name")
+    with pytest.raises(AttributeError) as plain:
+        getattr(types.ModuleType("rfobkit"), "no_such_name")
+    assert str(got.value) == str(plain.value) == "module 'rfobkit' has no attribute 'no_such_name'"
 
 
 def test_step_response_runs_without_scipy():
