@@ -276,7 +276,8 @@ class PhaseSummary:
 
 @dataclass
 class SimResult:
-    """Recorded time series plus the run summary."""
+    """Recorded time series plus the run summary.  A column no step of the run writes is one shared
+    read-only NaN view: copy it before writing into it."""
 
     ts: dict[str, np.ndarray]
     n_steps: int
@@ -362,17 +363,18 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _alloc(self, n: int) -> None:
-        self.ts = {name: np.zeros(n) for name in TIMESERIES_COLUMNS if name not in ("ctrl_mode", "contact_mode")}
-        self.ts["ctrl_mode"] = np.zeros(n, dtype=np.int8)
-        self.ts["contact_mode"] = np.zeros(n, dtype=np.int8)
-        for name in ("F_ref_N", "x_ref_m", "innov_nc_N", "innov_c_N"):
-            self.ts[name].fill(np.nan)
+        # a column no step writes is one shared read-only NaN view, which holds no memory
+        refs = {"F_ref_N" if phase.mode is ControlMode.FORCE else "x_ref_m" for phase in self.sc.phases}
+        unwritten = {"F_ref_N", "x_ref_m"} - refs
         if self.est_nc is None:
-            for name in ("delta_M_m_kg", "delta_k_vsc_Nspm", "delta_k_clmb_N", "delta_F_d_N"):
-                self.ts[name].fill(np.nan)
+            unwritten.update(("delta_M_m_kg", "delta_k_vsc_Nspm", "delta_k_clmb_N", "delta_F_d_N", "innov_nc_N"))
         if self.est_c is None:
-            for name in ("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N"):
-                self.ts[name].fill(np.nan)
+            unwritten.update(("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N", "innov_c_N"))
+        nan = np.broadcast_to(np.nan, n)
+        self.ts = {name: nan if name in unwritten else np.zeros(n, np.int8 if name.endswith("_mode") else float)
+                   for name in TIMESERIES_COLUMNS}
+        for name in {"F_ref_N", "x_ref_m", "innov_nc_N", "innov_c_N"} - unwritten:
+            self.ts[name].fill(np.nan)
         # _advance records each step's varying cells through these views (a memoryview store costs about half
         # a numpy scalar store); t_s and the columns fixed over a chunk take one slice fill per chunk instead
         self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
@@ -484,26 +486,30 @@ class Simulator:
         return bool(np.any(est.covariance_contraction() > 0.5))
 
     def _summarize_phases(self, ts: dict[str, np.ndarray]) -> list[PhaseSummary]:
+        """Per phase: the mean tracking error over its last 20%, the settling time into 1% of its largest reference
+        and the largest RFOB error, NOISE_BLOCK steps at a time but for one np.mean over the tail, whose pairwise sum
+        fixes ss_error's bits.  fmax.reduce per block, then nanmax, is nanmax with its all-NaN warning."""
         out: list[PhaseSummary] = []
         n = self._k
-        t = ts["t_s"]
+        t, F_hat, F_load = ts["t_s"], ts["F_hat_load_N"], ts["F_load_N"]
         for i, phase in enumerate(self.sc.phases):
             k0 = self._phase_bounds[i]
             k1 = min(self._phase_bounds[i + 1], n)
             if k1 <= k0:
                 continue
-            if phase.mode is ControlMode.FORCE:
-                err = np.abs(ts["F_hat_load_N"][k0:k1] - ts["F_ref_N"][k0:k1])
-                ref_scale = max(np.nanmax(np.abs(ts["F_ref_N"][k0:k1])), 1e-12)
-            else:
-                err = np.abs(ts["x_m_m"][k0:k1] - ts["x_ref_m"][k0:k1])
-                ref_scale = max(np.nanmax(np.abs(ts["x_ref_m"][k0:k1])), 1e-12)
+            y, ref = (F_hat, ts["F_ref_N"]) if phase.mode is ControlMode.FORCE else (ts["x_m_m"], ts["x_ref_m"])
+            blocks = [(b, min(b + NOISE_BLOCK, k1)) for b in range(k0, k1, NOISE_BLOCK)]
+            scales = np.array([np.fmax.reduce(np.abs(ref[b0:b1])) for b0, b1 in blocks])
+            ref_scale = max(np.nanmax(scales), 1e-12)
+            last, rfob_maxes = k0 - 1, []  # the last step outside the band
+            for b0, b1 in blocks:
+                outside = np.flatnonzero(~(np.abs(y[b0:b1] - ref[b0:b1]) < 0.01 * ref_scale))
+                last = b0 + int(outside[-1]) if outside.size else last
+                rfob_maxes.append(np.max(np.abs(F_hat[b0:b1] - F_load[b0:b1])))
             tail = max(1, int(0.2 * (k1 - k0)))
-            ss_error = float(np.mean(err[-tail:]))
-            outside = np.flatnonzero(~(err < 0.01 * ref_scale))
-            j = 0 if outside.size == 0 else int(outside[-1]) + 1
-            settle = float("nan") if j >= err.size else float(t[k0 + j] - k0 * self.dt)
-            rfob_err = float(np.max(np.abs(ts["F_hat_load_N"][k0:k1] - ts["F_load_N"][k0:k1])))
+            ss_error = float(np.mean(np.abs(y[k1 - tail:k1] - ref[k1 - tail:k1])))
+            settle = float("nan") if last + 1 >= k1 else float(t[last + 1] - k0 * self.dt)
+            rfob_err = float(np.max(rfob_maxes))
             out.append(
                 PhaseSummary(
                     mode=phase.mode.value,

@@ -63,6 +63,12 @@ class LoopStepReference(rk.Simulator):
         self.bank_nc = NonContactBankReference(ident.g_nc(scenario.dob.g_v), self.dt, scenario.dob.M_mn,
                                                scenario.friction.eps) if ident.enable_plant else None
 
+    def _alloc(self, n):
+        # every column full and writable, NaN where no step writes: each step below stores all 23 cells
+        self.ts = {name: np.zeros(n, np.int8) if name.endswith("_mode") else np.full(n, np.nan)
+                   for name in TIMESERIES_COLUMNS}
+        self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
+
     def _advance(self, k_end):
         while self._k < k_end and self._step():
             pass
@@ -969,3 +975,162 @@ def test_position_to_force_switch_lands_on_the_boundary_step():
     assert np.all(ts["x_ref_m"][:k] == 1e-4) and np.all(np.isnan(ts["x_ref_m"][k:]))
     assert np.all(np.isnan(ts["F_ref_N"][:k])) and np.all(ts["F_ref_N"][k:] == 1.0)
     assert ts["t_s"][k] == pytest.approx(0.3001, rel=1e-12)
+
+
+def _cut(sc, *seconds):
+    """`sc` with its phases shortened to the given durations."""
+    return rk.Scenario(**{**sc.__dict__, "phases": tuple(dataclasses.replace(p, duration=s)
+                                                         for p, s in zip(sc.phases, seconds))})
+
+
+def _unwritten_columns(sc):
+    """The columns no step of `sc` writes: the reference of a mode no phase runs, an absent estimator's columns."""
+    modes = {p.mode for p in sc.phases}
+    cols = {ref for ref, mode in (("F_ref_N", rk.ControlMode.FORCE), ("x_ref_m", rk.ControlMode.POSITION))
+            if mode not in modes}
+    if not sc.ident.enable_plant:
+        cols.update(("delta_M_m_kg", "delta_k_vsc_Nspm", "delta_k_clmb_N", "delta_F_d_N", "innov_nc_N"))
+    if not sc.ident.enable_env:
+        cols.update(("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N", "innov_c_N"))
+    return cols
+
+
+_ALLOC_SCENARIOS = {
+    # design_combined.cfg schedules no phase, so it has nothing to simulate
+    "identify_env.cfg": lambda: _cut(build_scenario(parse_config((CONFIGS / "identify_env.cfg").read_text())), 1.0),
+    "identify_plant.cfg": lambda: _cut(build_scenario(parse_config((CONFIGS / "identify_plant.cfg").read_text())),
+                                       1.0),
+    "sim_force_step.cfg": lambda: build_scenario(parse_config((CONFIGS / "sim_force_step.cfg").read_text())),
+    "position_to_force": lambda: _switching_scenario(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALLOC_SCENARIOS))
+def test_a_run_allocates_only_the_columns_it_writes(name):
+    """Traced allocations peak below the written columns, one phase tail's error and a few block-sized
+    temporaries; every column no step writes is the one shared read-only NaN view, of no size."""
+    import tracemalloc
+    sc = _ALLOC_SCENARIOS[name]()
+    rk.run_scenario(sc)  # compiles the step loop outside the trace
+    tracemalloc.start()
+    try:
+        res = rk.run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, unwritten = res.n_steps, _unwritten_columns(sc)
+    assert n >= 10_000 and not res.diverged
+    written = sum(n * (1 if col.endswith("_mode") else 8) for col in TIMESERIES_COLUMNS if col not in unwritten)
+    tail = 8 * max(int(0.2 * k) for k in np.diff(rk.Simulator(sc)._phase_bounds))
+    assert peak < written + tail + 8 * 8 * NOISE_BLOCK, (peak, written, tail)
+    for col in TIMESERIES_COLUMNS:
+        a = res.ts[col]
+        assert a.shape == (n,) and a.dtype == (np.int8 if col.endswith("_mode") else np.float64), col
+        if col in unwritten:
+            assert a.strides == (0,) and not a.flags.writeable and np.isnan(a).all(), col
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        else:
+            assert a.strides == (a.itemsize,) and a.flags.writeable, col
+
+
+def _whole_phase_summaries(sim, ts):
+    """Each phase's (ss_error, settling_time, max_rfob_error) from one array per quantity over the whole phase:
+    the reference for Simulator._summarize_phases, which runs NOISE_BLOCK steps at a time."""
+    out = []
+    t = ts["t_s"]
+    for i, phase in enumerate(sim.sc.phases):
+        k0 = sim._phase_bounds[i]
+        k1 = min(sim._phase_bounds[i + 1], sim._k)
+        if k1 <= k0:
+            continue
+        if phase.mode is rk.ControlMode.FORCE:
+            err = np.abs(ts["F_hat_load_N"][k0:k1] - ts["F_ref_N"][k0:k1])
+            ref_scale = max(np.nanmax(np.abs(ts["F_ref_N"][k0:k1])), 1e-12)
+        else:
+            err = np.abs(ts["x_m_m"][k0:k1] - ts["x_ref_m"][k0:k1])
+            ref_scale = max(np.nanmax(np.abs(ts["x_ref_m"][k0:k1])), 1e-12)
+        tail = max(1, int(0.2 * (k1 - k0)))
+        ss_error = float(np.mean(err[-tail:]))
+        outside = np.flatnonzero(~(err < 0.01 * ref_scale))
+        j = 0 if outside.size == 0 else int(outside[-1]) + 1
+        settle = float("nan") if j >= err.size else float(t[k0 + j] - k0 * sim.dt)
+        rfob_err = float(np.max(np.abs(ts["F_hat_load_N"][k0:k1] - ts["F_load_N"][k0:k1])))
+        out.append((ss_error, settle, rfob_err))
+    return out
+
+
+def assert_summaries_match_the_whole_phase_formula(sim, ts):
+    """The block-wise summary of `ts` gives the whole-phase formula's floats (NaN included) and its warnings."""
+    with warnings.catch_warnings(record=True) as caught_ref:
+        warnings.simplefilter("always")
+        expected = _whole_phase_summaries(sim, ts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [(s.ss_error, s.settling_time, s.max_rfob_error) for s in sim._summarize_phases(ts)]
+    assert [[v.hex() for v in s] for s in got] == [[v.hex() for v in s] for s in expected]
+    assert {(w.category, str(w.message)) for w in caught} == {(w.category, str(w.message)) for w in caught_ref}
+    return expected, {str(w.message) for w in caught_ref}
+
+
+_SUMMARY_CASES = ("in_band", "first_block", "block_end", "block_start", "last_step", "nonfinite_load_estimate",
+                  "infinite_reference", "nan_in_reference", "nan_reference")
+
+
+@pytest.mark.parametrize("case", _SUMMARY_CASES)
+@pytest.mark.parametrize("mode", ["force", "position"])
+@pytest.mark.parametrize("steps", [1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 3 * NOISE_BLOCK + 1,
+                                   6 * NOISE_BLOCK + 1])  # the last: a tail longer than a block
+def test_block_wise_summary_matches_the_whole_phase_formula(mode, steps, case):
+    """A phase of `steps` steps, after a 3-step phase of the other mode so its blocks start off the grid of k."""
+    lead, dt = 3, 1e-4
+    main = rk.ControlMode.FORCE if mode == "force" else rk.ControlMode.POSITION
+    other = rk.ControlMode.POSITION if mode == "force" else rk.ControlMode.FORCE
+    sc, _ = linear_scenario()
+    sim = rk.Simulator(rk.Scenario(**{**sc.__dict__, "phases": (
+        dataclasses.replace(sc.phases[0], mode=other, duration=0.1), dataclasses.replace(sc.phases[0], mode=main))}))
+    n = lead + steps
+    sim._phase_bounds, sim._k = [0, lead, n], n
+    rng = np.random.default_rng([steps, _SUMMARY_CASES.index(case), mode == "force"])
+    ref = 1.0 + 0.5 * np.sin(0.01 * np.arange(n))
+    y = ref * (1.0 + 5e-3 * rng.uniform(-1.0, 1.0, n))  # inside the 1% band of the largest |ref|
+    lead_ref = ref[::-1].copy()  # the lead phase reads the other mode's columns
+    if mode == "force":
+        ts = {"F_ref_N": ref, "F_hat_load_N": y, "F_load_N": ref.copy(), "x_ref_m": lead_ref, "x_m_m": lead_ref}
+    else:
+        F_hat, F_load = rng.standard_normal((2, n))
+        ts = {"x_ref_m": ref, "x_m_m": y, "F_ref_N": lead_ref, "F_hat_load_N": F_hat, "F_load_N": F_load}
+    ts["t_s"] = (np.arange(n) + 1.0) * dt
+    last = {"first_block": 17, "block_end": NOISE_BLOCK - 1, "block_start": NOISE_BLOCK, "last_step": steps - 1}
+    if case in last:
+        y[lead + min(last[case], steps - 1)] += 1.0
+    elif case == "nonfinite_load_estimate":
+        ts["F_hat_load_N"][lead + rng.integers(0, steps, 3)] = (np.nan, np.inf, -np.inf)
+    elif case == "infinite_reference":
+        k = lead + rng.integers(0, steps, 2)
+        ref[k] = np.inf, -np.inf
+        y[k[0]] = ref[k[0]]  # inf - inf: a NaN error, with numpy's warning
+    elif case == "nan_in_reference":
+        ref[lead + rng.integers(0, steps, 2)] = np.nan
+    elif case == "nan_reference":
+        ref[lead:] = np.nan
+    (_, (ss, settle, rfob)), messages = assert_summaries_match_the_whole_phase_formula(sim, ts)
+    if case == "in_band":
+        assert settle == pytest.approx(dt) and ss < 1e-2 and not messages  # settled from the first step
+    elif case == "infinite_reference":
+        assert messages == {"invalid value encountered in subtract"}
+    elif case == "nan_reference":
+        assert math.isnan(ss) and math.isnan(settle) and messages == {"All-NaN slice encountered"}
+
+
+def test_block_wise_summary_matches_the_whole_phase_formula_on_a_diverging_run():
+    """Infinite limits let the load estimate run to inf and NaN before x or v leaves the finite range."""
+    sc = rk.Scenario(**{**_diverging_scenario().__dict__, "x_limit": math.inf, "v_limit": math.inf,
+                        "dist_limit": math.inf})
+    sim = rk.Simulator(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the step loop's own overflow is not what this test checks
+        res = sim.run()
+    F_hat = res.ts["F_hat_load_N"]
+    assert res.diverged and not np.isfinite(F_hat).all()
+    assert_summaries_match_the_whole_phase_formula(sim, res.ts)
