@@ -268,7 +268,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 4096  # engine.NOISE_BLOCK: a chunk is one window of the step loop's record
 CSV_BLOCK_ROWS = 64
 
 
@@ -276,46 +276,55 @@ def write_timeseries_csv(res: SimResult, path: str, columns=None) -> None:
     """Fixed column order, >= 10 significant digits, deterministic text.
 
     Cells read as `f"{v:.10g}"` would print them.  Rows are written
-    CSV_CHUNK_ROWS at a time.  Within a chunk, a column whose cells are all
-    bitwise equal is formatted once and folded into the chunk's row template;
-    bitwise, so NaN columns fold and 0.0 stays apart from -0.0.  The varying
-    columns are stacked into one array, and each CSV_BLOCK_ROWS rows are
-    formatted by one `%` of the repeated `%.10g`/`%s` row template, so only
-    one block's cells are Python objects at a time.  `columns` defaults to TIMESERIES_COLUMNS.
+    CSV_CHUNK_ROWS at a time by `_write_chunk`, which also writes each window
+    of a run that `simulate` and `identify` stream straight into their CSV,
+    so both give the same bytes.  `columns` defaults to TIMESERIES_COLUMNS.
     """
-    import numpy as np
-    from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS
+    from .engine import TIMESERIES_COLUMNS
     columns = TIMESERIES_COLUMNS if columns is None else columns
-    mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
-    arrays = [res.ts[name] for name in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(0, res.n_steps, CSV_CHUNK_ROWS):
-            j = min(i + CSV_CHUNK_ROWS, res.n_steps)
-            fields, varying, named = [], [], []
-            for name, arr in zip(columns, arrays):
-                a = arr[i:j]
-                bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
-                names = mode_names.get(name)
-                if (bits == bits[0]).all():
-                    cell = names[a[0]] if names else "%.10g" % a[0]
-                    fields.append(cell.replace("%", "%%"))
-                    continue
-                if names:
-                    named.append((len(varying), [names[v] for v in a.tolist()]))
-                fields.append("%s" if names else "%.10g")
-                varying.append(a)
-            row = ",".join(fields) + "\n"
-            if not varying:
-                fh.write((row % ()) * (j - i))
-                continue
-            m, grid = len(varying), np.column_stack(varying)
-            for b0 in range(0, j - i, CSV_BLOCK_ROWS):
-                b1 = min(b0 + CSV_BLOCK_ROWS, j - i)
-                cells = grid[b0:b1].ravel().tolist()
-                for c, labels in named:
-                    cells[c::m] = labels[b0:b1]
-                fh.write(row * (b1 - b0) % tuple(cells))
+            _write_chunk(fh, columns, {name: res.ts[name][i:i + CSV_CHUNK_ROWS] for name in columns})
+
+
+def _write_chunk(fh, columns, chunk: dict[str, np.ndarray]) -> None:
+    """Write the rows of `chunk`, each of `columns` over the same rows (at least one), in `columns` order.
+
+    A column whose cells are all bitwise equal is formatted once and folded
+    into the chunk's row template; bitwise, so NaN columns fold and 0.0 stays
+    apart from -0.0.  The varying columns are stacked into one array, and
+    each CSV_BLOCK_ROWS rows are formatted by one `%` of the repeated
+    `%.10g`/`%s` row template, so only one block's cells are Python objects
+    at a time.
+    """
+    import numpy as np
+    from .engine import CONTACT_MODE_NAMES, CTRL_MODE_NAMES
+    mode_names = {"contact_mode": CONTACT_MODE_NAMES, "ctrl_mode": CTRL_MODE_NAMES}
+    fields, varying, named = [], [], []
+    for name in columns:
+        a = chunk[name]
+        bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
+        names = mode_names.get(name)
+        if (bits == bits[0]).all():
+            cell = names[a[0]] if names else "%.10g" % a[0]
+            fields.append(cell.replace("%", "%%"))
+            continue
+        if names:
+            named.append((len(varying), [names[v] for v in a.tolist()]))
+        fields.append("%s" if names else "%.10g")
+        varying.append(a)
+    row, n = ",".join(fields) + "\n", chunk[columns[0]].size
+    if not varying:
+        fh.write((row % ()) * n)
+        return
+    m, grid = len(varying), np.column_stack(varying)
+    for b0 in range(0, n, CSV_BLOCK_ROWS):
+        b1 = min(b0 + CSV_BLOCK_ROWS, n)
+        cells = grid[b0:b1].ravel().tolist()
+        for c, labels in named:
+            cells[c::m] = labels[b0:b1]
+        fh.write(row * (b1 - b0) % tuple(cells))
 
 
 def _load_scenario(args) -> Scenario:
@@ -327,14 +336,21 @@ def _load_scenario(args) -> Scenario:
 
 
 def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
-    """Run the scenario; with `out`, write the CSV of `columns` and the JSON summary next to it."""
+    """Run the scenario; with `out`, write the CSV of `columns` and the JSON summary next to it.
+
+    The run hands each window of its record to `_write_chunk` as it fills, so the CSV grows while the loop
+    runs, a diverged run leaves the rows up to its diverged step, and only the columns the phase summary reads
+    are held whole.
+    """
     from .engine import run_scenario
-    res = run_scenario(scenario)
-    if out:
-        write_timeseries_csv(res, out, columns)
-        summary = res.summary_dict()
-        summary["csv_schema"] = CSV_SCHEMA_VERSION
-        Path(out + ".summary.json").write_text(_json_text(summary), encoding="utf-8")
+    if not out:
+        return run_scenario(scenario, lambda window: None)  # nothing to write: hold no more than a written run
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        res = run_scenario(scenario, functools.partial(_write_chunk, fh, columns))
+    summary = res.summary_dict()
+    summary["csv_schema"] = CSV_SCHEMA_VERSION
+    Path(out + ".summary.json").write_text(_json_text(summary), encoding="utf-8")
     return res
 
 

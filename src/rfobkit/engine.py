@@ -232,6 +232,8 @@ NOISE_BLOCK = 4096
 
 # the codes the ctrl_mode and contact_mode columns record, and the names the CSV prints for them
 _CTRL_CODE = {mode: code for code, mode in enumerate(ControlMode)}
+# each control mode's reference column and the column of the output it tracks
+_TRACKED = {ControlMode.FORCE: ("F_ref_N", "F_hat_load_N"), ControlMode.POSITION: ("x_ref_m", "x_m_m")}
 CTRL_MODE_NAMES = tuple(mode.value for mode in ControlMode)
 CONTACT_MODE_NAMES = tuple(mode.name.lower() for mode in ContactMode)
 
@@ -277,7 +279,8 @@ class PhaseSummary:
 @dataclass
 class SimResult:
     """Recorded time series plus the run summary.  A column no step of the run writes is one shared
-    read-only NaN view: copy it before writing into it."""
+    read-only NaN view: copy it before writing into it.  A run given `on_window` keeps in `ts` only those
+    views and the columns it held whole (see `Simulator`)."""
 
     ts: dict[str, np.ndarray]
     n_steps: int
@@ -305,10 +308,20 @@ class SimResult:
 
 
 class Simulator:
-    """Owns all mutable loop state for one scenario run."""
+    """Owns all mutable loop state for one scenario run.
 
-    def __init__(self, scenario: Scenario):
+    The step loop records into one window of NOISE_BLOCK rows, the steps from a multiple of NOISE_BLOCK on, and
+    hands each window, once full or at the run's end or divergence, to the phase summary and then to `on_window`
+    as a dict of column arrays of the rows recorded.  Without `on_window` every written column is full-length and
+    a window is a slice of each.  With it, only what the phase summary reads after the run stays full-length, the
+    reference of each control mode in use and the output it tracks (`F_hat_load_N` or `x_m_m`); every other
+    written column is one window buffer, which the next window overwrites, so `on_window` uses a window before
+    it returns.
+    """
+
+    def __init__(self, scenario: Scenario, on_window=None):
         self.sc = scenario
+        self._on_window = on_window
         self.dt = scenario.dt
         self._x, self._v = scenario.x0, scenario.v0
         dob, rfob = scenario.dob, scenario.rfob
@@ -351,6 +364,7 @@ class Simulator:
             acc += p.duration
             bounds.append(int(round(acc / self.dt)))
         self._phase_bounds = bounds
+        self._phase_folds = [([], []) for _ in scenario.phases]  # per window: |reference| fmax, largest RFOB error
         self._phase_idx = 0
         self._next_bound = 0  # the first step enters the schedule
         self._bank_nc_last_k = -10
@@ -364,20 +378,46 @@ class Simulator:
     # ------------------------------------------------------------------
     def _alloc(self, n: int) -> None:
         # a column no step writes is one shared read-only NaN view, which holds no memory
-        refs = {"F_ref_N" if phase.mode is ControlMode.FORCE else "x_ref_m" for phase in self.sc.phases}
-        unwritten = {"F_ref_N", "x_ref_m"} - refs
+        unwritten = {"F_ref_N", "x_ref_m"} - {_TRACKED[phase.mode][0] for phase in self.sc.phases}
         if self.est_nc is None:
             unwritten.update(("delta_M_m_kg", "delta_k_vsc_Nspm", "delta_k_clmb_N", "delta_F_d_N", "innov_nc_N"))
         if self.est_c is None:
             unwritten.update(("delta_D_env_Nspm", "delta_K_env_Npm", "delta_c_offset_N", "innov_c_N"))
+        # the phase summary reads each reference in use and the output it tracks after the run, so those stay whole
+        whole = {name for phase in self.sc.phases for name in _TRACKED[phase.mode]}
         nan = np.broadcast_to(np.nan, n)
-        self.ts = {name: nan if name in unwritten else np.zeros(n, np.int8 if name.endswith("_mode") else float)
-                   for name in TIMESERIES_COLUMNS}
-        for name in {"F_ref_N", "x_ref_m", "innov_nc_N", "innov_c_N"} - unwritten:
+        self.ts, self._buffers = {}, {}
+        for name in TIMESERIES_COLUMNS:
+            dtype = np.int8 if name.endswith("_mode") else float
+            if name in unwritten:
+                self.ts[name] = nan
+            elif self._on_window is None or name in whole:
+                self.ts[name] = np.zeros(n, dtype)
+            else:
+                self._buffers[name] = np.zeros(NOISE_BLOCK, dtype)
+        for name in ({"F_ref_N", "x_ref_m", "innov_nc_N", "innov_c_N"} - unwritten) & self.ts.keys():
             self.ts[name].fill(np.nan)
+        self._open_window(0)
+
+    def _open_window(self, base: int) -> None:
+        """Record the steps from `base` on: into slices of the full-length columns and into the window buffers,
+        an innovation's refilled with NaN, since only a step that updates its estimator writes it."""
+        self._base = base
+        for name in {"innov_nc_N", "innov_c_N"} & self._buffers.keys():
+            self._buffers[name].fill(np.nan)
+        self._window = {name: self._buffers[name] if name in self._buffers else self.ts[name][base:base + NOISE_BLOCK]
+                        for name in TIMESERIES_COLUMNS}
         # _advance records each step's varying cells through these views (a memoryview store costs about half
         # a numpy scalar store); t_s and the columns fixed over a chunk take one slice fill per chunk instead
-        self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
+        self._columns = tuple(memoryview(a) for a in self._window.values())
+
+    def _flush(self, rows: int) -> None:
+        """Hand the window's first `rows` rows to the phase summary and to `on_window`, then open the next window."""
+        window = {name: a[:rows] for name, a in self._window.items()}
+        self._summarize_window(self._base, window)
+        if self._on_window is not None:
+            self._on_window(window)
+        self._open_window(self._base + rows)
 
     def _enter_phase(self, k: int) -> None:
         """Advance the schedule to step k, cache what _advance reads of the phase, and write its reference column.
@@ -395,7 +435,7 @@ class Simulator:
         self._phase = phase = self.sc.phases[i]
         self._next_bound = bounds[i + 1] if i + 2 < len(bounds) else math.inf
         self._ctrl_code = _CTRL_CODE[phase.mode]
-        ref = self.ts["F_ref_N" if phase.mode is ControlMode.FORCE else "x_ref_m"]
+        ref = self.ts[_TRACKED[phase.mode][0]]
         t0, b1, offset = bounds[i] * self.dt, bounds[i + 1], phase.offset
         with np.errstate(all="ignore"):
             for b0 in range(bounds[i], b1, NOISE_BLOCK):
@@ -485,30 +525,43 @@ class Simulator:
             return False
         return bool(np.any(est.covariance_contraction() > 0.5))
 
+    def _summarize_window(self, base: int, window: dict[str, np.ndarray]) -> None:
+        """Fold the window of steps from `base` into each phase it covers: the largest |reference| and the largest
+        RFOB error over the phase's rows in it."""
+        bounds, end = self._phase_bounds, base + window["t_s"].size
+        for i, phase in enumerate(self.sc.phases):
+            b0, b1 = max(bounds[i], base) - base, min(bounds[i + 1], end) - base
+            if b0 < b1:
+                ref, scales, rfob_maxes = window[_TRACKED[phase.mode][0]], *self._phase_folds[i]
+                scales.append(np.fmax.reduce(np.abs(ref[b0:b1])))
+                rfob_maxes.append(np.max(np.abs(window["F_hat_load_N"][b0:b1] - window["F_load_N"][b0:b1])))
+
     def _summarize_phases(self, ts: dict[str, np.ndarray]) -> list[PhaseSummary]:
         """Per phase: the mean tracking error over its last 20%, the settling time into 1% of its largest reference
-        and the largest RFOB error, NOISE_BLOCK steps at a time but for one np.mean over the tail, whose pairwise sum
-        fixes ss_error's bits.  fmax.reduce per block, then nanmax, is nanmax with its all-NaN warning."""
+        and the largest RFOB error.  The reference scale and the RFOB error come folded from the windows
+        (`_summarize_window`; fmax.reduce per window, then nanmax, is nanmax with its all-NaN warning).  The settling
+        time runs NOISE_BLOCK steps at a time over `ts`, which holds each reference in use and its tracked output
+        full-length, and the tail takes one np.mean, whose pairwise sum fixes ss_error's bits."""
         out: list[PhaseSummary] = []
-        n = self._k
-        t, F_hat, F_load = ts["t_s"], ts["F_hat_load_N"], ts["F_load_N"]
+        n, dt = self._k, self.dt
         for i, phase in enumerate(self.sc.phases):
             k0 = self._phase_bounds[i]
             k1 = min(self._phase_bounds[i + 1], n)
             if k1 <= k0:
                 continue
-            y, ref = (F_hat, ts["F_ref_N"]) if phase.mode is ControlMode.FORCE else (ts["x_m_m"], ts["x_ref_m"])
-            blocks = [(b, min(b + NOISE_BLOCK, k1)) for b in range(k0, k1, NOISE_BLOCK)]
-            scales = np.array([np.fmax.reduce(np.abs(ref[b0:b1])) for b0, b1 in blocks])
-            ref_scale = max(np.nanmax(scales), 1e-12)
-            last, rfob_maxes = k0 - 1, []  # the last step outside the band
-            for b0, b1 in blocks:
+            ref, y = (ts[name] for name in _TRACKED[phase.mode])
+            scales, rfob_maxes = self._phase_folds[i]
+            ref_scale = max(np.nanmax(np.array(scales)), 1e-12)  # an array: nanmax warns "All-NaN slice" on it
+            last = k0 - 1  # the last step outside the band
+            for b0 in range(k0, k1, NOISE_BLOCK):
+                b1 = min(b0 + NOISE_BLOCK, k1)
                 outside = np.flatnonzero(~(np.abs(y[b0:b1] - ref[b0:b1]) < 0.01 * ref_scale))
                 last = b0 + int(outside[-1]) if outside.size else last
-                rfob_maxes.append(np.max(np.abs(F_hat[b0:b1] - F_load[b0:b1])))
             tail = max(1, int(0.2 * (k1 - k0)))
-            ss_error = float(np.mean(np.abs(y[k1 - tail:k1] - ref[k1 - tail:k1])))
-            settle = float("nan") if last + 1 >= k1 else float(t[last + 1] - k0 * self.dt)
+            err = y[k1 - tail:k1] - ref[k1 - tail:k1]
+            ss_error = float(np.mean(np.abs(err, out=err)))
+            # t_s[last + 1] - t_start, with t_s[k] = k * dt + dt as the step loop writes it
+            settle = float("nan") if last + 1 >= k1 else (last + 1) * dt + dt - k0 * dt
             rfob_err = float(np.max(rfob_maxes))
             out.append(
                 PhaseSummary(
@@ -542,16 +595,19 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     and `_bounds` lists, in the names identify.py lays out, and mu) and
     writes it back when it ends, at k_end, a phase boundary, a divergence
     or a redesign step, so the RFOB model fold at a phase start reads the
-    current estimate.  A step records the cells that vary, an innovation
-    only where its update runs (`_alloc` fills NaN); the write-back fills,
+    current estimate.  A step records the cells that vary into the open
+    window (`_open_window`), at its row k - base, an innovation only where
+    its update runs (the window starts it as NaN); the write-back fills,
     over the steps run, the columns fixed over a chunk (ctrl_mode,
     alpha_g_radps, C_f, and contact_mode under a hint; the detector path
     records it per step) and t_s with one slice store each.  A redesign
     then patches the gains of the step's record; the next chunk reloads
-    them.  A chunk also ends after NOISE_BLOCK steps.  Its prologue draws
-    the chunk's noise samples with one `standard_normal(n)` call, which
-    gives the same sequence as n scalar draws, so a chunk boundary moves
-    no sample; a divergence leaves the chunk's unused samples drawn.
+    them.  A chunk also ends at its window's end, the next multiple of
+    NOISE_BLOCK, and a chunk that fills its window, ends the run or
+    diverges hands the window over (`_flush`) after the patch.  A chunk's
+    prologue draws its noise samples with one `standard_normal(n)` call,
+    which gives the same sequence as n scalar draws, so a chunk boundary
+    moves no sample; a divergence leaves the chunk's unused samples drawn.
     """
     k_end = min(k_end, self.n_steps)
     sc, dt, ad = self.sc, self.dt, self.sc.adaptation
@@ -571,16 +627,17 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     b_nc = 1.0 - c_nc
     online = ad.mode is AdaptationMode.ONLINE and est_c is not None
     period = ad.period_steps
-    (_, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
-     _, c_contact, _, _, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
-     c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
-    ts = self.ts
     while self._k < k_end and not self.diverged:
         k = self._k
         if k >= self._next_bound:
             self._enter_phase(k)
-        stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, k + NOISE_BLOCK)
+        base, window = self._base, self._window
+        stop = min(k_end, self._next_bound, (k // period + 1) * period if online else k_end, base + NOISE_BLOCK)
+        (_, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
+         _, c_contact, _, _, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
+         c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
         k0, noise = k, normal(stop - k).tolist() if noisy else None
+        j0 = k0 - base  # the loop counts rows of the window: step k records at row k - base
         phase, ctrl_code, force = self._phase, self._ctrl_code, self._phase.mode is ControlMode.FORCE
         c_ref = c_F_ref if force else c_x_ref  # _enter_phase wrote the phase's reference there
         hint = None if phase.contact_hint is None else int(phase.contact_hint)
@@ -595,14 +652,14 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
         F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
         det_mode, det_count, det_release = self._det
-        (fv_c, fx_c, f1_c), nc_last_k, diverged = self._f_c, self._bank_nc_last_k, False
+        (fv_c, fx_c, f1_c), nc_last_j, diverged = self._f_c, self._bank_nc_last_k - base, False
         (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
         if est_c is not None:
             [*s_c], [*bounds_c], mu_c = est_c._state, est_c._bounds, est_c.mu
         if est_nc is not None:
             [*s_nc], [*bounds_nc], mu_nc = est_nc._state, est_nc._bounds, est_nc.mu
-        for k in range(k, stop):
-            r = c_ref[k]
+        for j in range(j0, stop - base):
+            r = c_ref[j]
             if force:
                 xddot_des = C_f * (r - F_hat_load)
             else:
@@ -615,7 +672,7 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
             x_new = x + v * dt
             # fresh measurement at t_{k+1}: the observers integrate the interval just applied
             # a Python product: it overflows to inf without the warning a numpy product gives
-            v_meas_new = v + (noise[k - k0] * noise_std if noisy else 0.0)
+            v_meas_new = v + (noise[j - j0] * noise_std if noisy else 0.0)
             if c_v is not None:
                 v_f = c_v * v_f + b_v * v_meas_new
             else:
@@ -629,7 +686,7 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
             F_hat_load = y_r - gv
             if not (x_lo <= x_new <= x_hi and v_lo <= v <= v_hi) or F_hat_load > F_hi or F_hat_load < F_lo:
                 diverged = self.diverged = True
-                self.diverged_step = k
+                self.diverged_step = base + j
             if hint is None:  # the contact detector on the mode codes: 0 non-contact, 1 transition, 2 contact
                 if det_mode == 0:
                     if F_hat_load > th_on or F_hat_load < th_on_lo:  # |F| > th_on; a NaN takes neither branch
@@ -644,7 +701,7 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
                         det_count += 1
                         if det_count >= dwell:
                             det_mode = 2
-                c_contact[k] = mode = det_mode
+                c_contact[j] = mode = det_mode
             else:
                 mode = hint
             if est_c is not None and not diverged:
@@ -654,46 +711,47 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
                 f1_c = c_r * f1_c + b_r
                 if mode == 2:
                     innov_c = RLMS_UPDATE(fv_c, fx_c, f1_c, F_hat_load)
-                    c_innov_c[k] = innov_c
+                    c_innov_c[j] = innov_c
             if mode == 0 and est_nc is not None and not diverged:
-                if nc_last_k != k - 1:  # gap in the fed samples: restart the filter history
+                if nc_last_j != j - 1:  # gap in the fed samples: restart the filter history
                     fu_nc = fv_nc = fz_nc = f1_nc = 0.0
                     warm_nc = 0
-                nc_last_k = k
+                nc_last_j = j
                 v_nc = c_nc * fv_nc + b_nc * v_meas
                 if warm_nc >= 2:  # the regressor lags the filters by one sample, so its columns align
                     xddot_nc = (v_nc - fv_nc) / dt
                     innov_nc = RLMS_UPDATE(xddot_nc, fv_nc, fz_nc, f1_nc, fu_nc)
-                    c_innov_nc[k] = innov_nc
+                    c_innov_nc[j] = innov_nc
                 else:
                     warm_nc += 1
                 fu_nc = c_nc * fu_nc + b_nc * (M_mn * xddot_des + F_dis_used)
                 fv_nc = v_nc
                 fz_nc = c_nc * fz_nc + b_nc * tanh(v_meas / eps)
                 f1_nc = c_nc * f1_nc + b_nc
-            c_x[k] = x = x_new
-            c_xdot[k] = v
-            c_xddot[k] = xddot_des
-            c_i[k] = i_m
-            c_F_load[k] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
-            c_F_hat_load[k] = F_hat_load
-            c_F_hat_dis[k] = F_hat_dis
+            c_x[j] = x = x_new
+            c_xdot[j] = v
+            c_xddot[j] = xddot_des
+            c_i[j] = i_m
+            c_F_load[j] = F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
+            c_F_hat_load[j] = F_hat_load
+            c_F_hat_dis[j] = F_hat_dis
             if est_nc is not None:
-                c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = *d_nc,
+                c_M[j], c_k_vsc[j], c_k_clmb[j], c_F_d[j] = *d_nc,
             if est_c is not None:
-                c_D_env[k], c_K_env[k], c_offset[k] = *d_c,
+                c_D_env[j], c_K_env[j], c_offset[j] = *d_c,
             v_meas = v_meas_new
             if diverged:
                 break
+        k, rows = base + j, slice(j0, j + 1)
         # arange(k0, k + 1) * dt + dt rounds as k * dt + dt does, so t_s is bit-identical to a per-step store
-        ts["t_s"][k0:k + 1] = np.arange(k0, k + 1) * dt + dt
-        ts["ctrl_mode"][k0:k + 1], ts["alpha_g_radps"][k0:k + 1], ts["C_f"][k0:k + 1] = ctrl_code, alpha_g, C_f
+        window["t_s"][rows] = np.arange(k0, k + 1) * dt + dt
+        window["ctrl_mode"][rows], window["alpha_g_radps"][rows], window["C_f"][rows] = ctrl_code, alpha_g, C_f
         if hint is not None:
-            ts["contact_mode"][k0:k + 1] = hint
+            window["contact_mode"][rows] = hint
         self._x, self._v, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
         dob.y, dob.F_hat, rfob.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
         self._det = (det_mode, det_count, det_release)
-        self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), nc_last_k, k + 1
+        self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), base + nc_last_j, k + 1
         self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
         if est_c is not None:
             est_c._state = [*s_c]
@@ -706,11 +764,14 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
                 k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
             ):
                 self._last_design_env = (d_env, k_env)
-                ts["alpha_g_radps"][k], ts["C_f"][k] = self.alpha_true * dob.g, self.C_f
+                window["alpha_g_radps"][j], window["C_f"][j] = self.alpha_true * dob.g, self.C_f
+        if j + 1 == NOISE_BLOCK or diverged or k + 1 == self.n_steps:
+            self._flush(j + 1)
     return not self.diverged and self._k < self.n_steps
 '''
 
 
-def run_scenario(scenario: Scenario) -> SimResult:
-    """Build a simulator for the scenario and run it to completion."""
-    return Simulator(scenario).run()
+def run_scenario(scenario: Scenario, on_window=None) -> SimResult:
+    """Build a simulator for the scenario, handing its record window by window to `on_window`, and run it to
+    completion."""
+    return Simulator(scenario, on_window).run()

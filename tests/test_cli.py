@@ -18,8 +18,8 @@ import rfobkit.cli as cli
 import rfobkit.engine
 from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, main, write_timeseries_csv
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
-from rfobkit.engine import (CONTACT_MODE_NAMES, CTRL_MODE_NAMES, TIMESERIES_COLUMNS, TRACE_COLUMNS, Scenario, SimResult,
-                            run_scenario)
+from rfobkit.engine import (CONTACT_MODE_NAMES, CTRL_MODE_NAMES, NOISE_BLOCK, TIMESERIES_COLUMNS, TRACE_COLUMNS, Scenario,
+                            SimResult, run_scenario)
 from rfobkit.identify import ContactMode
 from rfobkit.observers import RfobConfig
 from rfobkit.plant import EnvImpedance, FrictionParams, PlantParams
@@ -1078,7 +1078,7 @@ def test_cmd_identify_invalid_estimator_setting_is_config_error(tmp_path, extra)
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch, capsys):
-    def broken(scenario):
+    def broken(scenario, on_window=None):
         raise ValueError("non-finite regressor or measurement")
 
     monkeypatch.setattr(rfobkit.engine, "run_scenario", broken)
@@ -1275,3 +1275,109 @@ def test_simulate_csv_hash_is_pinned(tmp_path):
     assert main(["simulate", "--config", str(CONFIGS / "sim_force_step.cfg"), "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "98f68eaf3840c2604af0e5acaab760fd68a0f7d43639583a1d1edf45cba50a3a"
+
+
+# ---------------------------------------------------------------------------
+# streamed record
+# ---------------------------------------------------------------------------
+
+def _whole_record_run_and_write(scenario, out, columns):
+    """`cli._run_and_write` with every column held whole: write_timeseries_csv(run_scenario(sc)) and summary_dict()."""
+    res = run_scenario(scenario)
+    if out:
+        write_timeseries_csv(res, out, columns)
+        summary = res.summary_dict()
+        summary["csv_schema"] = cli.CSV_SCHEMA_VERSION
+        Path(out + ".summary.json").write_text(cli._json_text(summary), encoding="utf-8")
+    return res
+
+
+UNSTABLE_AFTER_REST_CFG = (
+    "[plant]\nM_m_kg = 3.02\nK_F_N_per_A = 0.5\n"
+    "[environment]\nD_env_Ns_per_m = 2.0\nK_env_N_per_m = 6500.0\ncontact = bilateral\n"
+    "[dob]\nM_mn_kg = 6.04\nK_Fn_N_per_A = 0.5\ng_dob_rad_per_s = 500.0\ng_v_rad_per_s = 1000.0\n"
+    "[rfob]\nM_hat_kg = 6.04\nK_F_hat_N_per_A = 0.5\ng_rfob_rad_per_s = 500.0\n"
+    "[scenario]\ndt_s = 1e-4\nC_f = 1.25\nx_limit_m = 1.0\nvelocity_filter = off\n"
+    "[phase]\nmode = force\nduration_s = 0.5\nref = const\nvalue = 0.0\ncontact = contact\n"  # rests at exactly 0
+    "[phase]\nmode = force\nduration_s = 2.0\nref = const\nvalue = 1.0\ncontact = contact\n")
+
+# (command, config text); design_combined.cfg schedules no phase, so both paths exit with a configuration error
+STREAM_CASES = {
+    **{f"{command}:{name}": (command, (CONFIGS / name).read_text())
+       for name in ("design_combined.cfg", "identify_env.cfg", "identify_plant.cfg", "sim_force_step.cfg")
+       for command in ("simulate", "identify")},
+    # a redesign on the last step of each window, patching its gains before the window is written
+    "online_4096": ("identify", ENV_1S_CFG.replace("velocity_filter = off", "velocity_filter = off\n"
+                                                   "adaptation = online\nredesign_period_steps = 4096")),
+    "divergence": ("simulate", UNSTABLE_AFTER_REST_CFG),
+    "position_to_force": ("simulate", POSITION_THEN_AUTO_CFG),
+    "two_windows": ("simulate", SIM_CFG.replace("duration_s = 1.0", "duration_s = 0.8192")),
+    "two_windows_and_a_step": ("simulate", SIM_CFG.replace("duration_s = 1.0", "duration_s = 0.8193")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_run_writes_what_the_whole_record_writes(tmp_path, capsys, monkeypatch, case):
+    """`simulate` and `identify` write their CSV window by window as the run records it; the CSV, the summary, the
+    exit code and the printed report are those of the run held whole and written afterwards."""
+    command, text = STREAM_CASES[case]
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(text)
+    runs = {}
+    for how in ("streamed", "whole"):
+        out = tmp_path / f"{how}.csv"
+        with monkeypatch.context() as patch:
+            if how == "whole":
+                patch.setattr(cli, "_run_and_write", _whole_record_run_and_write)
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        files = [path.read_bytes() for path in (out, tmp_path / f"{how}.csv.summary.json") if path.exists()]
+        runs[how] = (code, capsys.readouterr(), files)
+    assert runs["streamed"] == runs["whole"]
+    code, _, files = runs["streamed"]
+    assert code == (EXIT_CONFIG if "design_combined" in case or case == "identify:sim_force_step.cfg"
+                    else EXIT_DIVERGED if case == "divergence" else EXIT_OK)
+    if code == EXIT_CONFIG:
+        assert files == []
+        return
+    summary = json.loads(files[1])
+    n = summary["n_steps"]
+    assert files[0].count(b"\n") == 1 + n
+    if case == "online_4096":
+        steps = [round(e["t"] / 5e-5) for e in summary["design_events"] if e["applied"]]
+        assert steps and all(k % NOISE_BLOCK == NOISE_BLOCK - 1 for k in steps)
+    elif case == "divergence":
+        assert NOISE_BLOCK < summary["diverged_step"] == n - 1 < 2 * NOISE_BLOCK - 1  # partway through window 2
+    elif case == "position_to_force":
+        assert summary["phases"][1]["t_start"] == 0.3 and 3000 % NOISE_BLOCK != 0
+    elif case.startswith("two_windows"):
+        assert n == 2 * NOISE_BLOCK + case.endswith("step")
+
+
+# the most a run-and-write holds past its whole columns and one window: the streamed columns' window buffers,
+# one block's Python cells and row strings, and the summary's block and tail temporaries
+STREAM_SLACK_BYTES = 384 * 1024
+
+
+@pytest.mark.parametrize("command, text", [
+    ("identify", ENV_1S_CFG), ("simulate", ENV_1S_CFG), ("simulate", SIM_CFG),
+], ids=["identify:identify_env_1s", "simulate:identify_env_1s", "simulate:sim_force_step"])
+def test_a_written_run_holds_16_bytes_per_step_per_control_mode(tmp_path, capsys, command, text):
+    """Traced allocations of a CLI run-and-write peak below 16 bytes per step for each control mode in use (its
+    reference and the output it tracks, which the phase summary reads whole), one NOISE_BLOCK-row window of all
+    23 columns, and STREAM_SLACK_BYTES."""
+    import tracemalloc
+    cfg, out = tmp_path / "in.cfg", tmp_path / "out.csv"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_OK  # compiles the step loop and imports outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sc = build_scenario(parse_config(text))
+    n, modes = round(sc.duration / sc.dt), {p.mode for p in sc.phases}
+    assert n >= 10_000 and "steps: %d" % n in capsys.readouterr().out
+    bound = 16 * n * len(modes) + 8 * len(TIMESERIES_COLUMNS) * NOISE_BLOCK + STREAM_SLACK_BYTES
+    assert peak < bound, (peak, bound)

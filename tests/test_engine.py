@@ -64,10 +64,12 @@ class LoopStepReference(rk.Simulator):
                                                scenario.friction.eps) if ident.enable_plant else None
 
     def _alloc(self, n):
-        # every column full and writable, NaN where no step writes: each step below stores all 23 cells
+        # every column full and writable, NaN where no step writes: each step below stores all 23 cells into the
+        # open window's slices of them, at the step's row from the window's start
         self.ts = {name: np.zeros(n, np.int8) if name.endswith("_mode") else np.full(n, np.nan)
                    for name in TIMESERIES_COLUMNS}
-        self._columns = tuple(memoryview(self.ts[name]) for name in TIMESERIES_COLUMNS)
+        self._buffers = {}
+        self._open_window(0)
 
     def _advance(self, k_end):
         while self._k < k_end and self._step():
@@ -169,28 +171,31 @@ class LoopStepReference(rk.Simulator):
         (c_t, c_x, c_xdot, c_xddot, c_i, c_F_ref, c_x_ref, c_F_load, c_F_hat_load, c_F_hat_dis,
          c_ctrl, c_contact, c_alpha_g, c_C_f, c_M, c_k_vsc, c_k_clmb, c_F_d, c_innov_nc,
          c_D_env, c_K_env, c_offset, c_innov_c) = self._columns
-        c_t[k] = t + dt
-        c_x[k] = x_new
-        c_xdot[k] = xdot_new
-        c_xddot[k] = xddot_des
-        c_i[k] = i_m
-        c_F_ref[k] = F_ref
-        c_x_ref[k] = x_ref
-        c_F_load[k] = contact_force(x_new, xdot_new, sc.env, sc.always_in_contact)
-        c_F_hat_load[k] = F_hat_load
-        c_F_hat_dis[k] = F_hat_dis
-        c_ctrl[k] = self._ctrl_code
-        c_contact[k] = mode
-        c_alpha_g[k] = self.alpha_true * self.dob.g
-        c_C_f[k] = self.C_f
+        j = k - self._base
+        c_t[j] = t + dt
+        c_x[j] = x_new
+        c_xdot[j] = xdot_new
+        c_xddot[j] = xddot_des
+        c_i[j] = i_m
+        c_F_ref[j] = F_ref
+        c_x_ref[j] = x_ref
+        c_F_load[j] = contact_force(x_new, xdot_new, sc.env, sc.always_in_contact)
+        c_F_hat_load[j] = F_hat_load
+        c_F_hat_dis[j] = F_hat_dis
+        c_ctrl[j] = self._ctrl_code
+        c_contact[j] = mode
+        c_alpha_g[j] = self.alpha_true * self.dob.g
+        c_C_f[j] = self.C_f
         if est_nc is not None:
-            c_M[k], c_k_vsc[k], c_k_clmb[k], c_F_d[k] = est_nc.values
-            c_innov_nc[k] = innov_nc
+            c_M[j], c_k_vsc[j], c_k_clmb[j], c_F_d[j] = est_nc.values
+            c_innov_nc[j] = innov_nc
         if est_c is not None:
-            c_D_env[k], c_K_env[k], c_offset[k] = est_c.values
-            c_innov_c[k] = innov_c
+            c_D_env[j], c_K_env[j], c_offset[j] = est_c.values
+            c_innov_c[j] = innov_c
 
         self._k = k + 1
+        if j + 1 == NOISE_BLOCK or self.diverged or self._k == self.n_steps:  # the window is full or the run over
+            self._flush(j + 1)
         return not self.diverged and self._k < self.n_steps
 
 
@@ -1034,6 +1039,29 @@ def test_a_run_allocates_only_the_columns_it_writes(name):
             assert a.strides == (a.itemsize,) and a.flags.writeable, col
 
 
+@pytest.mark.parametrize("make", [_switching_scenario, _noisy_online_scenario, _noisy_diverging_scenario,
+                                  _multi_phase_scenario, _free_then_auto_scenario],
+                         ids=["position_to_force", "noisy_online", "noisy_divergence", "multi_phase", "free_then_auto"])
+def test_streamed_windows_record_what_run_scenario_records(make):
+    """run_scenario(sc, on_window) hands over the record NOISE_BLOCK rows at a time, from each multiple of NOISE_BLOCK,
+    and the windows joined are run_scenario(sc).ts bit for bit; its result holds whole only the columns the phase
+    summary reads, and summarises the run as run_scenario(sc) does."""
+    sc = make()
+    whole = rk.run_scenario(sc)
+    windows = []
+    streamed = rk.run_scenario(sc, lambda window: windows.append({name: a.copy() for name, a in window.items()}))
+    sizes = [w["t_s"].size for w in windows]
+    assert sizes[:-1] == [NOISE_BLOCK] * (len(sizes) - 1) and 0 < sizes[-1] <= NOISE_BLOCK
+    for name in TIMESERIES_COLUMNS:
+        assert np.concatenate([w[name] for w in windows]).tobytes() == whole.ts[name].tobytes(), name
+    modes = {p.mode for p in sc.phases}
+    kept = {name for name, a in streamed.ts.items() if a.strides != (0,)}
+    assert kept == {name for mode, names in ((rk.ControlMode.FORCE, ("F_ref_N", "F_hat_load_N")),
+                                             (rk.ControlMode.POSITION, ("x_ref_m", "x_m_m"))) if mode in modes
+                    for name in names}
+    assert repr(streamed.summary_dict()) == repr(whole.summary_dict())  # repr: NaN fields compare too
+
+
 def _whole_phase_summaries(sim, ts):
     """Each phase's (ss_error, settling_time, max_rfob_error) from one array per quantity over the whole phase:
     the reference for Simulator._summarize_phases, which runs NOISE_BLOCK steps at a time."""
@@ -1061,12 +1089,15 @@ def _whole_phase_summaries(sim, ts):
 
 
 def assert_summaries_match_the_whole_phase_formula(sim, ts):
-    """The block-wise summary of `ts` gives the whole-phase formula's floats (NaN included) and its warnings."""
+    """The block-wise summary of `ts`, handed to `sim` NOISE_BLOCK steps at a time as the step loop's windows are,
+    gives the whole-phase formula's floats (NaN included) and its warnings.  `sim` has recorded no window yet."""
     with warnings.catch_warnings(record=True) as caught_ref:
         warnings.simplefilter("always")
         expected = _whole_phase_summaries(sim, ts)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        for base in range(0, sim._k, NOISE_BLOCK):
+            sim._summarize_window(base, {name: a[base:base + NOISE_BLOCK] for name, a in ts.items()})
         got = [(s.ss_error, s.settling_time, s.max_rfob_error) for s in sim._summarize_phases(ts)]
     assert [[v.hex() for v in s] for s in got] == [[v.hex() for v in s] for s in expected]
     assert {(w.category, str(w.message)) for w in caught} == {(w.category, str(w.message)) for w in caught_ref}
@@ -1100,7 +1131,7 @@ def test_block_wise_summary_matches_the_whole_phase_formula(mode, steps, case):
     else:
         F_hat, F_load = rng.standard_normal((2, n))
         ts = {"x_ref_m": ref, "x_m_m": y, "F_ref_N": lead_ref, "F_hat_load_N": F_hat, "F_load_N": F_load}
-    ts["t_s"] = (np.arange(n) + 1.0) * dt
+    ts["t_s"] = np.arange(n) * dt + dt  # as the step loop writes it
     last = {"first_block": 17, "block_end": NOISE_BLOCK - 1, "block_start": NOISE_BLOCK, "last_step": steps - 1}
     if case in last:
         y[lead + min(last[case], steps - 1)] += 1.0
@@ -1127,10 +1158,11 @@ def test_block_wise_summary_matches_the_whole_phase_formula_on_a_diverging_run()
     """Infinite limits let the load estimate run to inf and NaN before x or v leaves the finite range."""
     sc = rk.Scenario(**{**_diverging_scenario().__dict__, "x_limit": math.inf, "v_limit": math.inf,
                         "dist_limit": math.inf})
-    sim = rk.Simulator(sc)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the step loop's own overflow is not what this test checks
-        res = sim.run()
+        res = rk.run_scenario(sc)
     F_hat = res.ts["F_hat_load_N"]
     assert res.diverged and not np.isfinite(F_hat).all()
+    sim = rk.Simulator(sc)  # summarises the run's record window by window
+    sim._k = res.n_steps
     assert_summaries_match_the_whole_phase_formula(sim, res.ts)
