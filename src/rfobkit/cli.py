@@ -268,32 +268,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-CSV_CHUNK_ROWS = 4096  # engine.NOISE_BLOCK: a chunk is one window of the step loop's record
 CSV_BLOCK_ROWS = 64
-
-
-def write_timeseries_csv(res: SimResult, path: str, columns=None) -> None:
-    """Fixed column order, >= 10 significant digits, deterministic text.
-
-    Cells read as `f"{v:.10g}"` would print them.  Rows are written
-    CSV_CHUNK_ROWS at a time by `_write_chunk`, which also writes each window
-    of a run that `simulate` and `identify` stream straight into their CSV,
-    so both give the same bytes.  `columns` defaults to TIMESERIES_COLUMNS.
-    """
-    from .engine import TIMESERIES_COLUMNS
-    columns = TIMESERIES_COLUMNS if columns is None else columns
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(0, res.n_steps, CSV_CHUNK_ROWS):
-            _write_chunk(fh, columns, {name: res.ts[name][i:i + CSV_CHUNK_ROWS] for name in columns})
 
 
 def _write_chunk(fh, columns, chunk: dict[str, np.ndarray]) -> None:
     """Write the rows of `chunk`, each of `columns` over the same rows (at least one), in `columns` order.
 
-    A column whose cells are all bitwise equal is formatted once and folded
-    into the chunk's row template; bitwise, so NaN columns fold and 0.0 stays
-    apart from -0.0.  The varying columns are stacked into one array, and
+    `_run_and_write` passes each window of a run's record here.  Cells read
+    as `f"{v:.10g}"` would print them, a mode code as its name.  A column
+    whose cells are all bitwise equal is formatted once and folded into the
+    chunk's row template; bitwise, so NaN columns fold and 0.0 stays apart
+    from -0.0.  The varying columns are stacked into one array, and
     each CSV_BLOCK_ROWS rows are formatted by one `%` of the repeated
     `%.10g`/`%s` row template, so only one block's cells are Python objects
     at a time.
@@ -338,9 +323,10 @@ def _load_scenario(args) -> Scenario:
 def _run_and_write(scenario: Scenario, out: str | None, columns) -> SimResult:
     """Run the scenario; with `out`, write the CSV of `columns` and the JSON summary next to it.
 
-    The run hands each window of its record to `_write_chunk` as it fills, so the CSV grows while the loop
-    runs, a diverged run leaves the rows up to its diverged step, and only the columns the phase summary reads
-    are held whole.
+    The one CSV writer: it writes the header, then the run hands each window of its record to `_write_chunk` as
+    it fills, so the CSV grows while the loop runs, a diverged run leaves the rows up to its diverged step, and
+    only the columns the phase summary reads are held whole.  Fixed column order, >= 10 significant digits,
+    deterministic text.
     """
     from .engine import run_scenario
     if not out:

@@ -6,10 +6,11 @@ compensation current, semi-implicit Euler plant integration, sensor read (plus
 optional velocity noise), velocity filter, exact observer filter updates,
 contact detection, mode-gated estimator updates, the record, and the periodic
 adaptive re-design.  Between chunks the loop state lives on the Simulator and
-its two observers.  The velocity noise comes from one seeded generator: t_0's
-sample is drawn on its own, and each chunk of steps draws its samples in one
-call from the same stream, so the samples do not depend on where chunks end.
-Everything is deterministic for a fixed scenario and seed.
+its two observers.  The velocity noise comes from one seeded generator, built
+only for a run with noise: t_0's sample is drawn on its own, and each chunk of
+steps draws its samples in one call from the same stream, so the samples do
+not depend on where chunks end.  Everything is deterministic for a fixed
+scenario and seed.
 """
 from __future__ import annotations
 
@@ -311,12 +312,13 @@ class Simulator:
     """Owns all mutable loop state for one scenario run.
 
     The step loop records into one window of NOISE_BLOCK rows, the steps from a multiple of NOISE_BLOCK on, and
-    hands each window, once full or at the run's end or divergence, to the phase summary and then to `on_window`
-    as a dict of column arrays of the rows recorded.  Without `on_window` every written column is full-length and
-    a window is a slice of each.  With it, only what the phase summary reads after the run stays full-length, the
-    reference of each control mode in use and the output it tracks (`F_hat_load_N` or `x_m_m`); every other
-    written column is one window buffer, which the next window overwrites, so `on_window` uses a window before
-    it returns.
+    hands each window, once full or at the run's end or divergence, to the phase summary, which keeps its RFOB-error
+    maxima, and then to `on_window` as a dict of column arrays of the rows recorded.  Without `on_window` every
+    written column is full-length and a window is a slice of each.  With it, only what the phase summary reads after
+    the run stays full-length, the reference of each control mode in use and the output it tracks (`F_hat_load_N`
+    or `x_m_m`); every other written column is one window buffer, which the next window overwrites, so `on_window`
+    uses a window before it returns.  `rng`, the velocity-noise generator, is None in a run without noise, so such
+    a run never imports `numpy.random`.
     """
 
     def __init__(self, scenario: Scenario, on_window=None):
@@ -331,7 +333,7 @@ class Simulator:
         self.C_f = scenario.C_f
         self.alpha_true = RatioReport.from_configs(scenario.plant, dob, rfob).alpha
         self._mn_over_kfn = scenario.dob.M_mn / scenario.dob.K_Fn
-        self.rng = np.random.default_rng(scenario.seed)
+        self.rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
         self.design_events: list[DesignEvent] = []
 
         ident = scenario.ident
@@ -364,7 +366,7 @@ class Simulator:
             acc += p.duration
             bounds.append(int(round(acc / self.dt)))
         self._phase_bounds = bounds
-        self._phase_folds = [([], []) for _ in scenario.phases]  # per window: |reference| fmax, largest RFOB error
+        self._phase_folds = [[] for _ in scenario.phases]  # per window: the largest RFOB error over the phase's rows
         self._phase_idx = 0
         self._next_bound = 0  # the first step enters the schedule
         self._bank_nc_last_k = -10
@@ -526,22 +528,21 @@ class Simulator:
         return bool(np.any(est.covariance_contraction() > 0.5))
 
     def _summarize_window(self, base: int, window: dict[str, np.ndarray]) -> None:
-        """Fold the window of steps from `base` into each phase it covers: the largest |reference| and the largest
-        RFOB error over the phase's rows in it."""
+        """Fold the window of steps from `base` into each phase it covers: the largest RFOB error over the phase's
+        rows in it, the one summary input that the columns held whole after the run cannot give."""
         bounds, end = self._phase_bounds, base + window["t_s"].size
-        for i, phase in enumerate(self.sc.phases):
+        F_hat, F_load = window["F_hat_load_N"], window["F_load_N"]
+        for i, rfob_maxes in enumerate(self._phase_folds):
             b0, b1 = max(bounds[i], base) - base, min(bounds[i + 1], end) - base
             if b0 < b1:
-                ref, scales, rfob_maxes = window[_TRACKED[phase.mode][0]], *self._phase_folds[i]
-                scales.append(np.fmax.reduce(np.abs(ref[b0:b1])))
-                rfob_maxes.append(np.max(np.abs(window["F_hat_load_N"][b0:b1] - window["F_load_N"][b0:b1])))
+                rfob_maxes.append(np.max(np.abs(F_hat[b0:b1] - F_load[b0:b1])))
 
     def _summarize_phases(self, ts: dict[str, np.ndarray]) -> list[PhaseSummary]:
         """Per phase: the mean tracking error over its last 20%, the settling time into 1% of its largest reference
-        and the largest RFOB error.  The reference scale and the RFOB error come folded from the windows
-        (`_summarize_window`; fmax.reduce per window, then nanmax, is nanmax with its all-NaN warning).  The settling
-        time runs NOISE_BLOCK steps at a time over `ts`, which holds each reference in use and its tracked output
-        full-length, and the tail takes one np.mean, whose pairwise sum fixes ss_error's bits."""
+        and the largest RFOB error.  The RFOB error comes folded from the windows (`_summarize_window`).  The
+        reference scale and the settling time run NOISE_BLOCK steps at a time over `ts`, which holds each reference
+        in use and its tracked output full-length (fmax.reduce per block, then nanmax, is nanmax with its all-NaN
+        warning), and the tail takes one np.mean, whose pairwise sum fixes ss_error's bits."""
         out: list[PhaseSummary] = []
         n, dt = self._k, self.dt
         for i, phase in enumerate(self.sc.phases):
@@ -550,11 +551,11 @@ class Simulator:
             if k1 <= k0:
                 continue
             ref, y = (ts[name] for name in _TRACKED[phase.mode])
-            scales, rfob_maxes = self._phase_folds[i]
-            ref_scale = max(np.nanmax(np.array(scales)), 1e-12)  # an array: nanmax warns "All-NaN slice" on it
+            blocks = [(b0, min(b0 + NOISE_BLOCK, k1)) for b0 in range(k0, k1, NOISE_BLOCK)]
+            scales = np.array([np.fmax.reduce(np.abs(ref[b0:b1])) for b0, b1 in blocks])
+            ref_scale = max(np.nanmax(scales), 1e-12)  # an array: nanmax warns "All-NaN slice" on it
             last = k0 - 1  # the last step outside the band
-            for b0 in range(k0, k1, NOISE_BLOCK):
-                b1 = min(b0 + NOISE_BLOCK, k1)
+            for b0, b1 in blocks:
                 outside = np.flatnonzero(~(np.abs(y[b0:b1] - ref[b0:b1]) < 0.01 * ref_scale))
                 last = b0 + int(outside[-1]) if outside.size else last
             tail = max(1, int(0.2 * (k1 - k0)))
@@ -562,7 +563,7 @@ class Simulator:
             ss_error = float(np.mean(np.abs(err, out=err)))
             # t_s[last + 1] - t_start, with t_s[k] = k * dt + dt as the step loop writes it
             settle = float("nan") if last + 1 >= k1 else (last + 1) * dt + dt - k0 * dt
-            rfob_err = float(np.max(rfob_maxes))
+            rfob_err = float(np.max(self._phase_folds[i]))
             out.append(
                 PhaseSummary(
                     mode=phase.mode.value,
@@ -617,8 +618,8 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
     x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
     x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
-    noisy, normal, mn_over_kfn = noise_std > 0.0, self.rng.standard_normal, self._mn_over_kfn
-    tanh = math.tanh
+    noisy, mn_over_kfn = noise_std > 0.0, self._mn_over_kfn
+    tanh, normal = math.tanh, self.rng.standard_normal if noisy else None  # a run without noise has no generator
     dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
     b_v = 1.0 - c_v if c_v is not None else 0.0
     th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell

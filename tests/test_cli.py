@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rfobkit.cli as cli
 import rfobkit.engine
-from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, main, write_timeseries_csv
+from rfobkit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_OK, main
 from rfobkit.config import SCHEMA, ConfigError, build_scenario, parse_config
 from rfobkit.engine import (CONTACT_MODE_NAMES, CTRL_MODE_NAMES, NOISE_BLOCK, TIMESERIES_COLUMNS, TRACE_COLUMNS, Scenario,
                             SimResult, run_scenario)
@@ -636,6 +636,25 @@ def test_design_and_analyze_run_with_numpy_blocked(tmp_path, capsys, command, cf
     assert got == expected
 
 
+@pytest.mark.parametrize("noise", ["0", "1e-4"])
+def test_only_a_noisy_run_imports_numpy_random(tmp_path, noise):
+    """A fresh `simulate` on sim_force_step.cfg and `identify` on identify_env.cfg cut to 0.2 s leave numpy.random,
+    about 5 MB resident, unloaded; their twins with velocity noise load it for their generator."""
+    texts = {"simulate": SIM_CFG, "identify": ENV_1S_CFG.replace("duration_s = 1.0", "duration_s = 0.2")}
+    loaded = {}
+    for command, text in texts.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text.replace("velocity_filter = off", f"velocity_filter = off\nnoise_std_m_per_s = {noise}"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from rfobkit.cli import main; code = main(sys.argv[1:]); "
+                                   "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)",
+             command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv")],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        loaded[command] = proc.stderr
+    assert loaded == dict.fromkeys(texts, f"{noise != '0'}\n")
+
+
 def test_cmd_identify_plant(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["identify", "--config", str(CONFIGS / "identify_plant.cfg"), "--out", str(out)])
@@ -1156,6 +1175,15 @@ def test_cmd_analyze_writes_null_poles_of_a_loop_above_third_order(tmp_path, cap
 # CSV writer
 # ---------------------------------------------------------------------------
 
+def chunked_csv(res: SimResult, path, columns=TIMESERIES_COLUMNS) -> None:
+    """The header, then `res`'s record through `cli._write_chunk` NOISE_BLOCK rows at a time, the windows in which
+    `cli._run_and_write` writes a run."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for i in range(0, res.n_steps, NOISE_BLOCK):
+            cli._write_chunk(fh, columns, {name: res.ts[name][i:i + NOISE_BLOCK] for name in columns})
+
+
 def per_cell_csv(res: SimResult, columns) -> str:
     """The per-cell writer that the row-template writer replaced."""
     lines = [",".join(columns)]
@@ -1195,8 +1223,8 @@ def synthetic_result(n: int) -> SimResult:
 
 
 # around one chunk and one block of rows; the last two counts end their last chunk partway through a block
-WRITER_ROW_COUNTS = [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1, cli.CSV_CHUNK_ROWS,
-                     cli.CSV_CHUNK_ROWS + cli.CSV_BLOCK_ROWS + 5, 2 * cli.CSV_CHUNK_ROWS + 7]
+WRITER_ROW_COUNTS = [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1, NOISE_BLOCK,
+                     NOISE_BLOCK + cli.CSV_BLOCK_ROWS + 5, 2 * NOISE_BLOCK + 7]
 
 
 @pytest.mark.parametrize("columns", [TIMESERIES_COLUMNS, TRACE_COLUMNS], ids=["timeseries", "trace"])
@@ -1204,7 +1232,7 @@ WRITER_ROW_COUNTS = [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_B
 def test_csv_writer_matches_per_cell_reference(tmp_path, columns, n):
     res = synthetic_result(n)
     out = tmp_path / "out.csv"
-    write_timeseries_csv(res, str(out), columns=columns)
+    chunked_csv(res, str(out), columns)
     assert out.read_bytes() == per_cell_csv(res, columns).encode("utf-8")
     if n == 0:
         assert out.read_text() == ",".join(columns) + "\n"
@@ -1214,7 +1242,7 @@ def constant_columns_result(n: int) -> SimResult:
     """Columns built to hit every folding case of the chunked writer."""
     res = synthetic_result(n)
     ts = res.ts
-    c = cli.CSV_CHUNK_ROWS
+    c = NOISE_BLOCK
     first = np.arange(n) < c
     ts["F_ref_N"] = np.full(n, np.nan)                       # all NaN
     ts["x_ref_m"] = np.full(n, -0.0)                         # only -0.0
@@ -1236,10 +1264,10 @@ def constant_columns_result(n: int) -> SimResult:
 def test_csv_writer_folds_constant_columns_exactly(tmp_path, columns, n):
     res = constant_columns_result(n)
     out = tmp_path / "out.csv"
-    write_timeseries_csv(res, str(out), columns=columns)
+    chunked_csv(res, str(out), columns)
     text = out.read_text()
     assert out.read_bytes() == per_cell_csv(res, columns).encode("utf-8")
-    if n > 2 * cli.CSV_CHUNK_ROWS:
+    if n > 2 * NOISE_BLOCK:
         # a mixed 0.0/-0.0 column must not fold into either sign
         innov = [row.split(",")[columns.index("innov_nc_N")] for row in text.splitlines()[1:5]]
         assert innov == ["0", "-0", "0", "-0"]
@@ -1247,7 +1275,7 @@ def test_csv_writer_folds_constant_columns_exactly(tmp_path, columns, n):
         assert len(set(tail)) == 1
 
 
-@pytest.mark.parametrize("n", [cli.CSV_BLOCK_ROWS + 1, cli.CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("n", [cli.CSV_BLOCK_ROWS + 1, NOISE_BLOCK + 3])
 def test_csv_writer_formats_blocks_whose_only_varying_column_is_a_mode(tmp_path, n):
     # every float column folds, so each block's cells are the contact_mode names alone
     res = synthetic_result(n)
@@ -1255,7 +1283,7 @@ def test_csv_writer_formats_blocks_whose_only_varying_column_is_a_mode(tmp_path,
         if name != "contact_mode":
             res.ts[name] = np.zeros(n, dtype=res.ts[name].dtype)
     out = tmp_path / "out.csv"
-    write_timeseries_csv(res, str(out))
+    chunked_csv(res, str(out))
     assert out.read_bytes() == per_cell_csv(res, TIMESERIES_COLUMNS).encode("utf-8")
     assert out.read_text().splitlines()[1:4] == ["0,0,0,0,0,0,0,0,0,0,force,%s,0,0,0,0,0,0,0,0,0,0,0" % m
                                                  for m in CONTACT_MODE_NAMES]
@@ -1266,7 +1294,7 @@ def test_csv_writer_matches_per_cell_reference_on_a_run(tmp_path):
 
     res = run_scenario(build_scenario(parse_config(SIM_CFG)))
     out = tmp_path / "out.csv"
-    write_timeseries_csv(res, str(out))
+    chunked_csv(res, str(out))
     assert out.read_bytes() == per_cell_csv(res, TIMESERIES_COLUMNS).encode("utf-8")
 
 
@@ -1282,10 +1310,10 @@ def test_simulate_csv_hash_is_pinned(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _whole_record_run_and_write(scenario, out, columns):
-    """`cli._run_and_write` with every column held whole: write_timeseries_csv(run_scenario(sc)) and summary_dict()."""
+    """`cli._run_and_write` with every column held whole: chunked_csv(run_scenario(sc)) and summary_dict()."""
     res = run_scenario(scenario)
     if out:
-        write_timeseries_csv(res, out, columns)
+        chunked_csv(res, out, columns)
         summary = res.summary_dict()
         summary["csv_schema"] = cli.CSV_SCHEMA_VERSION
         Path(out + ".summary.json").write_text(cli._json_text(summary), encoding="utf-8")

@@ -211,14 +211,17 @@ def assert_same_run(sc, sim=None):
 
 
 def assert_same_record(sim, res, ref, ref_res):
-    """`sim`'s result `res` is `ref`'s `ref_res` bit for bit, with the same estimator and generator state."""
+    """`sim`'s result `res` is `ref`'s `ref_res` bit for bit, with the same estimator state and, in a noisy run,
+    generator state; a run without noise builds no generator."""
     assert res.n_steps == ref_res.n_steps and res.diverged_step == ref_res.diverged_step
     assert set(res.ts) == set(TIMESERIES_COLUMNS)
     for name in TIMESERIES_COLUMNS:
         assert res.ts[name].dtype == ref_res.ts[name].dtype, name
         assert res.ts[name].tobytes() == ref_res.ts[name].tobytes(), name
     assert repr(res.design_events) == repr(ref_res.design_events)  # repr: NaN fields compare too
-    if not res.diverged:  # the chunked draws took exactly the reference's scalar draws from the stream
+    if sim.sc.noise_std == 0.0:
+        assert sim.rng is None
+    elif not res.diverged:  # the chunked draws took exactly the reference's scalar draws from the stream
         assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
     for est, ref_est in ((sim.est_nc, ref.est_nc), (sim.est_c, ref.est_c)):
         assert (est is None) == (ref_est is None)
@@ -1090,7 +1093,8 @@ def _whole_phase_summaries(sim, ts):
 
 def assert_summaries_match_the_whole_phase_formula(sim, ts):
     """The block-wise summary of `ts`, handed to `sim` NOISE_BLOCK steps at a time as the step loop's windows are,
-    gives the whole-phase formula's floats (NaN included) and its warnings.  `sim` has recorded no window yet."""
+    gives the whole-phase formula's floats (NaN included) and its warnings.  `sim` has recorded no window yet; the
+    windows leave one RFOB-error maximum per window a phase covers in that phase's fold."""
     with warnings.catch_warnings(record=True) as caught_ref:
         warnings.simplefilter("always")
         expected = _whole_phase_summaries(sim, ts)
@@ -1100,6 +1104,9 @@ def assert_summaries_match_the_whole_phase_formula(sim, ts):
             sim._summarize_window(base, {name: a[base:base + NOISE_BLOCK] for name, a in ts.items()})
         got = [(s.ss_error, s.settling_time, s.max_rfob_error) for s in sim._summarize_phases(ts)]
     assert [[v.hex() for v in s] for s in got] == [[v.hex() for v in s] for s in expected]
+    bounds = [min(b, sim._k) for b in sim._phase_bounds]
+    assert [len(fold) for fold in sim._phase_folds] == [len({k // NOISE_BLOCK for k in range(b0, b1)})
+                                                        for b0, b1 in zip(bounds, bounds[1:])]
     assert {(w.category, str(w.message)) for w in caught} == {(w.category, str(w.message)) for w in caught_ref}
     return expected, {str(w.message) for w in caught_ref}
 

@@ -446,6 +446,52 @@ def test_generated_step_loop_reads_only_defined_globals():
     assert unresolved_globals(_compile_filled(planted, "_advance", vars(engine), dims)) == {"y_rr"}
 
 
+def locals_read_before_stored(fn) -> set[str]:
+    """The locals that fn's code loads with no store to them at an earlier offset, parameters aside: the check a
+    linter makes on source it can see, in offset order, so a local a loop carries must be stored before the loop.
+    LOAD_FAST_AND_CLEAR only saves a comprehension's variable, so it reads nothing."""
+    code, early = fn.__code__, set()
+    stored = set(code.co_varnames[:code.co_argcount + code.co_kwonlyargcount])
+    for ins in dis.get_instructions(code):
+        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)  # LOAD_FAST_LOAD_FAST reads two
+        for action, name in zip(re.findall(r"(LOAD|STORE)_FAST", ins.opname.replace("_AND_CLEAR", "_X")), names):
+            if action == "STORE":
+                stored.add(name)
+            elif name not in stored:
+                early.add(name)
+    return early
+
+
+@pytest.mark.parametrize("which", ["step_loop", "kernel_3", "kernel_4"])
+def test_generated_code_reads_no_local_before_storing_it(which):
+    if which == "step_loop":
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "sim_force_step.cfg"
+        Simulator(build_scenario(parse_config(cfg.read_text())))._advance(0)  # the first call installs the loop
+        fn = Simulator._advance
+        assert fn.__code__.co_filename.startswith("<_advance ")
+    else:
+        fn = _rlms_kernel(int(which[-1]))
+    assert locals_read_before_stored(fn) == set()
+
+
+# the update reads mu_x, so a store of mu_x after the update leaves a load before its store
+PLANTED_UPDATE = '''def f(s, bounds, rho, u, mu):
+    [*s_x], [*bounds_x], [*rho_x] = s, bounds, rho
+{before}    innov_x = RLMS_UPDATE(*rho_x, u)
+{after}    return innov_x
+'''
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_local_check_flags_a_load_placed_before_its_store(where):
+    source = PLANTED_UPDATE.format(**{key: "    mu_x = mu\n" if key == where else "" for key in ("before", "after")})
+    fn = _compile_filled(source, "f", {"math": math}, {"_x": 2})
+    assert locals_read_before_stored(fn) == (set() if where == "before" else {"mu_x"})
+    if where == "before":  # the filled update is the estimator's own
+        est = RlmsEstimator((0.5, 1.0), (0.0, 0.0), (2.0, 2.0), gamma0=1.0, mu=1.0)
+        assert fn(est._state, est._bounds, [1.0, 0.0], 1.5, 1.0) == est.update((1.0, 0.0), 1.5)
+
+
 # ---------------------------------------------------------------------------
 # regressor banks
 # ---------------------------------------------------------------------------
