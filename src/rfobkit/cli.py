@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import config as cfgmod
 from .config import ConfigDocument, ConfigError, parse_config
-from .design import DesignResult, EnvClass, InfeasibleDesignError, classify_environment, design_for_env, split_alpha_g
+from .design import EnvClass, InfeasibleDesignError, classify_environment, design_for_env, split_alpha_g
 from .loop_model import PhiPoly, asymptote_angles, closed_loop_char_poly, open_loop_general, poles, rhp_zero_check
 from .observers import RatioReport, robustness_bound_check
 from .plant import EnvImpedance
@@ -83,57 +83,60 @@ def _load_config(path: str) -> ConfigDocument:
     return parse_config(text)
 
 
-def _run_design(doc: ConfigDocument) -> tuple[DesignResult, EnvImpedance]:
-    """Design for the configured case; also returns the environment projected onto that case."""
-    m, g_v = doc.get("plant", "M_m_kg"), doc.get("dob", "g_v_rad_per_s")
-    for where, v in (("[plant] M_m_kg", m), ("[dob] g_v_rad_per_s", g_v)):
-        if not 0.0 < v < math.inf:  # NaN fails too
-            raise ConfigError(f"{where} must be finite and > 0, got {v}")
-    env = cfgmod.build_env(doc)
-    case = doc.get("design", "case")
-    if case != "auto":
-        case = EnvClass(case)
-    else:
-        try:
-            case = classify_environment(env)
-        except ValueError as exc:
-            raise ConfigError(f"[environment] {exc}") from None
-    if (case is not EnvClass.PURE_STIFFNESS and env.D_env == 0.0
-            or case is not EnvClass.PURE_DAMPING and env.K_env == 0.0):
-        raise ConfigError(f"[design] case = {case.value} needs a nonzero value of each impedance term it "
-                          f"designs for, got D_env = {env.D_env:g}, K_env = {env.K_env:g}")
-    if case is EnvClass.PURE_DAMPING:
-        env = EnvImpedance(D_env=env.D_env)
-    elif case is EnvClass.PURE_STIFFNESS:
-        env = EnvImpedance(K_env=env.K_env)
-    return design_for_env(m, env, g_v, *cfgmod.build_design_specs(doc)), env
+def _design_inputs(doc: ConfigDocument, inputs: dict, section: str | None = None) -> dict:
+    """Read and check into `inputs` every design input, or only those `section` feeds; returns `inputs`.
+
+    [plant] feeds M_m, [dob] g_v, [environment] the environment and its case projection, [design] the
+    projection, the specs and alpha (which `_design` checks after designing); no other section feeds any.
+    """
+    every = section is None
+    for name, where, key in (("M_m", "plant", "M_m_kg"), ("g_v", "dob", "g_v_rad_per_s")):
+        if every or section == where:
+            v = inputs[name] = doc.get(where, key)
+            if not 0.0 < v < math.inf:  # NaN fails too
+                raise ConfigError(f"[{where}] {key} must be finite and > 0, got {v}")
+    if every or section == "environment":
+        inputs["env_read"] = cfgmod.build_env(doc)
+    if every or section in ("environment", "design"):
+        env, case = inputs["env_read"], doc.get("design", "case")
+        if case != "auto":
+            case = EnvClass(case)
+        else:
+            try:
+                case = classify_environment(env)
+            except ValueError as exc:
+                raise ConfigError(f"[environment] {exc}") from None
+        if (case is not EnvClass.PURE_STIFFNESS and env.D_env == 0.0
+                or case is not EnvClass.PURE_DAMPING and env.K_env == 0.0):
+            raise ConfigError(f"[design] case = {case.value} needs a nonzero value of each impedance term it "
+                              f"designs for, got D_env = {env.D_env:g}, K_env = {env.K_env:g}")
+        if case is EnvClass.PURE_DAMPING:
+            env = EnvImpedance(D_env=env.D_env)
+        elif case is EnvClass.PURE_STIFFNESS:
+            env = EnvImpedance(K_env=env.K_env)
+        inputs["env"] = env
+    if every or section == "design":
+        inputs["specs"], inputs["alpha"] = cfgmod.build_design_specs(doc), doc.get("design", "alpha")
+    return inputs
 
 
-def _design_report(doc: ConfigDocument, result: DesignResult, env: EnvImpedance) -> dict:
-    alpha = cfgmod.build_design_alpha(doc)
-    g = split_alpha_g(result, alpha)
-    achieved = closed_loop_char_poly(result.case, doc.get("plant", "M_m_kg"), result.alpha_g, result.C_f, env)
+def _design(inputs: dict) -> dict:
+    """The `design` report: the design for `_design_inputs`' environment projection, split by alpha."""
+    m, env, alpha = inputs["M_m"], inputs["env"], inputs["alpha"]
+    result = design_for_env(m, env, inputs["g_v"], *inputs["specs"])
+    try:
+        g = split_alpha_g(result, alpha)
+    except ValueError as exc:
+        raise ConfigError(f"[design] {exc}") from None
+    achieved = closed_loop_char_poly(result.case, m, result.alpha_g, result.C_f, env)
+    xi, w_n, p = result.xi, result.w_n, result.p
     if result.case is EnvClass.PURE_DAMPING:
-        target = (1.0, 2.0 * result.xi * result.w_n, result.w_n ** 2)
+        target = (1.0, 2.0 * xi * w_n, w_n ** 2)
     else:
-        target = (
-            1.0,
-            2.0 * result.xi * result.w_n + result.p,
-            result.w_n ** 2 + 2.0 * result.xi * result.w_n * result.p,
-            result.w_n ** 2 * result.p,
-        )
-    max_rel = max(
-        abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved, target)
-    )
+        target = (1.0, 2.0 * xi * w_n + p, w_n ** 2 + 2.0 * xi * w_n * p, w_n ** 2 * p)
     out = result.as_dict()
-    out.update({
-        "alpha": alpha,
-        "g_dob": g,
-        "g_rfob": g,
-        "char_poly_achieved": list(achieved),
-        "char_poly_target": list(target),
-        "char_poly_max_rel_dev": max_rel,
-    })
+    out.update(alpha=alpha, g_dob=g, g_rfob=g, char_poly_achieved=list(achieved), char_poly_target=list(target),
+               char_poly_max_rel_dev=max(abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved, target)))
     return out
 
 
@@ -184,6 +187,8 @@ def cmd_design(args) -> int:
     doc = _load_config(args.config)
     if args.sweep:
         section, key, values = _parse_sweep(args.sweep)
+        if section == "phase":  # a config holds one [phase] section per phase
+            raise ConfigError(f"--sweep target [phase] {key}: phase keys cannot be swept")
         spec = cfgmod.SCHEMA.get(section, {}).get(key)
         if spec is None:
             raise ConfigError(f"--sweep target [{section}] {key} is not a known key")
@@ -195,18 +200,18 @@ def cmd_design(args) -> int:
                 raise ConfigError(f"--sweep needs section [{section}] in the config "
                                   f"(required keys: {', '.join(missing)})")
             doc.sections[section] = {k: s.default for k, s in cfgmod.SCHEMA[section].items()}
-        rows = []
-        for v in values:
-            doc.sections[section][key] = float(v)
-            rep = _design_report(doc, *_run_design(doc))
-            rep["sweep_value"] = float(v)
+        rows, inputs = [], {}
+        for v in values.tolist():
+            doc.sections[section][key] = v
+            rep = _design(_design_inputs(doc, inputs, section if inputs else None))  # all inputs at the first point
+            rep["sweep_value"] = v
             rows.append(rep)
             print(f"{key} = {_fmt(v)}: alpha_g = {_fmt(rep['alpha_g'])}, C_f = {_fmt(rep['C_f'])}, "
                   f"w_n = {_fmt(rep['w_n'])}, feasible = {rep['feasible']}")
         if args.out:
             Path(args.out).write_text(_json_text(rows), encoding="utf-8")
         return EXIT_OK
-    rep = _design_report(doc, *_run_design(doc))
+    rep = _design(_design_inputs(doc, {}))
     _print_design_report(rep)
     if args.out:
         Path(args.out).write_text(_json_text(rep), encoding="utf-8")

@@ -974,6 +974,70 @@ def test_cmd_design_sweep_fills_a_missing_section_with_its_defaults(tmp_path, ca
     assert [row["sweep_value"] for row in json.loads(outputs[0][1])] == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("spec", ["phase.offset=1:2:2", "phase.mode=0:1:2", "phase.bogus=0:1:2"])
+def test_cmd_design_sweep_of_a_phase_key_is_config_error(capsys, spec):
+    """[phase] may repeat, one section per phase, so no [phase] key sweeps, whatever its type."""
+    key = spec.split("=")[0].split(".")[1]
+    assert main(["design", "--config", str(CONFIGS / "identify_env.cfg"), "--sweep", spec]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"configuration error: --sweep target [phase] {key}: phase keys cannot be swept\n")
+
+
+def _with_value(text: str, section: str, key: str, value: float) -> str:
+    """`text` with `key = repr(value)` as the first line of [section], which is appended when missing."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value!r}")
+    text = "\n".join(lines) + "\n"
+    assert parse_config(text).get(section, key) == value
+    return text
+
+
+@pytest.mark.parametrize("spec", [
+    "plant.M_m_kg=1:5:3", "dob.g_v_rad_per_s=500:2000:3", "environment.D_env_Ns_per_m=0.5:20:3",
+    "environment.K_env_N_per_m=100:100000:4:log", "design.k_hint=0.2:0.8:3", "design.alpha=0.5:2:3",
+    "friction.k_vsc_Ns_per_m=0:1:3",
+])
+def test_cmd_design_sweep_rows_are_the_single_designs_of_their_values(tmp_path, capsys, spec):
+    """Each row less its sweep_value is the `design --out` report of the config with that value written in."""
+    target, grid = spec.split("=")
+    section, key = target.split(".")
+    out, cfg, single = tmp_path / "sweep.json", tmp_path / "point.cfg", tmp_path / "point.json"
+    code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--out", str(out), "--sweep", spec])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads(out.read_text())
+    assert len(rows) == len(lines) == int(grid.split(":")[2])
+    for row, line in zip(rows, lines):
+        v = row.pop("sweep_value")
+        cfg.write_text(_with_value(DESIGN_CFG, section, key, v))
+        assert main(["design", "--config", str(cfg), "--out", str(single)]) == EXIT_OK
+        capsys.readouterr()
+        rep = json.loads(single.read_text())
+        assert row == rep
+        assert line == (f"{key} = {v:.10g}: alpha_g = {rep['alpha_g']:.10g}, C_f = {rep['C_f']:.10g}, "
+                        f"w_n = {rep['w_n']:.10g}, feasible = {rep['feasible']}")
+
+
+@pytest.mark.parametrize("spec, earlier, message", [
+    ("plant.M_m_kg=1:-1:3", "plant.M_m_kg=1:1:1", "[plant] M_m_kg must be finite and > 0, got 0.0"),
+    ("environment.K_env_N_per_m=6500:-6500:3", "environment.K_env_N_per_m=6500:0:2",
+     "[environment] K_env must be >= 0, got -6500.0"),
+])
+def test_cmd_design_sweep_failing_at_an_interior_point_keeps_the_earlier_lines(tmp_path, capsys, spec, earlier,
+                                                                               message):
+    """A failing point ends the run: the earlier points' lines stay on stdout, and no JSON is written."""
+    cfg, out = str(CONFIGS / "design_combined.cfg"), tmp_path / "sweep.json"
+    assert main(["design", "--config", cfg, "--sweep", earlier]) == EXIT_OK
+    earlier_out = capsys.readouterr().out
+    assert main(["design", "--config", cfg, "--out", str(out), "--sweep", spec]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (earlier_out, f"configuration error: {message}\n")
+    assert earlier_out.count("\n") == int(earlier.split(":")[-1]) and not out.exists()
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("gamma0_c = 1e6", "gamma0_c = nan", "configuration error: [identify] gamma0 must be positive"),
     ("velocity_filter = off", "velocity_filter = off\nadaptation = online\n[design]\nalpha = nan",
