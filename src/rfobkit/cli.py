@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -32,10 +34,6 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 
 CSV_SCHEMA_VERSION = "timeseries-v1"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.10g}"
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -146,11 +144,11 @@ def _print_design_report(rep: dict) -> None:
         v = rep.get(name)
         if v is None:
             continue
-        print(f"  {name:10s} = {_fmt(v)}")
+        print(f"  {name:10s} = {v:.10g}")
     for name, v in sorted(rep["report"].items()):
-        print(f"  {name:24s} = {_fmt(v)}")
-    print(f"  char poly achieved = [{', '.join(_fmt(c) for c in rep['char_poly_achieved'])}]")
-    print(f"  char poly target   = [{', '.join(_fmt(c) for c in rep['char_poly_target'])}]")
+        print(f"  {name:24s} = {v:.10g}")
+    print(f"  char poly achieved = [{', '.join(f'{c:.10g}' for c in rep['char_poly_achieved'])}]")
+    print(f"  char poly target   = [{', '.join(f'{c:.10g}' for c in rep['char_poly_target'])}]")
     print(f"  max relative deviation = {rep['char_poly_max_rel_dev']:.3e}")
     for note in rep["notes"]:
         print(f"  note: {note}")
@@ -183,6 +181,15 @@ def _parse_sweep(spec: str) -> tuple[str, str, np.ndarray]:
     return section, key, values
 
 
+def _create_beside(path: str):
+    """A new text file in `path`'s directory, under a name no other file has, created as `open(path, "w")` would."""
+    for n in itertools.count():
+        try:
+            return open(f"{path}.{os.getpid()}.{n}.tmp", "x", encoding="utf-8")
+        except FileExistsError:
+            continue
+
+
 def cmd_design(args) -> int:
     doc = _load_config(args.config)
     if args.sweep:
@@ -200,16 +207,27 @@ def cmd_design(args) -> int:
                 raise ConfigError(f"--sweep needs section [{section}] in the config "
                                   f"(required keys: {', '.join(missing)})")
             doc.sections[section] = {k: s.default for k, s in cfgmod.SCHEMA[section].items()}
-        rows, inputs = [], {}
-        for v in values.tolist():
-            doc.sections[section][key] = v
-            rep = _design(_design_inputs(doc, inputs, section if inputs else None))  # all inputs at the first point
-            rep["sweep_value"] = v
-            rows.append(rep)
-            print(f"{key} = {_fmt(v)}: alpha_g = {_fmt(rep['alpha_g'])}, C_f = {_fmt(rep['C_f'])}, "
-                  f"w_n = {_fmt(rep['w_n'])}, feasible = {rep['feasible']}")
-        if args.out:
-            Path(args.out).write_text(_json_text(rows), encoding="utf-8")
+        fh = _create_beside(args.out) if args.out else None
+        try:
+            inputs, sep = {}, "[\n  "
+            for v in values.tolist():
+                doc.sections[section][key] = v
+                rep = _design(_design_inputs(doc, inputs, section if inputs else None))  # all inputs at the first point
+                rep["sweep_value"] = v
+                print(f"{key} = {v:.10g}: alpha_g = {rep['alpha_g']:.10g}, C_f = {rep['C_f']:.10g}, "
+                      f"w_n = {rep['w_n']:.10g}, feasible = {rep['feasible']}")
+                if fh:  # the rows of `_json_text(rows)`, one at a time
+                    fh.write(sep + _json_text(rep, "\n  "))
+                    sep = ",\n  "
+            if fh:
+                fh.write("\n]")
+                fh.close()
+                os.replace(fh.name, args.out)
+        except BaseException:
+            if fh:
+                fh.close()
+                os.unlink(fh.name)
+            raise
         return EXIT_OK
     rep = _design(_design_inputs(doc, {}))
     _print_design_report(rep)
@@ -254,20 +272,20 @@ def cmd_analyze(args) -> int:
         "bandwidth_bound_passed": bound.passed,
         "bandwidth_bound_margin": bound.margin,
     }
-    print(f"alpha = {_fmt(ratios.alpha)}   beta = {_fmt(ratios.beta)}")
+    print(f"alpha = {ratios.alpha:.10g}   beta = {ratios.beta:.10g}")
     if rep["beta_below_alpha"]:
         print("WARNING: beta < alpha: overestimated identified inertia, right-half-plane zero risk")
-    print(f"mismatch zeros: {', '.join(_fmt(z.real) + ('%+gj' % z.imag) for z in rhp.roots) or 'none'}")
+    print(f"mismatch zeros: {', '.join(f'{z.real:.10g}{z.imag:+g}j' for z in rhp.roots) or 'none'}")
     print(f"right-half-plane zero: {rhp.has_rhp}   marginal: {rhp.marginal}")
     print(f"relative degree: {loop.relative_degree}   asymptote angles: {angles} deg")
     if cl_poles is not None:
         for z in sorted(cl_poles, key=lambda z: z.real):
-            print(f"  closed-loop pole: {_fmt(z.real)} {z.imag:+.6g}j")
+            print(f"  closed-loop pole: {z.real:.10g} {z.imag:+.6g}j")
         print(f"closed-loop stable: {rep['closed_loop_stable']}")
     else:
         print("closed-loop poles: degree > 3, analytic pole listing unsupported")
     print(f"bandwidth bound alpha*g_dob <= g_v/2: {'pass' if bound.passed else 'FAIL'} "
-          f"(margin {_fmt(bound.margin)} rad/s)")
+          f"(margin {bound.margin:.10g} rad/s)")
     if args.out:
         Path(args.out).write_text(_json_text(rep), encoding="utf-8")
     return EXIT_OK
@@ -351,13 +369,13 @@ def cmd_simulate(args) -> int:
     print(f"steps: {res.n_steps}   diverged: {res.diverged}"
           + (f" at step {res.diverged_step}" if res.diverged else ""))
     for p in res.phase_summaries:
-        print(f"  phase {p.mode} [{_fmt(p.t_start)}, {_fmt(p.t_end)}] s: "
-              f"steady error {_fmt(p.ss_error)}, settling {_fmt(p.settling_time)} s, "
-              f"max observer error {_fmt(p.max_rfob_error)}")
+        print(f"  phase {p.mode} [{p.t_start:.10g}, {p.t_end:.10g}] s: "
+              f"steady error {p.ss_error:.10g}, settling {p.settling_time:.10g} s, "
+              f"max observer error {p.max_rfob_error:.10g}")
     for e in res.design_events:
         status = "applied" if e.applied else f"rejected ({e.note})"
-        print(f"  design event t = {_fmt(e.t)} s: {status}"
-              + (f", alpha_g = {_fmt(e.alpha_g)}, C_f = {_fmt(e.C_f)}, g = {_fmt(e.g)}" if e.applied else ""))
+        print(f"  design event t = {e.t:.10g} s: {status}"
+              + (f", alpha_g = {e.alpha_g:.10g}, C_f = {e.C_f:.10g}, g = {e.g:.10g}" if e.applied else ""))
     return EXIT_DIVERGED if res.diverged else EXIT_OK
 
 
@@ -388,9 +406,9 @@ def _print_estimates(what: str, names, values, truth) -> None:
     print(f"{what} estimates (value, truth, relative error):")
     for name, got, want in zip(names, values, truth):
         if want == 0.0:
-            print(f"  {name:16s} {_fmt(got):>14s} {'0':>12s} {_fmt(abs(got))} absolute")
+            print(f"  {name:16s} {got:>14.10g} {'0':>12s} {abs(got):.10g} absolute")
         else:
-            print(f"  {name:16s} {_fmt(got):>14s} {_fmt(want):>12s} {abs(got - want) / abs(want):.3%}")
+            print(f"  {name:16s} {got:>14.10g} {want:>12.10g} {abs(got - want) / abs(want):.3%}")
 
 
 @functools.cache

@@ -705,9 +705,8 @@ def test_cmd_simulate_prints_each_design_event(tmp_path, capsys, design, applied
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     events = json.loads((tmp_path / "online.csv.summary.json").read_text())["design_events"]
     assert [e["applied"] for e in events].count(True) == applied and len(events) == applied + rejected
-    fmt = cli._fmt
-    want = [f"  design event t = {fmt(e['t'])} s: "
-            + (f"applied, alpha_g = {fmt(e['alpha_g'])}, C_f = {fmt(e['C_f'])}, g = {fmt(e['g'])}" if e["applied"]
+    want = [f"  design event t = {e['t']:.10g} s: "
+            + (f"applied, alpha_g = {e['alpha_g']:.10g}, C_f = {e['C_f']:.10g}, g = {e['g']:.10g}" if e["applied"]
                else f"rejected ({e['note']})") for e in events]
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("  design event")] == want
     assert all(e["note"].startswith("designed cutoff too fast for the sample time: g*dt = ")
@@ -998,10 +997,11 @@ def _with_value(text: str, section: str, key: str, value: float) -> str:
 @pytest.mark.parametrize("spec", [
     "plant.M_m_kg=1:5:3", "dob.g_v_rad_per_s=500:2000:3", "environment.D_env_Ns_per_m=0.5:20:3",
     "environment.K_env_N_per_m=100:100000:4:log", "design.k_hint=0.2:0.8:3", "design.alpha=0.5:2:3",
-    "friction.k_vsc_Ns_per_m=0:1:3",
+    "friction.k_vsc_Ns_per_m=0:1:3", "plant.M_m_kg=3.02:3.02:1",
 ])
 def test_cmd_design_sweep_rows_are_the_single_designs_of_their_values(tmp_path, capsys, spec):
-    """Each row less its sweep_value is the `design --out` report of the config with that value written in."""
+    """Each row less its sweep_value is the `design --out` report of the config with that value written in, and
+    the file is the one-shot `_json_text` of its rows."""
     target, grid = spec.split("=")
     section, key = target.split(".")
     out, cfg, single = tmp_path / "sweep.json", tmp_path / "point.cfg", tmp_path / "point.json"
@@ -1010,6 +1010,7 @@ def test_cmd_design_sweep_rows_are_the_single_designs_of_their_values(tmp_path, 
     lines = capsys.readouterr().out.splitlines()
     rows = json.loads(out.read_text())
     assert len(rows) == len(lines) == int(grid.split(":")[2])
+    assert out.read_text() == cli._json_text(rows)
     for row, line in zip(rows, lines):
         v = row.pop("sweep_value")
         cfg.write_text(_with_value(DESIGN_CFG, section, key, v))
@@ -1028,7 +1029,8 @@ def test_cmd_design_sweep_rows_are_the_single_designs_of_their_values(tmp_path, 
 ])
 def test_cmd_design_sweep_failing_at_an_interior_point_keeps_the_earlier_lines(tmp_path, capsys, spec, earlier,
                                                                                message):
-    """A failing point ends the run: the earlier points' lines stay on stdout, and no JSON is written."""
+    """A failing point ends the run: the earlier points' lines stay on stdout, no JSON is written, no temporary
+    file is left beside --out, and an existing --out keeps its bytes."""
     cfg, out = str(CONFIGS / "design_combined.cfg"), tmp_path / "sweep.json"
     assert main(["design", "--config", cfg, "--sweep", earlier]) == EXIT_OK
     earlier_out = capsys.readouterr().out
@@ -1036,6 +1038,34 @@ def test_cmd_design_sweep_failing_at_an_interior_point_keeps_the_earlier_lines(t
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (earlier_out, f"configuration error: {message}\n")
     assert earlier_out.count("\n") == int(earlier.split(":")[-1]) and not out.exists()
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier report\n")
+    assert main(["design", "--config", cfg, "--out", str(out), "--sweep", spec]) == EXIT_CONFIG
+    assert capsys.readouterr().out == earlier_out
+    assert out.read_bytes() == b"an earlier report\n" and list(tmp_path.iterdir()) == [out]
+
+
+def test_cmd_design_sweep_memory_does_not_grow_with_its_grid(tmp_path):
+    """A sweep writes each point's report as it is designed, so its traced peak grows with the grid by no more than
+    the grid's floats (its array and its list, 40 B per point), plus 64 KiB."""
+    import contextlib
+    import tracemalloc
+
+    def peak(n: int) -> int:
+        argv = ["design", "--config", str(CONFIGS / "design_combined.cfg"),
+                "--sweep", f"environment.K_env_N_per_m=100:100000:{n}:log", "--out", str(tmp_path / "sweep.json")]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):  # captured lines would be traced
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(100)  # imports and builds the parser outside the trace
+    small, large = peak(100), peak(2000)
+    bound = 40 * (2000 - 100) + 64 * 1024
+    assert large - small < bound, (small, large, bound)
 
 
 @pytest.mark.parametrize("old, new, message", [
