@@ -119,6 +119,8 @@ def solve_cubic(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
         raise ValueError("a3 = 0: use solve_quadratic for degree-2 polynomials")
     scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
     b3, b2, b1, b0 = a3 / scale, a2 / scale, a1 / scale, a0 / scale
+    if b3 == 0.0:
+        raise ValueError(f"a3 = {a3:g} is 0 once scaled by max|a_i| = {scale:g}")
 
     terms = (
         18.0 * b3 * b2 * b1 * b0,

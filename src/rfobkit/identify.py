@@ -121,13 +121,8 @@ class RlmsEstimator:
             rho = rho.tolist()
         elif len(rho) != n:
             raise ValueError(f"regressor length {len(rho)} != estimate dimension {n}")
-        self._state, innovation = self._kernel(self._state, rho, self._bounds, float(u), self.mu)
+        self._state, innovation = _rlms_kernel(n)(self._state, rho, self._bounds, float(u), self.mu)
         return innovation
-
-    def _kernel(self, *args):
-        # runs on the first update only: the compiled kernel then shadows this method on the instance
-        self._kernel = _rlms_kernel(self.n)
-        return self._kernel(*args)
 
     def covariance_contraction(self) -> np.ndarray:
         """Eigenvalues of Gamma divided by the initial diagonal scale (identifiability probe)."""

@@ -32,10 +32,6 @@ class RationalTf:
     def relative_degree(self) -> int:
         return len(self.den) - len(self.num)
 
-    def __call__(self, s: complex) -> complex:
-        import numpy as np
-        return complex(np.polyval(self.num, s) / np.polyval(self.den, s))
-
     def closed_loop(self) -> "RationalTf":
         """Unity negative feedback: L / (1 + L)."""
         pad = (0.0,) * (len(self.den) - len(self.num))

@@ -547,14 +547,12 @@ options:
   -h, --help            show this help message and exit
 """, ""),
     "design --help": (0, """\
-usage: rfobkit design [-h] --config CONFIG [--out OUT] [--seed SEED]
-                      [--sweep SWEEP]
+usage: rfobkit design [-h] --config CONFIG [--out OUT] [--sweep SWEEP]
 
 options:
   -h, --help       show this help message and exit
   --config CONFIG  configuration file path
   --out OUT        output path (JSON report or CSV)
-  --seed SEED      override the scenario seed
   --sweep SWEEP    section.key=START:STOP:N[:lin|log] one design per grid
                    point
 """, ""),
@@ -562,6 +560,9 @@ options:
     "simulate": (2, "", SIMULATE_USAGE + "rfobkit simulate: error: the following arguments are required: --config\n"),
     "simulate --config sim.cfg --seed x":
         (2, "", SIMULATE_USAGE + "rfobkit simulate: error: argument --seed: invalid int value: 'x'\n"),
+    # only simulate and identify run a scenario, so only they take --seed
+    "design --config design.cfg --seed 1": (2, "", USAGE + "rfobkit: error: unrecognized arguments: --seed 1\n"),
+    "analyze --config analyze.cfg --seed 1": (2, "", USAGE + "rfobkit: error: unrecognized arguments: --seed 1\n"),
 }
 
 
@@ -801,20 +802,32 @@ def test_cmd_analyze_invalid_value_is_config_error(tmp_path, capsys, old, new, w
     assert err.startswith("configuration error:") and where in err
 
 
-def test_cmd_design_nonpositive_alpha_is_config_error(tmp_path):
+def test_cmd_design_nonpositive_alpha_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text(DESIGN_CFG.replace("alpha = 1.0", "alpha = 0.0"))
     assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+    capsys.readouterr()
+    # checked before designing: with K_env = 1e300 the design would be infeasible (exit 3)
+    cfg.write_text(DESIGN_CFG.replace("alpha = 1.0", "alpha = 0.0").replace("K_env_N_per_m = 6500.0",
+                                                                             "K_env_N_per_m = 1e300"))
+    assert main(["design", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: [design] alpha must be > 0, got 0.0\n"
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("M_m_kg = 3.02", "M_m_kg = nan", "[plant] M_m_kg must be finite and > 0, got nan"),
-    ("M_m_kg = 3.02", "M_m_kg = 0.0", "[plant] M_m_kg must be finite and > 0, got 0.0"),
-    ("M_m_kg = 3.02", "M_m_kg = -3.02", "[plant] M_m_kg must be finite and > 0, got -3.02"),
-    ("M_m_kg = 3.02", "M_m_kg = inf", "[plant] M_m_kg must be finite and > 0, got inf"),
-    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = nan", "[dob] g_v_rad_per_s must be finite and > 0, got nan"),
-    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = -1000.0",
-     "[dob] g_v_rad_per_s must be finite and > 0, got -1000.0"),
+    ("M_m_kg = 3.02", "M_m_kg = nan", "[plant] M_m must be > 0, got nan"),
+    ("M_m_kg = 3.02", "M_m_kg = 0.0", "[plant] M_m must be > 0, got 0.0"),
+    ("M_m_kg = 3.02", "M_m_kg = -3.02", "[plant] M_m must be > 0, got -3.02"),
+    ("M_m_kg = 3.02", "M_m_kg = inf", "[plant] M_m must be finite, got inf"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = nan", "[dob] g_v must be > 0, got nan"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = -1000.0", "[dob] g_v must be > 0, got -1000.0"),
+    # values no design formula reads are checked too, by the builders simulate and analyze use
+    ("K_F_N_per_A = 0.5", "K_F_N_per_A = inf", "[plant] K_F must be finite, got inf"),
+    ("K_F_N_per_A = 0.5", "K_F_N_per_A = 0.5\nF_d_N = nan", "[plant] F_d must be finite, got nan"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = 1000.0\nM_mn_kg = nan", "[dob] M_mn must be > 0, got nan"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = 1000.0\nK_Fn_N_per_A = 0.0", "[dob] K_Fn must be > 0, got 0.0"),
+    ("g_v_rad_per_s = 1000.0", "g_v_rad_per_s = 1000.0\ng_dob_rad_per_s = inf",
+     "[dob] g_dob must be finite, got inf"),
 ])
 def test_cmd_design_rejects_a_bad_mass_or_velocity_cutoff(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
@@ -825,8 +838,8 @@ def test_cmd_design_rejects_a_bad_mass_or_velocity_cutoff(tmp_path, capsys, old,
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("plant.M_m_kg=-1:1:3", "[plant] M_m_kg must be finite and > 0, got -1.0"),
-    ("dob.g_v_rad_per_s=0:1000:3", "[dob] g_v_rad_per_s must be finite and > 0, got 0.0"),
+    ("plant.M_m_kg=-1:1:3", "[plant] M_m must be > 0, got -1.0"),
+    ("dob.g_v_rad_per_s=0:1000:3", "[dob] g_v must be > 0, got 0.0"),
 ])
 def test_cmd_design_sweep_rejects_a_bad_mass_or_velocity_cutoff(capsys, spec, message):
     code = main(["design", "--config", str(CONFIGS / "design_combined.cfg"), "--sweep", spec])
@@ -1023,7 +1036,7 @@ def test_cmd_design_sweep_rows_are_the_single_designs_of_their_values(tmp_path, 
 
 
 @pytest.mark.parametrize("spec, earlier, message", [
-    ("plant.M_m_kg=1:-1:3", "plant.M_m_kg=1:1:1", "[plant] M_m_kg must be finite and > 0, got 0.0"),
+    ("plant.M_m_kg=1:-1:3", "plant.M_m_kg=1:1:1", "[plant] M_m must be > 0, got 0.0"),
     ("environment.K_env_N_per_m=6500:-6500:3", "environment.K_env_N_per_m=6500:0:2",
      "[environment] K_env must be >= 0, got -6500.0"),
 ])
@@ -1263,6 +1276,19 @@ def test_cmd_analyze_writes_null_poles_of_a_loop_above_third_order(tmp_path, cap
         b'  "phi_roots": [\n    [\n      -3250.0,\n      0.0\n    ]\n  ],\n'
         b'  "relative_degree": 2,\n  "rhp_marginal": false,\n  "rhp_zero": false\n}'
     )
+
+
+def test_cmd_analyze_writes_null_poles_of_a_cubic_it_cannot_scale(tmp_path, capsys):
+    # the closed loop (1e-25, 2, 1e300, 5e277) is a cubic whose leading coefficient is 0 once scaled
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(ANALYZE_CFG.replace("3.02", "1e-25").replace("6.04", "1e-25").replace("6500.0", "1e300")
+                   .replace("250.0", "500.0").replace("1.25", "1.0"))
+    out = tmp_path / "tiny.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert ("closed-loop poles: a3 = 1e-25 is 0 once scaled by max|a_i| = 1e+300, "
+            "analytic pole listing unsupported\n") in capsys.readouterr().out
+    rep = json.loads(out.read_text())
+    assert (rep["closed_loop_poles"], rep["closed_loop_stable"], rep["relative_degree"]) == (None, None, 2)
 
 
 # ---------------------------------------------------------------------------

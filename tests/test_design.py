@@ -454,6 +454,12 @@ def test_solve_cubic_rejects_quadratic():
         solve_cubic(0.0, 1.0, 2.0, 3.0)
 
 
+def test_solve_cubic_rejects_a_leading_coefficient_that_scales_to_zero():
+    # a3 / max|a_i| underflows to 0: the scaled cubic is a quadratic, as with a3 == 0
+    with pytest.raises(ValueError, match=r"a3 = 1e-300 is 0 once scaled by max\|a_i\| = 1e\+100"):
+        solve_cubic(1e-300, 0.0, 0.0, 1e100)
+
+
 def test_solve_cubic_tiny_leading_coefficient():
     # dominant-root regime: direct closed forms cancel catastrophically here
     c = (-1.51547717e-05, 1.56739775e+03, 5.06321766e+01, 7.68584146e-02)
