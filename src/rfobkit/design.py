@@ -565,8 +565,9 @@ def design_damping_stiffness(
             ag = alpha_g_of(k)
             return 0.0 < ag <= 0.5 * g_v
 
-        if spec.k_hint <= 0.0:
-            raise InfeasibleDesignError("k_hint must be > 0", f"k_hint = {spec.k_hint}")
+        if not (spec.k_hint > 0.0 and spec.k_hint * spec.k_hint > 0.0):  # eta's formula divides by k^2
+            raise InfeasibleDesignError("k_hint must be > 0", f"k_hint = {spec.k_hint}"
+                                        + (", whose square rounds to 0" if spec.k_hint > 0.0 else ""))
         k = min(spec.k_hint, k_max)
         if not feasible(k):
             grid = [k_max * (i + 1) / 2000.0 for i in range(2000)]

@@ -5,8 +5,9 @@ stage, written out inline in its text `_ADVANCE`: phase controller, observer
 compensation current, semi-implicit Euler plant integration, sensor read (plus
 optional velocity noise), velocity filter, exact observer filter updates,
 contact detection, mode-gated estimator updates, the record, and the periodic
-adaptive re-design.  Between chunks the loop state lives on the Simulator and
-its two observers.  The velocity noise comes from one seeded generator, built
+adaptive re-design.  Between chunks the loop state lives in one dict,
+`Simulator._loop`, keyed by `LOOP_STATE`; the observers keep only their
+parameters.  The velocity noise comes from one seeded generator, built
 only for a run with noise: t_0's sample is drawn on its own, and each chunk of
 steps draws its samples in one call from the same stream, so the samples do
 not depend on where chunks end.  Everything is deterministic for a fixed
@@ -204,9 +205,9 @@ class Scenario:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for i, p in enumerate(self.phases, 1):
             steps = p.duration / self.dt
-            if abs(steps - round(steps)) > 1e-6:
+            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6):
                 raise ValueError(f"phase {i} ({p.mode.value}): duration {p.duration:g} s is {steps:.6g} steps "
-                                 f"of dt = {self.dt:g} s; it must be a whole number of steps")
+                                 f"of dt = {self.dt:g} s; it must be a finite, whole number of steps")
         g_nc = self.ident.g_nc(self.dob.g_v)
         if self.ident.enable_plant and g_nc * self.dt >= 1.0:
             raise ValueError(f"dt*g_filter_nc = {g_nc * self.dt:g} >= 1")
@@ -227,6 +228,12 @@ class DesignEvent:
     g: float
     note: str = ""
 
+
+# the locals the step loop carries from chunk to chunk, in the order Simulator._loop keys them: the plant state, the
+# measured and filtered velocity, each observer's filter output and estimate, the contact detector, the contact
+# regressor filters [xdot, x, 1], the last step fed to the free-motion filters [u, xdot, zeta, 1] and their count
+LOOP_STATE = ("x", "v", "v_meas", "v_f", "y_d", "F_hat_dis", "y_r", "F_hat_load", "det_mode", "det_count",
+              "det_release", "fv_c", "fx_c", "f1_c", "nc_last_k", "fu_nc", "fv_nc", "fz_nc", "f1_nc", "warm_nc")
 
 # the most steps one chunk of Simulator._advance runs, so its noise buffer does not grow with the run
 NOISE_BLOCK = 4096
@@ -325,7 +332,6 @@ class Simulator:
         self.sc = scenario
         self._on_window = on_window
         self.dt = scenario.dt
-        self._x, self._v = scenario.x0, scenario.v0
         dob, rfob = scenario.dob, scenario.rfob
         self.dob = DisturbanceObserver(dob.M_mn, dob.K_Fn, dob.g_dob, self.dt)
         self.rfob = DisturbanceObserver(rfob.M_hat, rfob.K_F_hat, rfob.g_rfob, self.dt, rfob.friction, rfob.F_d_hat)
@@ -338,22 +344,18 @@ class Simulator:
 
         ident = scenario.ident
         self.est_nc, self.est_c = ident.build_estimators()
-        self._det = (0, 0, 0)  # the contact detector's mode code, dwell count and release count
         # the free-motion regression is u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, tanh(xdot/eps), 1],
         # the motor force balance with delta = [M_m, k_vsc, k_clmb, F_d]; every channel passes through one
         # low-pass, so the balance holds exactly, and xddot is the backward difference of the filtered velocity
         self._c_nc = lpf_pole(ident.g_nc(scenario.dob.g_v), self.dt) if ident.enable_plant else 0.0
-        self._f_nc, self._warm_nc = (0.0, 0.0, 0.0, 0.0), 0  # filtered [u, xdot, zeta, 1]; samples fed, up to 2
+        v_meas = scenario.v0 + (self.rng.standard_normal() * scenario.noise_std if scenario.noise_std > 0.0 else 0.0)
         # the contact regression is u = F_hat_load against [xdot, x, 1] through the RFOB's own pole, the
         # low-pass the load estimate already carries; with delta = [D_env, K_env, offset] the constant
         # column absorbs -(D_env*xdot_env + K_env*x_env)
-        self._f_c = (0.0, 0.0, 0.0)
-
-        # measurement available at t_0
-        self._xdot_meas = scenario.v0 + (
-            self.rng.standard_normal() * scenario.noise_std if scenario.noise_std > 0.0 else 0.0
-        )
-        self._xdot_f = 0.0 if self._c_v is not None else self._xdot_meas  # the velocity-filter output
+        # the loop state at t_0 in LOOP_STATE's order, v_meas the measurement there; the free-motion filters were
+        # last fed at step -10
+        self._loop = dict(zip(LOOP_STATE, (scenario.x0, scenario.v0, v_meas, 0.0 if self._c_v is not None else v_meas,
+                                           0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, -10, 0.0, 0.0, 0.0, 0.0, 0)))
 
         if scenario.adaptation.mode is AdaptationMode.OFFLINE:
             self._apply_design(0.0, scenario.env, scenario.rfob.M_hat)
@@ -369,7 +371,6 @@ class Simulator:
         self._phase_folds = [[] for _ in scenario.phases]  # per window: the largest RFOB error over the phase's rows
         self._phase_idx = 0
         self._next_bound = 0  # the first step enters the schedule
-        self._bank_nc_last_k = -10
         self._last_design_env: tuple[float, float] | None = None
 
         self._alloc(self.n_steps)
@@ -485,9 +486,9 @@ class Simulator:
             )
             return False
         # bumpless retune: filter states shift so the estimates stay continuous
-        self.C_f = result.C_f
-        self.dob.retune(g, self._xdot_f)
-        self.rfob.retune(g, self._xdot_f)
+        self.C_f, loop = result.C_f, self._loop
+        loop["y_d"] = self.dob.retune(g, loop["v_f"], loop["y_d"])
+        loop["y_r"] = self.rfob.retune(g, loop["v_f"], loop["y_r"])
         self.design_events.append(
             DesignEvent(t=t, applied=True, alpha_g=result.alpha_g, C_f=result.C_f, g=g)
         )
@@ -525,7 +526,8 @@ class Simulator:
     def _unidentifiable(est: RlmsEstimator | None) -> bool:
         if est is None:
             return False
-        return bool(np.any(est.covariance_contraction() > 0.5))
+        # a Gamma wound up past the largest float has no eigenvalues to probe
+        return not all(map(math.isfinite, est._state)) or bool(np.any(est.covariance_contraction() > 0.5))
 
     def _summarize_window(self, base: int, window: dict[str, np.ndarray]) -> None:
         """Fold the window of steps from `base` into each phase it covers: the largest RFOB error over the phase's
@@ -580,35 +582,35 @@ class Simulator:
 _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     """Run the steps before k_end (at most n_steps); returns False once the run is over or diverged.
 
-    One step reads the reference `_enter_phase` wrote, then runs the
-    control law, the plant force balance, the velocity filter, the DOB and
-    RFOB updates, the divergence guard (its x and v limits capped at the
-    largest float, so a NaN or infinite x or v trips it), the contact
-    detector, the contact and the free-motion regressor filters with their
-    RLS updates, and the record, all written out inline: the first call
-    compiles this text, `_ADVANCE`, with the updates of
-    `RlmsEstimator.update` filled in (`identify._compile_filled`).  The
-    tests keep each stage as a bit-for-bit reference on plain values
-    (`plant_accel`, `lpf_step`, `observer_step`, `detector_update` and the
-    two regressor filters) and rebuild the step from them in
-    `LoopStepReference`.  The loop state lives in locals: a chunk loads it
-    from the Simulator, the observers and the estimators (their `_state`
-    and `_bounds` lists, in the names identify.py lays out, and mu) and
-    writes it back when it ends, at k_end, a phase boundary, a divergence
-    or a redesign step, so the RFOB model fold at a phase start reads the
-    current estimate.  A step records the cells that vary into the open
-    window (`_open_window`), at its row k - base, an innovation only where
-    its update runs (the window starts it as NaN); the write-back fills,
-    over the steps run, the columns fixed over a chunk (ctrl_mode,
-    alpha_g_radps, C_f, and contact_mode under a hint; the detector path
-    records it per step) and t_s with one slice store each.  A redesign
-    then patches the gains of the step's record; the next chunk reloads
-    them.  A chunk also ends at its window's end, the next multiple of
-    NOISE_BLOCK, and a chunk that fills its window, ends the run or
-    diverges hands the window over (`_flush`) after the patch.  A chunk's
-    prologue draws its noise samples with one `standard_normal(n)` call,
-    which gives the same sequence as n scalar draws, so a chunk boundary
-    moves no sample; a divergence leaves the chunk's unused samples drawn.
+    One step reads the reference `_enter_phase` wrote, then runs the control
+    law, the plant force balance, the velocity filter, the DOB and RFOB
+    updates, the divergence guard (its x and v limits capped at the largest
+    float, so a NaN or infinite x or v trips it), the contact detector, the
+    contact and the free-motion regressor filters with their RLS updates,
+    and the record, all written out inline: the first call compiles this
+    text, `_ADVANCE`, with the updates of `RlmsEstimator.update` filled in
+    (`identify._compile_filled`).  The tests keep each stage as a bit-for-bit
+    reference on plain values (`plant_accel`, `lpf_step`, `observer_step`,
+    `detector_update` and the two regressor filters) and rebuild the step
+    from them in `LoopStepReference`.  The loop state lives in locals: a
+    chunk loads the names of `LOOP_STATE` (filled in at import) from
+    `self._loop`, and each estimator's `_state` and `_bounds` lists, in the
+    names identify.py lays out, and mu, and stores `_loop` and `_state` back
+    when it ends, at k_end, a phase boundary, a divergence or a redesign
+    step, so the RFOB model fold and a redesign's retune read the current
+    state.  A step records the cells that vary into the open window
+    (`_open_window`), at its row k - base, an innovation only where its
+    update runs (the window starts it as NaN); the write-back fills, over
+    the steps run, the columns fixed over a chunk (ctrl_mode, alpha_g_radps,
+    C_f, and contact_mode under a hint; the detector path records it per
+    step) and t_s with one slice store each.  A redesign then patches the
+    gains of the step's record; the next chunk reloads them.  A chunk also
+    ends at its window's end, the next multiple of NOISE_BLOCK, and a chunk
+    that fills its window, ends the run or diverges hands the window over
+    (`_flush`) after the patch.  A chunk's prologue draws its noise samples
+    with one `standard_normal(n)` call, which gives the same sequence as n
+    scalar draws, so a chunk boundary moves no sample; a divergence leaves
+    the chunk's unused samples drawn.
     """
     k_end = min(k_end, self.n_steps)
     sc, dt, ad = self.sc, self.dt, self.sc.adaptation
@@ -644,17 +646,14 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         hint = None if phase.contact_hint is None else int(phase.contact_hint)
         dist = dist0 if phase.F_d_override is None else phase.F_d_override
         # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
-        C_f, c_d, y_d, F_hat_dis, gm_d = self.C_f, dob.c, dob.y, dob.F_hat, dob.g * dob.M
-        c_r, y_r, F_hat_load, gm_r = rfob.c, rfob.y, rfob.F_hat, rfob.g * rfob.M
+        C_f, c_d, gm_d, c_r, gm_r = self.C_f, dob.c, dob.g * dob.M, rfob.c, rfob.g * rfob.M
         b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
         kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
         alpha_g = self.alpha_true * dob.g
-        x, v, v_meas, v_f = self._x, self._v, self._xdot_meas, self._xdot_f
+        [*loop] = self._loop.values()
         # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
         F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
-        det_mode, det_count, det_release = self._det
-        (fv_c, fx_c, f1_c), nc_last_j, diverged = self._f_c, self._bank_nc_last_k - base, False
-        (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc = self._f_nc, self._warm_nc
+        nc_last_j, diverged = nc_last_k - base, False
         if est_c is not None:
             [*s_c], [*bounds_c], mu_c = est_c._state, est_c._bounds, est_c.mu
         if est_nc is not None:
@@ -749,11 +748,8 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         window["ctrl_mode"][rows], window["alpha_g_radps"][rows], window["C_f"][rows] = ctrl_code, alpha_g, C_f
         if hint is not None:
             window["contact_mode"][rows] = hint
-        self._x, self._v, self._xdot_meas, self._xdot_f = x, v, v_meas, v_f
-        dob.y, dob.F_hat, rfob.y, rfob.F_hat = y_d, F_hat_dis, y_r, F_hat_load
-        self._det = (det_mode, det_count, det_release)
-        self._f_c, self._bank_nc_last_k, self._k = (fv_c, fx_c, f1_c), base + nc_last_j, k + 1
-        self._f_nc, self._warm_nc = (fu_nc, fv_nc, fz_nc, f1_nc), warm_nc
+        nc_last_k, self._k = base + nc_last_j, k + 1
+        self._loop = dict(zip(LOOP_STATE, [*loop]))
         if est_c is not None:
             est_c._state = [*s_c]
         if est_nc is not None:
@@ -769,7 +765,7 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         if j + 1 == NOISE_BLOCK or diverged or k + 1 == self.n_steps:
             self._flush(j + 1)
     return not self.diverged and self._k < self.n_steps
-'''
+'''.replace("*loop", ", ".join(LOOP_STATE))
 
 
 def run_scenario(scenario: Scenario, on_window=None) -> SimResult:

@@ -160,7 +160,10 @@ def poles(coeffs: Sequence[float]) -> list[complex]:
     if len(c) == 3:
         return list(solve_quadratic(*c))
     if len(c) == 4:
-        return list(solve_cubic(*c).roots)
+        try:
+            return list(solve_cubic(*c).roots)
+        except ZeroDivisionError:  # a finite cubic whose formulas divide by a quantity that rounds to 0
+            raise ValueError(f"the analytic formulas divide by 0 on the cubic {c}") from None
     raise ValueError(f"degree {len(c) - 1} unsupported: analytic pole computation covers degrees 0..3")
 
 

@@ -8,8 +8,9 @@ All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
 so a constant input is reproduced with zero steady-state error.  One observer
 class serves both loops: the DOB is `DisturbanceObserver` with the nominal
 plant and no model terms, the RFOB the same class with the identified model.
-Each observer holds its filter state, which `Simulator._advance` steps; the
-velocity filter there is its pole alone, `Simulator._c_v`.
+An observer holds only its parameters; its filter output and estimate are
+loop state, in `Simulator._loop`, and the velocity filter is its pole alone,
+`Simulator._c_v`.
 """
 from __future__ import annotations
 
@@ -70,28 +71,25 @@ class DisturbanceObserver:
     As the DOB (nominal M_mn, K_Fn, friction=None, F_d = 0) F_hat is the lumped
     disturbance and the compensation current is F_hat / K_Fn.  As the RFOB
     (identified M_hat, K_F_hat, friction and F_d_hat) F_hat is the load force.
-    The low-pass has cutoff g, pole c = lpf_pole(g, dt) and output y.
+    The low-pass has cutoff g, pole c = lpf_pole(g, dt) and output y, kept by the caller.
     """
 
     def __init__(self, M: float, K_F: float, g: float, dt: float,
                  friction: FrictionParams | None = None, F_d: float = 0.0):
-        self.c, self.g, self.dt, self.y = lpf_pole(g, dt), g, dt, 0.0
-        self.M = M
-        self.K_F = K_F
-        self.friction = friction
-        self.F_d = F_d
-        self.F_hat = 0.0
+        self.c, self.g, self.dt = lpf_pole(g, dt), g, dt
+        self.M, self.K_F, self.friction, self.F_d = M, K_F, friction, F_d
 
-    def retune(self, g: float, xdot: float = 0.0) -> None:
-        """Change the observer cutoff in place with a bumpless output.
+    def retune(self, g: float, xdot: float, y: float) -> float:
+        """Change the observer cutoff in place; returns the filter output y shifted for a bumpless estimate.
 
-        The output is y - g*M*xdot, so y is shifted by (g_new - g_old)*M*xdot
-        to keep the estimate continuous across the cutoff change.  A rejected
-        cutoff raises before any state changes.
+        The estimate is y - g*M*xdot, so y is shifted by (g_new - g_old)*M*xdot
+        to keep it continuous across the cutoff change.  A rejected cutoff
+        raises before the observer changes.
         """
         c = lpf_pole(g, self.dt)
-        self.y += (g - self.g) * self.M * xdot
+        y += (g - self.g) * self.M * xdot
         self.c, self.g = c, g
+        return y
 
 
 @dataclass(frozen=True)

@@ -756,6 +756,16 @@ def test_cmd_simulate_accepts_whole_step_phases(tmp_path, capsys):
     assert "steps: 10000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["identify", "simulate"])
+def test_cmd_on_a_covariance_wound_up_past_the_largest_float_flags_unidentifiable(tmp_path, capsys, command):
+    # mu_c = 1e-300 multiplies Gamma by 1e300 per update, so it overflows and its eigenvalues cannot be computed
+    cfg, out = tmp_path / "windup.cfg", tmp_path / "windup.csv"
+    cfg.write_text(ENV_1S_CFG.replace("mu_c = 1.0", "mu_c = 1e-300").replace("duration_s = 1.0", "duration_s = 0.5"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert ("unidentifiable directions: True" in capsys.readouterr().out) == (command == "identify")
+    assert json.loads(Path(f"{out}.summary.json").read_text())["unidentifiable_c"] is True
+
+
 def test_cmd_identify_requires_estimator(tmp_path):
     cfg = tmp_path / "noident.cfg"
     cfg.write_text(SIM_CFG)
@@ -866,6 +876,11 @@ def test_cmd_design_of_a_huge_stiffness_is_infeasible(tmp_path, capsys, k_env):
                  "eta_star must lie in (0, 1) on the narrow branch: eta_star = 1.5", id="narrow_eta_star"),
     # wide branch
     pytest.param((3.02, 2.0, 6500.0, 1000.0), {"k_hint": 0.0}, "k_hint must be > 0: k_hint = 0.0", id="wide_k_hint"),
+    # a hint whose square underflows to 0 would divide by 0 in eta's formula
+    pytest.param((3.02, 2.0, 6500.0, 1000.0), {"k_hint": 1e-300},
+                 "k_hint must be > 0: k_hint = 1e-300, whose square rounds to 0", id="wide_k_hint_squares_to_0"),
+    pytest.param((3.02, 2.0, 6500.0, 1000.0), {"k_hint": 1e-310},
+                 "k_hint must be > 0: k_hint = 1e-310, whose square rounds to 0", id="wide_k_hint_subnormal"),
     pytest.param((0.04095246960355829, 1943.9670051231615, 1265278.043190457, 15.986177660304902),
                  {"xi_combined": 4.270698717983586},
                  "bandwidth bound violated: (2+eta)*xi*k*sqrt(K/M) - D/M not in (0, g_v/2] for any k: "
@@ -1095,6 +1110,10 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
 
 @pytest.mark.parametrize("command, config, old, new, message", [
     ("identify", "identify_env.cfg", "dt_s = 5e-5", "dt_s = 0.0", "configuration error: [scenario] dt must be > 0"),
+    # the step count overflows to inf, which round() cannot convert
+    ("simulate", "sim_force_step.cfg", "dt_s = 1e-4", "dt_s = 1e-310",
+     "configuration error: [scenario] phase 1 (force): duration 1 s is inf steps of dt = 1e-310 s; it must be a "
+     "finite, whole number of steps"),
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = -1.0",
      "configuration error: [phase] phase duration must be finite and >= 0, got -1.0"),
     ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nseed = -1",
@@ -1135,8 +1154,8 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0\nref = const\nvalue = 1.0",
      "duration_s = 2.0\nref = sine\noffset = 1.0\namp = 0.01\nfreq_hz = 1e308",
      "configuration error: [phase] each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must"),
-], ids=["dt", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan",
-        "noise_inf", "noise_nan", "C_f_inf", "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan",
+], ids=["dt", "dt_subnormal", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero",
+        "dist_limit_nan", "noise_inf", "noise_nan", "C_f_inf", "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan",
         "ramp_span_force", "ramp_span_position", "wave_argument_overflows", "wave_w_infinite"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
@@ -1287,6 +1306,19 @@ def test_cmd_analyze_writes_null_poles_of_a_cubic_it_cannot_scale(tmp_path, caps
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert ("closed-loop poles: a3 = 1e-25 is 0 once scaled by max|a_i| = 1e+300, "
             "analytic pole listing unsupported\n") in capsys.readouterr().out
+    rep = json.loads(out.read_text())
+    assert (rep["closed_loop_poles"], rep["closed_loop_stable"], rep["relative_degree"]) == (None, None, 2)
+
+
+@pytest.mark.parametrize("old, new", [("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e300"),
+                                      ("C_f = 0.035842180861184146", "C_f = 1e300")])
+def test_cmd_analyze_writes_null_poles_of_a_cubic_whose_formulas_divide_by_0(tmp_path, capsys, old, new):
+    # the cubic's formulas divide by a quantity that rounds to 0: d0/gj with K_env = 1e300, b3*d0 with C_f = 1e300
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "huge.json"
+    assert old in SIM_CFG
+    cfg.write_text(SIM_CFG.replace(old, new))
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "closed-loop poles: the analytic formulas divide by 0 on the cubic (3.02, " in capsys.readouterr().out
     rep = json.loads(out.read_text())
     assert (rep["closed_loop_poles"], rep["closed_loop_stable"], rep["relative_degree"]) == (None, None, 2)
 

@@ -49,8 +49,9 @@ def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
 class LoopStepReference(rk.Simulator):
     """One call per stage reference and one step per call: the bit-for-bit reference for Simulator._advance.
 
-    It keeps its own plant state (x, v), velocity-filter pole c_v and detector state `det`; the filter
-    output stays in `_xdot_f`, where the bumpless retune of `_apply_design` reads it.
+    It keeps its own plant state (x, v), velocity-filter pole c_v and detector state `det`; the measured and
+    filtered velocity, the observers' filter outputs and estimates and the last step that fed the free-motion
+    filters stay in `_loop`, where the bumpless retune of `_apply_design` reads and shifts them.
     """
 
     def __init__(self, scenario):
@@ -88,9 +89,9 @@ class LoopStepReference(rk.Simulator):
         phase = self._phase
         t_local = t - self._phase_bounds[self._phase_idx] * dt
 
-        x = self.x
-        xdot_meas = self._xdot_meas  # measurement taken at t_k
-        xdot_f = self._xdot_f
+        x, loop = self.x, self._loop
+        xdot_meas = loop["v_meas"]  # measurement taken at t_k
+        xdot_f = loop["v_f"]
 
         # the reference formulas written out; a ramp clips tau/duration to [0, 1]
         r = phase.offset
@@ -102,12 +103,12 @@ class LoopStepReference(rk.Simulator):
         x_ref = math.nan
         if phase.mode is rk.ControlMode.FORCE:
             F_ref = r
-            xddot_des = self.C_f * (F_ref - self.rfob.F_hat)
+            xddot_des = self.C_f * (F_ref - loop["F_hat_load"])
         else:
             x_ref = r
             xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
 
-        F_dis_used = self.dob.F_hat
+        F_dis_used = loop["F_hat_dis"]
         i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
 
         a = plant_accel(i_m, x, self.v, sc.plant, sc.friction, sc.env, sc.always_in_contact, phase.F_d_override)
@@ -119,10 +120,11 @@ class LoopStepReference(rk.Simulator):
             self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
         )
         xdot_f_new = lpf_step(self.c_v, xdot_f, xdot_meas_new) if self.c_v is not None else xdot_meas_new
-        F_hat_dis = observer_step(self.dob, i_m, xdot_f_new)
-        F_hat_load = observer_step(self.rfob, i_m, xdot_f_new)
-        self._xdot_meas = xdot_meas_new
-        self._xdot_f = xdot_f_new
+        loop["y_d"], F_hat_dis = observer_step(self.dob, loop["y_d"], i_m, xdot_f_new)
+        loop["y_r"], F_hat_load = observer_step(self.rfob, loop["y_r"], i_m, xdot_f_new)
+        loop["F_hat_dis"], loop["F_hat_load"] = F_hat_dis, F_hat_load
+        loop["v_meas"] = xdot_meas_new
+        loop["v_f"] = xdot_f_new
 
         if (
             not (math.isfinite(x_new) and math.isfinite(xdot_new))
@@ -161,9 +163,9 @@ class LoopStepReference(rk.Simulator):
                     ):
                         self._last_design_env = (d_env, k_env)
         if mode is ContactMode.NON_CONTACT and est_nc is not None and not self.diverged:
-            if self._bank_nc_last_k != k - 1:
+            if loop["nc_last_k"] != k - 1:
                 self.bank_nc.reset()
-            self._bank_nc_last_k = k
+            loop["nc_last_k"] = k
             emitted = self.bank_nc.step(xddot_des, F_dis_used, xdot_meas)
             if emitted is not None:
                 innov_nc = est_nc.update(emitted[1], emitted[0])
@@ -517,7 +519,7 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
     assert sim.rfob.g != 500.0
     sim.run()
     # the constant regressor column is 1 - c**k for the pole c the filter ran with
-    assert sim._f_c[2] == pytest.approx(1.0 - math.exp(-sim.rfob.g * sc.dt * sim.n_steps), rel=1e-12)
+    assert sim._loop["f1_c"] == pytest.approx(1.0 - math.exp(-sim.rfob.g * sc.dt * sim.n_steps), rel=1e-12)
 
 
 def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():

@@ -435,43 +435,91 @@ def test_generated_rlms_kernel_reads_only_defined_globals(n):
     assert unresolved_globals(_rlms_kernel(n)) == set()
 
 
-def test_generated_step_loop_reads_only_defined_globals():
+STEP_LOOP_DIMS = {"_c": len(IdentConfig.delta0_c), "_nc": len(IdentConfig.delta0_nc)}
+
+
+def installed_step_loop():
+    """The compiled step loop, which the first `_advance` call installs in place of the method."""
     cfg = Path(__file__).resolve().parent.parent / "configs" / "sim_force_step.cfg"
-    Simulator(build_scenario(parse_config(cfg.read_text())))._advance(0)  # the first call installs the compiled loop
-    dims = {"_c": len(IdentConfig.delta0_c), "_nc": len(IdentConfig.delta0_nc)}
-    assert Simulator._advance.__code__.co_filename == f"<_advance {dims}>"
-    assert unresolved_globals(Simulator._advance) == set()
+    Simulator(build_scenario(parse_config(cfg.read_text())))._advance(0)
+    assert Simulator._advance.__code__.co_filename == f"<_advance {STEP_LOOP_DIMS}>"
+    return Simulator._advance
+
+
+def test_generated_step_loop_reads_only_defined_globals():
+    assert unresolved_globals(installed_step_loop()) == set()
     planted = engine._ADVANCE.replace("y_r = c_r * y_r", "y_r = c_r * y_rr")
     assert planted.count("y_rr") == 1
-    assert unresolved_globals(_compile_filled(planted, "_advance", vars(engine), dims)) == {"y_rr"}
+    assert unresolved_globals(_compile_filled(planted, "_advance", vars(engine), STEP_LOOP_DIMS)) == {"y_rr"}
+
+
+def fast_accesses(code):
+    """(offset, "LOAD" or "STORE", name) for each local that code's instructions load or store, in offset order.
+    LOAD_FAST_AND_CLEAR only saves a comprehension's variable, so it reads nothing."""
+    for ins in dis.get_instructions(code):
+        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)  # LOAD_FAST_LOAD_FAST reads two
+        for action, name in zip(re.findall(r"(LOAD|STORE)_FAST", ins.opname.replace("_AND_CLEAR", "_X")), names):
+            yield ins.offset, action, name
 
 
 def locals_read_before_stored(fn) -> set[str]:
     """The locals that fn's code loads with no store to them at an earlier offset, parameters aside: the check a
-    linter makes on source it can see, in offset order, so a local a loop carries must be stored before the loop.
-    LOAD_FAST_AND_CLEAR only saves a comprehension's variable, so it reads nothing."""
+    linter makes on source it can see, in offset order, so a local a loop carries must be stored before the loop."""
     code, early = fn.__code__, set()
     stored = set(code.co_varnames[:code.co_argcount + code.co_kwonlyargcount])
-    for ins in dis.get_instructions(code):
-        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)  # LOAD_FAST_LOAD_FAST reads two
-        for action, name in zip(re.findall(r"(LOAD|STORE)_FAST", ins.opname.replace("_AND_CLEAR", "_X")), names):
-            if action == "STORE":
-                stored.add(name)
-            elif name not in stored:
-                early.add(name)
+    for _, action, name in fast_accesses(code):
+        if action == "STORE":
+            stored.add(name)
+        elif name not in stored:
+            early.add(name)
     return early
 
 
 @pytest.mark.parametrize("which", ["step_loop", "kernel_3", "kernel_4"])
 def test_generated_code_reads_no_local_before_storing_it(which):
-    if which == "step_loop":
-        cfg = Path(__file__).resolve().parent.parent / "configs" / "sim_force_step.cfg"
-        Simulator(build_scenario(parse_config(cfg.read_text())))._advance(0)  # the first call installs the loop
-        fn = Simulator._advance
-        assert fn.__code__.co_filename.startswith("<_advance ")
-    else:
-        fn = _rlms_kernel(int(which[-1]))
+    fn = installed_step_loop() if which == "step_loop" else _rlms_kernel(int(which[-1]))
     assert locals_read_before_stored(fn) == set()
+
+
+def carried_locals(fn) -> set[str]:
+    """The locals that the one `for` loop of fn's code carries from step to step: stored before the loop, and both
+    stored and loaded inside it, between its FOR_ITER and the offset that FOR_ITER leaves the loop for."""
+    code = fn.__code__
+    [loop] = [ins for ins in dis.get_instructions(code) if ins.opname == "FOR_ITER"]
+    before, inside = set(), {"LOAD": set(), "STORE": set()}
+    for offset, action, name in fast_accesses(code):
+        if offset < loop.offset and action == "STORE":
+            before.add(name)
+        elif loop.offset < offset < loop.argval:
+            inside[action].add(name)
+    return before & inside["LOAD"] & inside["STORE"]
+
+
+def stored_attributes(fn) -> set[str]:
+    return {ins.argval for ins in dis.get_instructions(fn.__code__) if ins.opname == "STORE_ATTR"}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_step_loop_carries_exactly_loop_state(planted):
+    """The step loop's carried locals are LOOP_STATE, with nc_last_k as the row nc_last_j the body counts, the contact
+    force it derives from x and v, the divergence flag and the estimators' states; it stores only these attributes.
+    A counter carried through the body and stored on the Simulator is flagged by both checks."""
+    fn = installed_step_loop()
+    if planted:
+        text = engine._ADVANCE.replace("        for j in range(j0, stop - base):\n",
+                                       "        n_fed = 0\n        for j in range(j0, stop - base):\n"
+                                       "            n_fed += 1\n")
+        text = text.replace("        k, rows = base + j, slice(j0, j + 1)\n",
+                            "        self._n_fed = n_fed\n        k, rows = base + j, slice(j0, j + 1)\n")
+        assert text.count("n_fed") == 4
+        fn = _compile_filled(text, "_advance", vars(engine), STEP_LOOP_DIMS)
+    estimator_state = _compile_filled("def f(a, b):\n    [*s_c], [*s_nc] = a, b\n", "f", {}, STEP_LOOP_DIMS)
+    state = {"nc_last_j" if name == "nc_last_k" else name for name in engine.LOOP_STATE}
+    state |= {"F_load", "diverged", *estimator_state.__code__.co_varnames[2:]}
+    attributes = {"_loop", "_k", "diverged", "diverged_step", "_state", "_last_design_env"}
+    assert len(state) == 20 + 2 + 9 + 14
+    assert carried_locals(fn) ^ state == ({"n_fed"} if planted else set())
+    assert stored_attributes(fn) ^ attributes == ({"_n_fed"} if planted else set())
 
 
 # the update reads mu_x, so a store of mu_x after the update leaves a load before its store

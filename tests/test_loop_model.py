@@ -63,6 +63,17 @@ def test_poles_random_cubic_vs_companion():
             assert abs(a - b) < 1e-8
 
 
+@pytest.mark.parametrize("cubic", [
+    (3.02, 245.56377136229108, 1e300, 8.729856744399341e300),  # d0 / gj: sim_force_step.cfg at K_env = 1e300
+    (3.02, 245.56377136229108, 4.871275427245822e302, 1.5831645138548922e306),  # b3 * d0: at C_f = 1e300
+])
+def test_poles_reports_a_cubic_whose_formulas_divide_by_0_as_a_value_error(cubic):
+    with pytest.raises(ZeroDivisionError):
+        rfobkit.design.solve_cubic(*cubic)  # the design's k cubic keeps the solver's own error
+    with pytest.raises(ValueError, match=r"^the analytic formulas divide by 0 on the cubic \(3\.02, "):
+        poles(cubic)
+
+
 def test_poles_invariant_under_scaling():
     p = (1.0, 4.0, 5.0, 6.0)
     r1 = sorted(poles(p), key=lambda z: (z.real, z.imag))

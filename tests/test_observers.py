@@ -18,20 +18,19 @@ from test_plant import friction_force
 
 # The filter and observer steps that Simulator._advance writes out, kept as bit-for-bit references
 # for LoopStepReference.  `lpf_step` maps the pole, output and input to the new output; `observer_step`
-# updates the filter output and estimate the observer holds.
+# maps the observer, its filter output and its inputs to the new filter output and estimate.
 
 def lpf_step(c: float, y: float, u: float) -> float:
     return c * y + (1.0 - c) * u
 
 
-def observer_step(obs: DisturbanceObserver, i_m_total: float, xdot: float) -> float:
+def observer_step(obs: DisturbanceObserver, y: float, i_m_total: float, xdot: float) -> tuple[float, float]:
     gm = obs.g * obs.M
     u = obs.K_F * i_m_total + gm * xdot
     if obs.friction is not None:
         u -= friction_force(xdot, obs.friction)
-    obs.y = lpf_step(obs.c, obs.y, u - obs.F_d)
-    obs.F_hat = obs.y - gm * xdot
-    return obs.F_hat
+    y = lpf_step(obs.c, y, u - obs.F_d)
+    return y, y - gm * xdot
 
 
 def test_lpf_dc_gain():
@@ -70,13 +69,12 @@ def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
     with pytest.raises(ValueError):
         lpf_pole(g, dt)
     obs, twin = DisturbanceObserver(1.0, 0.5, 100.0, 1e-4), DisturbanceObserver(1.0, 0.5, 100.0, 1e-4)
-    observer_step(obs, 1.0, 0.3)
-    observer_step(twin, 1.0, 0.3)
+    y, _ = observer_step(obs, 0.0, 1.0, 0.3)
     if dt > 0.0:
         with pytest.raises(ValueError):
-            obs.retune(g, 0.3)  # a rejected retune leaves the observer as it was
-    assert obs.g == 100.0 and (obs.c, obs.y) == (twin.c, twin.y)
-    assert observer_step(obs, 1.0, 0.3) == observer_step(twin, 1.0, 0.3)
+            obs.retune(g, 0.3, y)  # a rejected retune leaves the observer as it was
+    assert obs.g == 100.0 and obs.c == twin.c
+    assert observer_step(obs, y, 1.0, 0.3) == observer_step(twin, y, 1.0, 0.3)
 
 
 @pytest.mark.parametrize("name", ["M_mn", "K_Fn", "g_dob", "g_v", "M_hat", "K_F_hat", "g_rfob"])
@@ -104,15 +102,15 @@ def test_dob_estimates_constant_disturbance():
     # plant held at rest by an external agent, constant disturbance enters the balance
     dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
     # zero velocity, current exactly cancels a 2 N disturbance: F_dis = K_Fn*i = 2
-    f = 0.0
+    y = f = 0.0
     for _ in range(3000):
-        f = observer_step(dob, 4.0, 0.0)
+        y, f = observer_step(dob, y, 4.0, 0.0)
     assert f == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dob_zero_state_zero_output():
     dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
-    assert observer_step(dob, 0.0, 0.0) == 0.0
+    assert observer_step(dob, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_rfob_steady_state_with_friction_error():
@@ -126,9 +124,9 @@ def test_rfob_steady_state_with_friction_error():
     # current balancing friction + load at constant velocity
     i = (F_load + friction_force(v, fric_true)) / K_F
     rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric_hat)
-    f = 0.0
+    y = f = 0.0
     for _ in range(3000):
-        f = observer_step(rfob, i, v)
+        y, f = observer_step(rfob, y, i, v)
     d_fric = friction_force(v, fric_true) - friction_force(v, fric_hat)
     assert f == pytest.approx(F_load + d_fric, rel=1e-9)
 
@@ -140,9 +138,9 @@ def test_rfob_perfect_model_recovers_load():
     K_F = 0.5
     i = (F_load + friction_force(v, fric)) / K_F
     rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric)
-    f = 0.0
+    y = f = 0.0
     for _ in range(3000):
-        f = observer_step(rfob, i, v)
+        y, f = observer_step(rfob, y, i, v)
     assert f == pytest.approx(F_load, rel=1e-9)
 
 
@@ -163,19 +161,18 @@ _inputs = st.tuples(st.floats(-20.0, 20.0), st.floats(-1.0, 1.0))
     history=st.lists(_inputs, min_size=1, max_size=50),
 )
 def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
-    obs = DisturbanceObserver(M, K_F, g, dt, **_MODEL[model])
+    obs, y = DisturbanceObserver(M, K_F, g, dt, **_MODEL[model]), 0.0
     for i, xdot in history:
-        observer_step(obs, i, xdot)
+        y, before = observer_step(obs, y, i, xdot)
     xdot = history[-1][1]
-    before = obs.F_hat
-    obs.retune(g_new, xdot)
-    after = obs.y - obs.g * obs.M * xdot  # the output re-evaluated at the same xdot
-    scale = abs(obs.y) + (g + g_new) * M * abs(xdot)
+    y = obs.retune(g_new, xdot, y)
+    after = y - obs.g * obs.M * xdot  # the output re-evaluated at the same xdot
+    scale = abs(y) + (g + g_new) * M * abs(xdot)
     assert obs.g == g_new and obs.c == lpf_pole(g_new, dt)
     assert after == pytest.approx(before, abs=1e-13 * scale + 1e-300)
     with pytest.raises(ValueError):
-        obs.retune(2.0 / dt, xdot)  # rejected before the state is touched
-    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt) and obs.y - g_new * M * xdot == after
+        obs.retune(2.0 / dt, xdot, y)  # rejected before the observer changes
+    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt)
 
 
 @pytest.mark.parametrize("model", ["dob", "rfob"])
@@ -189,10 +186,10 @@ def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
 def test_observer_converges_to_exact_equilibrium(model, M, K_F, g, dt, inputs):
     i, xdot = inputs
     terms = _MODEL[model]
-    obs = DisturbanceObserver(M, K_F, g, dt, **terms)
+    obs, y = DisturbanceObserver(M, K_F, g, dt, **terms), 0.0
     n = math.ceil(30.0 / (g * dt))  # exp(-g dt n) < 1e-13
     for _ in range(n):
-        out = observer_step(obs, i, xdot)
+        y, out = observer_step(obs, y, i, xdot)
     fric = friction_force(xdot, terms["friction"]) if "friction" in terms else 0.0
     equilibrium = K_F * i - fric - terms.get("F_d", 0.0)
     scale = abs(K_F * i) + g * M * abs(xdot) + abs(fric) + abs(terms.get("F_d", 0.0))
@@ -247,14 +244,14 @@ def test_inner_loop_accel_transfer_matches_first_order_model():
         M_mn = alpha * M_m
         dob = DisturbanceObserver(M_mn, K_F, g_dob, dt)
         mn_over_kfn = M_mn / K_F
-        v = 0.0
+        v = y = F_hat = 0.0
         n = int(round(T / dt))
         ts, acc = np.empty(n), np.empty(n)
         for k in range(n):
             t = k * dt
             xddot_des = math.sin(omega * t)
-            i = mn_over_kfn * xddot_des + dob.F_hat / K_F
-            observer_step(dob, i, v)
+            i = mn_over_kfn * xddot_des + F_hat / K_F
+            y, F_hat = observer_step(dob, y, i, v)
             a = K_F * i / M_m
             v += a * dt
             ts[k] = t
