@@ -12,9 +12,8 @@ needs numpy.  The names in `_LAZY`, the simulator's and the estimators', import
 import importlib
 
 from .design import (
-    CubicRoots, DesignResult, DesignSpecA, DesignSpecB, DesignSpecC, EnvClass, InfeasibleDesignError,
-    classify_environment, design_damping, design_damping_stiffness, design_for_env, design_stiffness,
-    solve_cubic, solve_quadratic, split_alpha_g,
+    DesignResult, DesignSpecA, DesignSpecB, DesignSpecC, EnvClass, InfeasibleDesignError, classify_environment,
+    design_damping, design_damping_stiffness, design_for_env, design_stiffness, split_alpha_g,
 )
 from .loop_model import (
     PhiPoly, RationalTf, RhpZeroReport, asymptote_angles, closed_loop_char_poly, closed_loop_force_tf,

@@ -256,8 +256,12 @@ def cmd_analyze(args) -> int:
     if len(char) <= 4:
         try:
             cl_poles = poles(char)
-        except ValueError as exc:  # a cubic whose leading coefficient vanishes against the others
+        except ValueError as exc:  # a coefficient that overflowed to inf
             unlisted = str(exc)
+    # the sign of a real part within about 4*degree*eps*|z| of 0 is lost to rounding, and so is that of a
+    # pole beyond the float range, which poles() leaves out: such a loop gets no verdict
+    sign_known = cl_poles is not None and len(cl_poles) == len(char) - 1 and all(
+        abs(z.real) > 4.0 * len(char) * sys.float_info.epsilon * abs(z) for z in cl_poles)
     rep = {
         "alpha": ratios.alpha,
         "beta": ratios.beta,
@@ -269,7 +273,7 @@ def cmd_analyze(args) -> int:
         "asymptote_angles_deg": list(angles),
         "relative_degree": loop.relative_degree,
         "closed_loop_poles": None if cl_poles is None else [[z.real, z.imag] for z in cl_poles],
-        "closed_loop_stable": None if cl_poles is None else bool(all(z.real < 0 for z in cl_poles)),
+        "closed_loop_stable": bool(all(z.real < 0 for z in cl_poles)) if sign_known else None,
         "bandwidth_bound_passed": bound.passed,
         "bandwidth_bound_margin": bound.margin,
     }

@@ -6,15 +6,18 @@ force gain C_f such that the closed-loop characteristic polynomial equals
 
     (s + p) * (s^2 + 2*xi*w_n*s + w_n^2)        (p = 0 for the damping case)
 
-while respecting alpha*g_dob <= g_v/2.  The cubic-root machinery used by the
-damping+stiffness case lives here as well.
+while respecting alpha*g_dob <= g_v/2.  The polynomial root finder that the
+damping+stiffness case and the loop analysis share lives here as well.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .plant import EnvImpedance
 
@@ -48,177 +51,132 @@ class InfeasibleDesignError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# polynomial root solvers
+# polynomial roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubicRoots:
-    """Roots of a cubic with the real/complex classification.
+_EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
-    all_real is True when the discriminant is >= 0 (three real roots counting
-    multiplicity); otherwise one real root and a conjugate pair.
+
+def _aberth(c: list[float], zs: list, rad: list[float]) -> None:
+    """Aberth's iteration (Math. Comp. 27 (1973)) on the descending coefficients c, in place on zs.
+
+    Where |z| > 1 the reversed polynomial q(w) = w^n p(1/w) is evaluated at w = 1/z, with
+    p/p' = z*q/(n*q - w*q'), so no power of z over- or underflows. A root stops once its next step,
+    extrapolated at the rate of its last two, would fall below its rounding, or one step after |p(z)|
+    falls within Horner's rounding bound 4*n*eps*sum|a_i||z|^i; rad[k] then holds a radius around
+    zs[k] that holds a root. With a single start point this is Newton's method.
     """
+    n = len(c) - 1
+    ahead, back = c[1:], c[-2::-1]  # after the leading coefficient, of p and of q
+    tol = 4.0 * n * _EPS
+    most = tol * sum(map(abs, c))  # the rounding bound at |z| = 1, the largest |z| or |w| evaluated
+    prev = [0.0] * len(zs)
+    todo = range(len(zs))
+    for _ in range(64):
+        left = []
+        for k in todo:
+            z = zs[k]
+            az = abs(z)
+            big = az > 1.0
+            if big:
+                x, p, rest = 1.0 / z, c[-1], back
+            else:
+                x, p, rest = z, c[0], ahead
+            dp = 0.0
+            for a in rest:
+                dp = dp * x + p
+                p = p * x + a
+            if big:
+                dp = n * p - x * dp
+            newton = p / dp * (z if big else 1.0) if dp else 0.0
+            t = 0.0
+            for w in zs:
+                if w != z:
+                    t += 1.0 / (z - w)
+            step = newton / ((1.0 - newton * t) or 1.0)
+            zs[k] = z - step
+            h = abs(newton) + abs(step)
+            if prev[k] and h * (h / prev[k]) <= _EPS * az:  # the next step, at the last rate h/prev, is below rounding
+                rad[k] = n * h
+                continue
+            if abs(p) <= most:
+                ax, s = abs(x), abs(c[-1] if big else c[0])
+                for a in rest:
+                    s = s * ax + abs(a)
+                if abs(p) <= tol * s:
+                    rad[k] = n * (h + (tol * s / abs(dp) * (az if big else 1.0) if dp else 0.0))
+                    continue
+            prev[k] = h
+            left.append(k)
+        if not left:
+            return
+        todo = left
 
-    roots: tuple[complex, complex, complex]
-    all_real: bool
-    discriminant: float
 
-    def real_roots(self, tol: float = 1e-9) -> list[float]:
-        return [r.real for r in self.roots if abs(r.imag) <= tol * (1.0 + abs(r))]
+def poles(coeffs: Sequence[float]) -> list[complex]:
+    """Roots of a polynomial of any degree with real coefficients in descending order, sorted by (real, imag).
 
-    def positive_real_roots(self, tol: float = 1e-9) -> list[float]:
-        return [r for r in self.real_roots(tol) if r > 0.0]
-
-
-def solve_quadratic(a: float, b: float, c: float) -> tuple[complex, complex]:
-    """Roots of a*x^2 + b*x + c with the cancellation-safe split."""
-    if a == 0.0:
-        raise ValueError("leading coefficient is zero; not a quadratic")
-    disc = b * b - 4.0 * a * c
-    sq = cmath.sqrt(disc)
-    if b.real >= 0.0:
-        q = -0.5 * (b + sq)
-    else:
-        q = -0.5 * (b - sq)
-    if q == 0:
-        r1 = complex(0.0)
-    else:
-        r1 = c / q
-    r2 = q / a
-    lo, hi = sorted((r1, r2), key=lambda z: (z.real, z.imag))
-    return lo, hi
-
-
-def _cubic_eval(b3: float, b2: float, b1: float, b0: float, x: complex) -> complex:
-    return ((b3 * x + b2) * x + b1) * x + b0
-
-
-def _polish(b3: float, b2: float, b1: float, b0: float, x: complex, iters: int = 3) -> complex:
-    for _ in range(iters):
-        f = _cubic_eval(b3, b2, b1, b0, x)
-        df = (3.0 * b3 * x + 2.0 * b2) * x + b1
-        if df == 0:
+    The start points lie on the circles of the Newton polygon of (k, log|a_k|) (Bini, Numer.
+    Algorithms 13 (1996)); Aberth's iteration takes them to the roots. Leading zeros are stripped,
+    and so are the leading coefficients of a polygon edge whose roots lie beyond the float range:
+    at every float z they count as the zeros they round to, so those roots are left out. Roots
+    whose error disks overlap form a cluster of m, refined as the simple root of p^(m-1) nearest
+    their mean. A root or cluster whose disk reaches the real axis is real, with imaginary part
+    exactly 0, and the other roots come in exact conjugate pairs.
+    """
+    c = list(map(float, coeffs))
+    while len(c) > 1 and c[0] == 0.0:
+        del c[0]
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"the polynomial {tuple(coeffs)} has a non-finite coefficient")
+    roots: list[complex] = []
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+        roots.append(0j)
+    n = len(c) - 1
+    hull: list[tuple[int, float]] = []  # the upper convex hull of (k, log|a_k|), a_k the coefficient of z^k
+    for k, a in enumerate(reversed(c)):
+        if a:
+            y = math.log(abs(a))
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                     >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+                hull.pop()
+            hull.append((k, y))
+    zs: list[complex] = []
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        if (l0 - l1) / (k1 - k0) > _LOG_MAX:  # the radii grow along the hull: the rest lie beyond the float range
+            del c[:n - k0]
             break
-        step = f / df
-        x = x - step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    return x
-
-
-def solve_cubic(a3: float, a2: float, a1: float, a0: float) -> CubicRoots:
-    """Analytic roots of a3*x^3 + a2*x^2 + a1*x + a0.
-
-    Uses Delta0 = a2^2 - 3*a3*a1, Delta1 = 2*a2^3 - 9*a3*a2*a1 + 27*a3^2*a0 and
-    G = cbrt((Delta1 + sqrt(Delta1^2 - 4*Delta0^3)) / 2), enumerating the three
-    cube roots; the sqrt branch is picked to avoid cancellation and a dedicated
-    closed form handles repeated roots.  Roots are Newton-polished so the
-    residual stays below 1e-8 * max|coeff|.
-    """
-    if a3 == 0.0:
-        raise ValueError("a3 = 0: use solve_quadratic for degree-2 polynomials")
-    scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
-    b3, b2, b1, b0 = a3 / scale, a2 / scale, a1 / scale, a0 / scale
-    if b3 == 0.0:
-        raise ValueError(f"a3 = {a3:g} is 0 once scaled by max|a_i| = {scale:g}")
-
-    terms = (
-        18.0 * b3 * b2 * b1 * b0,
-        -4.0 * b2 ** 3 * b0,
-        (b2 * b1) ** 2,
-        -4.0 * b3 * b1 ** 3,
-        -27.0 * (b3 * b0) ** 2,
-    )
-    disc = math.fsum(terms)
-    disc_scale = sum(abs(t) for t in terms)
-    near_zero = abs(disc) <= 1e-13 * max(disc_scale, 1e-300)
-
-    d0 = b2 * b2 - 3.0 * b3 * b1
-    d1 = 2.0 * b2 ** 3 - 9.0 * b3 * b2 * b1 + 27.0 * b3 * b3 * b0
-
-    if near_zero:
-        d0_scale = abs(b2 * b2) + abs(3.0 * b3 * b1)
-        if abs(d0) <= 1e-13 * max(d0_scale, 1e-300):
-            r = -b2 / (3.0 * b3)
-            roots = [complex(r), complex(r), complex(r)]
+        zs += [cmath.rect(math.exp((l0 - l1) / (k1 - k0)), 2.0 * math.pi * (j / (k1 - k0) + k0 / n) + 0.7)
+               for j in range(k1 - k0)]
+    rad = [0.0] * len(zs)
+    _aberth(c, zs, rad)
+    clusters: list[list[int]] = []
+    for k in range(len(zs)):
+        for g in clusters:
+            if abs(zs[k] - zs[g[0]]) <= rad[k] + rad[g[0]]:
+                g.append(k)
+                break
         else:
-            double = (9.0 * b3 * b0 - b2 * b1) / (2.0 * d0)
-            single = (4.0 * b3 * b2 * b1 - 9.0 * b3 * b3 * b0 - b2 ** 3) / (b3 * d0)
-            roots = [
-                complex(_polish(b3, b2, b1, b0, complex(single)).real),
-                complex(double),
-                complex(double),
-            ]
-        all_real = True
-    else:
-        # Delta1^2 - 4*Delta0^3 = -27*a3^2*disc; the right-hand form avoids the
-        # catastrophic cancellation of the direct expression when a3 is tiny
-        inner = -27.0 * b3 * b3 * disc
-        sq = cmath.sqrt(complex(inner))
-        num = d1 + sq if abs(d1 + sq) >= abs(d1 - sq) else d1 - sq
-        gamma = (0.5 * num) ** (1.0 / 3.0)
-        w = complex(-0.5, 0.5 * math.sqrt(3.0))
-        roots = []
-        for j in range(3):
-            gj = gamma * w ** j
-            x = -(b2 + gj + d0 / gj) / (3.0 * b3)
-            roots.append(_polish(b3, b2, b1, b0, x))
-        roots = _repair_dominant_root(b3, b2, b1, b0, roots)
-        all_real = disc > 0.0
-        if all_real:
-            roots = [complex(_polish(b3, b2, b1, b0, complex(r.real)).real) for r in roots]
-        else:
-            # one real root, one conjugate pair; enforce exact conjugacy
-            roots.sort(key=lambda z: abs(z.imag))
-            real_r = _polish(b3, b2, b1, b0, complex(roots[0].real)).real
-            re = 0.5 * (roots[1].real + roots[2].real)
-            im = 0.5 * (abs(roots[1].imag) + abs(roots[2].imag))
-            z = _polish(b3, b2, b1, b0, complex(re, im))
-            roots = [complex(real_r), complex(z.real, -abs(z.imag)), complex(z.real, abs(z.imag))]
-
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
-    return CubicRoots(roots=tuple(roots), all_real=all_real, discriminant=disc)
-
-
-def _repair_dominant_root(b3: float, b2: float, b1: float, b0: float,
-                          roots: list[complex]) -> list[complex]:
-    """Recover from the ill-conditioned tiny-leading-coefficient regime.
-
-    When one root dominates (|a3| << |a2|) the closed-form sum can lose the
-    small roots entirely; the root sum then misses -a2/a3, or the residual
-    shows it when the lost pair cancels in the sum.  Repair: polish the
-    dominant root from -a2/a3, deflate it with the backward (constant-side)
-    recursion, which is stable for the small roots, and solve the quadratic.
-    """
-    def worst_residual(rs):
-        out = 0.0
-        for r in rs:
-            try:
-                scale = abs(b3 * r ** 3) + abs(b2 * r * r) + abs(b1 * r) + abs(b0) + 1e-300
-            except OverflowError:  # |r| ** 3 beyond the float range: a set that cannot be scored loses
-                return math.inf
-            res = abs(_cubic_eval(b3, b2, b1, b0, r)) / scale
-            out = max(out, math.inf if math.isnan(res) else res)  # so does a NaN root
-        return out
-
-    s_target = -b2 / b3
-    s_got = sum(r.real for r in roots)
-    before = worst_residual(roots)
-    if abs(s_got - s_target) <= 1e-6 * (1.0 + abs(s_target)) and before <= 1e-8:
-        return roots
-    big = _polish(b3, b2, b1, b0, complex(s_target), iters=8)
-    if big == 0:
-        return roots
-    q0 = -b0 / big
-    q1 = (q0 - b1) / big
-    try:
-        small = solve_quadratic(b3, q1.real, q0.real)
-    except ValueError:
-        return roots
-    repaired = [_polish(b3, b2, b1, b0, big),
-                _polish(b3, b2, b1, b0, small[0]),
-                _polish(b3, b2, b1, b0, small[1])]
-    return repaired if worst_residual(repaired) < before else roots
+            clusters.append([k])
+    for g in clusters:
+        m = len(g)
+        if m == 1:
+            z = zs[g[0]]
+            roots.append(complex(z.real) if abs(z.imag) <= rad[g[0]] else z)
+            continue
+        mu = sum([zs[j] for j in g]) / m
+        z = [mu.real if abs(mu.imag) <= max([abs(zs[j] - mu) + rad[j] for j in g]) else mu]
+        d = c
+        for _ in range(m - 1):
+            d = [a * (len(d) - 1 - i) for i, a in enumerate(d[:-1])]
+        _aberth(d, z, [0.0])
+        roots += [complex(z[0])] * m
+    upper = [z for z in roots if z.imag > 0.0]
+    if upper and 2 * len(upper) == sum(1 for z in roots if z.imag):
+        roots = [z for z in roots if not z.imag] + upper + [z.conjugate() for z in upper]
+    return sorted(roots, key=attrgetter("real", "imag"))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +452,7 @@ def design_damping_stiffness(
         psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))
         a3 = 2.0 * eta_star * xi * xi * psi
         a2 = -(1.0 + 2.0 * eta_star * xi * xi)
-        roots = solve_cubic(a3, a2, 0.0, 1.0)
-        pos = roots.positive_real_roots()
+        pos = [z.real for z in poles((a3, a2, 0.0, 1.0)) if not z.imag and z.real > 0.0]
         if not pos:
             raise InfeasibleDesignError(
                 "k cubic has no positive real root (all-real condition violated)",

@@ -208,6 +208,9 @@ class Scenario:
             if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6):
                 raise ValueError(f"phase {i} ({p.mode.value}): duration {p.duration:g} s is {steps:.6g} steps "
                                  f"of dt = {self.dt:g} s; it must be a finite, whole number of steps")
+        if not self.duration / self.dt <= sys.maxsize:  # the recorded arrays hold one row per step
+            raise ValueError(f"duration {self.duration:g} s is {self.duration / self.dt:.6g} steps of dt = "
+                             f"{self.dt:g} s, more than an array can index ({sys.maxsize})")
         g_nc = self.ident.g_nc(self.dob.g_v)
         if self.ident.enable_plant and g_nc * self.dt >= 1.0:
             raise ValueError(f"dt*g_filter_nc = {g_nc * self.dt:g} >= 1")

@@ -4,16 +4,15 @@ Builds the loop gain seen by the proportional force controller (observer inner
 loop plus spring-damper environment), the closed-loop characteristic
 polynomials for the three environment classes, and the structural stability
 checks: right-half-plane zero of the mismatch polynomial, root-locus asymptote
-angles, and pole computation for degrees up to three.
+angles, and poles at any degree through `design.poles`.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .design import EnvClass, classify_environment, solve_cubic, solve_quadratic
+from .design import EnvClass, classify_environment, poles
 from .observers import DobConfig, RatioReport, RfobConfig
 from .plant import EnvImpedance, PlantParams
 
@@ -148,23 +147,6 @@ def closed_loop_force_tf(
     elif case is EnvClass.PURE_STIFFNESS:
         num = num[1:]
     return RationalTf(num=num, den=closed_loop_char_poly(case, M_m, alpha_g, C_f, env))
-
-
-def poles(coeffs: Sequence[float]) -> list[complex]:
-    """Roots of a degree 0..3 polynomial (descending coefficients) via the analytic formulas."""
-    c = tuple(coeffs)
-    if len(c) == 1:
-        return []
-    if len(c) == 2:
-        return [complex(-c[1] / c[0])]
-    if len(c) == 3:
-        return list(solve_quadratic(*c))
-    if len(c) == 4:
-        try:
-            return list(solve_cubic(*c).roots)
-        except ZeroDivisionError:  # a finite cubic whose formulas divide by a quantity that rounds to 0
-            raise ValueError(f"the analytic formulas divide by 0 on the cubic {c}") from None
-    raise ValueError(f"degree {len(c) - 1} unsupported: analytic pole computation covers degrees 0..3")
 
 
 def asymptote_angles(tf: RationalTf) -> tuple[float, ...]:

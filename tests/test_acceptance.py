@@ -111,6 +111,10 @@ def test_criterion_3_cubic_solver_vs_companion_oracle():
             for p in itertools.permutations(range(3))
         )
 
+    def discriminant(a3, a2, a1, a0):
+        return math.fsum((18.0 * a3 * a2 * a1 * a0, -4.0 * a2 ** 3 * a0, (a2 * a1) ** 2, -4.0 * a3 * a1 ** 3,
+                          -27.0 * (a3 * a0) ** 2))
+
     worst = 0.0
     n_pos = n_neg = n_zero = 0
     for i in range(1000):
@@ -122,17 +126,17 @@ def test_criterion_3_cubic_solver_vs_companion_oracle():
             c = [1.0, -roots.sum(),
                  roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2],
                  -roots.prod()]
-            res = rk.solve_cubic(*c)
-            assert res.discriminant > 0 and res.all_real
-            worst = max(worst, best_match(res.roots, [complex(z) for z in np.roots(c)]))
+            res = rk.poles(c)
+            assert discriminant(*c) > 0 and not any(z.imag for z in res)
+            worst = max(worst, best_match(res, [complex(z) for z in np.roots(c)]))
             n_pos += 1
         elif kind == 1:  # complex pair
             c = rng.uniform(-3.0, 3.0, 4)
             c[0] = c[0] if abs(c[0]) > 0.3 else 1.0
-            res = rk.solve_cubic(*c)
-            worst = max(worst, best_match(res.roots, [complex(z) for z in np.roots(c)]))
-            if res.discriminant < 0:
-                assert not res.all_real
+            res = rk.poles(c)
+            worst = max(worst, best_match(res, [complex(z) for z in np.roots(c)]))
+            if discriminant(*c) < 0:
+                assert sum(1 for z in res if z.imag) == 2
                 n_neg += 1
             else:
                 n_pos += 1
@@ -140,9 +144,9 @@ def test_criterion_3_cubic_solver_vs_companion_oracle():
             r = (rng.integers(20, 193) / 64.0) * (1.0 if rng.random() < 0.5 else -1.0)
             r3 = r - math.copysign(3.0 + rng.integers(0, 193) / 64.0, r)
             c = [1.0, -(2 * r + r3), r * r + 2 * r * r3, -r * r * r3]
-            res = rk.solve_cubic(*c)
-            assert res.all_real
-            worst = max(worst, best_match(res.roots, [complex(r), complex(r), complex(r3)]))
+            res = rk.poles(c)
+            assert discriminant(*c) == 0 and not any(z.imag for z in res)
+            worst = max(worst, best_match(res, [complex(r), complex(r), complex(r3)]))
             n_zero += 1
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 1.0 and min(n_pos, n_neg, n_zero) > 200

@@ -258,7 +258,7 @@ def test_cmd_analyze_perfect_identification(tmp_path, capsys):
     assert rep["asymptote_angles_deg"] == [-90.0, 90.0]
     assert rep["closed_loop_poles"] is not None
     assert "WARNING" not in capsys.readouterr().out
-    assert _sha256(out) == "10a7188b615c7b866dde12ea1ec2a7425b6b737ae181a2e474bda2db7305aae7"
+    assert _sha256(out) == "818c6b8f8e3ed01f0863a0669b201e2febc421eb848ab2d968b87eee70d24820"
 
 
 def test_cmd_design_keeps_leading_coefficient_of_stiff_damping_loop(tmp_path):
@@ -872,6 +872,11 @@ def test_cmd_design_of_a_huge_stiffness_is_infeasible(tmp_path, capsys, k_env):
     pytest.param((0.13, 706.1, 6861070.0, 1000.0), {"xi_combined": 0.391},
                  "bandwidth bound violated: (2+eta)*xi*k*sqrt(K/M) - D/M not in (0, g_v/2]: xi = 0.391",
                  id="narrow_xi_bound"),
+    # a3 = 2*eta_star*xi^2*psi is 0 or subnormal: the k cubic's roots are near -1, 1 and 2e313, beyond the float
+    # range; k rounds to 1, on the stability region's edge
+    *(pytest.param((3.02, 2.0, 1e6, 1000.0), {"xi_combined": 0.4, "eta_star": eta},
+                   "unstable k region: need (k < 1 and k < 1/psi) or (k > 1 and k > 1/psi): k = 1, 1/psi = 695.126",
+                   id=f"narrow_eta_star_{eta!r}") for eta in (5e-324, 1e-320, 1e-310)),
     pytest.param((3.02, 2.0, 1e6, 1000.0), {"eta_star": 1.5},
                  "eta_star must lie in (0, 1) on the narrow branch: eta_star = 1.5", id="narrow_eta_star"),
     # wide branch
@@ -897,7 +902,7 @@ def test_cmd_design_combined_case_paths(tmp_path, capsys, plant, design, err):
     if err is None:
         assert code == EXIT_OK and captured.err == ""
         rep = json.loads(out.read_text())
-        assert rep["report"]["branch"] == 0.0 and rep["xi"] == 0.3 and rep["alpha_g"] == 358.6487281102194
+        assert rep["report"]["branch"] == 0.0 and rep["xi"] == 0.3 and rep["alpha_g"] == 358.64872811021934
     else:
         assert code == EXIT_INFEASIBLE and captured.out == "" and not out.exists()
         assert captured.err == f"infeasible design: {err}\n"
@@ -1114,6 +1119,13 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("simulate", "sim_force_step.cfg", "dt_s = 1e-4", "dt_s = 1e-310",
      "configuration error: [scenario] phase 1 (force): duration 1 s is inf steps of dt = 1e-310 s; it must be a "
      "finite, whole number of steps"),
+    # each phase's count is finite and whole, but no array can index the run's steps
+    ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = 1e300",
+     "configuration error: [scenario] duration 1e+300 s is 1e+304 steps of dt = 0.0001 s, more than an array can "
+     "index (9223372036854775807)"),
+    ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = 1e15",
+     "configuration error: [scenario] duration 1e+15 s is 1e+19 steps of dt = 0.0001 s, more than an array can "
+     "index (9223372036854775807)"),
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0", "duration_s = -1.0",
      "configuration error: [phase] phase duration must be finite and >= 0, got -1.0"),
     ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nseed = -1",
@@ -1154,9 +1166,10 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0\nref = const\nvalue = 1.0",
      "duration_s = 2.0\nref = sine\noffset = 1.0\namp = 0.01\nfreq_hz = 1e308",
      "configuration error: [phase] each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must"),
-], ids=["dt", "dt_subnormal", "phase_duration", "seed", "x_limit_nan", "x_limit_negative", "v_limit_zero",
-        "dist_limit_nan", "noise_inf", "noise_nan", "C_f_inf", "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan",
-        "ramp_span_force", "ramp_span_position", "wave_argument_overflows", "wave_w_infinite"])
+], ids=["dt", "dt_subnormal", "steps_beyond_index_1e300", "steps_beyond_index_1e15", "phase_duration", "seed",
+        "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan", "noise_inf", "noise_nan", "C_f_inf",
+        "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan", "ramp_span_force", "ramp_span_position",
+        "wave_argument_overflows", "wave_w_infinite"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
 
@@ -1297,30 +1310,37 @@ def test_cmd_analyze_writes_null_poles_of_a_loop_above_third_order(tmp_path, cap
     )
 
 
-def test_cmd_analyze_writes_null_poles_of_a_cubic_it_cannot_scale(tmp_path, capsys):
-    # the closed loop (1e-25, 2, 1e300, 5e277) is a cubic whose leading coefficient is 0 once scaled
+def test_cmd_analyze_lists_the_poles_of_a_cubic_with_a_tiny_leading_coefficient_and_no_verdict(tmp_path, capsys):
+    # the closed loop (1e-25, 2, 1e300, 5e277): -5e-23 and a pair at |z| = 3.16e162, whose real part is known
+    # only to about |z|*eps, so its sign and the loop's stability are not known
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(ANALYZE_CFG.replace("3.02", "1e-25").replace("6.04", "1e-25").replace("6500.0", "1e300")
                    .replace("250.0", "500.0").replace("1.25", "1.0"))
     out = tmp_path / "tiny.json"
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    assert ("closed-loop poles: a3 = 1e-25 is 0 once scaled by max|a_i| = 1e+300, "
-            "analytic pole listing unsupported\n") in capsys.readouterr().out
+    assert "closed-loop stable: None\n" in capsys.readouterr().out
     rep = json.loads(out.read_text())
-    assert (rep["closed_loop_poles"], rep["closed_loop_stable"], rep["relative_degree"]) == (None, None, 2)
+    small, lo, hi = sorted((complex(*z) for z in rep["closed_loop_poles"]), key=abs)
+    assert small == pytest.approx(-5e-23, rel=1e-15) and lo == hi.conjugate()
+    assert abs(hi) == pytest.approx(10.0 ** 162.5, rel=1e-15)
+    assert (rep["closed_loop_stable"], rep["relative_degree"]) == (None, 2)
 
 
-@pytest.mark.parametrize("old, new", [("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e300"),
-                                      ("C_f = 0.035842180861184146", "C_f = 1e300")])
-def test_cmd_analyze_writes_null_poles_of_a_cubic_whose_formulas_divide_by_0(tmp_path, capsys, old, new):
-    # the cubic's formulas divide by a quantity that rounds to 0: d0/gj with K_env = 1e300, b3*d0 with C_f = 1e300
+@pytest.mark.parametrize("old, new, pair", [("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e300", 5.754353376484e149),
+                                            ("C_f = 0.035842180861184146", "C_f = 1e300", 1.270041380570e151)])
+def test_cmd_analyze_lists_the_poles_of_a_huge_loop_cubic_and_no_verdict(tmp_path, capsys, old, new, pair):
+    # the closed-form cubic divided by a quantity that rounds to 0 on both loops; the pair's real part is
+    # known only to about |z|*eps
     cfg, out = tmp_path / "huge.cfg", tmp_path / "huge.json"
     assert old in SIM_CFG
     cfg.write_text(SIM_CFG.replace(old, new))
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    assert "closed-loop poles: the analytic formulas divide by 0 on the cubic (3.02, " in capsys.readouterr().out
+    assert "closed-loop stable: None\n" in capsys.readouterr().out
     rep = json.loads(out.read_text())
-    assert (rep["closed_loop_poles"], rep["closed_loop_stable"], rep["relative_degree"]) == (None, None, 2)
+    small, lo, hi = sorted((complex(*z) for z in rep["closed_loop_poles"]), key=abs)
+    assert small.imag == 0.0 and small.real < 0.0 and lo == hi.conjugate()
+    assert abs(hi) == pytest.approx(pair, rel=1e-12)
+    assert (rep["closed_loop_stable"], rep["relative_degree"]) == (None, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_poles_simple():
     assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
     assert poles((2.0, 4.0)) == [pytest.approx(-2.0)]
     assert poles((5.0,)) == []
-    with pytest.raises(ValueError):
-        poles((1.0, 0.0, 0.0, 0.0, 1.0))
+    # any degree: z^4 + 1 has the four odd eighth roots of unity, in exact conjugate pairs
+    got = poles((1.0, 0.0, 0.0, 0.0, 1.0))
+    assert got == pytest.approx([complex(s * 0.5 ** 0.5, t * 0.5 ** 0.5) for s in (-1, 1) for t in (-1, 1)], abs=1e-15)
+    assert [z.conjugate() for z in got[::2]] == got[1::2]
 
 
 def test_poles_random_cubic_vs_companion():
@@ -63,15 +65,50 @@ def test_poles_random_cubic_vs_companion():
             assert abs(a - b) < 1e-8
 
 
-@pytest.mark.parametrize("cubic", [
-    (3.02, 245.56377136229108, 1e300, 8.729856744399341e300),  # d0 / gj: sim_force_step.cfg at K_env = 1e300
-    (3.02, 245.56377136229108, 4.871275427245822e302, 1.5831645138548922e306),  # b3 * d0: at C_f = 1e300
+@pytest.mark.parametrize("cubic, pair", [
+    # sim_force_step.cfg at K_env = 1e300, then at C_f = 1e300
+    ((3.02, 245.56377136229108, 1e300, 8.729856744399341e300), 5.754353376484e149),
+    ((3.02, 245.56377136229108, 4.871275427245822e302, 1.5831645138548922e306), 1.270041380570e151),
 ])
-def test_poles_reports_a_cubic_whose_formulas_divide_by_0_as_a_value_error(cubic):
-    with pytest.raises(ZeroDivisionError):
-        rfobkit.design.solve_cubic(*cubic)  # the design's k cubic keeps the solver's own error
-    with pytest.raises(ValueError, match=r"^the analytic formulas divide by 0 on the cubic \(3\.02, "):
-        poles(cubic)
+def test_poles_lists_a_cubic_whose_closed_forms_divided_by_0(cubic, pair):
+    # the closed-form cubic formulas divided by a quantity that rounds to 0 on both; the root finder lists
+    # the real root and the conjugate pair, whose real part is known only to about |z|*eps
+    small, lo, hi = sorted(poles(cubic), key=lambda z: abs(z.imag))
+    want = -cubic[3] / cubic[2]  # with the pair far out (|z|^2 near a1/a3), the real root is near -a0/a1
+    assert small.imag == 0.0 and small.real == pytest.approx(want, rel=1e-12)
+    assert lo == hi.conjugate() and abs(hi) == pytest.approx(pair, rel=1e-12)
+    assert abs(hi.real) <= 1e-12 * abs(hi)
+
+
+def test_poles_keeps_the_finite_roots_of_a_leading_coefficient_past_the_float_range():
+    # FOUND 34: the closed form lost -1 and 1 at a3 = 1e-200; FOUND 64: a subnormal a3/max|a_i| gave -6.67e19
+    # three times for the 1e-20 kg loop, whose small root is -5e-23 (p(-5e-23) is 0 to rounding)
+    assert poles((1e-200, -1.0, 0.0, 1.0)) == [-1.0, 1.0, 1e200]
+    small, lo, hi = sorted(poles((1e-20, 2.0, 1e300, 5e277)), key=abs)
+    assert small == pytest.approx(-5e-23, rel=1e-15) and small.imag == 0.0
+    assert lo == hi.conjugate() and abs(hi) == pytest.approx(1e160, rel=1e-15) and abs(hi.real) <= 1e-12 * abs(hi)
+    # the root of 5e-314 k^3 - 1.38 k^2 + 1 near 2.8e313 is beyond the float range and left out, as a3 = 0 would be
+    assert poles((5e-314, -1.38, 0.0, 1.0)) == pytest.approx([-0.8512565307587486, 0.8512565307587486], rel=1e-15)
+    assert poles((0.0, -1.38, 0.0, 1.0)) == poles((5e-314, -1.38, 0.0, 1.0))
+
+
+def test_poles_of_degree_1_to_6_match_the_companion_matrix_oracle():
+    # coefficients +-10^U(-3, 3); each degree's bound on the relative distance to numpy.roots is about 50 times the
+    # worst that the ROADMAP item 28 prototype showed on 12 000 such draws, which grows with the degree through the
+    # near-multiple roots random draws contain
+    rng = np.random.default_rng(28)
+    bounds = {1: 1e-14, 2: 1e-13, 3: 1e-9, 4: 1e-8, 5: 1e-7, 6: 1e-7}
+    for deg, bound in bounds.items():
+        for _ in range(500):
+            c = rng.choice([-1.0, 1.0], deg + 1) * 10.0 ** rng.uniform(-3.0, 3.0, deg + 1)
+            got = poles(c.tolist())
+            assert len(got) == deg
+            rest = [complex(z) for z in np.roots(c)]
+            for z in got:
+                ref = min(rest, key=lambda r: abs(r - z))
+                rest.remove(ref)
+                assert abs(z - ref) <= bound * abs(ref), (c, got)
+            assert [z for z in got if z.imag > 0.0] == [z.conjugate() for z in got if z.imag < 0.0]
 
 
 def test_poles_invariant_under_scaling():
@@ -370,9 +407,9 @@ def test_cli_and_config_import_leave_numpy_and_the_simulator_unloaded():
 
 # the names `rfobkit` exports, by defining module; the `engine` and `identify` ones resolve on first access
 PACKAGE_EXPORTS = {
-    "design": ("CubicRoots", "DesignResult", "DesignSpecA", "DesignSpecB", "DesignSpecC", "EnvClass",
-               "InfeasibleDesignError", "classify_environment", "design_damping", "design_damping_stiffness",
-               "design_for_env", "design_stiffness", "solve_cubic", "solve_quadratic", "split_alpha_g"),
+    "design": ("DesignResult", "DesignSpecA", "DesignSpecB", "DesignSpecC", "EnvClass", "InfeasibleDesignError",
+               "classify_environment", "design_damping", "design_damping_stiffness", "design_for_env",
+               "design_stiffness", "split_alpha_g"),
     "engine": ("AdaptationConfig", "AdaptationMode", "ControlMode", "IdentConfig", "Phase", "Scenario",
                "SimResult", "Simulator", "run_scenario"),
     "identify": ("ContactMode", "RlmsEstimator"),
