@@ -12,7 +12,7 @@ needs numpy.  The names in `_LAZY`, the simulator's and the estimators', import
 import importlib
 
 from .design import (
-    DesignResult, DesignSpecA, DesignSpecB, DesignSpecC, EnvClass, InfeasibleDesignError, classify_environment,
+    DesignResult, DesignSpec, EnvClass, InfeasibleDesignError, classify_environment,
     design_damping, design_damping_stiffness, design_for_env, design_stiffness, split_alpha_g,
 )
 from .loop_model import (

@@ -85,8 +85,8 @@ def _design_inputs(doc: ConfigDocument, inputs: dict, section: str | None = None
     """Read into `inputs` every design input, or only those `section` feeds; returns `inputs`.
 
     Each section is read and checked whole by its builder in `config`, as every command reads it: [plant] feeds
-    M_m, [dob] g_v, [environment] the environment and its case projection, [design] the projection, the specs and
-    alpha; no other section feeds any.
+    M_m, [dob] g_v, [environment] the environment and its case projection, [design] the projection and the spec;
+    no other section feeds any.
     """
     every = section is None
     if every or section == "plant":
@@ -114,15 +114,15 @@ def _design_inputs(doc: ConfigDocument, inputs: dict, section: str | None = None
             env = EnvImpedance(K_env=env.K_env)
         inputs["env"] = env
     if every or section == "design":
-        inputs["specs"], inputs["alpha"] = cfgmod.build_design_specs(doc), cfgmod.build_design_alpha(doc)
+        inputs["spec"] = cfgmod.build_design_specs(doc)
     return inputs
 
 
 def _design(inputs: dict) -> dict:
     """The `design` report: the design for `_design_inputs`' environment projection, split by alpha."""
-    m, env, alpha = inputs["M_m"], inputs["env"], inputs["alpha"]
-    result = design_for_env(m, env, inputs["g_v"], *inputs["specs"])
-    g = split_alpha_g(result, alpha)
+    m, env, spec = inputs["M_m"], inputs["env"], inputs["spec"]
+    result = design_for_env(m, env, inputs["g_v"], spec)
+    g = split_alpha_g(result, spec.alpha)
     achieved = closed_loop_char_poly(result.case, m, result.alpha_g, result.C_f, env)
     xi, w_n, p = result.xi, result.w_n, result.p
     if result.case is EnvClass.PURE_DAMPING:
@@ -130,7 +130,7 @@ def _design(inputs: dict) -> dict:
     else:
         target = (1.0, 2.0 * xi * w_n + p, w_n ** 2 + 2.0 * xi * w_n * p, w_n ** 2 * p)
     out = result.as_dict()
-    out.update(alpha=alpha, g_dob=g, g_rfob=g, char_poly_achieved=list(achieved), char_poly_target=list(target),
+    out.update(alpha=spec.alpha, g_dob=g, g_rfob=g, char_poly_achieved=list(achieved), char_poly_target=list(target),
                char_poly_max_rel_dev=max(abs(a - b) / max(abs(a), abs(b), 1e-30) for a, b in zip(achieved, target)))
     return out
 

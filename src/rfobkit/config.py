@@ -8,11 +8,10 @@ rejected, and missing required keys are reported with their section and name.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .design import DesignSpecA, DesignSpecB, DesignSpecC
+from .design import DesignSpec
 from .observers import DobConfig, RfobConfig
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
@@ -286,18 +285,8 @@ def build_rfob(doc: ConfigDocument) -> RfobConfig:
 
 
 @_rejects_as_config_error("design")
-def build_design_specs(doc: ConfigDocument) -> tuple[DesignSpecA, DesignSpecB, DesignSpecC]:
-    _, xi_a, gamma, xi_b, eta, *spec_c, _ = _values(doc, "design")  # case and alpha are read elsewhere
-    return DesignSpecA(xi_a, gamma), DesignSpecB(xi_b, eta), DesignSpecC(*spec_c)
-
-
-@_rejects_as_config_error("design")
-def build_design_alpha(doc: ConfigDocument) -> float:
-    """The inertia ratio alpha that splits a designed alpha_g between the two observers."""
-    alpha = doc.get("design", "alpha")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be {'finite' if alpha > 0.0 else '> 0'}, got {alpha}")
-    return alpha
+def build_design_specs(doc: ConfigDocument) -> DesignSpec:
+    return DesignSpec(*_values(doc, "design")[1:])  # `case` is read by the design command alone
 
 
 @_rejects_as_config_error("identify")
@@ -308,16 +297,12 @@ def build_ident(doc: ConfigDocument) -> IdentConfig:
 
 @_rejects_as_config_error("scenario")
 def build_adaptation(doc: ConfigDocument) -> AdaptationConfig:
-    """The redesign policy: mode and period from [scenario], alpha and the specs from [design]."""
+    """The redesign policy: mode and period from [scenario], the design spec from [design]."""
     from .engine import AdaptationConfig, AdaptationMode
-    spec_a, spec_b, spec_c = build_design_specs(doc)
     return AdaptationConfig(
         mode=AdaptationMode(doc.get("scenario", "adaptation")),
         period_steps=doc.get("scenario", "redesign_period_steps"),
-        design_alpha=build_design_alpha(doc),
-        spec_a=spec_a,
-        spec_b=spec_b,
-        spec_c=spec_c,
+        spec=build_design_specs(doc),
     )
 
 

@@ -184,33 +184,34 @@ def poles(coeffs: Sequence[float]) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DesignSpecA:
-    """Damping-environment choices: xi in [0.707, 1], gamma in (lower bound, 1]."""
+class DesignSpec:
+    """The designer's choices, one field per `[design]` key after `case`, in its order.
 
-    xi: float = 0.7071
-    gamma: float = 1.0
-
-
-@dataclass(frozen=True)
-class DesignSpecB:
-    """Stiffness-environment choices; eta and xi are clipped into the feasible set."""
-
-    xi: float = 1.0
-    eta: float = 2.0
-
-
-@dataclass(frozen=True)
-class DesignSpecC:
-    """Damping+stiffness choices.
-
-    xi: damping ratio, default picked inside the admissible window.
-    eta_star: third-pole ratio target used on the narrow-window branch (< 1).
-    k_hint: preferred natural-frequency fraction on the wide-window branch.
+    xi_damping, gamma: the damping case; xi in [0.707, 1], gamma in (lower bound, 1].
+    xi_stiffness, eta: the stiffness case; both are clipped into the feasible set.
+    xi_combined, eta_star, k_hint: the damping+stiffness case; xi_combined None picks
+    xi inside the admissible window, eta_star is the third-pole ratio target on the
+    narrow-window branch (< 1), k_hint the preferred natural-frequency fraction on
+    the wide-window branch.
+    alpha: the inertia ratio that splits a designed alpha_g between the two observers.
     """
 
-    xi: float | None = None
+    xi_damping: float = 0.7071
+    gamma: float = 1.0
+    xi_stiffness: float = 1.0
+    eta: float = 2.0
+    xi_combined: float | None = None
     eta_star: float = 0.1
     k_hint: float = 0.5
+    alpha: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be {'finite' if alpha > 0.0 else '> 0'}, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -271,18 +272,18 @@ def _third_order_result(case: EnvClass, xi: float, k: float, eta: float, psi: fl
 # case A: pure damping
 # ---------------------------------------------------------------------------
 
-def design_damping(M_m: float, D_env: float, g_v: float, spec: DesignSpecA | None = None) -> DesignResult:
+def design_damping(M_m: float, D_env: float, g_v: float, spec: DesignSpec | None = None) -> DesignResult:
     """Second-order placement for a pure-damping environment.
 
     w_n = (gamma / 2 xi) * (g_v/2 + D/M), alpha_g = 2*xi*w_n - D/M and
     C_f = w_n^2 / (alpha_g * D_env); feasibility requires
     D/M < 2*xi*w_n <= g_v/2 + D/M, i.e. gamma in (2D/(M g_v + 2D), 1].
     """
-    spec = spec or DesignSpecA()
+    spec = spec or DesignSpec()
     if M_m <= 0.0 or D_env <= 0.0 or g_v <= 0.0:
         raise InfeasibleDesignError("M_m, D_env and g_v must be > 0 for the damping case")
-    if not (0.707 - 1e-9 <= spec.xi <= 1.0 + 1e-12):
-        raise InfeasibleDesignError("xi outside [0.707, 1]", f"xi = {spec.xi}")
+    if not (0.707 - 1e-9 <= spec.xi_damping <= 1.0 + 1e-12):
+        raise InfeasibleDesignError("xi outside [0.707, 1]", f"xi = {spec.xi_damping}")
     dm = D_env / M_m
     gamma_lb = 2.0 * D_env / (M_m * g_v + 2.0 * D_env)
     if not (gamma_lb < spec.gamma <= 1.0):
@@ -290,7 +291,7 @@ def design_damping(M_m: float, D_env: float, g_v: float, spec: DesignSpecA | Non
             "gamma outside (2D/(M*g_v + 2D), 1]",
             f"gamma = {spec.gamma:.6g}, lower bound = {gamma_lb:.6g}",
         )
-    w_n = (spec.gamma / (2.0 * spec.xi)) * (0.5 * g_v + dm)
+    w_n = (spec.gamma / (2.0 * spec.xi_damping)) * (0.5 * g_v + dm)
     # 2*xi*w_n - D/M rearranged so that gamma = 1 lands on g_v/2 exactly, with no rounding that scales with D/M
     alpha_g = spec.gamma * 0.5 * g_v - (1.0 - spec.gamma) * dm
     C_f = w_n * w_n / (alpha_g * D_env)
@@ -298,13 +299,13 @@ def design_damping(M_m: float, D_env: float, g_v: float, spec: DesignSpecA | Non
         "gamma": spec.gamma,
         "gamma_lower_bound": gamma_lb,
         "D_over_M": dm,
-        "bandwidth_margin": 0.5 * g_v + dm - 2.0 * spec.xi * w_n,
+        "bandwidth_margin": 0.5 * g_v + dm - 2.0 * spec.xi_damping * w_n,
         "alpha_g_lower_margin": alpha_g,
     }
     return DesignResult(
         case=EnvClass.PURE_DAMPING,
         w_n=w_n,
-        xi=spec.xi,
+        xi=spec.xi_damping,
         p=0.0,
         alpha_g=alpha_g,
         C_f=C_f,
@@ -330,7 +331,7 @@ def _eta_interval_stiffness(R: float, xi: float) -> tuple[float, float] | None:
     return max(lo, 0.0), hi
 
 
-def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpecB | None = None) -> DesignResult:
+def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpec | None = None) -> DesignResult:
     """Third-order placement for a pure-stiffness environment.
 
     The third pole is p = eta*xi*w_n with w_n = k*sqrt(K/M), k = 1/sqrt(1+2*eta*xi^2);
@@ -339,15 +340,15 @@ def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpecB | N
     R = M*g_v^2/(4K); when M*g_v^2/K_env < 16 the damping ratio is capped at
     xi_star = 2*sqrt(K)/sqrt(16K - M*g_v^2).
     """
-    spec = spec or DesignSpecB()
+    spec = spec or DesignSpec()
     if M_m <= 0.0 or K_env <= 0.0 or g_v <= 0.0:
         raise InfeasibleDesignError("M_m, K_env and g_v must be > 0 for the stiffness case")
-    if spec.xi <= 0.0 or spec.eta <= 0.0:
-        raise InfeasibleDesignError("xi and eta must be > 0", f"xi={spec.xi}, eta={spec.eta}")
+    if spec.xi_stiffness <= 0.0 or spec.eta <= 0.0:
+        raise InfeasibleDesignError("xi and eta must be > 0", f"xi={spec.xi_stiffness}, eta={spec.eta}")
     notes: list[str] = []
     Rq = M_m * g_v * g_v / K_env
     R = 0.25 * Rq
-    xi = spec.xi
+    xi = spec.xi_stiffness
     xi_star_real = math.inf
     xi_star_pos = math.inf
     if Rq < 16.0:
@@ -355,7 +356,7 @@ def design_stiffness(M_m: float, K_env: float, g_v: float, spec: DesignSpecB | N
         xi_star_pos = 0.5 * math.sqrt(R)
         if xi > xi_star_real:
             xi = xi_star_real * (1.0 - 1e-12)
-            notes.append(f"xi clipped from {spec.xi:.6g} to {xi:.6g} (real-eta cap)")
+            notes.append(f"xi clipped from {spec.xi_stiffness:.6g} to {xi:.6g} (real-eta cap)")
     interval = _eta_interval_stiffness(R, xi)
     if interval is None:
         raise InfeasibleDesignError(
@@ -413,7 +414,7 @@ def design_damping_stiffness(
     D_env: float,
     K_env: float,
     g_v: float,
-    spec: DesignSpecC | None = None,
+    spec: DesignSpec | None = None,
 ) -> DesignResult:
     """Third-order placement for a combined damping + stiffness environment.
 
@@ -434,7 +435,7 @@ def design_damping_stiffness(
     (0, min(1, 1/psi)) directly against the bandwidth bound, which sidesteps the
     closed-form inequality whose symbols are underdetermined.
     """
-    spec = spec or DesignSpecC()
+    spec = spec or DesignSpec()
     if M_m <= 0.0 or D_env <= 0.0 or K_env <= 0.0 or g_v <= 0.0:
         raise InfeasibleDesignError("M_m, D_env, K_env and g_v must be > 0 for the combined case")
     notes: list[str] = []
@@ -472,8 +473,8 @@ def design_damping_stiffness(
             raise InfeasibleDesignError("eta_star must lie in (0, 1) on the narrow branch",
                                         f"eta_star = {spec.eta_star}")
         eta = spec.eta_star
-        if spec.xi is not None:
-            xi = spec.xi
+        if spec.xi_combined is not None:
+            xi = spec.xi_combined
             _check_xi_window(xi, xi_minus, xi_plus)
             solved = solve_with_xi(xi, eta)
             if solved is None:
@@ -510,7 +511,7 @@ def design_damping_stiffness(
         branch = 0.0
     else:
         # wide window: xi defaults to 1, k searched directly against the bound
-        xi = 1.0 if spec.xi is None else spec.xi
+        xi = 1.0 if spec.xi_combined is None else spec.xi_combined
         _check_xi_window(xi, xi_minus, xi_plus)
         psi = D_env / (2.0 * xi * math.sqrt(M_m * K_env))
         k_max = min(1.0, 1.0 / psi) * (1.0 - 1e-9)
@@ -555,21 +556,14 @@ def design_damping_stiffness(
     return _third_order_result(EnvClass.DAMPING_STIFFNESS, xi, k, eta, psi, w_n, p, alpha_g, g_v, K_env, report, notes)
 
 
-def design_for_env(
-    M_m: float,
-    env: EnvImpedance,
-    g_v: float,
-    spec_a: DesignSpecA | None = None,
-    spec_b: DesignSpecB | None = None,
-    spec_c: DesignSpecC | None = None,
-) -> DesignResult:
+def design_for_env(M_m: float, env: EnvImpedance, g_v: float, spec: DesignSpec | None = None) -> DesignResult:
     """Dispatch to the design procedure matching the environment class."""
     case = classify_environment(env)
     if case is EnvClass.PURE_DAMPING:
-        return design_damping(M_m, env.D_env, g_v, spec_a)
+        return design_damping(M_m, env.D_env, g_v, spec)
     if case is EnvClass.PURE_STIFFNESS:
-        return design_stiffness(M_m, env.K_env, g_v, spec_b)
-    return design_damping_stiffness(M_m, env.D_env, env.K_env, g_v, spec_c)
+        return design_stiffness(M_m, env.K_env, g_v, spec)
+    return design_damping_stiffness(M_m, env.D_env, env.K_env, g_v, spec)
 
 
 def split_alpha_g(result: DesignResult, alpha: float) -> float:
@@ -578,6 +572,5 @@ def split_alpha_g(result: DesignResult, alpha: float) -> float:
     Each design case places alpha_g inside alpha*g <= g_v/2, so an on-bound
     design gives alpha*g on the bound to within rounding.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be {'finite' if alpha > 0.0 else '> 0'}, got {alpha}")
+    _check_alpha(alpha)
     return result.alpha_g / alpha

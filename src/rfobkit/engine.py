@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .design import DesignSpecA, DesignSpecB, DesignSpecC, InfeasibleDesignError, design_for_env, split_alpha_g
+from .design import DesignSpec, InfeasibleDesignError, design_for_env, split_alpha_g
 from .identify import ContactMode, RlmsEstimator, _compile_filled
 from .observers import DisturbanceObserver, DobConfig, RatioReport, RfobConfig, lpf_pole
 from .plant import EnvImpedance, FrictionParams, PlantParams
@@ -84,6 +84,8 @@ class Phase:
 class AdaptationConfig:
     """Re-design policy applied while the loop runs.
 
+    Each re-design classifies the environment it designs for, designs that
+    case with the choices in `spec` and splits alpha_g by `spec.alpha`.
     Online re-design fires at most every period_steps while in contact, and
     only when the identified impedance has moved past the deadband since the
     last applied design; retuning the observers mid-run perturbs the estimate
@@ -92,17 +94,12 @@ class AdaptationConfig:
 
     mode: AdaptationMode = AdaptationMode.OFF
     period_steps: int = 100
-    design_alpha: float = 1.0
     deadband: float = 0.05
-    spec_a: DesignSpecA = field(default_factory=DesignSpecA)
-    spec_b: DesignSpecB = field(default_factory=DesignSpecB)
-    spec_c: DesignSpecC = field(default_factory=DesignSpecC)
+    spec: DesignSpec = field(default_factory=DesignSpec)
 
     def __post_init__(self) -> None:
         if self.period_steps < 1:
             raise ValueError("period_steps must be >= 1")
-        if not 0.0 < self.design_alpha < math.inf:
-            raise ValueError(f"design_alpha must be finite and > 0, got {self.design_alpha}")
         if not self.deadband >= 0.0:
             raise ValueError("deadband must be >= 0")
 
@@ -474,12 +471,12 @@ class Simulator:
 
     def _apply_design(self, t: float, env: EnvImpedance, m_design: float) -> bool:
         """Design for `env` and retune the loop; returns whether the design was applied."""
-        ad = self.sc.adaptation
+        spec = self.sc.adaptation.spec
         try:
-            result = design_for_env(m_design, env, self.sc.dob.g_v, ad.spec_a, ad.spec_b, ad.spec_c)
+            result = design_for_env(m_design, env, self.sc.dob.g_v, spec)
             if not result.feasible:
                 raise InfeasibleDesignError("design degenerate", "; ".join(result.notes))
-            g = split_alpha_g(result, ad.design_alpha)
+            g = split_alpha_g(result, spec.alpha)
             if g * self.dt >= 0.5:
                 raise InfeasibleDesignError("designed cutoff too fast for the sample time",
                                             f"g*dt = {g * self.dt:g}")

@@ -62,15 +62,15 @@ def test_criterion_1_pole_placement_soundness():
         case = attempts % 3
         try:
             if case == 0:
-                r = rk.design_damping(M, D, g_v, rk.DesignSpecA(
-                    xi=float(rng.uniform(0.707, 1.0)), gamma=float(rng.uniform(0.2, 1.0))))
+                r = rk.design_damping(M, D, g_v, rk.DesignSpec(
+                    xi_damping=float(rng.uniform(0.707, 1.0)), gamma=float(rng.uniform(0.2, 1.0))))
                 worst = max(worst, _placement_dev(r, M, D, 0.0))
             elif case == 1:
-                r = rk.design_stiffness(M, K, g_v, rk.DesignSpecB(
-                    xi=float(rng.uniform(0.3, 1.5)), eta=float(rng.uniform(0.05, 5.0))))
+                r = rk.design_stiffness(M, K, g_v, rk.DesignSpec(
+                    xi_stiffness=float(rng.uniform(0.3, 1.5)), eta=float(rng.uniform(0.05, 5.0))))
                 worst = max(worst, _placement_dev(r, M, 0.0, K))
             else:
-                r = rk.design_damping_stiffness(M, D, K, g_v, rk.DesignSpecC(
+                r = rk.design_damping_stiffness(M, D, K, g_v, rk.DesignSpec(
                     eta_star=float(rng.uniform(0.02, 0.9)), k_hint=float(rng.uniform(0.1, 0.95))))
                 worst = max(worst, _placement_dev(r, M, D, K))
         except InfeasibleDesignError:
@@ -155,7 +155,7 @@ def test_criterion_3_cubic_solver_vs_companion_oracle():
 
 
 def _linear_step_scenario(dt: float, duration: float = 0.5):
-    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
+    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpec(k_hint=0.5))
     g = rk.split_alpha_g(des, 1.0)
     sc = rk.Scenario(
         plant=rk.PlantParams(M_m=3.02, K_F=0.5),
@@ -295,7 +295,7 @@ def test_criterion_8_adaptation_benefit():
                              offset=5.0),),
             dt=1e-4, C_f=1.25, x0=-0.002, seed=42,
             velocity_filter_on=True, x_limit=5.0, v_limit=1000.0,
-            adaptation=rk.AdaptationConfig(mode=mode, design_alpha=2.0),
+            adaptation=rk.AdaptationConfig(mode=mode, spec=rk.DesignSpec(alpha=2.0)),
         )
         return rk.run_scenario(sc)
 

@@ -109,7 +109,6 @@ def test_positional_builds_follow_schema():
     # the config builders pass each section's values to their dataclass by position
     doc = parse_config(POSITIONAL_CFG)
     sc = build_scenario(doc)
-    ad = sc.adaptation
     rfob = list(SCHEMA["rfob"])
     design = list(SCHEMA["design"])
     builds = [
@@ -119,9 +118,7 @@ def test_positional_builds_follow_schema():
         (sc.dob, "dob", list(SCHEMA["dob"])),
         (sc.rfob, "rfob", rfob[:3] + [None] + rfob[6:]),  # None: the nested friction model
         (sc.rfob.friction, "rfob", rfob[3:6]),
-        (ad.spec_a, "design", design[1:3]),
-        (ad.spec_b, "design", design[3:5]),
-        (ad.spec_c, "design", design[5:8]),
+        (sc.adaptation.spec, "design", design[1:]),  # `case` is read by the design command alone
         (sc.ident, "identify", list(SCHEMA["identify"])),
     ]
     for obj, section, keys in builds:
@@ -132,6 +129,7 @@ def test_positional_builds_follow_schema():
                 continue
             assert key == name or key.startswith(name + "_"), (type(obj).__name__, name, key)
             assert getattr(obj, name) == doc.get(section, key), (type(obj).__name__, name, key)
+    assert [f.name for f in dataclasses.fields(sc.adaptation.spec)] == design[1:]  # the [design] key names
 
 
 def test_schema_defaults_match_the_library_defaults():
@@ -714,6 +712,18 @@ def test_cmd_simulate_prints_each_design_event(tmp_path, capsys, design, applied
                for e in events if not e["applied"])
 
 
+def test_cmd_simulate_prints_a_degenerate_redesign_as_rejected(tmp_path, capsys):
+    # on a pure stiffness, eta = 1e-9 puts the offline design's third pole below 1e-6 * w_n: the run keeps its
+    # gains and exits 0
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(SIM_CFG.replace("D_env_Ns_per_m = 2.0", "D_env_Ns_per_m = 0")
+                   .replace("velocity_filter = off", "velocity_filter = off\nadaptation = offline")
+                   + "\n[design]\neta = 1e-9\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "degenerate.csv")]) == EXIT_OK
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("  design event")] == [
+        "  design event t = 0 s: rejected (design degenerate: degenerate third pole: p < 1e-6 * w_n)"]
+
+
 @pytest.mark.parametrize("text, estimate, pinned", [
     ((CONFIGS / "identify_plant.cfg").read_text(), "final_delta_nc",
      [0.8100128080551768, 11.999975407871736, 6.0000014901516625, 7.9499992753816064]),
@@ -1166,10 +1176,18 @@ def test_cmd_identify_rejected_value_names_its_section(tmp_path, capsys, old, ne
     ("simulate", "sim_force_step.cfg", "duration_s = 1.0\nref = const\nvalue = 1.0",
      "duration_s = 2.0\nref = sine\noffset = 1.0\namp = 0.01\nfreq_hz = 1e308",
      "configuration error: [phase] each wave's sine argument, up to |2*pi*freq_hz|*duration + |phase_rad|, must"),
+    ("simulate", "sim_force_step.cfg", "velocity_filter = off", "velocity_filter = off\nredesign_period_steps = 0",
+     "configuration error: [scenario] period_steps must be >= 1"),
+    ("identify", "identify_plant.cfg", "enable_plant = true", "enable_plant = true\ng_filter_nc_rad_per_s = 0",
+     "configuration error: [identify] g_filter_nc must be > 0, got 0.0"),
+    # the free-motion regressor filters' pole would leave the unit interval at dt = 1e-4
+    ("identify", "identify_plant.cfg", "enable_plant = true", "enable_plant = true\ng_filter_nc_rad_per_s = 20000",
+     "configuration error: [scenario] dt*g_filter_nc = 2 >= 1"),
 ], ids=["dt", "dt_subnormal", "steps_beyond_index_1e300", "steps_beyond_index_1e15", "phase_duration", "seed",
         "x_limit_nan", "x_limit_negative", "v_limit_zero", "dist_limit_nan", "noise_inf", "noise_nan", "C_f_inf",
         "analyze_C_f_inf", "x0_nan", "v0_inf", "K_P_nan", "ramp_span_force", "ramp_span_position",
-        "wave_argument_overflows", "wave_w_infinite"])
+        "wave_argument_overflows", "wave_w_infinite", "redesign_period_zero", "g_filter_nc_zero",
+        "g_filter_nc_too_fast"])
 def test_cmd_rejected_scenario_or_phase_names_its_section(tmp_path, capsys, command, config, old, new, message):
     _assert_rejected_with(tmp_path, capsys, command, config, old, new, message)
 
@@ -1341,6 +1359,20 @@ def test_cmd_analyze_lists_the_poles_of_a_huge_loop_cubic_and_no_verdict(tmp_pat
     assert small.imag == 0.0 and small.real < 0.0 and lo == hi.conjugate()
     assert abs(hi) == pytest.approx(pair, rel=1e-12)
     assert (rep["closed_loop_stable"], rep["relative_degree"]) == (None, 2)
+
+
+def test_cmd_analyze_writes_null_poles_of_a_loop_whose_coefficients_overflow(tmp_path, capsys):
+    # D_env = K_env = 1e308 and C_f = 1e300: two closed-loop coefficients overflow to inf, so the loop lists no
+    # poles and gets no verdict
+    cfg, out = tmp_path / "overflow.cfg", tmp_path / "overflow.json"
+    cfg.write_text(SIM_CFG.replace("D_env_Ns_per_m = 2.0", "D_env_Ns_per_m = 1e308")
+                   .replace("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e308")
+                   .replace("C_f = 0.035842180861184146", "C_f = 1e300"))
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert ("closed-loop poles: the polynomial (3.02, 1e+308, inf, inf) has a non-finite coefficient, analytic pole "
+            "listing unsupported") in capsys.readouterr().out.splitlines()
+    rep = json.loads(out.read_text())
+    assert (rep["closed_loop_poles"], rep["closed_loop_stable"]) == (None, None)
 
 
 # ---------------------------------------------------------------------------

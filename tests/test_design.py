@@ -9,9 +9,7 @@ import pytest
 from rfobkit.cli import _json_text
 from rfobkit.design import (
     DesignResult,
-    DesignSpecA,
-    DesignSpecB,
-    DesignSpecC,
+    DesignSpec,
     EnvClass,
     InfeasibleDesignError,
     classify_environment,
@@ -60,7 +58,7 @@ def assert_placed(r: DesignResult, M: float, D: float, K: float, rel: float = 1e
 # ---------------------------------------------------------------------------
 
 def test_design_damping_reference_point():
-    r = design_damping(0.81, 2.0, 1000.0, DesignSpecA(xi=0.7071, gamma=1.0))
+    r = design_damping(0.81, 2.0, 1000.0, DesignSpec(xi_damping=0.7071, gamma=1.0))
     assert r.w_n == pytest.approx(355.3027, rel=1e-6)
     assert r.alpha_g == pytest.approx(500.0, rel=1e-9)
     assert r.C_f == pytest.approx(126.24, rel=1e-4)
@@ -70,15 +68,15 @@ def test_design_damping_reference_point():
 def test_design_damping_gamma_at_lower_bound_infeasible():
     lb = 2.0 * 2.0 / (0.81 * 1000.0 + 2.0 * 2.0)
     with pytest.raises(InfeasibleDesignError):
-        design_damping(0.81, 2.0, 1000.0, DesignSpecA(xi=0.8, gamma=lb))
+        design_damping(0.81, 2.0, 1000.0, DesignSpec(xi_damping=0.8, gamma=lb))
     with pytest.raises(InfeasibleDesignError):
-        design_damping(0.81, 2.0, 1000.0, DesignSpecA(xi=0.8, gamma=0.5 * lb))
+        design_damping(0.81, 2.0, 1000.0, DesignSpec(xi_damping=0.8, gamma=0.5 * lb))
 
 
 def test_design_damping_scaling_invariance():
-    r1 = design_damping(0.81, 2.0, 1000.0, DesignSpecA(xi=0.75, gamma=0.9))
+    r1 = design_damping(0.81, 2.0, 1000.0, DesignSpec(xi_damping=0.75, gamma=0.9))
     c = 3.7
-    r2 = design_damping(0.81 * c, 2.0 * c, 1000.0, DesignSpecA(xi=0.75, gamma=0.9))
+    r2 = design_damping(0.81 * c, 2.0 * c, 1000.0, DesignSpec(xi_damping=0.75, gamma=0.9))
     assert r2.w_n == pytest.approx(r1.w_n, rel=1e-12)
     assert r2.alpha_g == pytest.approx(r1.alpha_g, rel=1e-12)
     assert r2.C_f == pytest.approx(r1.C_f / c, rel=1e-12)
@@ -86,9 +84,9 @@ def test_design_damping_scaling_invariance():
 
 def test_design_damping_xi_range_enforced():
     with pytest.raises(InfeasibleDesignError):
-        design_damping(1.0, 1.0, 1000.0, DesignSpecA(xi=0.5, gamma=1.0))
+        design_damping(1.0, 1.0, 1000.0, DesignSpec(xi_damping=0.5, gamma=1.0))
     with pytest.raises(InfeasibleDesignError):
-        design_damping(1.0, 1.0, 1000.0, DesignSpecA(xi=1.2, gamma=1.0))
+        design_damping(1.0, 1.0, 1000.0, DesignSpec(xi_damping=1.2, gamma=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ def test_design_damping_xi_range_enforced():
 
 def test_design_stiffness_reference_point():
     # M*g_v^2/K = 464.6 >= 16, so xi is unconstrained
-    r = design_stiffness(3.02, 6500.0, 1000.0, DesignSpecB(xi=1.0, eta=2.0))
+    r = design_stiffness(3.02, 6500.0, 1000.0, DesignSpec(xi_stiffness=1.0, eta=2.0))
     assert r.report["M_gv2_over_K"] == pytest.approx(464.6, rel=1e-3)
     assert r.k == pytest.approx(0.4472136, rel=1e-6)
     assert r.w_n == pytest.approx(20.7476, rel=1e-4)
@@ -109,7 +107,7 @@ def test_design_stiffness_reference_point():
 
 
 def test_design_stiffness_eta_zero_limit_degenerate():
-    r = design_stiffness(3.02, 6500.0, 1000.0, DesignSpecB(xi=1.0, eta=1e-9))
+    r = design_stiffness(3.02, 6500.0, 1000.0, DesignSpec(xi_stiffness=1.0, eta=1e-9))
     assert r.degenerate
     assert not r.feasible
     assert r.k == pytest.approx(1.0, rel=1e-8)
@@ -119,14 +117,14 @@ def test_design_stiffness_eta_zero_limit_degenerate():
 def test_design_stiffness_infeasible_when_stiffness_dominates():
     # M*g_v^2/K ~ 1: no positive eta can satisfy the bandwidth bound
     with pytest.raises(InfeasibleDesignError):
-        design_stiffness(3.02, 3.0e6, 1000.0, DesignSpecB(xi=1.0, eta=2.0))
+        design_stiffness(3.02, 3.0e6, 1000.0, DesignSpec(xi_stiffness=1.0, eta=2.0))
 
 
 def test_design_stiffness_xi_cap_applies():
     # M*g_v^2/K < 16 forces the xi cap but a design still exists for small xi
     M, K, g_v = 1.0, 1.0e5, 1000.0
     assert M * g_v ** 2 / K < 16.0
-    r = design_stiffness(M, K, g_v, DesignSpecB(xi=1.0, eta=1.0))
+    r = design_stiffness(M, K, g_v, DesignSpec(xi_stiffness=1.0, eta=1.0))
     assert r.xi < 1.0
     assert r.xi <= r.report["xi_star_real"]
     assert r.alpha_g <= 0.5 * g_v + 1e-9
@@ -138,7 +136,7 @@ def test_design_stiffness_xi_cap_applies():
 # ---------------------------------------------------------------------------
 
 def test_design_damping_stiffness_reference_point():
-    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpecC(k_hint=0.5))
+    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpec(k_hint=0.5))
     assert r.report["xi_minus"] == pytest.approx(0.0071374, rel=1e-4)
     assert r.report["xi_plus"] == pytest.approx(5.3959, rel=1e-4)
     assert r.xi == 1.0
@@ -155,15 +153,15 @@ def test_design_damping_stiffness_reference_point():
 
 
 def test_design_damping_stiffness_k_one_gives_zero_eta():
-    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpecC(k_hint=1.0 - 1e-10))
+    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpec(k_hint=1.0 - 1e-10))
     assert r.eta == pytest.approx(0.0, abs=1e-6)
     assert r.degenerate
 
 
 def test_design_damping_stiffness_matches_stiffness_in_zero_damping_limit():
-    rb = design_stiffness(3.02, 6500.0, 1000.0, DesignSpecB(xi=1.0, eta=2.0))
+    rb = design_stiffness(3.02, 6500.0, 1000.0, DesignSpec(xi_stiffness=1.0, eta=2.0))
     # pick the k that reproduces eta = 2 at psi ~ 0
-    rc = design_damping_stiffness(3.02, 1e-9, 6500.0, 1000.0, DesignSpecC(xi=1.0, k_hint=rb.k))
+    rc = design_damping_stiffness(3.02, 1e-9, 6500.0, 1000.0, DesignSpec(xi_combined=1.0, k_hint=rb.k))
     assert rc.w_n == pytest.approx(rb.w_n, rel=1e-6)
     assert rc.p == pytest.approx(rb.p, rel=1e-6)
     assert rc.alpha_g == pytest.approx(rb.alpha_g, rel=1e-6)
@@ -173,7 +171,7 @@ def test_design_damping_stiffness_matches_stiffness_in_zero_damping_limit():
 def test_design_damping_stiffness_narrow_branch():
     # stiff enough that xi_plus < 1: eta fixed small, k near 1
     M, D, K, g_v = 3.02, 2.0, 1.0e6, 1000.0
-    r = design_damping_stiffness(M, D, K, g_v, DesignSpecC(eta_star=0.1))
+    r = design_damping_stiffness(M, D, K, g_v, DesignSpec(eta_star=0.1))
     assert r.report["xi_plus"] < 1.0
     assert r.eta == pytest.approx(0.1, rel=1e-9)
     assert r.eta < 1.0
@@ -184,7 +182,7 @@ def test_design_damping_stiffness_narrow_branch():
 
 def test_design_damping_stiffness_narrow_branch_user_xi_out_of_window():
     with pytest.raises(InfeasibleDesignError):
-        design_damping_stiffness(3.02, 2.0, 1.0e6, 1000.0, DesignSpecC(xi=2.0, eta_star=0.1))
+        design_damping_stiffness(3.02, 2.0, 1.0e6, 1000.0, DesignSpec(xi_combined=2.0, eta_star=0.1))
 
 
 def test_design_damping_stiffness_heavy_damping_tight_window():
@@ -202,7 +200,7 @@ def test_design_damping_stiffness_heavy_damping_tight_window():
 def test_psi_equals_xi_minus_over_xi():
     # for any valid window psi = xi_minus / xi < 1, so on the narrow branch the k cubic at the chosen
     # eta_star has three real roots with no condition on eta_star
-    draws = [(design_damping_stiffness, (3.02, 2.0, 6500.0, 1000.0, DesignSpecC()))]
+    draws = [(design_damping_stiffness, (3.02, 2.0, 6500.0, 1000.0, DesignSpec()))]
     draws += [d for d in _case_b_and_c_draws(800, seed=26) if d[0] is design_damping_stiffness]
     branches = collections.Counter()
     for design, args in draws:
@@ -216,7 +214,7 @@ def test_psi_equals_xi_minus_over_xi():
         if r.report["branch"] == 0.0:
             a = 2.0 * r.eta * r.xi * r.xi
             assert not any(z.imag for z in poles((a * r.psi, -(1.0 + a), 0.0, 1.0))), args
-        branches[r.report["branch"], args[-1].xi is None] += 1
+        branches[r.report["branch"], args[-1].xi_combined is None] += 1
     assert min(branches.values()) > 20 and len(branches) == 4, branches
 
 
@@ -229,7 +227,7 @@ def test_eta_feasibility_psi_below_one_unrestricted():
 
 
 def test_design_damping_stiffness_stability_region():
-    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpecC(k_hint=0.5))
+    r = design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, DesignSpec(k_hint=0.5))
     assert (r.k < 1.0 and r.k < 1.0 / r.psi) or (r.k > 1.0 and r.k > 1.0 / r.psi)
 
 
@@ -248,17 +246,17 @@ def test_pole_placement_soundness_random():
         case = rng.integers(0, 3)
         try:
             if case == 0:
-                r = design_damping(M, D, g_v, DesignSpecA(
-                    xi=float(rng.uniform(0.707, 1.0)), gamma=float(rng.uniform(0.2, 1.0))))
+                r = design_damping(M, D, g_v, DesignSpec(
+                    xi_damping=float(rng.uniform(0.707, 1.0)), gamma=float(rng.uniform(0.2, 1.0))))
                 assert_placed(r, M, D, 0.0)
                 assert 0.0 < r.alpha_g <= 0.5 * g_v + 1e-9 * g_v
             elif case == 1:
-                r = design_stiffness(M, K, g_v, DesignSpecB(
-                    xi=float(rng.uniform(0.3, 1.5)), eta=float(rng.uniform(0.05, 5.0))))
+                r = design_stiffness(M, K, g_v, DesignSpec(
+                    xi_stiffness=float(rng.uniform(0.3, 1.5)), eta=float(rng.uniform(0.05, 5.0))))
                 assert_placed(r, M, 0.0, K)
                 assert 0.0 < r.alpha_g <= 0.5 * g_v + 1e-9 * g_v
             else:
-                r = design_damping_stiffness(M, D, K, g_v, DesignSpecC(
+                r = design_damping_stiffness(M, D, K, g_v, DesignSpec(
                     eta_star=float(rng.uniform(0.02, 0.9)), k_hint=float(rng.uniform(0.1, 0.95))))
                 assert_placed(r, M, D, K)
                 assert 0.0 < r.alpha_g <= 0.5 * g_v + 1e-9 * g_v
@@ -313,9 +311,9 @@ def _case_b_and_c_draws(n: int, seed: int):
         M, D, K, g_v = (10.0 ** uniform(lo, hi) for lo, hi in ((-1.3, 1.7), (-3.0, 4.0), (0.0, 8.0), (1.0, 4.0)))
         kind = i % 4
         if kind == 0:
-            spec = DesignSpecC()
+            spec = DesignSpec()
         elif kind == 1:
-            spec = DesignSpecC(eta_star=uniform(-0.1, 1.2), k_hint=uniform(-0.05, 1.2))
+            spec = DesignSpec(eta_star=uniform(-0.1, 1.2), k_hint=uniform(-0.05, 1.2))
         else:
             sq_km = math.sqrt(K / M)  # the window edges as design_damping_stiffness computes them
             xi_minus, xi_plus = D / M / (2.0 * sq_km), (0.5 * g_v + D / M) / (2.0 * sq_km)
@@ -325,9 +323,10 @@ def _case_b_and_c_draws(n: int, seed: int):
                 xi = xi_minus
                 for _ in range(1 + int(4.0 * rng.random())):
                     xi = math.nextafter(xi, math.inf)
-            spec = DesignSpecC(xi=xi, eta_star=uniform(0.001, 0.999), k_hint=uniform(0.01, 1.0))
+            spec = DesignSpec(xi_combined=xi, eta_star=uniform(0.001, 0.999), k_hint=uniform(0.01, 1.0))
         yield design_damping_stiffness, (M, D, K, g_v, spec)
-        spec_b = DesignSpecB() if i % 2 else DesignSpecB(xi=10.0 ** uniform(-1.3, 0.7), eta=10.0 ** uniform(-7.0, 1.7))
+        spec_b = DesignSpec() if i % 2 else DesignSpec(xi_stiffness=10.0 ** uniform(-1.3, 0.7),
+                                                       eta=10.0 ** uniform(-7.0, 1.7))
         yield design_stiffness, (M, K, g_v, spec_b)
 
 

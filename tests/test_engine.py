@@ -30,7 +30,7 @@ def force_phase(duration, value, hint=None):
 
 
 def linear_scenario(dt=1e-4, duration=0.5, F_ref=1.0, g=None, C_f=None):
-    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
+    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpec(k_hint=0.5))
     g = g if g is not None else rk.split_alpha_g(des, 1.0)
     return rk.Scenario(
         plant=PP,
@@ -289,7 +289,7 @@ def test_linear_regime_equivalence_and_convergence():
 
 
 def test_linear_regime_equivalence_damping_case():
-    des = rk.design_damping(0.81, 2.0, 1000.0, rk.DesignSpecA(xi=0.7071, gamma=0.15))
+    des = rk.design_damping(0.81, 2.0, 1000.0, rk.DesignSpec(xi_damping=0.7071, gamma=0.15))
     g = rk.split_alpha_g(des, 1.0)
     env = rk.EnvImpedance(D_env=2.0)
     sc = rk.Scenario(
@@ -312,7 +312,7 @@ def test_linear_regime_equivalence_damping_case():
 
 
 def test_linear_regime_equivalence_stiffness_case():
-    des = rk.design_stiffness(3.02, 6500.0, 1000.0, rk.DesignSpecB(xi=1.0, eta=2.0))
+    des = rk.design_stiffness(3.02, 6500.0, 1000.0, rk.DesignSpec(xi_stiffness=1.0, eta=2.0))
     g = rk.split_alpha_g(des, 1.0)
     env = rk.EnvImpedance(K_env=6500.0)
     sc = rk.Scenario(
@@ -402,7 +402,7 @@ def test_identification_improves_rfob_between_force_phases():
 
 def test_transition_rows_freeze_estimates_and_gains():
     # drive through a contact onset with online adaptation and check the gating
-    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
+    des = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpec(k_hint=0.5))
     g = rk.split_alpha_g(des, 1.0)
     sc = rk.Scenario(
         plant=PP, friction=rk.FrictionParams(),
@@ -413,7 +413,7 @@ def test_transition_rows_freeze_estimates_and_gains():
         dt=1e-4, C_f=des.C_f, x0=-0.001,
         velocity_filter_on=False,
         adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=100,
-                                       design_alpha=1.0),
+                                       spec=rk.DesignSpec(alpha=1.0)),
         ident=rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e5,
                              delta0_c=(0.5, 3000.0, 0.0)),
     )
@@ -444,7 +444,7 @@ def test_scripted_transition_records_code_1_and_runs_neither_estimator():
 
 def test_online_adaptation_converges_to_truth_design():
     """Identified impedance feeding the re-design reproduces the truth-based gains."""
-    des_truth = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpecC(k_hint=0.5))
+    des_truth = rk.design_damping_stiffness(3.02, 2.0, 6500.0, 1000.0, rk.DesignSpec(k_hint=0.5))
     g0 = rk.split_alpha_g(des_truth, 1.0)
     sc = rk.Scenario(
         plant=PP, friction=rk.FrictionParams(), env=ENV,
@@ -454,7 +454,7 @@ def test_online_adaptation_converges_to_truth_design():
                          offset=5.0, waves=((2.0, 3.0, 0.0), (1.5, 1.3, 0.7))),),
         dt=5e-5, C_f=des_truth.C_f, velocity_filter_on=False,
         adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=200,
-                                       design_alpha=1.0),
+                                       spec=rk.DesignSpec(alpha=1.0)),
         ident=rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e6,
                              delta0_c=(0.5, 3000.0, 0.0),
                              bounds_c_min=(0.0, 10.0, -100.0),
@@ -477,10 +477,10 @@ def test_rejected_redesign_retries_next_period():
     sc, _ = linear_scenario(duration=0.1)
     period = 100
     sc = rk.Scenario(**{**sc.__dict__,
-                        # g = alpha_g / design_alpha is far too fast for dt: g*dt >= 0.5.  The
+                        # g = alpha_g / alpha is far too fast for dt: g*dt >= 0.5.  The
                         # deadband puts every estimate near the anchor, had one been set.
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=period,
-                                                          design_alpha=1e-4, deadband=1e9),
+                                                          spec=rk.DesignSpec(alpha=1e-4), deadband=1e9),
                         "ident": rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e5,
                                                 delta0_c=(0.5, 3000.0, 0.0))})
     res = rk.run_scenario(sc)
@@ -498,7 +498,7 @@ def test_offline_adaptation_applies_design_at_start():
     sc, des = linear_scenario(duration=0.1, C_f=1.0, g=500.0)
     sc = rk.Scenario(**{**sc.__dict__,
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
-                                                          design_alpha=1.0)})
+                                                          spec=rk.DesignSpec(alpha=1.0))})
     res = rk.run_scenario(sc)
     assert len(res.design_events) == 1
     ev = res.design_events[0]
@@ -513,7 +513,7 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
     sc, des = linear_scenario(duration=0.01, C_f=1.0, g=500.0)
     sc = rk.Scenario(**{**sc.__dict__, "ident": rk.IdentConfig(enable_env=True),
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
-                                                          design_alpha=1.0)})
+                                                          spec=rk.DesignSpec(alpha=1.0))})
     sim = rk.Simulator(sc)
     assert sim.rfob.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
     assert sim.rfob.g != 500.0
@@ -534,7 +534,7 @@ def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
         dt=1e-4,
         C_f=1.0,
         always_in_contact=True,
-        adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, design_alpha=1.0),
+        adaptation=rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, spec=rk.DesignSpec(alpha=1.0)),
     )
     des = rk.design_damping(6.69, 788.9, 1000.0)
     assert des.alpha_g == 500.0
@@ -542,6 +542,18 @@ def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
     [ev] = res.design_events
     assert ev.applied and ev.t == 0.0
     assert ev.g == des.alpha_g and ev.C_f == des.C_f
+
+
+def test_offline_adaptation_rejects_a_degenerate_design_as_an_event():
+    # on a pure stiffness, eta = 1e-9 puts the third pole below 1e-6 * w_n: the design is flagged degenerate,
+    # so the run records the rejection and keeps its force gain
+    sc, _ = linear_scenario(duration=0.01)
+    sc = rk.Scenario(**{**sc.__dict__, "env": rk.EnvImpedance(K_env=6500.0),
+                        "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
+                                                          spec=rk.DesignSpec(eta=1e-9))})
+    [ev] = rk.run_scenario(sc).design_events
+    assert (ev.t, ev.applied, ev.C_f) == (0.0, False, sc.C_f) and math.isnan(ev.alpha_g) and math.isnan(ev.g)
+    assert ev.note == "design degenerate: degenerate third pole: p < 1e-6 * w_n"
 
 
 def test_phase_disturbance_override():
@@ -611,17 +623,17 @@ def test_scenario_rejects_nan_settings():
             rk.Scenario(**{**sc.__dict__, field: math.nan})
     with pytest.raises(ValueError, match="noise_std must be finite and >= 0, got inf"):
         rk.Scenario(**{**sc.__dict__, "noise_std": math.inf})
-    for field in ("design_alpha", "deadband"):
+    for make, field in ((rk.DesignSpec, "alpha"), (rk.AdaptationConfig, "deadband")):
         with pytest.raises(ValueError, match=field):
-            rk.AdaptationConfig(**{field: math.nan})
+            make(**{field: math.nan})
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, 0.0, -1.0])
 def test_adaptation_config_refuses_a_design_alpha_outside_zero_to_inf(alpha):
-    # an infinite alpha would leave every redesign of the run to be rejected; it is refused here instead
-    with pytest.raises(ValueError, match=f"design_alpha must be finite and > 0, got {alpha}"):
-        rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE, design_alpha=alpha)
-    assert rk.AdaptationConfig(design_alpha=1e300).design_alpha == 1e300
+    # an infinite alpha would leave every redesign of the run to be rejected; the spec refuses it instead
+    with pytest.raises(ValueError, match=f"^alpha must be {'finite' if alpha == math.inf else '> 0'}, got {alpha}$"):
+        rk.DesignSpec(alpha=alpha)
+    assert rk.AdaptationConfig(spec=rk.DesignSpec(alpha=1e300)).spec.alpha == 1e300
 
 
 def test_scenario_rejects_non_finite_gains_and_initial_state():
@@ -694,13 +706,13 @@ def _switching_scenario(**ident):
 
 
 def _online_scenario():
-    """A contact onset under online adaptation: with g = alpha_g / design_alpha near 0.5/dt, the first
+    """A contact onset under online adaptation: with g = alpha_g / alpha near 0.5/dt, the first
     redesigns are rejected as too fast and the later ones, on converged estimates, are applied."""
     sc, des = linear_scenario()
     return rk.Scenario(**{**sc.__dict__, "phases": (force_phase(0.5, 5.0),), "C_f": des.C_f, "x0": -0.001,
                           "env": rk.EnvImpedance(D_env=2.0, K_env=6500.0, x_env=0.001), "always_in_contact": False,
                           "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.ONLINE, period_steps=100,
-                                                            design_alpha=0.0105, deadband=0.0),
+                                                            spec=rk.DesignSpec(alpha=0.0105), deadband=0.0),
                           "ident": rk.IdentConfig(enable_env=True, mu_c=1.0, gamma0_c=1e5,
                                                   delta0_c=(0.5, 3000.0, 0.0))})
 

@@ -407,9 +407,8 @@ def test_cli_and_config_import_leave_numpy_and_the_simulator_unloaded():
 
 # the names `rfobkit` exports, by defining module; the `engine` and `identify` ones resolve on first access
 PACKAGE_EXPORTS = {
-    "design": ("DesignResult", "DesignSpecA", "DesignSpecB", "DesignSpecC", "EnvClass", "InfeasibleDesignError",
-               "classify_environment", "design_damping", "design_damping_stiffness", "design_for_env",
-               "design_stiffness", "split_alpha_g"),
+    "design": ("DesignResult", "DesignSpec", "EnvClass", "InfeasibleDesignError", "classify_environment",
+               "design_damping", "design_damping_stiffness", "design_for_env", "design_stiffness", "split_alpha_g"),
     "engine": ("AdaptationConfig", "AdaptationMode", "ControlMode", "IdentConfig", "Phase", "Scenario",
                "SimResult", "Simulator", "run_scenario"),
     "identify": ("ContactMode", "RlmsEstimator"),
