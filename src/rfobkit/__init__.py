@@ -19,7 +19,7 @@ from .loop_model import (
     PhiPoly, RationalTf, RhpZeroReport, asymptote_angles, closed_loop_char_poly, closed_loop_force_tf,
     open_loop_general, poles, rhp_zero_check, step_response,
 )
-from .observers import BoundCheck, DisturbanceObserver, DobConfig, RatioReport, RfobConfig, robustness_bound_check
+from .observers import BoundCheck, DobConfig, RatioReport, RfobConfig, robustness_bound_check
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
 __version__ = "0.1.0"

@@ -246,6 +246,8 @@ def _third_order_result(case: EnvClass, xi: float, k: float, eta: float, psi: fl
 
     The design is flagged degenerate when the third pole nearly vanishes.
     """
+    if not alpha_g * K_env > 0.0:  # C_f divides by it
+        raise InfeasibleDesignError("alpha_g*K_env rounds to 0", f"alpha_g = {alpha_g:.6g}, K_env = {K_env:.6g}")
     C_f = w_n * w_n * p / (alpha_g * K_env)
     degenerate = p < 1e-6 * w_n
     if degenerate:

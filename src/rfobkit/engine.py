@@ -6,25 +6,25 @@ compensation current, semi-implicit Euler plant integration, sensor read (plus
 optional velocity noise), velocity filter, exact observer filter updates,
 contact detection, mode-gated estimator updates, the record, and the periodic
 adaptive re-design.  Between chunks the loop state lives in one dict,
-`Simulator._loop`, keyed by `LOOP_STATE`; the observers keep only their
-parameters.  The velocity noise comes from one seeded generator, built
-only for a run with noise: t_0's sample is drawn on its own, and each chunk of
-steps draws its samples in one call from the same stream, so the samples do
-not depend on where chunks end.  Everything is deterministic for a fixed
-scenario and seed.
+`Simulator._loop`, keyed by `LOOP_STATE`; the observers are the scenario's
+frozen records, which the run replaces to change them.  The velocity noise
+comes from one seeded generator, built only for a run with noise: t_0's sample
+is drawn on its own, and each chunk of steps draws its samples in one call
+from the same stream, so the samples do not depend on where chunks end.
+Everything is deterministic for a fixed scenario and seed.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .design import DesignSpec, InfeasibleDesignError, design_for_env, split_alpha_g
 from .identify import ContactMode, RlmsEstimator, _compile_filled
-from .observers import DisturbanceObserver, DobConfig, RatioReport, RfobConfig, lpf_pole
+from .observers import DobConfig, RatioReport, RfobConfig, lpf_pole
 from .plant import EnvImpedance, FrictionParams, PlantParams
 
 
@@ -325,40 +325,30 @@ class Simulator:
     the run stays full-length, the reference of each control mode in use and the output it tracks (`F_hat_load_N`
     or `x_m_m`); every other written column is one window buffer, which the next window overwrites, so `on_window`
     uses a window before it returns.  `rng`, the velocity-noise generator, is None in a run without noise, so such
-    a run never imports `numpy.random`.
+    a run never imports `numpy.random`.  `dob` and `rfob` start as the scenario's records; the RFOB model fold
+    (`_on_phase_start`) and a redesign's retune (`_apply_design`) each replace them with `dataclasses.replace`.
     """
 
     def __init__(self, scenario: Scenario, on_window=None):
         self.sc = scenario
         self._on_window = on_window
         self.dt = scenario.dt
-        dob, rfob = scenario.dob, scenario.rfob
-        self.dob = DisturbanceObserver(dob.M_mn, dob.K_Fn, dob.g_dob, self.dt)
-        self.rfob = DisturbanceObserver(rfob.M_hat, rfob.K_F_hat, rfob.g_rfob, self.dt, rfob.friction, rfob.F_d_hat)
-        self._c_v = lpf_pole(dob.g_v, self.dt) if scenario.velocity_filter_on else None  # velocity-filter pole
+        self.dob, self.rfob = scenario.dob, scenario.rfob
         self.C_f = scenario.C_f
-        self.alpha_true = RatioReport.from_configs(scenario.plant, dob, rfob).alpha
-        self._mn_over_kfn = scenario.dob.M_mn / scenario.dob.K_Fn
+        self.alpha_true = RatioReport.from_configs(scenario.plant, self.dob, self.rfob).alpha
         self.rng = np.random.default_rng(scenario.seed) if scenario.noise_std > 0.0 else None
         self.design_events: list[DesignEvent] = []
 
-        ident = scenario.ident
-        self.est_nc, self.est_c = ident.build_estimators()
-        # the free-motion regression is u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, tanh(xdot/eps), 1],
-        # the motor force balance with delta = [M_m, k_vsc, k_clmb, F_d]; every channel passes through one
-        # low-pass, so the balance holds exactly, and xddot is the backward difference of the filtered velocity
-        self._c_nc = lpf_pole(ident.g_nc(scenario.dob.g_v), self.dt) if ident.enable_plant else 0.0
+        self.est_nc, self.est_c = scenario.ident.build_estimators()
         v_meas = scenario.v0 + (self.rng.standard_normal() * scenario.noise_std if scenario.noise_std > 0.0 else 0.0)
-        # the contact regression is u = F_hat_load against [xdot, x, 1] through the RFOB's own pole, the
-        # low-pass the load estimate already carries; with delta = [D_env, K_env, offset] the constant
-        # column absorbs -(D_env*xdot_env + K_env*x_env)
         # the loop state at t_0 in LOOP_STATE's order, v_meas the measurement there; the free-motion filters were
         # last fed at step -10
-        self._loop = dict(zip(LOOP_STATE, (scenario.x0, scenario.v0, v_meas, 0.0 if self._c_v is not None else v_meas,
-                                           0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0, 0.0, -10, 0.0, 0.0, 0.0, 0.0, 0)))
+        v_f = 0.0 if scenario.velocity_filter_on else v_meas
+        self._loop = dict(zip(LOOP_STATE, (scenario.x0, scenario.v0, v_meas, v_f, 0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0,
+                                           0.0, -10, 0.0, 0.0, 0.0, 0.0, 0)))
 
         if scenario.adaptation.mode is AdaptationMode.OFFLINE:
-            self._apply_design(0.0, scenario.env, scenario.rfob.M_hat)
+            self._apply_design(0.0, scenario.env.D_env, scenario.env.K_env, scenario.rfob.M_hat)
 
         # phase schedule in steps
         self.n_steps = int(round(scenario.duration / self.dt))
@@ -452,12 +442,12 @@ class Simulator:
         """The schedule has advanced from phase idx - 1 to phase idx (idx >= 1)."""
         if (self.sc.phases[idx - 1].contact_hint is ContactMode.NON_CONTACT
                 and self.sc.ident.apply_to_rfob and self.est_nc is not None):
-            # fold the identified plant model into the reaction force observer
+            # fold the identified plant model into the reaction force observer; a wound-up, non-finite estimate
+            # leaves the RFOB's model as it is, and the run reports the directions unidentifiable
             d = self.est_nc.values
-            rfob = self.rfob
-            rfob.M = max(d[0], 1e-6)
-            rfob.friction = FrictionParams(k_vsc=max(d[1], 0.0), k_clmb=max(d[2], 0.0), eps=rfob.friction.eps)
-            rfob.F_d = d[3]
+            if all(map(math.isfinite, d)):
+                self.rfob = replace(self.rfob, M_hat=max(d[0], 1e-6), F_d_hat=d[3], friction=FrictionParams(
+                    k_vsc=max(d[1], 0.0), k_clmb=max(d[2], 0.0), eps=self.rfob.friction.eps))
 
     def _outside_deadband(self, d_env: float, k_env: float) -> bool:
         if self._last_design_env is None:
@@ -469,26 +459,27 @@ class Simulator:
             or abs(k_env - k0) > band * max(abs(k0), 1e-2)
         )
 
-    def _apply_design(self, t: float, env: EnvImpedance, m_design: float) -> bool:
-        """Design for `env` and retune the loop; returns whether the design was applied."""
-        spec = self.sc.adaptation.spec
+    def _apply_design(self, t: float, D_env: float, K_env: float, m_design: float) -> bool:
+        """Design for the environment (D_env, K_env) and retune the loop; returns whether the design was applied."""
+        spec, dob, rfob = self.sc.adaptation.spec, self.dob, self.rfob
         try:
-            result = design_for_env(m_design, env, self.sc.dob.g_v, spec)
+            result = design_for_env(m_design, EnvImpedance(D_env=D_env, K_env=K_env), dob.g_v, spec)
             if not result.feasible:
                 raise InfeasibleDesignError("design degenerate", "; ".join(result.notes))
             g = split_alpha_g(result, spec.alpha)
             if g * self.dt >= 0.5:
                 raise InfeasibleDesignError("designed cutoff too fast for the sample time",
                                             f"g*dt = {g * self.dt:g}")
+            self.dob, self.rfob = replace(dob, g_dob=g), replace(rfob, g_rfob=g)
         except (InfeasibleDesignError, ValueError) as exc:
             self.design_events.append(
                 DesignEvent(t=t, applied=False, alpha_g=float("nan"), C_f=self.C_f, g=float("nan"), note=str(exc))
             )
             return False
-        # bumpless retune: filter states shift so the estimates stay continuous
+        # bumpless retune: each estimate is y - g*M*v_f, so y shifts by (g - g_old)*M*v_f to keep it continuous
         self.C_f, loop = result.C_f, self._loop
-        loop["y_d"] = self.dob.retune(g, loop["v_f"], loop["y_d"])
-        loop["y_r"] = self.rfob.retune(g, loop["v_f"], loop["y_r"])
+        loop["y_d"] += (g - dob.g_dob) * dob.M_mn * loop["v_f"]
+        loop["y_r"] += (g - rfob.g_rfob) * rfob.M_hat * loop["v_f"]
         self.design_events.append(
             DesignEvent(t=t, applied=True, alpha_g=result.alpha_g, C_f=result.C_f, g=g)
         )
@@ -586,31 +577,32 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     law, the plant force balance, the velocity filter, the DOB and RFOB
     updates, the divergence guard (its x and v limits capped at the largest
     float, so a NaN or infinite x or v trips it), the contact detector, the
-    contact and the free-motion regressor filters with their RLS updates,
-    and the record, all written out inline: the first call compiles this
-    text, `_ADVANCE`, with the updates of `RlmsEstimator.update` filled in
+    contact and the free-motion regressor filters with their RLS updates, and
+    the record, all written out inline: the first call compiles this text,
+    `_ADVANCE`, with the updates of `RlmsEstimator.update` filled in
     (`identify._compile_filled`).  The tests keep each stage as a bit-for-bit
     reference on plain values (`plant_accel`, `lpf_step`, `observer_step`,
-    `detector_update` and the two regressor filters) and rebuild the step
-    from them in `LoopStepReference`.  The loop state lives in locals: a
-    chunk loads the names of `LOOP_STATE` (filled in at import) from
-    `self._loop`, and each estimator's `_state` and `_bounds` lists, in the
-    names identify.py lays out, and mu, and stores `_loop` and `_state` back
-    when it ends, at k_end, a phase boundary, a divergence or a redesign
-    step, so the RFOB model fold and a redesign's retune read the current
-    state.  A step records the cells that vary into the open window
-    (`_open_window`), at its row k - base, an innovation only where its
-    update runs (the window starts it as NaN); the write-back fills, over
-    the steps run, the columns fixed over a chunk (ctrl_mode, alpha_g_radps,
-    C_f, and contact_mode under a hint; the detector path records it per
-    step) and t_s with one slice store each.  A redesign then patches the
-    gains of the step's record; the next chunk reloads them.  A chunk also
-    ends at its window's end, the next multiple of NOISE_BLOCK, and a chunk
-    that fills its window, ends the run or diverges hands the window over
-    (`_flush`) after the patch.  A chunk's prologue draws its noise samples
-    with one `standard_normal(n)` call, which gives the same sequence as n
-    scalar draws, so a chunk boundary moves no sample; a divergence leaves
-    the chunk's unused samples drawn.
+    `detector_update` and the two regressor filters) and rebuild the step from
+    them in `LoopStepReference`.  The loop state lives in locals: a chunk
+    loads the names of `LOOP_STATE` (filled in at import) from `self._loop`,
+    and each estimator's `_state` and `_bounds` lists, in the names
+    identify.py lays out, and mu, and stores `_loop` and `_state` back when it
+    ends, at k_end, a phase boundary, a divergence or a redesign step, so the
+    RFOB model fold and a redesign's retune read the current state; each chunk
+    takes the observer poles and gains from the records `self.dob` and
+    `self.rfob`, which those two replace.  A step records the cells that vary
+    into the open window (`_open_window`), at its row k - base, an innovation
+    only where its update runs (the window starts it as NaN); the write-back
+    fills, over the steps run, the columns fixed over a chunk (ctrl_mode,
+    alpha_g_radps, C_f, and contact_mode under a hint; the detector path
+    records it per step) and t_s with one slice store each.  A redesign then
+    patches the gains of the step's record; the next chunk reloads them.  A
+    chunk also ends at its window's end, the next multiple of NOISE_BLOCK, and
+    a chunk that fills its window, ends the run or diverges hands the window
+    over (`_flush`) after the patch.  A chunk's prologue draws its noise
+    samples with one `standard_normal(n)` call, which gives the same sequence
+    as n scalar draws, so a chunk boundary moves no sample; a divergence
+    leaves the chunk's unused samples drawn.
     """
     k_end = min(k_end, self.n_steps)
     sc, dt, ad = self.sc, self.dt, self.sc.adaptation
@@ -620,13 +612,17 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
     unilateral, K_P, K_V, K_Fn = not sc.always_in_contact, sc.K_P, sc.K_V, sc.dob.K_Fn
     x_hi, v_hi, F_hi = min(sc.x_limit, sys.float_info.max), min(sc.v_limit, sys.float_info.max), sc.dist_limit
     x_lo, v_lo, F_lo, noise_std = -x_hi, -v_hi, -F_hi, sc.noise_std
-    noisy, mn_over_kfn = noise_std > 0.0, self._mn_over_kfn
+    noisy, mn_over_kfn, M_mn = noise_std > 0.0, sc.dob.M_mn / K_Fn, sc.dob.M_mn
     tanh, normal = math.tanh, self.rng.standard_normal if noisy else None  # a run without noise has no generator
-    dob, rfob, est_nc, est_c, c_v = self.dob, self.rfob, self.est_nc, self.est_c, self._c_v
+    est_nc, est_c = self.est_nc, self.est_c
+    c_v = lpf_pole(sc.dob.g_v, dt) if sc.velocity_filter_on else None  # the velocity-filter pole
     b_v = 1.0 - c_v if c_v is not None else 0.0
     th_on, th_off, dwell = sc.ident.threshold_on, sc.ident.threshold_off, sc.ident.dwell
     th_on_lo, th_off_lo = -th_on, -th_off
-    c_nc, M_mn = self._c_nc, sc.dob.M_mn
+    # the free-motion regression is u = M_mn*xddot_des + F_dis_hat against [xddot, xdot, tanh(xdot/eps), 1],
+    # the motor force balance with delta = [M_m, k_vsc, k_clmb, F_d]; every channel passes through one
+    # low-pass, so the balance holds exactly, and xddot is the backward difference of the filtered velocity
+    c_nc = lpf_pole(sc.ident.g_nc(sc.dob.g_v), dt) if est_nc is not None else 0.0
     b_nc = 1.0 - c_nc
     online = ad.mode is AdaptationMode.ONLINE and est_c is not None
     period = ad.period_steps
@@ -645,11 +641,12 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         c_ref = c_F_ref if force else c_x_ref  # _enter_phase wrote the phase's reference there
         hint = None if phase.contact_hint is None else int(phase.contact_hint)
         dist = dist0 if phase.F_d_override is None else phase.F_d_override
-        # the DOB runs with no friction model and F_d = 0, and u - 0.0 is u: its step skips both terms
-        C_f, c_d, gm_d, c_r, gm_r = self.C_f, dob.c, dob.g * dob.M, rfob.c, rfob.g * rfob.M
-        b_d, b_r, K_F_d, K_F_r, F_d_r = 1.0 - c_d, 1.0 - c_r, dob.K_F, rfob.K_F, rfob.F_d
-        kv_r, kc_r, eps_r = rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
-        alpha_g = self.alpha_true * dob.g
+        # the observers as the fold and the last redesign left them; the DOB has no friction model and no F_d
+        dob, rfob, C_f = self.dob, self.rfob, self.C_f
+        c_d, gm_d, K_F_d = lpf_pole(dob.g_dob, dt), dob.g_dob * dob.M_mn, dob.K_Fn
+        c_r, gm_r, K_F_r, F_d_r = lpf_pole(rfob.g_rfob, dt), rfob.g_rfob * rfob.M_hat, rfob.K_F_hat, rfob.F_d_hat
+        b_d, b_r, kv_r, kc_r, eps_r = 1.0 - c_d, 1.0 - c_r, rfob.friction.k_vsc, rfob.friction.k_clmb, rfob.friction.eps
+        alpha_g = self.alpha_true * dob.g_dob
         [*loop] = self._loop.values()
         # the contact force at (x, v): each step records it for its new (x, v) and the next step applies it
         F_load = 0.0 if unilateral and x < x_env else D_env * (v - xdot_env) + K_env * (x - x_env)
@@ -705,7 +702,10 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
             else:
                 mode = hint
             if est_c is not None and not diverged:
-                # the contact filter tracks the RFOB filter every step; only the update is gated
+                # the contact regression is u = F_hat_load against [xdot, x, 1] through the RFOB's own pole, the
+                # low-pass the load estimate already carries; with delta = [D_env, K_env, offset] the constant
+                # column absorbs -(D_env*xdot_env + K_env*x_env).  The filter tracks the RFOB filter every step;
+                # only the update is gated
                 fv_c = c_r * fv_c + b_r * v_meas
                 fx_c = c_r * fx_c + b_r * x
                 f1_c = c_r * f1_c + b_r
@@ -757,11 +757,9 @@ _ADVANCE = '''def _advance(self, k_end: int) -> bool:
         if online and mode == 2 and not diverged and (k + 1) % period == 0:
             d_env, k_env = (max(v, 0.0) for v in est_c.values[:2])
             # a rejected design leaves the anchor alone, so the next period retries
-            if self._outside_deadband(d_env, k_env) and self._apply_design(
-                k * dt, EnvImpedance(D_env=d_env, K_env=k_env), rfob.M
-            ):
+            if self._outside_deadband(d_env, k_env) and self._apply_design(k * dt, d_env, k_env, rfob.M_hat):
                 self._last_design_env = (d_env, k_env)
-                window["alpha_g_radps"][j], window["C_f"][j] = self.alpha_true * dob.g, self.C_f
+                window["alpha_g_radps"][j], window["C_f"][j] = self.alpha_true * self.dob.g_dob, self.C_f
         if j + 1 == NOISE_BLOCK or diverged or k + 1 == self.n_steps:
             self._flush(j + 1)
     return not self.diverged and self._k < self.n_steps

@@ -5,12 +5,12 @@ All first-order low-pass blocks share one discretization: pole at exp(-g*dt)
 
     y[k] = c * y[k-1] + (1 - c) * u[k],   c = exp(-g * dt)
 
-so a constant input is reproduced with zero steady-state error.  One observer
-class serves both loops: the DOB is `DisturbanceObserver` with the nominal
-plant and no model terms, the RFOB the same class with the identified model.
-An observer holds only its parameters; its filter output and estimate are
-loop state, in `Simulator._loop`, and the velocity filter is its pole alone,
-`Simulator._c_v`.
+so a constant input is reproduced with zero steady-state error.  Each
+observer is its frozen record, `DobConfig` (the nominal plant, no model terms)
+or `RfobConfig` (the identified model); `Simulator._advance` runs both as
+F_hat = LPF(K_F*i_m + g*M*xdot - F_fric(xdot) - F_d) - g*M*xdot, with poles
+lpf_pole(g, dt) taken from the records, and keeps their filter outputs and
+estimates in `Simulator._loop`.  A run replaces a record to change an observer.
 """
 from __future__ import annotations
 
@@ -63,33 +63,6 @@ def lpf_pole(g: float, dt: float) -> float:
     if not g * dt < 1.0:
         raise ValueError(f"g*dt = {g * dt:g} >= 1: cutoff too fast for this sample time")
     return math.exp(-g * dt)
-
-
-class DisturbanceObserver:
-    """Velocity-form observer: F_hat = LPF(K_F*i_m + g*M*xdot - F_fric(xdot) - F_d) - g*M*xdot.
-
-    As the DOB (nominal M_mn, K_Fn, friction=None, F_d = 0) F_hat is the lumped
-    disturbance and the compensation current is F_hat / K_Fn.  As the RFOB
-    (identified M_hat, K_F_hat, friction and F_d_hat) F_hat is the load force.
-    The low-pass has cutoff g, pole c = lpf_pole(g, dt) and output y, kept by the caller.
-    """
-
-    def __init__(self, M: float, K_F: float, g: float, dt: float,
-                 friction: FrictionParams | None = None, F_d: float = 0.0):
-        self.c, self.g, self.dt = lpf_pole(g, dt), g, dt
-        self.M, self.K_F, self.friction, self.F_d = M, K_F, friction, F_d
-
-    def retune(self, g: float, xdot: float, y: float) -> float:
-        """Change the observer cutoff in place; returns the filter output y shifted for a bumpless estimate.
-
-        The estimate is y - g*M*xdot, so y is shifted by (g_new - g_old)*M*xdot
-        to keep it continuous across the cutoff change.  A rejected cutoff
-        raises before the observer changes.
-        """
-        c = lpf_pole(g, self.dt)
-        y += (g - self.g) * self.M * xdot
-        self.c, self.g = c, g
-        return y
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,12 @@ DESIGN_CFG = (CONFIGS / "design_combined.cfg").read_text()
 ENV_1S_CFG = (CONFIGS / "identify_env.cfg").read_text().replace("duration_s = 6.0", "duration_s = 1.0")
 ONLINE_CFG = ENV_1S_CFG.replace("velocity_filter = off", "velocity_filter = off\nadaptation = online\n"
                                 "redesign_period_steps = 200")
+# identify_plant.cfg cut to 0.05 s and followed by a second free phase, at whose start the plant estimate is folded
+# into the RFOB
+FOLD_CFG = (CONFIGS / "identify_plant.cfg").read_text().replace("duration_s = 5.0", "duration_s = 0.05") + (
+    "\n[phase]\nmode = position\nduration_s = 0.05\nref = const\nvalue = -0.025\ncontact = free\n")
+# the online twin cut to 0.1 s: it redesigns for the environment estimate every 200 steps in contact
+REDESIGN_CFG = ONLINE_CFG.replace("duration_s = 1.0", "duration_s = 0.1")
 
 
 def _sha256(path: Path) -> str:
@@ -776,6 +782,40 @@ def test_cmd_on_a_covariance_wound_up_past_the_largest_float_flags_unidentifiabl
     assert json.loads(Path(f"{out}.summary.json").read_text())["unidentifiable_c"] is True
 
 
+@pytest.mark.parametrize("command", ["identify", "simulate"])
+@pytest.mark.parametrize("old, new", [("mu_nc = 1.0", "mu_nc = 1e-300"), ("mu_nc = 1.0", "mu_nc = 1e-310"),
+                                      ("gamma0_nc = 1e5", "gamma0_nc = 1e300")],
+                         ids=["mu_nc_1e-300", "mu_nc_1e-310", "gamma0_nc_1e300"])
+def test_cmd_fold_of_a_wound_up_plant_estimate_keeps_the_rfob_model(tmp_path, capsys, command, old, new):
+    # the plant estimate is NaN when the second phase starts: the RFOB keeps its model and the run exits 0
+    text = FOLD_CFG.replace(old, new)
+    cfg, out = tmp_path / "fold.cfg", tmp_path / "fold.csv"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert ("unidentifiable directions: True" in capsys.readouterr().out) == (command == "identify")
+    assert json.loads(Path(f"{out}.summary.json").read_text())["unidentifiable_nc"] is True
+    sim = rfobkit.engine.Simulator(build_scenario(parse_config(text)))
+    sim.run()
+    assert not all(map(math.isfinite, sim.est_nc.values)) and sim.rfob is sim.sc.rfob
+
+
+@pytest.mark.parametrize("old, new", [("mu_c = 1.0", "mu_c = 1e-300"), ("mu_c = 1.0", "mu_c = 1e-310"),
+                                      ("gamma0_c = 1e6", "gamma0_c = 1e300")],
+                         ids=["mu_c_1e-300", "mu_c_1e-310", "gamma0_c_1e300"])
+def test_cmd_simulate_rejects_a_redesign_for_a_wound_up_environment_estimate(tmp_path, capsys, old, new):
+    # the environment estimate is NaN at each redesign period: each period's design is rejected with the
+    # impedance's message, and the deadband anchor stays unset, so the next period tries again
+    text = REDESIGN_CFG.replace(old, new)
+    cfg, out = tmp_path / "redesign.cfg", tmp_path / "redesign.csv"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  design event")]
+    assert len(lines) > 1 and all(line.endswith(": rejected (D_env must be >= 0, got nan)") for line in lines)
+    sim = rfobkit.engine.Simulator(build_scenario(parse_config(text)))
+    sim.run()
+    assert len(sim.design_events) == len(lines) and sim._last_design_env is None
+
+
 def test_cmd_identify_requires_estimator(tmp_path):
     cfg = tmp_path / "noident.cfg"
     cfg.write_text(SIM_CFG)
@@ -935,6 +975,32 @@ def test_cmd_design_whose_sqrt_k_over_m_rounds_to_zero_is_infeasible(tmp_path, c
                    .replace("K_env_N_per_m = 6500.0", "K_env_N_per_m = 1e-20"))
     assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
     assert capsys.readouterr().err.strip() == "infeasible design: sqrt(K/M) rounds to 0: M_m = 1e+308, K_env = 1e-20"
+
+
+@pytest.mark.parametrize("k_env, alpha_g", [("1e-300", "1.98762e-150"), ("1e-310", "1.98762e-155")])
+def test_cmd_design_whose_alpha_g_times_k_env_rounds_to_zero_is_infeasible(tmp_path, capsys, k_env, alpha_g):
+    # a pure stiffness so small that C_f's denominator alpha_g*K_env underflows to 0; an offline run rejects the
+    # design as an event and exits 0
+    text = (CONFIGS / "identify_plant.cfg").read_text().replace("x_env_m = 1.0",
+                                                                f"x_env_m = 1.0\nK_env_N_per_m = {k_env}")
+    message = f"alpha_g*K_env rounds to 0: alpha_g = {alpha_g}, K_env = {k_env}"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    assert main(["design", "--config", str(cfg)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.strip() == f"infeasible design: {message}"
+    cfg.write_text(text.replace("duration_s = 5.0", "duration_s = 0.01")
+                   .replace("velocity_filter = off", "velocity_filter = off\nadaptation = offline"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "tiny.csv")]) == EXIT_OK
+    assert f"  design event t = 0 s: rejected ({message})" in capsys.readouterr().out.splitlines()
+
+
+def test_cmd_design_at_a_tiny_stiffness_whose_c_f_denominator_stays_positive_is_pinned(tmp_path):
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "tiny.json"
+    cfg.write_text((CONFIGS / "identify_plant.cfg").read_text()
+                   .replace("x_env_m = 1.0", "x_env_m = 1.0\nK_env_N_per_m = 1e-200"))
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert (rep["alpha_g"], rep["C_f"]) == (1.9876159799998128e-100, 0.12345679012345677)
 
 
 def test_cmd_design_sweep_of_non_float_key_is_config_error(tmp_path, capsys):

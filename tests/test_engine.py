@@ -51,7 +51,8 @@ class LoopStepReference(rk.Simulator):
 
     It keeps its own plant state (x, v), velocity-filter pole c_v and detector state `det`; the measured and
     filtered velocity, the observers' filter outputs and estimates and the last step that fed the free-motion
-    filters stay in `_loop`, where the bumpless retune of `_apply_design` reads and shifts them.
+    filters stay in `_loop`, where the bumpless retune of `_apply_design` reads and shifts them.  Each step runs the
+    observer records `dob` and `rfob` as the fold and the last redesign left them.
     """
 
     def __init__(self, scenario):
@@ -109,7 +110,7 @@ class LoopStepReference(rk.Simulator):
             xddot_des = sc.K_P * (x_ref - x) - sc.K_V * xdot_f
 
         F_dis_used = loop["F_hat_dis"]
-        i_m = self._mn_over_kfn * xddot_des + F_dis_used / sc.dob.K_Fn
+        i_m = sc.dob.M_mn / sc.dob.K_Fn * xddot_des + F_dis_used / sc.dob.K_Fn
 
         a = plant_accel(i_m, x, self.v, sc.plant, sc.friction, sc.env, sc.always_in_contact, phase.F_d_override)
         xdot_new = self.v = self.v + a * dt
@@ -120,8 +121,8 @@ class LoopStepReference(rk.Simulator):
             self.rng.standard_normal() * sc.noise_std if sc.noise_std > 0.0 else 0.0
         )
         xdot_f_new = lpf_step(self.c_v, xdot_f, xdot_meas_new) if self.c_v is not None else xdot_meas_new
-        loop["y_d"], F_hat_dis = observer_step(self.dob, loop["y_d"], i_m, xdot_f_new)
-        loop["y_r"], F_hat_load = observer_step(self.rfob, loop["y_r"], i_m, xdot_f_new)
+        loop["y_d"], F_hat_dis = observer_step(self.dob, dt, loop["y_d"], i_m, xdot_f_new)
+        loop["y_r"], F_hat_load = observer_step(self.rfob, dt, loop["y_r"], i_m, xdot_f_new)
         loop["F_hat_dis"], loop["F_hat_load"] = F_hat_dis, F_hat_load
         loop["v_meas"] = xdot_meas_new
         loop["v_f"] = xdot_f_new
@@ -146,7 +147,7 @@ class LoopStepReference(rk.Simulator):
         est_nc = self.est_nc
         est_c = self.est_c
         if est_c is not None and not self.diverged:
-            c = self.rfob.c
+            c = lpf_pole(self.rfob.g_rfob, dt)
             b = 1.0 - c
             f_v, f_x, f_1 = self._f_ref
             rho_c = self._f_ref = (c * f_v + b * xdot_meas, c * f_x + b * x, c * f_1 + b)
@@ -158,9 +159,7 @@ class LoopStepReference(rk.Simulator):
                 ):
                     d = est_c.values
                     d_env, k_env = max(d[0], 0.0), max(d[1], 0.0)
-                    if self._outside_deadband(d_env, k_env) and self._apply_design(
-                        t, rk.EnvImpedance(D_env=d_env, K_env=k_env), self.rfob.M
-                    ):
+                    if self._outside_deadband(d_env, k_env) and self._apply_design(t, d_env, k_env, self.rfob.M_hat):
                         self._last_design_env = (d_env, k_env)
         if mode is ContactMode.NON_CONTACT and est_nc is not None and not self.diverged:
             if loop["nc_last_k"] != k - 1:
@@ -186,7 +185,7 @@ class LoopStepReference(rk.Simulator):
         c_F_hat_dis[j] = F_hat_dis
         c_ctrl[j] = self._ctrl_code
         c_contact[j] = mode
-        c_alpha_g[j] = self.alpha_true * self.dob.g
+        c_alpha_g[j] = self.alpha_true * self.dob.g_dob
         c_C_f[j] = self.C_f
         if est_nc is not None:
             c_M[j], c_k_vsc[j], c_k_clmb[j], c_F_d[j] = est_nc.values
@@ -515,11 +514,11 @@ def test_offline_adaptation_bank_filters_with_the_designed_cutoff():
                         "adaptation": rk.AdaptationConfig(mode=rk.AdaptationMode.OFFLINE,
                                                           spec=rk.DesignSpec(alpha=1.0))})
     sim = rk.Simulator(sc)
-    assert sim.rfob.g == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
-    assert sim.rfob.g != 500.0
+    assert sim.rfob.g_rfob == pytest.approx(rk.split_alpha_g(des, 1.0), rel=1e-9)
+    assert sim.rfob.g_rfob != 500.0
     sim.run()
     # the constant regressor column is 1 - c**k for the pole c the filter ran with
-    assert sim._loop["f1_c"] == pytest.approx(1.0 - math.exp(-sim.rfob.g * sc.dt * sim.n_steps), rel=1e-12)
+    assert sim._loop["f1_c"] == pytest.approx(1.0 - math.exp(-sim.rfob.g_rfob * sc.dt * sim.n_steps), rel=1e-12)
 
 
 def test_offline_adaptation_applies_a_design_on_the_bandwidth_bound():
@@ -823,9 +822,9 @@ def test_step_loop_matches_the_reference_loop_across_the_rfob_fold():
     sim = rk.Simulator(sc)
     sim._advance(5000)  # the whole free phase
     d = sim.est_nc.values
-    assert (sim.rfob.M, sim.rfob.F_d) == (3.02, 0.0) and d[3] != 0.0
+    assert (sim.rfob.M_hat, sim.rfob.F_d_hat) == (3.02, 0.0) and d[3] != 0.0
     sim._advance(sim._k + 1)
-    assert (sim.rfob.M, sim.rfob.friction.k_vsc, sim.rfob.friction.k_clmb, sim.rfob.F_d) == (
+    assert (sim.rfob.M_hat, sim.rfob.friction.k_vsc, sim.rfob.friction.k_clmb, sim.rfob.F_d_hat) == (
         max(d[0], 1e-6), max(d[1], 0.0), max(d[2], 0.0), d[3])
     assert_same_run(sc, sim)
 

@@ -414,8 +414,7 @@ PACKAGE_EXPORTS = {
     "identify": ("ContactMode", "RlmsEstimator"),
     "loop_model": ("PhiPoly", "RationalTf", "RhpZeroReport", "asymptote_angles", "closed_loop_char_poly",
                    "closed_loop_force_tf", "open_loop_general", "poles", "rhp_zero_check", "step_response"),
-    "observers": ("BoundCheck", "DisturbanceObserver", "DobConfig", "RatioReport", "RfobConfig",
-                  "robustness_bound_check"),
+    "observers": ("BoundCheck", "DobConfig", "RatioReport", "RfobConfig", "robustness_bound_check"),
     "plant": ("EnvImpedance", "FrictionParams", "PlantParams"),
 }
 

@@ -1,36 +1,60 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rfobkit.engine import ControlMode, Phase, Scenario, Simulator
 from rfobkit.observers import (
-    DisturbanceObserver,
     DobConfig,
     RatioReport,
     RfobConfig,
     lpf_pole,
     robustness_bound_check,
 )
-from rfobkit.plant import FrictionParams, PlantParams
+from rfobkit.plant import EnvImpedance, FrictionParams, PlantParams
 from test_plant import friction_force
 
 
 # The filter and observer steps that Simulator._advance writes out, kept as bit-for-bit references
 # for LoopStepReference.  `lpf_step` maps the pole, output and input to the new output; `observer_step`
-# maps the observer, its filter output and its inputs to the new filter output and estimate.
+# maps an observer record, the sample time, its filter output and its inputs to the new filter output and
+# estimate: the DOB record runs the nominal plant with no friction model and no F_d, the RFOB record its model.
 
 def lpf_step(c: float, y: float, u: float) -> float:
     return c * y + (1.0 - c) * u
 
 
-def observer_step(obs: DisturbanceObserver, y: float, i_m_total: float, xdot: float) -> tuple[float, float]:
-    gm = obs.g * obs.M
-    u = obs.K_F * i_m_total + gm * xdot
-    if obs.friction is not None:
-        u -= friction_force(xdot, obs.friction)
-    y = lpf_step(obs.c, y, u - obs.F_d)
+def observer_step(obs: DobConfig | RfobConfig, dt: float, y: float, i_m_total: float,
+                  xdot: float) -> tuple[float, float]:
+    if isinstance(obs, DobConfig):
+        M, K_F, g, friction, F_d = obs.M_mn, obs.K_Fn, obs.g_dob, None, 0.0
+    else:
+        M, K_F, g, friction, F_d = obs.M_hat, obs.K_F_hat, obs.g_rfob, obs.friction, obs.F_d_hat
+    gm = g * M
+    u = K_F * i_m_total + gm * xdot
+    if friction is not None:
+        u -= friction_force(xdot, friction)
+    y = lpf_step(lpf_pole(g, dt), y, u - F_d)
     return y, y - gm * xdot
+
+
+DESIGN_INPUTS = (2.0, 6500.0, 3.02)  # D_env, K_env and the design mass
+
+
+def retune_simulator(M: float, K_F: float, g: float, dt: float, **terms) -> Simulator:
+    """A simulator whose DOB and RFOB run mass M, thrust constant K_F and cutoff g, the RFOB with the model `terms`;
+    `_apply_design(0.0, *DESIGN_INPUTS)` designs a feasible combined case with its g_v = 1000 rad/s."""
+    return Simulator(Scenario(plant=PlantParams(M_m=M, K_F=K_F), friction=FrictionParams(), env=EnvImpedance(),
+                              dob=DobConfig(M, K_F, g, g_v=1000.0), rfob=RfobConfig(M, K_F, g, **terms),
+                              phases=(Phase(mode=ControlMode.FORCE, duration=dt),), dt=dt, velocity_filter_on=False))
+
+
+def apply_cutoff(sim: Simulator, g: float) -> bool:
+    """Simulator._apply_design on DESIGN_INPUTS with the designed cutoff replaced by g."""
+    with mock.patch("rfobkit.engine.split_alpha_g", return_value=g):
+        return sim._apply_design(0.0, *DESIGN_INPUTS)
 
 
 def test_lpf_dc_gain():
@@ -60,7 +84,7 @@ def test_lpf_rejects_fast_cutoff():
     with pytest.raises(ValueError, match="cutoff too fast for this sample time"):
         lpf_pole(g=1000.0, dt=1e-3)
     with pytest.raises(ValueError, match="cutoff too fast for this sample time"):
-        DisturbanceObserver(1.0, 0.5, g=1000.0, dt=1e-3)
+        observer_step(DobConfig(1.0, 0.5, g_dob=1000.0, g_v=1000.0), 1e-3, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("g, dt", [(0.0, 1e-4), (-5.0, 1e-4), (100.0, 0.0), (100.0, -1e-4), (1e4, 1e-4),
@@ -68,13 +92,13 @@ def test_lpf_rejects_fast_cutoff():
 def test_lpf_pole_rejects_invalid_cutoffs(g, dt):
     with pytest.raises(ValueError):
         lpf_pole(g, dt)
-    obs, twin = DisturbanceObserver(1.0, 0.5, 100.0, 1e-4), DisturbanceObserver(1.0, 0.5, 100.0, 1e-4)
-    y, _ = observer_step(obs, 0.0, 1.0, 0.3)
-    if dt > 0.0:
-        with pytest.raises(ValueError):
-            obs.retune(g, 0.3, y)  # a rejected retune leaves the observer as it was
-    assert obs.g == 100.0 and obs.c == twin.c
-    assert observer_step(obs, y, 1.0, 0.3) == observer_step(twin, y, 1.0, 0.3)
+    if dt > 0.0:  # a redesign to the cutoff is rejected and leaves the observers and the loop state as they were
+        sim = retune_simulator(1.0, 0.5, 100.0, dt)
+        loop = sim._loop
+        loop["v_f"], loop["y_d"] = 0.3, observer_step(sim.dob, dt, 0.0, 1.0, 0.3)[0]
+        dob, rfob, before = sim.dob, sim.rfob, dict(loop)
+        assert not apply_cutoff(sim, g)
+        assert (sim.dob, sim.rfob, sim._loop) == (dob, rfob, before) and not sim.design_events[-1].applied
 
 
 @pytest.mark.parametrize("name", ["M_mn", "K_Fn", "g_dob", "g_v", "M_hat", "K_F_hat", "g_rfob"])
@@ -100,17 +124,17 @@ def test_observer_configs_reject_non_finite(cls, name, value):
 
 def test_dob_estimates_constant_disturbance():
     # plant held at rest by an external agent, constant disturbance enters the balance
-    dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
+    dob = DobConfig(M_mn=1.0, K_Fn=0.5, g_dob=300.0, g_v=1000.0)
     # zero velocity, current exactly cancels a 2 N disturbance: F_dis = K_Fn*i = 2
     y = f = 0.0
     for _ in range(3000):
-        y, f = observer_step(dob, y, 4.0, 0.0)
+        y, f = observer_step(dob, 1e-4, y, 4.0, 0.0)
     assert f == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dob_zero_state_zero_output():
-    dob = DisturbanceObserver(M=1.0, K_F=0.5, g=300.0, dt=1e-4)
-    assert observer_step(dob, 0.0, 0.0, 0.0) == (0.0, 0.0)
+    dob = DobConfig(M_mn=1.0, K_Fn=0.5, g_dob=300.0, g_v=1000.0)
+    assert observer_step(dob, 1e-4, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_rfob_steady_state_with_friction_error():
@@ -123,10 +147,10 @@ def test_rfob_steady_state_with_friction_error():
     K_F = 0.5
     # current balancing friction + load at constant velocity
     i = (F_load + friction_force(v, fric_true)) / K_F
-    rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric_hat)
+    rfob = RfobConfig(M_hat=1.3, K_F_hat=K_F, g_rfob=400.0, friction=fric_hat)
     y = f = 0.0
     for _ in range(3000):
-        y, f = observer_step(rfob, y, i, v)
+        y, f = observer_step(rfob, 1e-4, y, i, v)
     d_fric = friction_force(v, fric_true) - friction_force(v, fric_hat)
     assert f == pytest.approx(F_load + d_fric, rel=1e-9)
 
@@ -137,16 +161,16 @@ def test_rfob_perfect_model_recovers_load():
     F_load = 2.5
     K_F = 0.5
     i = (F_load + friction_force(v, fric)) / K_F
-    rfob = DisturbanceObserver(M=1.3, K_F=K_F, g=400.0, dt=1e-4, friction=fric)
+    rfob = RfobConfig(M_hat=1.3, K_F_hat=K_F, g_rfob=400.0, friction=fric)
     y = f = 0.0
     for _ in range(3000):
-        y, f = observer_step(rfob, y, i, v)
+        y, f = observer_step(rfob, 1e-4, y, i, v)
     assert f == pytest.approx(F_load, rel=1e-9)
 
 
 _MODEL = {
     "dob": {},
-    "rfob": {"friction": FrictionParams(k_vsc=3.0, k_clmb=1.2, eps=1e-3), "F_d": -4.0},
+    "rfob": {"friction": FrictionParams(k_vsc=3.0, k_clmb=1.2, eps=1e-3), "F_d_hat": -4.0},
 }
 _inputs = st.tuples(st.floats(-20.0, 20.0), st.floats(-1.0, 1.0))
 
@@ -161,18 +185,25 @@ _inputs = st.tuples(st.floats(-20.0, 20.0), st.floats(-1.0, 1.0))
     history=st.lists(_inputs, min_size=1, max_size=50),
 )
 def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
-    obs, y = DisturbanceObserver(M, K_F, g, dt, **_MODEL[model]), 0.0
-    for i, xdot in history:
-        y, before = observer_step(obs, y, i, xdot)
-    xdot = history[-1][1]
-    y = obs.retune(g_new, xdot, y)
-    after = y - obs.g * obs.M * xdot  # the output re-evaluated at the same xdot
-    scale = abs(y) + (g + g_new) * M * abs(xdot)
-    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt)
-    assert after == pytest.approx(before, abs=1e-13 * scale + 1e-300)
-    with pytest.raises(ValueError):
-        obs.retune(2.0 / dt, xdot, y)  # rejected before the observer changes
-    assert obs.g == g_new and obs.c == lpf_pole(g_new, dt)
+    """A redesign to g_new keeps the DOB's estimate and the RFOB's, with `model`'s terms, continuous."""
+    sim = retune_simulator(M, K_F, g, dt, **_MODEL[model])
+    loop, estimates = sim._loop, {}
+    for name, obs in (("y_d", sim.dob), ("y_r", sim.rfob)):
+        y = 0.0
+        for i, xdot in history:
+            y, estimates[name] = observer_step(obs, dt, y, i, xdot)
+        loop[name] = y
+    loop["v_f"] = xdot = history[-1][1]
+    assert apply_cutoff(sim, g_new)
+    assert (sim.dob.g_dob, sim.rfob.g_rfob) == (g_new, g_new)
+    assert lpf_pole(sim.dob.g_dob, dt) == lpf_pole(sim.rfob.g_rfob, dt) == lpf_pole(g_new, dt)
+    for name, M_obs in (("y_d", sim.dob.M_mn), ("y_r", sim.rfob.M_hat)):
+        after = loop[name] - g_new * M_obs * xdot  # the output re-evaluated at the same xdot
+        scale = abs(loop[name]) + (g + g_new) * M * abs(xdot)
+        assert after == pytest.approx(estimates[name], abs=1e-13 * scale + 1e-300)
+    dob, rfob, before = sim.dob, sim.rfob, dict(loop)
+    assert not apply_cutoff(sim, 2.0 / dt)  # rejected before the observers or the loop change
+    assert (sim.dob, sim.rfob, sim._loop) == (dob, rfob, before)
 
 
 @pytest.mark.parametrize("model", ["dob", "rfob"])
@@ -186,13 +217,13 @@ def test_observer_retune_is_bumpless(model, M, K_F, g, g_new, dt, history):
 def test_observer_converges_to_exact_equilibrium(model, M, K_F, g, dt, inputs):
     i, xdot = inputs
     terms = _MODEL[model]
-    obs, y = DisturbanceObserver(M, K_F, g, dt, **terms), 0.0
+    obs, y = RfobConfig(M, K_F, g, **terms) if terms else DobConfig(M, K_F, g, g_v=1000.0), 0.0
     n = math.ceil(30.0 / (g * dt))  # exp(-g dt n) < 1e-13
     for _ in range(n):
-        y, out = observer_step(obs, y, i, xdot)
+        y, out = observer_step(obs, dt, y, i, xdot)
     fric = friction_force(xdot, terms["friction"]) if "friction" in terms else 0.0
-    equilibrium = K_F * i - fric - terms.get("F_d", 0.0)
-    scale = abs(K_F * i) + g * M * abs(xdot) + abs(fric) + abs(terms.get("F_d", 0.0))
+    equilibrium = K_F * i - fric - terms.get("F_d_hat", 0.0)
+    scale = abs(K_F * i) + g * M * abs(xdot) + abs(fric) + abs(terms.get("F_d_hat", 0.0))
     assert out == pytest.approx(equilibrium, abs=1e-11 * scale + 1e-300)
 
 
@@ -242,7 +273,7 @@ def test_inner_loop_accel_transfer_matches_first_order_model():
     def simulate_gain(alpha, g_dob, omega, dt, T):
         M_m, K_F = 2.0, 0.5
         M_mn = alpha * M_m
-        dob = DisturbanceObserver(M_mn, K_F, g_dob, dt)
+        dob = DobConfig(M_mn, K_F, g_dob, g_v=1000.0)
         mn_over_kfn = M_mn / K_F
         v = y = F_hat = 0.0
         n = int(round(T / dt))
@@ -251,7 +282,7 @@ def test_inner_loop_accel_transfer_matches_first_order_model():
             t = k * dt
             xddot_des = math.sin(omega * t)
             i = mn_over_kfn * xddot_des + F_hat / K_F
-            y, F_hat = observer_step(dob, y, i, v)
+            y, F_hat = observer_step(dob, dt, y, i, v)
             a = K_F * i / M_m
             v += a * dt
             ts[k] = t
